@@ -2,12 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the hot software paths: one
  * accelerator invocation, one check of each predictor, one exact
- * kernel execution, and the offline trainers. These measure the
- * *simulator's* host-side speed (useful when scaling experiments),
- * not the modeled hardware latencies (those are fig17).
+ * kernel execution, and the offline trainers (predictors and one
+ * nn::Train epoch). These measure the *simulator's* host-side speed
+ * (useful when scaling experiments), not the modeled hardware
+ * latencies (those are fig17).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "apps/benchmark.h"
 #include "common/dataset.h"
@@ -80,7 +83,11 @@ BM_NpuInvoke(benchmark::State& state)
     for (auto _ : state)
         benchmark::DoNotOptimize(npu.Invoke(in));
 }
-BENCHMARK(BM_NpuInvoke);
+// One accelerator per thread, but every invoke also records into the
+// process-wide npu.invocations counter and npu.invoke_ns histogram
+// (one mutex): per-thread time rising with the thread count is that
+// shared instrumentation serializing otherwise independent shards.
+BENCHMARK(BM_NpuInvoke)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 void
 BM_MlpForward(benchmark::State& state)
@@ -111,6 +118,50 @@ BM_KernelExact(benchmark::State& state)
     }
 }
 BENCHMARK(BM_KernelExact)->Arg(0)->Arg(1)->Arg(2);
+
+/** Fixed regression data in [0, 1] shaped like an app's NN-domain
+ *  training set (5000 elements, as the Table-1 apps train on). */
+Dataset
+TrainData(size_t in_w, size_t out_w, size_t n = 5000)
+{
+    Rng rng(13);
+    Dataset d(in_w, out_w);
+    std::vector<double> x(in_w), t(out_w);
+    for (size_t i = 0; i < n; ++i) {
+        double sum = 0.0;
+        for (double& v : x) {
+            v = rng.Uniform();
+            sum += v;
+        }
+        for (size_t o = 0; o < out_w; ++o)
+            t[o] = 0.5 + 0.4 * std::sin(sum + static_cast<double>(o));
+        d.Add(x, t);
+    }
+    return d;
+}
+
+/** One nn::Train epoch (backprop, momentum updates and validation
+ *  scoring) at blackscholes' network (arg 0) and fft's unchecked-NPU
+ *  network (arg 1): the per-epoch cost behind offline training. */
+void
+BM_MlpTrain(benchmark::State& state)
+{
+    const nn::Topology topology = nn::Topology::Parse(
+        state.range(0) == 0 ? "6->8->8->1" : "1->4->4->2");
+    const Dataset d =
+        TrainData(topology.NumInputs(), topology.NumOutputs());
+    nn::TrainConfig tc;
+    tc.epochs = 1;
+    for (auto _ : state) {
+        nn::Mlp mlp(topology);
+        nn::Train(&mlp, d, tc);
+        benchmark::DoNotOptimize(mlp.Layers()[0].weights.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(d.Size()));
+    state.SetLabel(topology.ToString());
+}
+BENCHMARK(BM_MlpTrain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void
 BM_LinearTrain(benchmark::State& state)

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/logging.h"
 #include "core/artifact.h"
@@ -63,31 +64,46 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
     obs::Counter* trainings =
         registry.GetCounter("pipeline.trainings");
 
+    // When the topologies differ, the unchecked-NPU network trains on
+    // a second thread while the Rumba network trains here. nn::Train
+    // reads the shared dataset, writes only its own network and never
+    // draws from the fault injector, so every accelerator Configure
+    // and Invoke below stays on this thread in sequential order and
+    // both networks come out bit-identical to training them one after
+    // the other. The jthread is declared after everything it uses, so
+    // it is joined before they are destroyed, on unwinding too.
     const auto& info = bench_->Info();
+    const bool shared_topology = info.npu_topology == info.rumba_topology;
     rumba_mlp_.emplace(info.rumba_topology);
+    std::jthread npu_trainer;
+    if (!shared_topology) {
+        npu_mlp_.emplace(info.npu_topology);
+        npu_trainer = std::jthread([&] {
+            const obs::ScopedTimer timer(train_ns);
+            nn::Train(&*npu_mlp_, norm_train, tc);
+        });
+    }
     {
         const obs::ScopedTimer timer(train_ns);
         nn::Train(&*rumba_mlp_, norm_train, tc);
-        trainings->Increment();
     }
-    if (info.npu_topology == info.rumba_topology) {
+    if (shared_topology)
         npu_mlp_ = rumba_mlp_;
-    } else {
-        npu_mlp_.emplace(info.npu_topology);
-        const obs::ScopedTimer timer(train_ns);
-        nn::Train(&*npu_mlp_, norm_train, tc);
-        trainings->Increment();
-    }
 
     // True accelerator errors on the training elements (predictor
     // targets): run the Rumba-topology accelerator over them.
     npu::Npu accel = MakeAccelerator(/*use_rumba_topology=*/true);
-    const auto approx = RunAccelerator(&accel, train_inputs_);
     train_errors_.reserve(train_inputs_.size());
-    for (size_t s = 0; s < train_inputs_.size(); ++s) {
-        train_errors_.push_back(
-            bench_->ElementError(raw_train.Target(s), approx[s]));
-    }
+    ForEachApproximate(
+        &accel, train_inputs_,
+        [&](size_t s, const std::vector<double>&,
+            const std::vector<double>& raw_out) {
+            train_errors_.push_back(
+                bench_->ElementError(raw_train.Target(s), raw_out));
+        });
+    if (npu_trainer.joinable())
+        npu_trainer.join();
+    trainings->Increment(shared_topology ? 1 : 2);
 }
 
 Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
@@ -177,14 +193,30 @@ Pipeline::RunAccelerator(
     npu::Npu* accel,
     const std::vector<std::vector<double>>& raw_inputs) const
 {
-    RUMBA_CHECK(accel != nullptr && accel->Configured());
     std::vector<std::vector<double>> outputs;
     outputs.reserve(raw_inputs.size());
-    for (const auto& raw : raw_inputs) {
-        const auto norm_out = accel->Invoke(in_norm_.Apply(raw));
-        outputs.push_back(out_norm_.Invert(norm_out));
-    }
+    ForEachApproximate(accel, raw_inputs,
+                       [&](size_t, const std::vector<double>&,
+                           const std::vector<double>& raw_out) {
+                           outputs.push_back(raw_out);
+                       });
     return outputs;
+}
+
+void
+Pipeline::ForEachApproximate(
+    npu::Npu* accel, const std::vector<std::vector<double>>& raw_inputs,
+    const ApproxVisitor& visit) const
+{
+    RUMBA_CHECK(accel != nullptr && accel->Configured());
+    std::vector<double> norm_in, norm_out, raw_out;
+    for (size_t s = 0; s < raw_inputs.size(); ++s) {
+        in_norm_.Apply(raw_inputs[s].data(), raw_inputs[s].size(),
+                       &norm_in);
+        accel->Invoke(norm_in, &norm_out);
+        out_norm_.Invert(norm_out.data(), norm_out.size(), &raw_out);
+        visit(s, norm_in, raw_out);
+    }
 }
 
 std::unique_ptr<predict::ErrorPredictor>
@@ -232,7 +264,6 @@ Pipeline::TrainCompensator() const
     const obs::ScopedTimer timer(obs::Registry::Default().GetHistogram(
         "pipeline.compensator_train_ns"));
     npu::Npu accel = MakeAccelerator(/*use_rumba_topology=*/true);
-    const auto approx = RunAccelerator(&accel, train_inputs_);
     const Dataset raw_train = bench_->MakeDataset(train_inputs_);
     // Features are [normalized inputs | normalized approximate
     // outputs]: the checker only ever sees the inputs, so on the
@@ -247,7 +278,8 @@ Pipeline::TrainCompensator() const
     // easy mass it will never see. Keep every element whose true
     // error reaches the tail quantile (plus a quarter of the easy
     // mass as a stabilizer so the fit does not forget what "nearly
-    // right" looks like).
+    // right" looks like). Every element is still invoked, in order:
+    // the accelerator pass is what a fault plan's draws replay.
     RUMBA_CHECK(train_errors_.size() == train_inputs_.size());
     std::vector<double> sorted(train_errors_);
     std::sort(sorted.begin(), sorted.end());
@@ -255,18 +287,22 @@ Pipeline::TrainCompensator() const
     const size_t out_w = bench_->NumOutputs();
     Dataset refine(bench_->NumInputs() + out_w, out_w);
     std::vector<double> features, norm_out, norm_exact, target(out_w);
-    for (size_t s = 0; s < train_inputs_.size(); ++s) {
-        if (train_errors_[s] < tail_cut && (s & 3u) != 0)
-            continue;
-        features = in_norm_.Apply(train_inputs_[s]);
-        out_norm_.Apply(approx[s].data(), out_w, &norm_out);
-        norm_exact = out_norm_.Apply(raw_train.Target(s));
-        for (size_t o = 0; o < out_w; ++o)
-            target[o] = norm_exact[o] - norm_out[o];
-        features.insert(features.end(), norm_out.begin(),
-                        norm_out.end());
-        refine.Add(features, target);
-    }
+    ForEachApproximate(
+        &accel, train_inputs_,
+        [&](size_t s, const std::vector<double>& norm_in,
+            const std::vector<double>& raw_out) {
+            if (train_errors_[s] < tail_cut && (s & 3u) != 0)
+                return;
+            out_norm_.Apply(raw_out.data(), out_w, &norm_out);
+            out_norm_.Apply(raw_train.Target(s).data(), out_w,
+                            &norm_exact);
+            for (size_t o = 0; o < out_w; ++o)
+                target[o] = norm_exact[o] - norm_out[o];
+            features.assign(norm_in.begin(), norm_in.end());
+            features.insert(features.end(), norm_out.begin(),
+                            norm_out.end());
+            refine.Add(features, target);
+        });
     obs::Registry::Default()
         .GetCounter("pipeline.compensator_trainings")
         ->Increment();

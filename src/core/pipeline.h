@@ -11,6 +11,7 @@
  * runtime (runtime.h) build on this.
  */
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -125,6 +126,24 @@ class Pipeline {
     std::vector<std::vector<double>> RunAccelerator(
         npu::Npu* accel,
         const std::vector<std::vector<double>>& raw_inputs) const;
+
+    /** Receives element @p index's NN-domain inputs and raw-domain
+     *  approximate outputs; both views die when the call returns. */
+    using ApproxVisitor =
+        std::function<void(size_t index, const std::vector<double>& norm_in,
+                           const std::vector<double>& raw_out)>;
+
+    /**
+     * RunAccelerator() through reused scratch buffers: streams each
+     * element through @p accel — exactly one Invoke per element, in
+     * order — and hands the result to @p visit before the next
+     * element is invoked. The offline passes (training errors, the
+     * compensator's refine set, threshold calibration) use this form.
+     */
+    void ForEachApproximate(
+        npu::Npu* accel,
+        const std::vector<std::vector<double>>& raw_inputs,
+        const ApproxVisitor& visit) const;
 
     /**
      * Instantiate an untrained checker for a predictor scheme

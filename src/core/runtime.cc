@@ -190,12 +190,12 @@ RumbaRuntime::CalibrateThreshold(double target_error_pct)
         ->Increment();
     detector_.Reset();
     std::vector<double> scores(train.size());
-    for (size_t i = 0; i < train.size(); ++i) {
-        const auto norm_in = pipeline_.NormalizeInput(train[i]);
-        const auto norm_out = accel_.Invoke(norm_in);
-        const auto raw_out = pipeline_.DenormalizeOutput(norm_out);
-        scores[i] = detector_.Check(norm_in, raw_out).predicted_error;
-    }
+    pipeline_.ForEachApproximate(
+        &accel_, train,
+        [&](size_t i, const std::vector<double>& norm_in,
+            const std::vector<double>& raw_out) {
+            scores[i] = detector_.Check(norm_in, raw_out).predicted_error;
+        });
     detector_.Reset();
     calibration_scores_ = scores;
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/dataset.h"
 #include "common/logging.h"
 #include "common/random.h"
 
@@ -52,45 +51,25 @@ Mlp::Forward(const std::vector<double>& input) const
     return current;
 }
 
-ForwardTrace
-Mlp::ForwardWithTrace(const std::vector<double>& input) const
+void
+Mlp::ForwardWithTrace(const double* input, ForwardTrace* trace) const
 {
-    RUMBA_CHECK(input.size() == topology_.NumInputs());
-    ForwardTrace trace;
-    trace.activations.reserve(layers_.size() + 1);
-    trace.activations.push_back(input);
-    for (const auto& layer : layers_) {
-        const auto& prev = trace.activations.back();
-        std::vector<double> act(layer.out, 0.0);
+    RUMBA_CHECK(trace != nullptr);
+    auto& acts = trace->activations;
+    acts.resize(layers_.size() + 1);
+    acts[0].assign(input, input + topology_.NumInputs());
+    for (size_t li = 0; li < layers_.size(); ++li) {
+        const Layer& layer = layers_[li];
+        const std::vector<double>& prev = acts[li];
+        std::vector<double>& act = acts[li + 1];
+        act.resize(layer.out);
         for (size_t n = 0; n < layer.out; ++n) {
             double sum = layer.Bias(n);
             for (size_t i = 0; i < layer.in; ++i)
                 sum += layer.W(n, i) * prev[i];
             act[n] = Evaluate(layer.act, sum);
         }
-        trace.activations.push_back(std::move(act));
     }
-    return trace;
-}
-
-double
-Mlp::MeanSquaredError(const Dataset& data) const
-{
-    RUMBA_CHECK(!data.Empty());
-    RUMBA_CHECK(data.NumInputs() == topology_.NumInputs());
-    RUMBA_CHECK(data.NumTargets() == topology_.NumOutputs());
-    double total = 0.0;
-    for (size_t s = 0; s < data.Size(); ++s) {
-        const auto out = Forward(data.Input(s));
-        const auto& target = data.Target(s);
-        for (size_t o = 0; o < out.size(); ++o) {
-            const double d = out[o] - target[o];
-            total += d * d;
-        }
-    }
-    return total /
-           (static_cast<double>(data.Size()) *
-            static_cast<double>(topology_.NumOutputs()));
 }
 
 size_t

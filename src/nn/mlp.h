@@ -17,7 +17,6 @@
 #include "nn/topology.h"
 
 namespace rumba {
-class Dataset;
 class Rng;
 }
 
@@ -76,11 +75,14 @@ class Mlp {
     /** Run one forward pass. @p input size must match the topology. */
     std::vector<double> Forward(const std::vector<double>& input) const;
 
-    /** Forward pass retaining every layer's activations (for training). */
-    ForwardTrace ForwardWithTrace(const std::vector<double>& input) const;
-
-    /** Mean squared error over a whole dataset. */
-    double MeanSquaredError(const rumba::Dataset& data) const;
+    /**
+     * Forward pass over a borrowed input row retaining every layer's
+     * activations in a caller-owned trace (for training: the trace's
+     * vectors keep their capacity across calls, so a steady-state pass
+     * performs no heap allocation). Same arithmetic, in the same
+     * order, as Forward().
+     */
+    void ForwardWithTrace(const double* input, ForwardTrace* trace) const;
 
     /** Total trainable parameters. */
     size_t NumParameters() const;

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/batch_view.h"
 #include "core/breaker.h"
 #include "core/runtime.h"
+#include "digest.h"
 #include "fault/corrupt.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
@@ -570,6 +572,52 @@ TEST(RuntimeFaultTest, QueueStallDropsAreCountedAndContained)
     for (double v : out)
         EXPECT_TRUE(std::isfinite(v));
     EXPECT_EQ(runtime.Breaker().State(), core::BreakerState::kOpen);
+}
+
+TEST(RuntimeFaultTest, SeededPlanReplaysThroughOfflineTraining)
+{
+    // The offline flow configures three accelerators (LUT upsets at
+    // each Configure) and streams the training elements through them
+    // (datapath bit flips at each Invoke) while other networks train.
+    // Every draw stays on the constructing thread in a fixed order, so
+    // re-arming the same plan must rebuild the same artifact and
+    // inject the same faults — and both match the values recorded
+    // from a known-good build.
+    ArmGuard guard;
+    const fault::FaultPlan plan =
+        MustParse("seed=61;npu.lut=0.01;npu.bitflip=0.002");
+    core::RuntimeConfig cfg = FastConfig();
+    cfg.recovery_policy.compensation = true;
+    const auto build = [&](std::vector<uint64_t>* injected) {
+        std::vector<obs::Counter*> counters;
+        std::vector<uint64_t> before;
+        for (size_t c = 0; c < fault::kNumFaultClasses; ++c) {
+            counters.push_back(obs::Registry::Default().GetCounter(
+                std::string("fault.injected.") +
+                fault::FaultClassName(static_cast<fault::FaultClass>(c))));
+            before.push_back(counters.back()->Value());
+        }
+        fault::FaultInjector::Default().Arm(plan);
+        core::RumbaRuntime runtime(apps::MakeBenchmark("fft"), cfg);
+        fault::FaultInjector::Default().Disarm();
+        injected->clear();
+        for (size_t c = 0; c < counters.size(); ++c)
+            injected->push_back(counters[c]->Value() - before[c]);
+        return runtime.ExportArtifact().ToString();
+    };
+    std::vector<uint64_t> first_injected, second_injected;
+    const std::string first = build(&first_injected);
+    const std::string second = build(&second_injected);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first_injected, second_injected);
+
+    const auto count = [&](fault::FaultClass c) {
+        return first_injected[static_cast<size_t>(c)];
+    };
+    EXPECT_EQ(count(fault::FaultClass::kNpuLutCorrupt), 117u);
+    EXPECT_EQ(count(fault::FaultClass::kNpuBitFlip), 21u);
+    EXPECT_EQ(testutil::Fnv1a64(first), 0xe1c677a660abc6b7ull)
+        << std::hex << "digest 0x" << testutil::Fnv1a64(first);
 }
 
 TEST(RuntimeFaultTest, MispredictStormStaysCrashFree)

@@ -8,6 +8,7 @@
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "digest.h"
 #include "nn/activation.h"
 #include "nn/mlp.h"
 #include "nn/topology.h"
@@ -98,7 +99,8 @@ TEST(MlpTest, TraceMatchesForward)
     mlp.RandomizeWeights(&rng);
     const std::vector<double> in{0.1, 0.7, 0.3};
     const auto direct = mlp.Forward(in);
-    const auto trace = mlp.ForwardWithTrace(in);
+    ForwardTrace trace;
+    mlp.ForwardWithTrace(in.data(), &trace);
     ASSERT_EQ(trace.activations.size(), 3u);
     ASSERT_EQ(trace.activations.back().size(), direct.size());
     for (size_t i = 0; i < direct.size(); ++i)
@@ -260,6 +262,90 @@ TEST(TrainerTest, EarlyStopRespectsPatience)
     Mlp mlp(Topology::Parse("1->2->1"));
     const TrainResult res = Train(&mlp, d, tc);
     EXPECT_LT(res.epochs_run, 250u);
+}
+
+// ------------------------------------------------ Byte-identical weights
+
+/** @p n samples of a smooth @p in_w -> @p out_w map into [0, 1],
+ *  plus uniform noise of amplitude @p noise (noise makes validation
+ *  stall, so early stopping restores an earlier epoch's weights). */
+Dataset
+PinnedData(size_t in_w, size_t out_w, size_t n, double noise,
+           uint64_t seed)
+{
+    Rng rng(seed);
+    Dataset d(in_w, out_w);
+    std::vector<double> x(in_w), t(out_w);
+    for (size_t s = 0; s < n; ++s) {
+        for (double& v : x)
+            v = rng.Uniform();
+        for (size_t o = 0; o < out_w; ++o) {
+            double acc = 0.0, weight = 0.0;
+            for (size_t f = 0; f < in_w; ++f) {
+                const double w = 1.0 + static_cast<double>((f + o) % 3);
+                acc += w * x[f];
+                weight += w;
+            }
+            const double u = acc / weight;
+            t[o] = 0.1 + 0.8 * u * u * (1.5 - 0.5 * u) +
+                   noise * (rng.Uniform() - 0.5);
+        }
+        d.Add(x, t);
+    }
+    return d;
+}
+
+TEST(TrainerTest, WeightsMatchRecordedDigests)
+{
+    // Digests of Serialize() after Train(), recorded from a
+    // known-good build. Train() must keep every floating-point
+    // operation in the order they were recorded with: a changed
+    // digest means the trained weights moved, not just the speed.
+    struct Case {
+        const char* topology;
+        Activation hidden, output;
+        double noise, validation_fraction;
+        size_t epochs, patience;
+        uint64_t seed;
+        uint64_t digest;
+        size_t epochs_run;
+    };
+    const Case cases[] = {
+        // blackscholes' network shape, all sigmoid.
+        {"6->8->8->1", Activation::kSigmoid, Activation::kSigmoid, 0.0,
+         0.15, 12, 25, 7, 0x63c1242564c9c4f9ull, 12},
+        // fft's unchecked-NPU shape with tanh hidden layers and a
+        // linear head.
+        {"1->4->4->2", Activation::kTanh, Activation::kLinear, 0.0,
+         0.15, 12, 25, 3, 0xf51736c2188f38bfull, 12},
+        // The compensator's residual shape: sigmoid hidden, linear head.
+        {"3->8->2", Activation::kSigmoid, Activation::kLinear, 0.0, 0.15,
+         12, 25, 5, 0xeacbaa1748da8ce3ull, 12},
+        // Linear hidden layer, no validation split (no restore).
+        {"4->5->2", Activation::kLinear, Activation::kTanh, 0.0, 0.0, 10,
+         25, 9, 0x5697c721e695795cull, 10},
+        // Noisy targets and short patience: stops early and restores
+        // the best epoch's weights.
+        {"2->3->1", Activation::kTanh, Activation::kSigmoid, 0.6, 0.3,
+         200, 4, 11, 0x24612d60156ce615ull, 26},
+    };
+    for (const Case& c : cases) {
+        const Topology topology = Topology::Parse(c.topology);
+        const Dataset d = PinnedData(topology.NumInputs(),
+                                     topology.NumOutputs(), 300, c.noise,
+                                     c.seed + 100);
+        Mlp mlp(topology, c.hidden, c.output);
+        TrainConfig tc;
+        tc.epochs = c.epochs;
+        tc.patience = c.patience;
+        tc.validation_fraction = c.validation_fraction;
+        tc.seed = c.seed;
+        const TrainResult res = Train(&mlp, d, tc);
+        EXPECT_EQ(testutil::Fnv1a64(mlp.Serialize()), c.digest)
+            << c.topology << std::hex << " digest 0x"
+            << testutil::Fnv1a64(mlp.Serialize());
+        EXPECT_EQ(res.epochs_run, c.epochs_run) << c.topology;
+    }
 }
 
 // -------------------------------------------------------- TopologySearch

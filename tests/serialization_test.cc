@@ -12,7 +12,9 @@
 #include "core/artifact.h"
 #include "core/batch_view.h"
 #include "core/runtime.h"
+#include "digest.h"
 #include "fault/corrupt.h"
+#include "fault/injector.h"
 #include "predict/ema.h"
 #include "predict/evp.h"
 #include "predict/hybrid.h"
@@ -253,6 +255,31 @@ TEST(ArtifactTest, V1BlobWithoutChecksumStillAccepted)
     EXPECT_EQ(parsed->benchmark, artifact.benchmark);
     EXPECT_DOUBLE_EQ(parsed->threshold, artifact.threshold);
     EXPECT_EQ(parsed->predictor, artifact.predictor);
+}
+
+TEST(ArtifactTest, TrainedArtifactsMatchRecordedDigests)
+{
+    // Digests of the exported artifact, recorded from a known-good
+    // build of the offline flow. However the flow schedules its
+    // training (two networks train concurrently), it must not move
+    // one trained bit of the networks, the checker, the threshold or
+    // the compensator.
+    if (fault::FaultInjector::Default().Armed())
+        GTEST_SKIP() << "a fault plan armed from RUMBA_FAULT_PLAN "
+                        "changes what the offline flow trains";
+    core::RumbaRuntime blackscholes(apps::MakeBenchmark("blackscholes"),
+                                    FastConfig());
+    const std::string plain = blackscholes.ExportArtifact().ToString();
+    EXPECT_EQ(testutil::Fnv1a64(plain), 0xd98b3c124e44c44eull)
+        << std::hex << "blackscholes digest 0x"
+        << testutil::Fnv1a64(plain);
+
+    core::RuntimeConfig cfg = FastConfig();
+    cfg.recovery_policy.compensation = true;
+    core::RumbaRuntime fft(apps::MakeBenchmark("fft"), cfg);
+    const std::string compensated = fft.ExportArtifact().ToString();
+    EXPECT_EQ(testutil::Fnv1a64(compensated), 0xd7e96369626dc965ull)
+        << std::hex << "fft digest 0x" << testutil::Fnv1a64(compensated);
 }
 
 TEST(ArtifactTest, DeployedRuntimeMatchesTrainedRuntime)
