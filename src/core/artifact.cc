@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace rumba::core {
 
 namespace {
@@ -12,20 +14,6 @@ namespace {
 constexpr char kHeaderV1[] = "rumba-artifact v1";
 constexpr char kHeaderV2[] = "rumba-artifact v2";
 constexpr char kChecksumTag[] = "checksum ";
-
-/** FNV-1a 64-bit over the blob payload (everything after the
- *  checksum line). Not cryptographic — it catches truncation and
- *  bitrot, the storage faults a deployed artifact actually meets. */
-uint64_t
-Fnv1a64(const char* data, size_t size)
-{
-    uint64_t hash = 14695981039346656037ull;
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
 
 std::string
 HexU64(uint64_t value)
@@ -87,6 +75,9 @@ Artifact::ToString() const
     if (!compensator.empty())
         EmitSection(payload, "compensator", compensator);
     const std::string body = payload.str();
+    // The checksum is FNV-1a over everything below its line: it
+    // catches truncation and bitrot, the storage faults a deployed
+    // artifact actually meets.
     return std::string(kHeaderV2) + "\n" + kChecksumTag +
            HexU64(Fnv1a64(body.data(), body.size())) + "\n" + body;
 }

@@ -42,7 +42,8 @@ QualityAuditor::QualityAuditor(const AuditConfig& config,
     : config_(config),
       hooks_(std::move(hooks)),
       slo_enabled_(config.slo_enabled),
-      slo_(WithDefaultName(config.slo))
+      slo_(WithDefaultName(config.slo)),
+      results_(config.result_capacity)
 {
     RUMBA_CHECK(hooks_.run_exact != nullptr);
     RUMBA_CHECK(hooks_.element_error != nullptr);
@@ -98,8 +99,6 @@ QualityAuditor::QualityAuditor(const AuditConfig& config,
     totals_.precision = 1.0;
     totals_.recall = 1.0;
 
-    if (config_.result_capacity > 0)
-        results_.reserve(config_.result_capacity);
     const size_t threads = std::max<size_t>(1, config_.threads);
     pool_.reserve(threads);
     for (size_t t = 0; t < threads; ++t)
@@ -415,15 +414,8 @@ QualityAuditor::AuditOne(const AuditSample& s)
                 : static_cast<double>(shard_tp_[k]) /
                       static_cast<double>(shard_needed));
 
-        if (config_.result_capacity > 0) {
-            if (results_.size() < config_.result_capacity) {
-                results_.push_back(std::move(result));
-            } else {
-                results_[results_head_] = std::move(result);
-                results_head_ =
-                    (results_head_ + 1) % config_.result_capacity;
-            }
-        }
+        if (config_.result_capacity > 0)
+            results_.Push(std::move(result));
     }
 
     // The audited-truth SLO judges measured violations; recorded
@@ -471,11 +463,7 @@ std::vector<AuditResult>
 QualityAuditor::RecentResults() const
 {
     std::lock_guard<std::mutex> lock(results_mu_);
-    std::vector<AuditResult> out;
-    out.reserve(results_.size());
-    for (size_t i = 0; i < results_.size(); ++i)
-        out.push_back(results_[(results_head_ + i) % results_.size()]);
-    return out;
+    return results_.Snapshot();
 }
 
 namespace {

@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/ring.h"
 #include "obs/slo.h"
 
 namespace rumba::obs {
@@ -313,8 +314,7 @@ class QualityAuditor {
     /** Results + aggregate stats (guarded by results_mu_ so audits
      *  never contend with the enqueue path). */
     mutable std::mutex results_mu_;
-    std::vector<AuditResult> results_;  ///< bounded ring.
-    size_t results_head_ = 0;
+    Ring<AuditResult> results_;
     AuditorStats totals_;
     std::vector<uint64_t> shard_tp_, shard_fp_, shard_fn_, shard_tn_;
     double true_error_sum_ = 0.0;

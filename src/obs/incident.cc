@@ -50,7 +50,7 @@ ReqtraceJson(const RequestTrace& trace, bool in_flight)
            std::to_string(trace.breaker_state);
     out += ",\"audited\":";
     out += trace.audited ? "true" : "false";
-    out += ",\"spans\":" + std::to_string(trace.spans.size());
+    out += ",\"spans\":" + std::to_string(SpanCount(trace));
     out += ",\"in_flight\":";
     out += in_flight ? "true" : "false";
     out += "}";

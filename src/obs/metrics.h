@@ -9,10 +9,12 @@
  * monitor, accelerator) registers its instruments here; exporters
  * (obs/export.h) snapshot the registry into JSONL/CSV/tables.
  *
- * Concurrency: counters and gauges are lock-free atomics; histograms
- * take a short uncontended mutex per observation. Registration takes
- * a registry-wide mutex and returns pointers that stay valid for the
- * registry's lifetime, so hot paths pay only the increment.
+ * Concurrency: counters and gauges are lock-free atomics. Each
+ * histogram has its own mutex, taken once per observation; it is
+ * shared by every thread that observes that histogram, so per-element
+ * timers such as npu.invoke_ns and detector.check_ns contend on it
+ * across serving shards. Registration takes a registry-wide mutex and
+ * returns pointers that stay valid for the registry's lifetime.
  */
 
 #include <atomic>

@@ -1,8 +1,9 @@
 #include "obs/reqtrace.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/export.h"
@@ -24,7 +25,7 @@ RequestOutcomeName(RequestOutcome outcome)
 }
 
 RequestTraceCollector::RequestTraceCollector(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
+    : ring_(capacity)
 {
 }
 
@@ -89,7 +90,7 @@ RequestTraceCollector::KeepLocked(const RequestTrace& trace)
 }
 
 void
-RequestTraceCollector::Record(RequestTrace trace)
+RequestTraceCollector::Record(const RequestTrace& trace)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++total_recorded_;  // offered traces count even while disabled.
@@ -99,24 +100,14 @@ RequestTraceCollector::Record(RequestTrace trace)
         ++sampled_out_;
         return;
     }
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(trace));
-        return;
-    }
-    ring_[head_] = std::move(trace);
-    head_ = (head_ + 1) % capacity_;
-    ++evicted_;
+    ring_.Push(trace);
 }
 
 std::vector<RequestTrace>
 RequestTraceCollector::Dump() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<RequestTrace> out;
-    out.reserve(ring_.size());
-    for (size_t i = 0; i < ring_.size(); ++i)
-        out.push_back(ring_[(head_ + i) % ring_.size()]);
-    return out;
+    return ring_.Snapshot();
 }
 
 uint64_t
@@ -137,25 +128,23 @@ uint64_t
 RequestTraceCollector::Evicted() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return evicted_;
+    return ring_.Pushed() - ring_.Size();
 }
 
 size_t
 RequestTraceCollector::Size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return ring_.size();
+    return ring_.Size();
 }
 
 void
 RequestTraceCollector::Clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_.clear();
-    head_ = 0;
+    ring_.Clear();
     total_recorded_ = 0;
     sampled_out_ = 0;
-    evicted_ = 0;
     unflagged_seen_ = 0;
 }
 
@@ -169,6 +158,18 @@ RequestTraceCollector::Default()
         new RequestTraceCollector();
     return *collector;
 }
+
+namespace {
+
+std::string
+SpanJson(const char* name, uint64_t start_ns, uint64_t duration_ns)
+{
+    return "{\"name\":" + JsonQuote(name) +
+           ",\"start_ns\":" + std::to_string(start_ns) +
+           ",\"duration_ns\":" + std::to_string(duration_ns) + "}";
+}
+
+}  // namespace
 
 std::string
 RequestTraceJson(const RequestTrace& trace)
@@ -191,18 +192,91 @@ RequestTraceJson(const RequestTrace& trace)
                       ",\"audited\":" +
                       (trace.audited ? "true" : "false") +
                       ",\"spans\":[";
-    bool first = true;
-    for (const RequestSpan& span : trace.spans) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"name\":" + JsonQuote(span.name) +
-               ",\"start_ns\":" + std::to_string(span.start_ns) +
-               ",\"duration_ns\":" + std::to_string(span.duration_ns) +
-               "}";
+    if (SpanCount(trace) > 0) {
+        // The stage fields carry durations; the span tree lays the
+        // first four back to back from submit (see RequestTrace).
+        const uint64_t device_start =
+            trace.submit_ns + trace.queue_wait_ns;
+        const uint64_t check_start = device_start + trace.device_ns;
+        const uint64_t recover_start = check_start + trace.check_ns;
+        out += SpanJson("queue_wait", trace.submit_ns,
+                        trace.queue_wait_ns) +
+               "," + SpanJson("device", device_start, trace.device_ns) +
+               "," + SpanJson("check", check_start, trace.check_ns) +
+               "," +
+               SpanJson("recover", recover_start, trace.recover_ns) +
+               "," +
+               SpanJson("merge", trace.merge_start_ns, trace.merge_ns);
     }
     out += "]}";
     return out;
+}
+
+std::string
+FlightRecordJson(const RequestTrace& r)
+{
+    std::string out = "{\"type\":\"flight\",\"trace_id\":" +
+                      std::to_string(r.trace_id) +
+                      ",\"shard\":" + std::to_string(r.shard) +
+                      ",\"enqueue_ns\":" + std::to_string(r.submit_ns) +
+                      ",\"complete_ns\":" +
+                      std::to_string(r.submit_ns + r.total_ns) +
+                      ",\"queue_wait_ns\":" +
+                      std::to_string(r.queue_wait_ns) +
+                      ",\"device_ns\":" + std::to_string(r.device_ns) +
+                      ",\"elements\":" + std::to_string(r.elements) +
+                      ",\"inputs_digest\":" +
+                      std::to_string(r.inputs_digest) +
+                      ",\"threshold\":" + JsonNum(r.threshold) +
+                      ",\"predicted_error_pct\":" +
+                      JsonNum(r.predicted_error_pct) +
+                      ",\"actual_error_pct\":" +
+                      JsonNum(r.actual_error_pct) +
+                      ",\"fixes\":" + std::to_string(r.fixes) +
+                      ",\"breaker_state\":" +
+                      std::to_string(r.breaker_state) +
+                      ",\"status_code\":" +
+                      std::to_string(r.status_code) +
+                      ",\"audited\":" + (r.audited ? "true" : "false") +
+                      "}";
+    return out;
+}
+
+std::string
+WriteFlightDump(const std::string& dir, uint32_t shard, uint32_t seq,
+                const std::string& reason,
+                const std::vector<RequestTrace>& records)
+{
+    std::string path = dir.empty() ? "." : dir;
+    if (path.back() != '/')
+        path += '/';
+    path += "flight-shard" + std::to_string(shard) + "-" +
+            std::to_string(seq) + ".jsonl";
+
+    std::string body = MetadataJsonLine() + "\n";
+    body += "{\"type\":\"flight_dump\",\"reason\":" +
+            JsonQuote(reason) + ",\"shard\":" + std::to_string(shard) +
+            ",\"records\":" + std::to_string(records.size()) + "}\n";
+    for (const RequestTrace& r : records)
+        body += FlightRecordJson(r) + "\n";
+
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        Warn("flight recorder: cannot open %s: %s", path.c_str(),
+             std::strerror(errno));
+        return "";
+    }
+    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+    const bool ok = std::fclose(f) == 0 && written == body.size();
+    if (!ok) {
+        Warn("flight recorder: short write to %s", path.c_str());
+        return "";
+    }
+    Registry::Default().GetCounter("serve.flight_dumps")->Increment();
+    Inform("flight recorder: shard %u dumped %zu records to %s (%s)",
+           static_cast<unsigned>(shard), records.size(), path.c_str(),
+           reason.c_str());
+    return path;
 }
 
 std::string

@@ -3,25 +3,30 @@
 
 /**
  * @file
- * Request-scoped tracing for the serving layer. Where obs/span.h
- * records an anonymous per-thread timeline and obs/trace.h records
- * one ring entry per accelerator invocation, this module follows one
- * *client request* end to end: the serving engine assigns every
- * submitted InvocationRequest a process-unique trace id, carries it
- * through the shard queue, the worker, any coalesced batch, the
- * breaker-degraded and recovery paths, and records one RequestTrace —
- * a flat span tree (queue-wait, device, check, recover, merge) plus
- * outcome flags — when the request's future resolves.
+ * The serving engine's one record of a client request. Where
+ * obs/span.h records an anonymous per-thread timeline and obs/trace.h
+ * one ring entry per accelerator invocation, a RequestTrace follows
+ * one *client request* end to end: the engine assigns every submitted
+ * InvocationRequest a process-unique trace id, carries it through the
+ * shard queue, the worker, any coalesced batch, the breaker-degraded
+ * and recovery paths, and builds one RequestTrace when the request's
+ * future resolves — outcome, the engine's five stages (queue-wait,
+ * device, check, recover, merge), inputs digest, threshold and
+ * predicted vs. verified error.
  *
- * Keeping every trace of a heavy-traffic serving process is
- * pointless; keeping the *interesting* ones is the whole value. The
- * collector therefore applies tail-based sampling at record time,
- * when the outcome is known: traces that recovered elements, ran
- * under a non-closed breaker, were rejected or cancelled, or
- * exceeded a latency bound are always kept; of the healthy remainder
- * one in `sample_every` survives. Kept traces land in a bounded ring
- * (oldest evicted) and export as JSONL; RUMBA_REQTRACE_OUT arms an
- * at-exit dump of the default collector (obs/export.h).
+ * Two retention views keep that record. Each shard keeps *every*
+ * recent request in its flight ring (a collector with sample_every =
+ * 1), so the moments before an incident are never sampled away; the
+ * engine dumps it as flight JSONL (FlightRecordJson, WriteFlightDump)
+ * when its breaker opens, a fault first fires, or an operator asks.
+ * The process keeps the *interesting* ones: the default collector
+ * applies tail-based sampling at record time, when the outcome is
+ * known — traces that recovered elements, ran under a non-closed
+ * breaker, were refused or cancelled, or exceeded a latency bound are
+ * always kept; of the healthy remainder one in `sample_every`
+ * survives. Both rings evict the oldest record; RUMBA_REQTRACE_OUT
+ * arms an at-exit JSONL dump of the default collector
+ * (obs/export.h).
  */
 
 #include <atomic>
@@ -30,18 +35,9 @@
 #include <string>
 #include <vector>
 
-namespace rumba::obs {
+#include "common/ring.h"
 
-/** One timed stage of a request's life (flat span tree: parents are
- *  implied by containment of [start, start+duration) intervals). */
-struct RequestSpan {
-    /** Stage name; the serving engine emits "queue_wait", "device",
-     *  "check", "recover" and "merge". Must outlive the trace
-     *  (string literals at every call site). */
-    const char* name = "";
-    uint64_t start_ns = 0;     ///< steady-clock open time.
-    uint64_t duration_ns = 0;  ///< close - open.
-};
+namespace rumba::obs {
 
 /** How a traced request's future resolved. */
 enum class RequestOutcome : uint32_t {
@@ -59,8 +55,9 @@ const char* RequestOutcomeName(RequestOutcome outcome);
 /** One request, end to end, as the serving engine saw it. */
 struct RequestTrace {
     uint64_t trace_id = 0;    ///< process-unique, assigned at Submit.
-    uint32_t shard = 0;       ///< shard that served (or rejected) it.
+    uint32_t shard = 0;       ///< shard that served (or refused) it.
     RequestOutcome outcome = RequestOutcome::kCompleted;
+    uint32_t status_code = 0;  ///< core::StatusCode of the result.
     uint64_t submit_ns = 0;   ///< steady-clock Submit() time.
     uint64_t total_ns = 0;    ///< submit -> future resolution.
     uint64_t elements = 0;    ///< elements in the request.
@@ -72,11 +69,35 @@ struct RequestTrace {
      *  2 half-open). */
     uint32_t breaker_state = 0;
     /** The quality auditor sampled this request for ground-truth
-     *  re-execution (obs/audit.h); audited misses join back to their
-     *  span tree through this flag + trace_id. */
+     *  re-execution (obs/audit.h); audit verdicts join back to the
+     *  record through this flag + trace_id. */
     bool audited = false;
-    std::vector<RequestSpan> spans;
+    /** FNV-1a 64 over the raw input bytes (computed only while the
+     *  shard's flight ring is on; 0 otherwise). */
+    uint64_t inputs_digest = 0;
+    double threshold = 0.0;            ///< detector threshold used.
+    double predicted_error_pct = 0.0;  ///< checker's estimate.
+    double actual_error_pct = 0.0;     ///< verified residual error.
+    /** The engine's five stages, set for served requests only. The
+     *  first four run back to back from submit_ns (queue_wait ends at
+     *  worker pickup); merge starts at merge_start_ns, after the
+     *  invocation's earlier requests have merged. @{ */
+    uint64_t queue_wait_ns = 0;
+    uint64_t device_ns = 0;   ///< device streaming, check excluded.
+    uint64_t check_ns = 0;
+    uint64_t recover_ns = 0;  ///< recovery + breaker-exact elements.
+    uint64_t merge_start_ns = 0;
+    uint64_t merge_ns = 0;
+    /** @} */
 };
+
+/** Spans a trace carries: the five stages when served, none when it
+ *  never ran. */
+inline size_t
+SpanCount(const RequestTrace& trace)
+{
+    return trace.outcome == RequestOutcome::kCompleted ? 5 : 0;
+}
 
 /** Tail-based sampling policy: which finished traces to keep. */
 struct TailSamplingPolicy {
@@ -128,7 +149,7 @@ class RequestTraceCollector {
     bool Enabled() const;
 
     /** Offer one finished trace; the tail policy decides its fate. */
-    void Record(RequestTrace trace);
+    void Record(const RequestTrace& trace);
 
     /** Kept traces, oldest first. */
     std::vector<RequestTrace> Dump() const;
@@ -145,7 +166,7 @@ class RequestTraceCollector {
     /** Kept traces currently retained. */
     size_t Size() const;
 
-    size_t Capacity() const { return capacity_; }
+    size_t Capacity() const { return ring_.Capacity(); }
 
     /** Drop every kept trace and reset the counters (the trace-id
      *  sequence keeps advancing — ids are never reused). */
@@ -157,16 +178,13 @@ class RequestTraceCollector {
   private:
     bool KeepLocked(const RequestTrace& trace);
 
-    const size_t capacity_;
     std::atomic<uint64_t> next_trace_id_{1};
     std::atomic<bool> enabled_{true};
     mutable std::mutex mu_;
     TailSamplingPolicy policy_;
-    std::vector<RequestTrace> ring_;  ///< circular storage.
-    size_t head_ = 0;                 ///< next write slot when full.
+    Ring<RequestTrace> ring_;
     uint64_t total_recorded_ = 0;
     uint64_t sampled_out_ = 0;
-    uint64_t evicted_ = 0;
     uint64_t unflagged_seen_ = 0;  ///< 1-in-N sampling counter.
 };
 
@@ -179,6 +197,21 @@ std::string RequestTracesToJsonl(const std::vector<RequestTrace>& traces);
 
 /** One trace as a single JSON object (no trailing newline). */
 std::string RequestTraceJson(const RequestTrace& trace);
+
+/** One trace in the flight-dump view: a single {"type":"flight",...}
+ *  JSON object (no trailing newline). */
+std::string FlightRecordJson(const RequestTrace& trace);
+
+/**
+ * Write @p records (a shard's flight ring, oldest first) to
+ * @p dir/flight-shard<shard>-<seq>.jsonl: the obs run-metadata
+ * header, one {"type":"flight_dump","reason":...} line, then one
+ * FlightRecordJson line per record. Counts serve.flight_dumps.
+ * Returns the path written, or "" on I/O failure (after a warning).
+ */
+std::string WriteFlightDump(const std::string& dir, uint32_t shard,
+                            uint32_t seq, const std::string& reason,
+                            const std::vector<RequestTrace>& records);
 
 /** Dump the default collector to @p path. False on I/O error. */
 bool WriteRequestTraceFile(const std::string& path);

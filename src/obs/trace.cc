@@ -21,10 +21,9 @@ ParseTraceRingCapacity(const char* value)
                       TraceRing::kMaxRingCapacity);
 }
 
-TraceRing::TraceRing(size_t capacity) : capacity_(capacity)
+TraceRing::TraceRing(size_t capacity) : ring_(capacity)
 {
     RUMBA_CHECK(capacity > 0);
-    ring_.reserve(capacity);
 }
 
 void
@@ -55,13 +54,8 @@ TraceRing::Record(const TraceEvent& event)
     if (!enabled_)
         return;
     TraceEvent stamped = event;
-    stamped.sequence = next_sequence_++;
-    if (ring_.size() < capacity_) {
-        ring_.push_back(stamped);
-    } else {
-        ring_[head_] = stamped;
-        head_ = (head_ + 1) % capacity_;
-    }
+    stamped.sequence = ring_.Pushed();
+    ring_.Push(stamped);
 }
 
 bool
@@ -69,13 +63,9 @@ TraceRing::Latest(TraceEvent* event) const
 {
     RUMBA_CHECK(event != nullptr);
     std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.empty())
+    if (ring_.Empty())
         return false;
-    // The newest slot is just behind the next write position.
-    const size_t newest = ring_.size() < capacity_
-                              ? ring_.size() - 1
-                              : (head_ + capacity_ - 1) % capacity_;
-    *event = ring_[newest];
+    *event = ring_.Newest();
     return true;
 }
 
@@ -83,41 +73,35 @@ std::vector<TraceEvent>
 TraceRing::Dump() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<TraceEvent> events;
-    events.reserve(ring_.size());
-    for (size_t i = 0; i < ring_.size(); ++i)
-        events.push_back(ring_[(head_ + i) % ring_.size()]);
-    return events;
+    return ring_.Snapshot();
 }
 
 uint64_t
 TraceRing::TotalRecorded() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return next_sequence_;
+    return ring_.Pushed();
 }
 
 uint64_t
 TraceRing::Dropped() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return next_sequence_ - ring_.size();
+    return ring_.Pushed() - ring_.Size();
 }
 
 size_t
 TraceRing::Size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return ring_.size();
+    return ring_.Size();
 }
 
 void
 TraceRing::Clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_.clear();
-    head_ = 0;
-    next_sequence_ = 0;
+    ring_.Clear();
 }
 
 TraceRing&

@@ -15,6 +15,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/ring.h"
+
 namespace rumba::obs {
 
 /** One accelerator invocation as the online loop saw it. */
@@ -75,7 +77,7 @@ class TraceRing {
     size_t Size() const;
 
     /** Capacity the ring was built with. */
-    size_t Capacity() const { return capacity_; }
+    size_t Capacity() const { return ring_.Capacity(); }
 
     /** Drop every retained event and reset the sequence counter. */
     void Clear();
@@ -96,11 +98,8 @@ class TraceRing {
     static constexpr size_t kMaxRingCapacity = 1u << 20;
 
   private:
-    const size_t capacity_;
     mutable std::mutex mu_;
-    std::vector<TraceEvent> ring_;  ///< circular storage.
-    size_t head_ = 0;               ///< next write slot when full.
-    uint64_t next_sequence_ = 0;
+    Ring<TraceEvent> ring_;  ///< Pushed() is the next sequence.
     bool enabled_ = true;
 };
 

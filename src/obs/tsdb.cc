@@ -53,15 +53,13 @@ TimeSeriesStore::AppendLocked(const std::string& name, SeriesKind kind,
             ++dropped_series_;
             return;
         }
-        it = series_.emplace(name, Series{}).first;
-        it->second.kind = kind;
-        it->second.ring.resize(ring_capacity_);
+        it = series_
+                 .emplace(name,
+                          Series{kind, Ring<TsPoint>(ring_capacity_)})
+                 .first;
         sorted_dirty_ = true;
     }
-    Series& series = it->second;
-    series.ring[series.next] = TsPoint{t_ms, value};
-    series.next = (series.next + 1) % ring_capacity_;
-    ++series.appended;
+    it->second.points.Push(TsPoint{t_ms, value});
     ++total_appended_;
 }
 
@@ -127,18 +125,10 @@ TimeSeriesStore::CollectRangeLocked(const Series& series, double t0_ms,
                                     double t1_ms,
                                     std::vector<TsPoint>* out) const
 {
-    const size_t held =
-        std::min<uint64_t>(series.appended, ring_capacity_);
-    // Oldest retained point first: the ring's next-write slot is the
-    // oldest once the ring has wrapped.
-    const size_t start =
-        series.appended >= ring_capacity_ ? series.next : 0;
-    for (size_t i = 0; i < held; ++i) {
-        const TsPoint& point =
-            series.ring[(start + i) % ring_capacity_];
+    series.points.ForEach([&](const TsPoint& point) {
         if (point.t_ms >= t0_ms && point.t_ms <= t1_ms)
             out->push_back(point);
-    }
+    });
 }
 
 std::vector<SeriesRange>
@@ -161,7 +151,7 @@ TimeSeriesStore::Query(const std::string& prefix, double t0_ms,
         SeriesRange range;
         range.name = (*it)->first;
         range.kind = (*it)->second.kind;
-        range.total_appended = (*it)->second.appended;
+        range.total_appended = (*it)->second.points.Pushed();
         CollectRangeLocked((*it)->second, t0_ms, t1_ms, &range.points);
         out.push_back(std::move(range));
     }
@@ -249,8 +239,7 @@ TimeSeriesStore::Stats() const
     TsdbStats stats;
     stats.series = series_.size();
     for (const auto& [name, series] : series_)
-        stats.points +=
-            std::min<uint64_t>(series.appended, ring_capacity_);
+        stats.points += series.points.Size();
     stats.total_appended = total_appended_;
     stats.dropped_series = dropped_series_;
     return stats;
@@ -295,7 +284,8 @@ TimeSeriesStore::DumpBestEffort(const std::string& path) const
             ",\"kind\":" +
             JsonQuote(series.kind == SeriesKind::kCounter ? "counter"
                                                           : "gauge") +
-            ",\"total_appended\":" + std::to_string(series.appended) +
+            ",\"total_appended\":" +
+            std::to_string(series.points.Pushed()) +
             ",\"points\":{";
         for (size_t i = 0; i < points.size(); ++i) {
             if (i != 0)
@@ -404,26 +394,13 @@ TsdbSampler::SampleOnce()
     const double t_ms = store.NowMs();
     const uint64_t now_ns = NowNs();
     const RegistrySnapshot snapshot = Registry::Default().Snapshot();
-    const uint64_t t_snap = NowNs();
     store.Ingest(snapshot, t_ms);
-    const uint64_t t_ingest = NowNs();
     // One thread drives the whole forensics pipeline: detectors see
     // the snapshot just retained, the incident manager scans fault
     // deltas and finalizes due incidents.
     AnomalySet::Default().Observe(snapshot, t_ms, now_ns);
-    const uint64_t t_anomaly = NowNs();
     IncidentManager::Default().ObserveSnapshot(snapshot, t_ms);
-    const uint64_t t_incident = NowNs();
     const TsdbStats stats = store.Stats();
-    if (std::getenv("RUMBA_TSDB_DEBUG"))
-        std::fprintf(stderr,
-                     "tsdb tick: snap %.1f ingest %.1f anomaly %.1f "
-                     "incident %.1f us, %zu series\n",
-                     static_cast<double>(t_snap - now_ns) * 1e-3,
-                     static_cast<double>(t_ingest - t_snap) * 1e-3,
-                     static_cast<double>(t_anomaly - t_ingest) * 1e-3,
-                     static_cast<double>(t_incident - t_anomaly) * 1e-3,
-                     stats.series);
     Registry::Default().GetGauge("tsdb.series")->Set(
         static_cast<double>(stats.series));
     Registry::Default().GetGauge("tsdb.points")->Set(
@@ -462,15 +439,13 @@ ForensicsFlushHook()
 }  // namespace
 
 void
-TsdbSampler::Acquire(int period_ms)
+TsdbSampler::Acquire()
 {
     std::lock_guard<std::mutex> lock(refcount_mu);
     if (++refcount != 1)
         return;
-    int period = period_ms;
-    if (const char* env = std::getenv("RUMBA_TSDB_PERIOD_MS");
-        env != nullptr && env[0] != '\0')
-        period = ParseTsdbPeriodMs(env);
+    const int period =
+        ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
     if (period <= 0)
         return;  // explicitly disabled; refcount still tracks.
     RegisterFlushHook(&ForensicsFlushHook);

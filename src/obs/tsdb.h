@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring.h"
 #include "obs/metrics.h"
 
 namespace rumba::obs {
@@ -160,10 +161,8 @@ class TimeSeriesStore {
 
   private:
     struct Series {
-        SeriesKind kind = SeriesKind::kGauge;
-        uint64_t appended = 0;
-        size_t next = 0;  ///< ring slot the next append lands in.
-        std::vector<TsPoint> ring;
+        SeriesKind kind;
+        Ring<TsPoint> points;  ///< Pushed() counts lifetime appends.
     };
 
     void CollectRangeLocked(const Series& series, double t0_ms,
@@ -221,11 +220,11 @@ class TsdbSampler {
     uint64_t Samples() const;
 
     /**
-     * Refcounted start: the first acquirer starts Default() at
-     * @p period_ms — unless RUMBA_TSDB_PERIOD_MS overrides the
-     * period (its value 0 keeps the sampler off entirely).
+     * Refcounted start: the first acquirer starts Default() every
+     * RUMBA_TSDB_PERIOD_MS (kDefaultTsdbPeriodMs when unset; 0 keeps
+     * the sampler off entirely).
      */
-    static void Acquire(int period_ms = kDefaultTsdbPeriodMs);
+    static void Acquire();
 
     /** Refcounted stop: the last release stops Default(). */
     static void Release();

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "core/batch_view.h"
 #include "obs/anomaly.h"
@@ -129,8 +130,13 @@ ShardedEngine::Create(const core::Artifact& artifact,
         shard->obs_served = registry.GetCounter(prefix + "served");
         shard->obs_threshold->Set(shard->runtime->Threshold());
         if (serve_config.flight.capacity > 0) {
-            shard->flight = std::make_unique<FlightRecorder>(
+            // The flight view keeps every record, so the lead-in to
+            // an incident is never sampled away.
+            obs::TailSamplingPolicy keep_all;
+            keep_all.sample_every = 1;
+            shard->flight = std::make_unique<obs::RequestTraceCollector>(
                 serve_config.flight.capacity);
+            shard->flight->Configure(keep_all);
         }
         engine->shards_.push_back(std::move(shard));
     }
@@ -291,7 +297,7 @@ ShardedEngine::Create(const core::Artifact& artifact,
                 return raw->IncidentFlightRecords();
             },
             engine.get());
-        obs::TsdbSampler::Acquire(serve_config.forensics.tsdb_period_ms);
+        obs::TsdbSampler::Acquire();
     }
 
     for (size_t i = 0; i < serve_config.shards; ++i) {
@@ -328,8 +334,9 @@ ShardedEngine::Submit(InvocationRequest request)
             core::Status(core::StatusCode::kUnavailable,
                          "engine is shut down");
         obs_rejected_->Increment();
-        RecordTerminalTrace(trace_id, 0, submit_ns,
-                            obs::RequestOutcome::kRejected);
+        RecordRequest(0, false, trace_id, submit_ns, request.count,
+                      obs::RequestOutcome::kRejected,
+                      reject.status.code());
         return Resolved(std::move(reject));
     }
     if (request.count == 0 || request.width != input_width_ ||
@@ -339,8 +346,9 @@ ShardedEngine::Submit(InvocationRequest request)
             "request shape must be count x " +
                 std::to_string(input_width_) + " contiguous doubles");
         obs_rejected_->Increment();
-        RecordTerminalTrace(trace_id, 0, submit_ns,
-                            obs::RequestOutcome::kRejected);
+        RecordRequest(0, false, trace_id, submit_ns, request.count,
+                      obs::RequestOutcome::kRejected,
+                      reject.status.code());
         return Resolved(std::move(reject));
     }
     if (request.shard != InvocationRequest::kAnyShard &&
@@ -351,8 +359,9 @@ ShardedEngine::Submit(InvocationRequest request)
                          "no such shard " +
                              std::to_string(request.shard));
         obs_rejected_->Increment();
-        RecordTerminalTrace(trace_id, 0, submit_ns,
-                            obs::RequestOutcome::kRejected);
+        RecordRequest(0, false, trace_id, submit_ns, request.count,
+                      obs::RequestOutcome::kRejected,
+                      reject.status.code());
         return Resolved(std::move(reject));
     }
 
@@ -372,11 +381,9 @@ ShardedEngine::Submit(InvocationRequest request)
         reject.shard = shard_index;
         obs_rejected_->Increment();
         obs_adm_expired_->Increment();
-        RecordRefusalFlight(shard_index, trace_id, submit_ns,
-                            request.count,
-                            core::StatusCode::kDeadlineExceeded);
-        RecordTerminalTrace(trace_id, shard_index, submit_ns,
-                            obs::RequestOutcome::kExpired);
+        RecordRequest(shard_index, true, trace_id, submit_ns,
+                      request.count, obs::RequestOutcome::kExpired,
+                      reject.status.code());
         return Resolved(std::move(reject));
     }
 
@@ -405,11 +412,9 @@ ShardedEngine::Submit(InvocationRequest request)
         reject.shard = shard_index;
         obs_rejected_->Increment();
         obs_adm_shed_->Increment();
-        RecordRefusalFlight(shard_index, trace_id, submit_ns,
-                            request.count,
-                            core::StatusCode::kUnavailable);
-        RecordTerminalTrace(trace_id, shard_index, submit_ns,
-                            obs::RequestOutcome::kShed);
+        RecordRequest(shard_index, true, trace_id, submit_ns,
+                      request.count, obs::RequestOutcome::kShed,
+                      reject.status.code());
         return Resolved(std::move(reject));
     }
 
@@ -461,11 +466,10 @@ ShardedEngine::Submit(InvocationRequest request)
         reject.shard = shard_index;
         obs_rejected_->Increment();
         obs_adm_rejected_->Increment();
-        RecordRefusalFlight(shard_index, trace_id, submit_ns,
-                            pending.request.count,
-                            core::StatusCode::kResourceExhausted);
-        RecordTerminalTrace(trace_id, shard_index, submit_ns,
-                            obs::RequestOutcome::kRejected);
+        RecordRequest(shard_index, true, trace_id, submit_ns,
+                      pending.request.count,
+                      obs::RequestOutcome::kRejected,
+                      reject.status.code());
         // The promise in `pending` dies unused; the caller holds the
         // resolved future below instead.
         return Resolved(std::move(reject));
@@ -514,9 +518,10 @@ ShardedEngine::Shutdown()
             cancelled.trace_id = pending.trace_id;
             cancelled.shard = shard_index;
             obs_cancelled_->Increment();
-            RecordTerminalTrace(pending.trace_id, shard_index,
-                                pending.enqueue_ns,
-                                obs::RequestOutcome::kCancelled);
+            RecordRequest(shard_index, false, pending.trace_id,
+                          pending.enqueue_ns, pending.request.count,
+                          obs::RequestOutcome::kCancelled,
+                          cancelled.status.code());
             FinishOne(&pending, std::move(cancelled));
         }
         ++shard_index;
@@ -537,7 +542,7 @@ ShardedEngine::Shutdown()
         obs::SamplingProfiler::Release();
     // Forensics teardown mirrors /statusz: owner-checked and
     // blocking, so no incident finalizing on another thread can still
-    // be inside this engine's flight recorders once we return; then
+    // be inside this engine's flight rings once we return; then
     // drop the tsdb sampler ref.
     if (forensics_) {
         obs::IncidentManager::Default().ClearFlightProvider(this);
@@ -572,40 +577,59 @@ ShardedEngine::FinishOne(Pending* pending, InvocationResult result)
 }
 
 void
-ShardedEngine::RecordRefusalFlight(size_t shard_index,
-                                   uint64_t trace_id,
-                                   uint64_t submit_ns,
-                                   uint64_t elements,
-                                   core::StatusCode code)
+ShardedEngine::RecordRequest(size_t shard_index, bool to_flight,
+                             uint64_t trace_id, uint64_t submit_ns,
+                             uint64_t elements,
+                             obs::RequestOutcome outcome,
+                             core::StatusCode code, const Served* served)
 {
-    Shard& shard = *shards_[shard_index];
-    if (shard.flight == nullptr)
-        return;
-    FlightRecord record;
-    record.trace_id = trace_id;
-    record.shard = static_cast<uint32_t>(shard_index);
-    record.enqueue_ns = submit_ns;
-    record.complete_ns = obs::NowNs();
-    record.elements = elements;
-    record.status_code = static_cast<uint32_t>(code);
-    shard.flight->Append(record);
-}
-
-void
-ShardedEngine::RecordTerminalTrace(uint64_t trace_id,
-                                   size_t shard_index,
-                                   uint64_t submit_ns,
-                                   obs::RequestOutcome outcome)
-{
-    if (!config_.trace.enabled)
+    obs::RequestTraceCollector* flight =
+        to_flight ? shards_[shard_index]->flight.get() : nullptr;
+    if (flight == nullptr && !config_.trace.enabled)
         return;
     obs::RequestTrace trace;
     trace.trace_id = trace_id;
     trace.shard = static_cast<uint32_t>(shard_index);
     trace.outcome = outcome;
+    trace.status_code = static_cast<uint32_t>(code);
     trace.submit_ns = submit_ns;
-    trace.total_ns = obs::NowNs() - submit_ns;
-    obs::RequestTraceCollector::Default().Record(std::move(trace));
+    trace.elements = elements;
+    if (served == nullptr) {
+        trace.total_ns = obs::NowNs() - submit_ns;
+    } else {
+        const core::InvocationReport& report = *served->report;
+        trace.total_ns = served->merge_end_ns - submit_ns;
+        trace.batch_requests = served->batch_requests;
+        trace.fixes = report.fixes;
+        trace.breaker_state =
+            static_cast<uint32_t>(report.breaker_state);
+        trace.audited = served->audited;
+        trace.inputs_digest = served->inputs_digest;
+        trace.threshold = report.threshold_used;
+        trace.predicted_error_pct = report.estimated_error_pct;
+        trace.actual_error_pct = report.output_error_pct;
+        trace.queue_wait_ns = served->pickup_ns - submit_ns;
+        trace.device_ns = served->device_ns;
+        trace.check_ns = report.timings.check_ns;
+        trace.recover_ns =
+            report.timings.recover_ns + report.timings.exact_ns;
+        trace.merge_start_ns = served->merge_start_ns;
+        trace.merge_ns = served->merge_end_ns - served->merge_start_ns;
+    }
+    if (flight != nullptr)
+        flight->Record(trace);
+    if (config_.trace.enabled)
+        obs::RequestTraceCollector::Default().Record(trace);
+}
+
+std::string
+ShardedEngine::DumpFlight(size_t shard_index, const std::string& reason)
+{
+    Shard& shard = *shards_[shard_index];
+    return obs::WriteFlightDump(
+        config_.flight.dump_dir, static_cast<uint32_t>(shard_index),
+        shard.flight_dumps.fetch_add(1, std::memory_order_relaxed),
+        reason, shard.flight->Dump());
 }
 
 std::vector<std::string>
@@ -615,15 +639,14 @@ ShardedEngine::DumpFlightRecords(const std::string& reason)
     for (size_t i = 0; i < shards_.size(); ++i) {
         if (shards_[i]->flight == nullptr)
             continue;
-        std::string path = shards_[i]->flight->Dump(
-            config_.flight.dump_dir, static_cast<uint32_t>(i), reason);
+        std::string path = DumpFlight(i, reason);
         if (!path.empty())
             paths.push_back(std::move(path));
     }
     return paths;
 }
 
-const FlightRecorder&
+const obs::RequestTraceCollector&
 ShardedEngine::Flight(size_t i) const
 {
     RUMBA_CHECK(i < shards_.size() && shards_[i]->flight != nullptr);
@@ -644,13 +667,13 @@ ShardedEngine::IncidentFlightRecords() const
     for (size_t i = 0; i < shards_.size(); ++i) {
         if (shards_[i]->flight == nullptr)
             continue;
-        const std::vector<FlightRecord> records =
-            shards_[i]->flight->Snapshot();
+        const std::vector<obs::RequestTrace> records =
+            shards_[i]->flight->Dump();
         const size_t skip =
             records.size() > kPerShard ? records.size() - kPerShard : 0;
         for (size_t r = skip; r < records.size(); ++r) {
             json += "\"" + std::to_string(kept) +
-                    "\":" + FlightRecordJson(records[r]) + ",";
+                    "\":" + obs::FlightRecordJson(records[r]) + ",";
             extract.trace_ids.push_back(records[r].trace_id);
             ++kept;
         }
@@ -747,7 +770,7 @@ ShardedEngine::StatuszJson() const
                std::to_string(shard.obs_served->Value());
         if (shard.flight != nullptr) {
             out += ",\"flight_records\":" +
-                   std::to_string(shard.flight->TotalAppended());
+                   std::to_string(shard.flight->TotalRecorded());
         }
         out += "}";
     }
@@ -819,12 +842,10 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         expired.trace_id = pending.trace_id;
         expired.shard = shard_index;
         obs_adm_expired_->Increment();
-        RecordRefusalFlight(shard_index, pending.trace_id,
-                            pending.enqueue_ns, pending.request.count,
-                            core::StatusCode::kDeadlineExceeded);
-        RecordTerminalTrace(pending.trace_id, shard_index,
-                            pending.enqueue_ns,
-                            obs::RequestOutcome::kExpired);
+        RecordRequest(shard_index, true, pending.trace_id,
+                      pending.enqueue_ns, pending.request.count,
+                      obs::RequestOutcome::kExpired,
+                      expired.status.code());
         FinishOne(&pending, std::move(expired));
     }
     batch->resize(kept);
@@ -889,11 +910,6 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
 
     const uint32_t breaker_state =
         static_cast<uint32_t>(report.breaker_state);
-    const uint64_t device_only_ns =
-        report.timings.accel_stream_ns - report.timings.check_ns +
-        config_.emulated_device_ns * total;
-    const uint64_t recover_ns =
-        report.timings.recover_ns + report.timings.exact_ns;
     // Per-invocation quality SLO event: one verified error per batch.
     // Degraded invocations skip the verify pass, so they have no
     // proxy error to judge — their quality is protected by the
@@ -904,9 +920,15 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
                              quality_bound_pct_);
     }
 
-    obs::RequestTraceCollector& collector =
-        obs::RequestTraceCollector::Default();
-    const bool tracing = config_.trace.enabled && collector.Enabled();
+    // What every request of the batch shares in its record; each
+    // fills in its own merge, digest and audit verdict below.
+    Served served;
+    served.report = &report;
+    served.batch_requests = static_cast<uint32_t>(batch->size());
+    served.pickup_ns = pickup_ns;
+    served.device_ns = report.timings.accel_stream_ns -
+                       report.timings.check_ns +
+                       config_.emulated_device_ns * total;
 
     const uint64_t done_ns = obs::NowNs();
     int64_t merge_cpu_ns = 0;
@@ -920,7 +942,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         result.shard = shard_index;
         result.report = report;
         result.report.elements = count;
-        const uint64_t merge_start_ns = obs::NowNs();
+        served.merge_start_ns = obs::NowNs();
         {
             const obs::StageScope merge_scope(
                 obs::ProfileStage::kMerge, profiling_, &merge_cpu_ns);
@@ -931,7 +953,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
                                                 (offset + count) *
                                                 output_width_));
         }
-        const uint64_t merge_end_ns = obs::NowNs();
+        served.merge_end_ns = obs::NowNs();
 
         // Ground-truth audit sampling: a tail decision per request,
         // made once the outcome is known. Breaker-degraded and
@@ -940,13 +962,12 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         // an anomaly); of the remainder one in N. The digest is
         // computed before the sample steals the request's input
         // buffer.
-        uint64_t inputs_digest = 0;
-        if (shard.flight != nullptr) {
-            inputs_digest =
-                DigestInputs(pending.request.inputs.data(),
-                             pending.request.inputs.size());
-        }
-        bool audited = false;
+        served.inputs_digest =
+            shard.flight == nullptr
+                ? 0
+                : Fnv1a64(pending.request.inputs.data(),
+                          pending.request.inputs.size() * sizeof(double));
+        served.audited = false;
         if (capture != nullptr) {
             // Sample-assembly cost lands on "audit" (the shadow
             // re-execution itself is tagged in the audit pool).
@@ -1019,7 +1040,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
                 // The invocation is done and the digest is taken;
                 // the request's input buffer moves into the sample.
                 sample.inputs = std::move(pending.request.inputs);
-                audited = auditor_->Enqueue(std::move(sample));
+                served.audited = auditor_->Enqueue(std::move(sample));
             }
         }
         offset += count;
@@ -1031,52 +1052,10 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
             latency_slo_->Record(latency_ns <=
                                  config_.slo.latency_bound_ns);
         }
-        if (shard.flight != nullptr) {
-            FlightRecord record;
-            record.trace_id = pending.trace_id;
-            record.shard = static_cast<uint32_t>(shard_index);
-            record.enqueue_ns = pending.enqueue_ns;
-            record.complete_ns = done_ns;
-            record.queue_wait_ns = pickup_ns - pending.enqueue_ns;
-            record.device_ns = device_only_ns;
-            record.elements = count;
-            record.inputs_digest = inputs_digest;
-            record.threshold = report.threshold_used;
-            record.predicted_error_pct = report.estimated_error_pct;
-            record.actual_error_pct = report.output_error_pct;
-            record.fixes = report.fixes;
-            record.breaker_state = breaker_state;
-            record.audited = audited;
-            shard.flight->Append(record);
-        }
-        if (tracing) {
-            obs::RequestTrace trace;
-            trace.trace_id = pending.trace_id;
-            trace.shard = static_cast<uint32_t>(shard_index);
-            trace.outcome = obs::RequestOutcome::kCompleted;
-            trace.submit_ns = pending.enqueue_ns;
-            trace.total_ns = merge_end_ns - pending.enqueue_ns;
-            trace.elements = count;
-            trace.batch_requests =
-                static_cast<uint32_t>(batch->size());
-            trace.fixes = report.fixes;
-            trace.breaker_state = breaker_state;
-            trace.audited = audited;
-            trace.spans = {
-                {"queue_wait", pending.enqueue_ns,
-                 pickup_ns - pending.enqueue_ns},
-                {"device", pickup_ns, device_only_ns},
-                {"check", pickup_ns + device_only_ns,
-                 report.timings.check_ns},
-                {"recover",
-                 pickup_ns + device_only_ns +
-                     report.timings.check_ns,
-                 recover_ns},
-                {"merge", merge_start_ns,
-                 merge_end_ns - merge_start_ns},
-            };
-            collector.Record(std::move(trace));
-        }
+        RecordRequest(shard_index, true, pending.trace_id,
+                      pending.enqueue_ns, count,
+                      obs::RequestOutcome::kCompleted,
+                      core::StatusCode::kOk, &served);
         FinishOne(&pending, std::move(result));
     }
 
@@ -1103,7 +1082,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         obs::CpuProfiler::Default().RecordCosts(report.costs);
     }
 
-    // Incident hooks: dump the shard's flight recorder the moment its
+    // Incident hooks: dump the shard's flight ring the moment its
     // breaker transitions to open, and once per fault episode when a
     // fault first surfaces (non-finite outputs or recovery-queue
     // drops) — the ring then still holds the requests leading in.
@@ -1115,16 +1094,12 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         const bool fault = report.non_finite_outputs > 0 ||
                            report.queue_drops > 0;
         if (opened) {
-            shard.flight->Dump(config_.flight.dump_dir,
-                               static_cast<uint32_t>(shard_index),
-                               "breaker_open");
+            DumpFlight(shard_index, "breaker_open");
         } else if (fault && !shard.fault_dump_latched) {
             // Latch stays set for the shard's lifetime: the dump
             // captures the first fault's lead-in; a fault storm must
             // not turn into a dump storm.
-            shard.flight->Dump(config_.flight.dump_dir,
-                               static_cast<uint32_t>(shard_index),
-                               "fault");
+            DumpFlight(shard_index, "fault");
             shard.fault_dump_latched = true;
         }
     }

@@ -40,9 +40,7 @@
 #include "core/runtime.h"
 #include "core/status.h"
 #include "obs/reqtrace.h"
-#include "obs/tsdb.h"
 #include "serve/admission.h"
-#include "serve/flight_recorder.h"
 #include "serve/queue.h"
 
 namespace rumba::obs {
@@ -81,10 +79,11 @@ struct ServeConfig {
      */
     uint64_t emulated_device_ns = 0;
 
-    /** Request-scoped tracing (obs/reqtrace.h). */
+    /** The process-wide, tail-sampled view of request records
+     *  (obs/reqtrace.h). */
     struct TraceOptions {
-        /** Record per-request traces into the default collector (and
-         *  enable per-stage runtime timings on every shard). */
+        /** Offer every request's record to the default collector
+         *  (and enable per-stage runtime timings on every shard). */
         bool enabled = true;
         /** Head-sampling rate for unflagged (healthy) traces. */
         uint32_t sample_every = 16;
@@ -93,10 +92,12 @@ struct ServeConfig {
     };
     TraceOptions trace;
 
-    /** Per-shard flight recorder (serve/flight_recorder.h). */
+    /** The per-shard, keep-everything view of request records: each
+     *  shard's flight ring (obs/reqtrace.h), dumped as flight JSONL on
+     *  breaker trips, first faults and DumpFlightRecords(). */
     struct FlightOptions {
         /** Recent requests retained per shard (0 disables). */
-        size_t capacity = FlightRecorder::kDefaultCapacity;
+        size_t capacity = 256;
         /** Directory dump artifacts are written into. */
         std::string dump_dir = ".";
     };
@@ -185,13 +186,10 @@ struct ServeConfig {
      *  retention store + anomaly detectors, the standard serving
      *  anomaly probes, and the engine's flight-record contribution to
      *  incident bundles. Rides the <5% instrumentation-overhead gate
-     *  in bench/serve_throughput. */
+     *  in bench/serve_throughput. The RUMBA_TSDB_PERIOD_MS environment
+     *  variable sets the sampler period ("0" keeps it off). */
     struct ForensicsOptions {
         bool enabled = true;
-        /** Sampler period handed to TsdbSampler::Acquire (the
-         *  RUMBA_TSDB_PERIOD_MS environment variable overrides it;
-         *  "0" there keeps the sampler off entirely). */
-        int tsdb_period_ms = obs::kDefaultTsdbPeriodMs;
     };
     ForensicsOptions forensics;
 };
@@ -229,7 +227,7 @@ struct InvocationResult {
     core::Status status;
     /** Request trace id (obs/reqtrace.h), assigned at Submit even for
      *  rejected requests — joins results with exported traces and
-     *  flight-recorder dumps. */
+     *  flight dumps. */
     uint64_t trace_id = 0;
     /** Merged element outputs, count x NumOutputs() doubles. */
     std::vector<double> outputs;
@@ -314,17 +312,18 @@ class ShardedEngine {
     const core::RumbaRuntime& Runtime(size_t i) const;
 
     /**
-     * Dump every shard's flight recorder to
-     * ServeConfig::flight.dump_dir now (operator's SIGUSR1
-     * equivalent). Returns the paths written. The engine also dumps a
-     * shard automatically when its breaker transitions to open or a
-     * fault (non-finite outputs, recovery-queue drops) first appears.
+     * Dump every shard's flight ring to ServeConfig::flight.dump_dir
+     * now (operator's SIGUSR1 equivalent). Returns the paths written.
+     * The engine also dumps a shard automatically when its breaker
+     * transitions to open or a fault (non-finite outputs,
+     * recovery-queue drops) first appears.
      */
     std::vector<std::string> DumpFlightRecords(
         const std::string& reason = "manual");
 
-    /** Shard @p i's flight recorder (inspection / tests). */
-    const FlightRecorder& Flight(size_t i) const;
+    /** Shard @p i's flight ring (inspection / tests; requires
+     *  flight.capacity > 0). */
+    const obs::RequestTraceCollector& Flight(size_t i) const;
 
     /**
      * Live engine status as a JSON object — per-shard queue depth,
@@ -375,8 +374,11 @@ class ShardedEngine {
         obs::Gauge* obs_breaker_state = nullptr;
         obs::Gauge* obs_threshold = nullptr;
         obs::Counter* obs_served = nullptr;
-        /** Flight recorder (constructed with flight.capacity). */
-        std::unique_ptr<FlightRecorder> flight;
+        /** Flight ring: every recent request record (null when
+         *  flight.capacity is 0). */
+        std::unique_ptr<obs::RequestTraceCollector> flight;
+        /** Dumps written so far; the next dump's file sequence. */
+        std::atomic<uint32_t> flight_dumps{0};
         /** Auto-dump bookkeeping (worker thread only). */
         uint32_t last_breaker_state = 0;
         bool fault_dump_latched = false;
@@ -396,22 +398,40 @@ class ShardedEngine {
     void ProcessBatch(Shard& shard, size_t shard_index,
                       std::vector<Pending>* batch);
     void FinishOne(Pending* pending, InvocationResult result);
-    /** Record a never-ran (rejected / cancelled) request's trace. */
-    void RecordTerminalTrace(uint64_t trace_id, size_t shard_index,
-                             uint64_t submit_ns,
-                             obs::RequestOutcome outcome);
+
+    /** What a served request adds to its record. */
+    struct Served {
+        const core::InvocationReport* report = nullptr;
+        uint32_t batch_requests = 1;
+        uint64_t pickup_ns = 0;       ///< worker picked the batch up.
+        uint64_t device_ns = 0;       ///< streaming, check excluded.
+        uint64_t merge_start_ns = 0;
+        uint64_t merge_end_ns = 0;
+        uint64_t inputs_digest = 0;
+        bool audited = false;
+    };
+
+    /**
+     * Build a request's one record and hand it to the rings it
+     * belongs in: shard @p shard_index's flight ring when @p to_flight
+     * (and the ring is on), and the process-wide kept ring when
+     * tracing. @p served is null for a request that never ran. With
+     * both rings off nothing is built.
+     */
+    void RecordRequest(size_t shard_index, bool to_flight,
+                       uint64_t trace_id, uint64_t submit_ns,
+                       uint64_t elements, obs::RequestOutcome outcome,
+                       core::StatusCode code,
+                       const Served* served = nullptr);
+
+    /** Write shard @p shard_index's flight ring to flight.dump_dir. */
+    std::string DumpFlight(size_t shard_index, const std::string& reason);
+
     /** The engine's contribution to incident bundles: the tail of
      *  every shard's flight ring as an array-free JSON fragment plus
      *  the trace ids it contains (obs/incident.h joins them with the
      *  tail-sampled reqtraces). */
     obs::IncidentFlightExtract IncidentFlightRecords() const;
-
-    /** Flight-recorder entry for a request that never ran (rejected /
-     *  shed / expired): the refusal leaves the same incident trail a
-     *  served request would. */
-    void RecordRefusalFlight(size_t shard_index, uint64_t trace_id,
-                             uint64_t submit_ns, uint64_t elements,
-                             core::StatusCode code);
 
     ServeConfig config_;
     const size_t input_width_;

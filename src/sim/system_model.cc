@@ -11,10 +11,8 @@ SystemModel::SystemModel(const CoreParams& core, const EnergyParams& energy)
 {
 }
 
-EfficiencyWindow::EfficiencyWindow(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity))
+EfficiencyWindow::EfficiencyWindow(size_t capacity) : ring_(capacity)
 {
-    ring_.reserve(capacity_);
 }
 
 void
@@ -25,24 +23,21 @@ EfficiencyWindow::Push(const SystemCosts& costs)
     entry.baseline_app_nj = costs.baseline_app_nj;
     entry.scheme_app_ns = costs.scheme_app_ns;
     entry.scheme_app_nj = costs.scheme_app_nj;
-    if (ring_.size() < capacity_)
-        ring_.push_back(entry);
-    else
-        ring_[next_] = entry;
-    next_ = (next_ + 1) % capacity_;
-    ++pushed_;
+    ring_.Push(entry);
 }
 
 EfficiencyEstimate
 EfficiencyWindow::Estimate() const
 {
     EfficiencyEstimate est;
-    est.window = ring_.size();
-    est.invocations = pushed_;
-    if (ring_.empty())
+    est.window = ring_.Size();
+    est.invocations = ring_.Pushed();
+    if (ring_.Empty())
         return est;
+    // Storage order, as always: the sums stay bit-identical no matter
+    // where the ring's next write lands.
     double base_ns = 0.0, base_nj = 0.0, scheme_ns = 0.0, scheme_nj = 0.0;
-    for (const Entry& e : ring_) {
+    for (const Entry& e : ring_.Slots()) {
         base_ns += e.baseline_app_ns;
         base_nj += e.baseline_app_nj;
         scheme_ns += e.scheme_app_ns;
@@ -56,9 +51,7 @@ EfficiencyWindow::Estimate() const
 void
 EfficiencyWindow::Reset()
 {
-    ring_.clear();
-    next_ = 0;
-    pushed_ = 0;
+    ring_.Clear();
 }
 
 SystemCosts

@@ -18,8 +18,8 @@
  */
 
 #include <cstddef>
-#include <vector>
 
+#include "common/ring.h"
 #include "sim/cpu_model.h"
 #include "sim/energy_model.h"
 
@@ -118,10 +118,7 @@ class EfficiencyWindow {
         double scheme_app_nj = 0.0;
     };
 
-    std::vector<Entry> ring_;
-    size_t capacity_;
-    size_t next_ = 0;    ///< ring slot the next push lands in.
-    size_t pushed_ = 0;  ///< total pushes since creation/reset.
+    Ring<Entry> ring_;
 };
 
 /** Combines timing and energy into per-scheme whole-app costs. */

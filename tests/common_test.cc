@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "common/dataset.h"
 #include "common/logging.h"
@@ -14,6 +15,7 @@
 #include "common/imagegen.h"
 #include "common/matrix.h"
 #include "common/random.h"
+#include "common/ring.h"
 #include "common/statistics.h"
 #include "common/table.h"
 
@@ -628,6 +630,52 @@ TEST(LoggingTest, CheckMacroPassesOnTrue)
 TEST(LoggingTest, CheckMacroAbortsOnFalse)
 {
     EXPECT_DEATH(RUMBA_CHECK(1 + 1 == 3), "check failed");
+}
+
+// ------------------------------------------------------------- Ring
+
+std::vector<int>
+Visited(const Ring<int>& ring)
+{
+    std::vector<int> out;
+    ring.ForEach([&out](int v) { out.push_back(v); });
+    return out;
+}
+
+TEST(RingTest, FillsInOrderThenOverwritesOldest)
+{
+    Ring<int> ring(3);
+    EXPECT_TRUE(ring.Empty());
+    ring.Push(1);
+    ring.Push(2);
+    EXPECT_EQ(Visited(ring), (std::vector<int>{1, 2}));
+    EXPECT_EQ(ring.Newest(), 2);
+    ring.Push(3);  // exactly full: nothing overwritten yet.
+    EXPECT_EQ(ring.Snapshot(), (std::vector<int>{1, 2, 3}));
+    for (int v = 4; v <= 7; ++v) {
+        ring.Push(v);  // wraps past the end, seam included.
+        EXPECT_EQ(ring.Newest(), v);
+    }
+    EXPECT_EQ(ring.Snapshot(), (std::vector<int>{5, 6, 7}));
+    EXPECT_EQ(Visited(ring), ring.Snapshot());
+    EXPECT_EQ(ring.Size(), 3u);
+    EXPECT_EQ(ring.Pushed(), 7u);
+    // Storage order is slot order: the seventh push wrapped to slot 0.
+    EXPECT_EQ(ring.Slots(), (std::vector<int>{7, 5, 6}));
+}
+
+TEST(RingTest, ClearRestartsCountsAndZeroCapacityKeepsOne)
+{
+    Ring<int> ring(0);
+    EXPECT_EQ(ring.Capacity(), 1u);
+    ring.Push(1);
+    ring.Push(2);
+    EXPECT_EQ(ring.Snapshot(), (std::vector<int>{2}));
+    ring.Clear();
+    EXPECT_TRUE(ring.Empty());
+    EXPECT_EQ(ring.Pushed(), 0u);
+    ring.Push(3);
+    EXPECT_EQ(ring.Snapshot(), (std::vector<int>{3}));
 }
 
 }  // namespace

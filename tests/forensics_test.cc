@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <string>
 #include <vector>
@@ -367,14 +368,16 @@ TEST(ForensicsEngineTest, ShutdownRacesTsdbSamplerCleanly)
 
     // A 1 ms sampler period makes ticks land inside Create/Submit/
     // Shutdown; repeated cycles give TSan real interleavings of the
-    // sampler's registry snapshot against worker teardown.
+    // sampler's registry snapshot against worker teardown. The period
+    // is read once, when Create() starts the sampler.
     for (int cycle = 0; cycle < 3; ++cycle) {
         serve::ServeConfig config;
         config.shards = 2;
         config.queue_capacity = 8;
-        config.forensics.tsdb_period_ms = 1;
+        ::setenv("RUMBA_TSDB_PERIOD_MS", "1", 1);
         auto engine = serve::ShardedEngine::Create(
             SharedArtifact(), ServeRuntimeConfig(), config);
+        ::unsetenv("RUMBA_TSDB_PERIOD_MS");
         ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
         std::vector<std::future<serve::InvocationResult>> futures;

@@ -1014,7 +1014,7 @@ HealthyTrace(uint64_t id)
     trace.trace_id = id;
     trace.outcome = RequestOutcome::kCompleted;
     trace.total_ns = 10;
-    trace.spans.push_back({"device", 0, 10});
+    trace.device_ns = 10;
     return trace;
 }
 
@@ -1200,14 +1200,21 @@ TEST(RequestTraceJsonTest, RendersOutcomeAndSpans)
     RequestTrace trace = HealthyTrace(77);
     trace.shard = 2;
     trace.batch_requests = 3;
-    trace.spans.push_back({"queue_wait", 5, 7});
+    trace.submit_ns = 5;
+    trace.queue_wait_ns = 7;
     const std::string json = RequestTraceJson(trace);
     EXPECT_NE(json.find("\"type\":\"reqtrace\""), std::string::npos);
     EXPECT_NE(json.find("\"trace_id\":77"), std::string::npos);
     EXPECT_NE(json.find("\"outcome\":\"completed\""),
               std::string::npos);
     EXPECT_NE(json.find("\"batch_requests\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"queue_wait\""), std::string::npos);
+    // The device stage starts where queue_wait ends.
+    EXPECT_NE(json.find("{\"name\":\"queue_wait\",\"start_ns\":5,"
+                        "\"duration_ns\":7}"),
+              std::string::npos);
+    EXPECT_NE(json.find("{\"name\":\"device\",\"start_ns\":12,"
+                        "\"duration_ns\":10}"),
+              std::string::npos);
 
     const std::string jsonl = RequestTracesToJsonl({trace});
     EXPECT_NE(jsonl.find("\"type\":\"meta\""), std::string::npos);

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.h"
 #include "core/artifact.h"
 #include "core/batch_view.h"
 #include "core/runtime.h"
@@ -29,7 +30,6 @@
 #include "obs/timer.h"
 #include "serve/admission.h"
 #include "serve/engine.h"
-#include "serve/flight_recorder.h"
 #include "serve/loadgen.h"
 #include "serve/queue.h"
 
@@ -562,14 +562,17 @@ TEST(ShardedEngineTest, TraceIdsAppearExactlyOnceInExportedTraces)
         if (trace.outcome == obs::RequestOutcome::kCompleted) {
             saw_coalesced |= trace.batch_requests > 1;
             // Served traces carry the span tree.
-            bool has_queue_wait = false, has_device = false;
-            for (const auto& span : trace.spans) {
-                has_queue_wait |=
-                    std::string(span.name) == "queue_wait";
-                has_device |= std::string(span.name) == "device";
-            }
-            EXPECT_TRUE(has_queue_wait && has_device)
-                << "trace " << trace.trace_id << " missing spans";
+            const std::string json = obs::RequestTraceJson(trace);
+            EXPECT_NE(json.find("{\"name\":\"queue_wait\""),
+                      std::string::npos)
+                << json;
+            EXPECT_NE(json.find("{\"name\":\"device\""),
+                      std::string::npos)
+                << json;
+            EXPECT_GE(trace.merge_start_ns,
+                      trace.submit_ns + trace.queue_wait_ns);
+        } else {
+            EXPECT_EQ(obs::SpanCount(trace), 0u);
         }
     }
     for (const auto& [id, outcome] : expected)
@@ -619,23 +622,27 @@ ReadWholeFile(const std::string& path)
 
 TEST(FlightRecorderTest, RingEvictsOldestAndDumpsJsonl)
 {
-    serve::FlightRecorder recorder(4);
+    obs::TailSamplingPolicy keep_all;
+    keep_all.sample_every = 1;
+    obs::RequestTraceCollector ring(4);
+    ring.Configure(keep_all);
     for (uint64_t id = 1; id <= 6; ++id) {
-        serve::FlightRecord record;
+        obs::RequestTrace record;
         record.trace_id = id;
         record.elements = id * 10;
-        recorder.Append(record);
+        ring.Record(record);
     }
-    EXPECT_EQ(recorder.TotalAppended(), 6u);
-    const auto snapshot = recorder.Snapshot();
+    EXPECT_EQ(ring.TotalRecorded(), 6u);
+    EXPECT_EQ(ring.Sampled(), 0u);  // the flight view keeps everything.
+    const auto snapshot = ring.Dump();
     ASSERT_EQ(snapshot.size(), 4u);
     EXPECT_EQ(snapshot.front().trace_id, 3u);  // 1 and 2 evicted.
     EXPECT_EQ(snapshot.back().trace_id, 6u);
 
-    const std::string path =
-        recorder.Dump(::testing::TempDir(), 9, "unit_test");
+    const std::string path = obs::WriteFlightDump(
+        ::testing::TempDir(), 9, 0, "unit_test", snapshot);
     ASSERT_FALSE(path.empty());
-    EXPECT_NE(path.find("flight-shard9-"), std::string::npos);
+    EXPECT_NE(path.find("flight-shard9-0.jsonl"), std::string::npos);
     const std::string contents = ReadWholeFile(path);
     EXPECT_NE(contents.find("\"type\":\"meta\""), std::string::npos);
     EXPECT_NE(contents.find("\"type\":\"flight_dump\""),
@@ -645,23 +652,18 @@ TEST(FlightRecorderTest, RingEvictsOldestAndDumpsJsonl)
     EXPECT_NE(contents.find("\"records\":4"), std::string::npos);
     EXPECT_NE(contents.find("\"trace_id\":6"), std::string::npos);
     std::remove(path.c_str());
-
-    // A second dump gets a fresh sequence number (never overwrites).
-    const std::string second =
-        recorder.Dump(::testing::TempDir(), 9, "unit_test");
-    EXPECT_NE(second, path);
-    std::remove(second.c_str());
 }
 
 TEST(FlightRecorderTest, DigestIsStableAndInputSensitive)
 {
     const std::vector<double> a = {1.0, 2.0, 3.0};
     const std::vector<double> b = {1.0, 2.0, 3.5};
-    EXPECT_EQ(serve::DigestInputs(a.data(), a.size()),
-              serve::DigestInputs(a.data(), a.size()));
-    EXPECT_NE(serve::DigestInputs(a.data(), a.size()),
-              serve::DigestInputs(b.data(), b.size()));
-    EXPECT_NE(serve::DigestInputs(a.data(), a.size()), 0u);
+    const size_t bytes = a.size() * sizeof(double);
+    EXPECT_EQ(Fnv1a64(a.data(), bytes), Fnv1a64(a.data(), bytes));
+    EXPECT_NE(Fnv1a64(a.data(), bytes), Fnv1a64(b.data(), bytes));
+    EXPECT_NE(Fnv1a64(a.data(), bytes), 0u);
+    // FNV-1a 64's published empty-input value (the offset basis).
+    EXPECT_EQ(Fnv1a64(a.data(), 0), 14695981039346656037ull);
 }
 
 TEST(ShardedEngineTest, FlightRecorderCapturesServedRequests)
@@ -683,24 +685,36 @@ TEST(ShardedEngineTest, FlightRecorderCapturesServedRequests)
     }
     engine->Drain();
 
-    const auto records = engine->Flight(0).Snapshot();
+    const auto records = engine->Flight(0).Dump();
     ASSERT_EQ(records.size(), 3u);
     for (size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].trace_id, ids[i]);
         EXPECT_EQ(records[i].elements, 30u);
-        EXPECT_NE(records[i].inputs_digest, 0u);
+        const serve::InvocationRequest sent = MakeRequest(i * 30, 30);
+        EXPECT_EQ(records[i].inputs_digest,
+                  Fnv1a64(sent.inputs.data(),
+                          sent.inputs.size() * sizeof(double)));
         EXPECT_GE(records[i].threshold, 0.0);
-        EXPECT_GE(records[i].complete_ns, records[i].enqueue_ns);
+        EXPECT_GT(records[i].total_ns, 0u);
         EXPECT_EQ(records[i].status_code, 0u);
+        EXPECT_EQ(records[i].outcome, obs::RequestOutcome::kCompleted);
     }
 
     const auto paths = engine->DumpFlightRecords("operator");
     ASSERT_EQ(paths.size(), 1u);
+    EXPECT_NE(paths[0].find("flight-shard0-0.jsonl"), std::string::npos);
     const std::string contents = ReadWholeFile(paths[0]);
     EXPECT_NE(contents.find("\"reason\":\"operator\""),
               std::string::npos);
     EXPECT_NE(contents.find("\"trace_id\""), std::string::npos);
     std::remove(paths[0].c_str());
+
+    // A second dump gets the shard's next sequence number (never
+    // overwrites).
+    const auto second = engine->DumpFlightRecords("operator");
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_NE(second[0].find("flight-shard0-1.jsonl"), std::string::npos);
+    std::remove(second[0].c_str());
 
     const std::string statusz = engine->StatuszJson();
     EXPECT_NE(statusz.find("\"healthy\":true"), std::string::npos);
@@ -711,6 +725,77 @@ TEST(ShardedEngineTest, FlightRecorderCapturesServedRequests)
     EXPECT_NE(statusz.find("\"queue_depth\":0"), std::string::npos);
     EXPECT_NE(statusz.find("\"breaker_state\":0"), std::string::npos);
     EXPECT_NE(statusz.find("\"flight_records\":3"), std::string::npos);
+}
+
+TEST(ShardedEngineTest, RefusalsLandInTheRingsTheyBelongIn)
+{
+    auto& collector = obs::RequestTraceCollector::Default();
+    collector.Clear();
+
+    serve::ServeConfig config;
+    config.shards = 1;
+    config.queue_capacity = 1;
+    config.trace.sample_every = 1;
+    config.admission.enabled = false;  // pure reject-on-full.
+    auto engine = MakeEngine(config);
+
+    engine->Pause();
+    auto queued = engine->Submit(MakeRequest(0, 10));  // fills the queue.
+    const serve::InvocationResult full =
+        engine->Submit(MakeRequest(10, 12)).get();
+    ASSERT_EQ(full.status.code(), core::StatusCode::kResourceExhausted);
+    serve::InvocationRequest bad = MakeRequest(0, 4);
+    bad.width = 3;
+    const serve::InvocationResult malformed =
+        engine->Submit(std::move(bad)).get();
+    ASSERT_EQ(malformed.status.code(),
+              core::StatusCode::kInvalidArgument);
+    engine->Shutdown();
+    const serve::InvocationResult cancelled = queued.get();
+    ASSERT_EQ(cancelled.status.code(), core::StatusCode::kCancelled);
+
+    // A shard refusal lands in the shard's flight ring; Submit's own
+    // validation and Shutdown's cancellations do not.
+    const auto flight = engine->Flight(0).Dump();
+    ASSERT_EQ(flight.size(), 1u);
+    EXPECT_EQ(flight[0].trace_id, full.trace_id);
+    EXPECT_EQ(flight[0].outcome, obs::RequestOutcome::kRejected);
+    EXPECT_EQ(flight[0].status_code,
+              static_cast<uint32_t>(core::StatusCode::kResourceExhausted));
+    EXPECT_EQ(flight[0].elements, 12u);
+    EXPECT_EQ(obs::SpanCount(flight[0]), 0u);
+
+    // The kept ring holds all three.
+    std::map<uint64_t, obs::RequestOutcome> kept;
+    for (const auto& trace : collector.Dump())
+        kept[trace.trace_id] = trace.outcome;
+    EXPECT_EQ(kept.size(), 3u);
+    EXPECT_EQ(kept[full.trace_id], obs::RequestOutcome::kRejected);
+    EXPECT_EQ(kept[malformed.trace_id], obs::RequestOutcome::kRejected);
+    EXPECT_EQ(kept[cancelled.trace_id], obs::RequestOutcome::kCancelled);
+    collector.Clear();
+}
+
+TEST(ShardedEngineTest, BothRecordViewsOffRecordNothing)
+{
+    auto& collector = obs::RequestTraceCollector::Default();
+    collector.Clear();
+
+    serve::ServeConfig config;
+    config.shards = 1;
+    config.flight.capacity = 0;
+    config.trace.enabled = false;
+    auto engine = MakeEngine(config);
+    ASSERT_TRUE(engine->Submit(MakeRequest(0, 30)).get().status.ok());
+    serve::InvocationRequest bad = MakeRequest(0, 4);
+    bad.width = 3;
+    EXPECT_FALSE(engine->Submit(std::move(bad)).get().status.ok());
+    engine->Drain();
+
+    EXPECT_EQ(collector.TotalRecorded(), 0u);
+    EXPECT_TRUE(engine->DumpFlightRecords().empty());
+    EXPECT_EQ(engine->StatuszJson().find("flight_records"),
+              std::string::npos);
 }
 
 TEST(ShardedEngineTest, BreakerTripAutoDumpsFlightRecorder)
@@ -774,6 +859,123 @@ TEST(ShardedEngineTest, BreakerTripAutoDumpsFlightRecorder)
               std::string::npos);
     EXPECT_NE(all.find("\"trace_id\""), std::string::npos);
     engine->Shutdown();
+}
+
+// ------------------------------------------------ Output-format pins
+//
+// Flight dumps, RUMBA_REQTRACE_OUT lines and incident bundles are read
+// by rumba-stat, ci.sh and operators: these strings pin the exact
+// bytes both views of one served and one refused request render to.
+
+constexpr char kGoldenServedFlight[] =
+    "{\"type\":\"flight\",\"trace_id\":4242,\"shard\":1,"
+    "\"enqueue_ns\":1000000,\"complete_ns\":1093000,"
+    "\"queue_wait_ns\":12000,\"device_ns\":50000,\"elements\":1024,"
+    "\"inputs_digest\":11400714819323198485,\"threshold\":0.6875,"
+    "\"predicted_error_pct\":33.3333333,\"actual_error_pct\":9.125,"
+    "\"fixes\":312,\"breaker_state\":2,\"status_code\":0,"
+    "\"audited\":true}";
+constexpr char kGoldenRefusedFlight[] =
+    "{\"type\":\"flight\",\"trace_id\":4243,\"shard\":1,"
+    "\"enqueue_ns\":2000000,\"complete_ns\":2001500,"
+    "\"queue_wait_ns\":0,\"device_ns\":0,\"elements\":64,"
+    "\"inputs_digest\":0,\"threshold\":0,\"predicted_error_pct\":0,"
+    "\"actual_error_pct\":0,\"fixes\":0,\"breaker_state\":0,"
+    "\"status_code\":5,\"audited\":false}";
+constexpr char kGoldenServedTrace[] =
+    "{\"type\":\"reqtrace\",\"trace_id\":4242,\"shard\":1,"
+    "\"outcome\":\"completed\",\"submit_ns\":1000000,"
+    "\"total_ns\":93000,\"elements\":1024,\"batch_requests\":3,"
+    "\"fixes\":312,\"breaker_state\":2,\"audited\":true,\"spans\":["
+    "{\"name\":\"queue_wait\",\"start_ns\":1000000,"
+    "\"duration_ns\":12000},"
+    "{\"name\":\"device\",\"start_ns\":1012000,\"duration_ns\":50000},"
+    "{\"name\":\"check\",\"start_ns\":1062000,\"duration_ns\":9000},"
+    "{\"name\":\"recover\",\"start_ns\":1071000,"
+    "\"duration_ns\":15000},"
+    "{\"name\":\"merge\",\"start_ns\":1090000,\"duration_ns\":3000}]}";
+constexpr char kGoldenRefusedTrace[] =
+    "{\"type\":\"reqtrace\",\"trace_id\":4243,\"shard\":1,"
+    "\"outcome\":\"rejected\",\"submit_ns\":2000000,\"total_ns\":1500,"
+    "\"elements\":64,\"batch_requests\":1,\"fixes\":0,"
+    "\"breaker_state\":0,\"audited\":false,\"spans\":[]}";
+
+/** A served request: three coalesced, recovered, half-open breaker,
+ *  audited. */
+obs::RequestTrace
+GoldenServed()
+{
+    obs::RequestTrace r;
+    r.trace_id = 4242;
+    r.shard = 1;
+    r.outcome = obs::RequestOutcome::kCompleted;
+    r.submit_ns = 1000000;
+    r.total_ns = 93000;
+    r.elements = 1024;
+    r.batch_requests = 3;
+    r.fixes = 312;
+    r.breaker_state = 2;
+    r.audited = true;
+    r.inputs_digest = 11400714819323198485ull;
+    r.threshold = 0.6875;
+    r.predicted_error_pct = 100.0 / 3.0;
+    r.actual_error_pct = 9.125;
+    r.queue_wait_ns = 12000;
+    r.device_ns = 50000;
+    r.check_ns = 9000;
+    r.recover_ns = 15000;
+    r.merge_start_ns = 1090000;
+    r.merge_ns = 3000;
+    return r;
+}
+
+/** A request refused with backpressure: it never ran. */
+obs::RequestTrace
+GoldenRefused()
+{
+    obs::RequestTrace r;
+    r.trace_id = 4243;
+    r.shard = 1;
+    r.outcome = obs::RequestOutcome::kRejected;
+    r.status_code =
+        static_cast<uint32_t>(core::StatusCode::kResourceExhausted);
+    r.submit_ns = 2000000;
+    r.total_ns = 1500;
+    r.elements = 64;
+    return r;
+}
+
+TEST(RecordFormatTest, FlightRecordJsonMatchesGolden)
+{
+    EXPECT_EQ(obs::FlightRecordJson(GoldenServed()), kGoldenServedFlight);
+    EXPECT_EQ(obs::FlightRecordJson(GoldenRefused()),
+              kGoldenRefusedFlight);
+}
+
+TEST(RecordFormatTest, RequestTraceJsonMatchesGolden)
+{
+    EXPECT_EQ(obs::RequestTraceJson(GoldenServed()), kGoldenServedTrace);
+    EXPECT_EQ(obs::RequestTraceJson(GoldenRefused()),
+              kGoldenRefusedTrace);
+}
+
+TEST(RecordFormatTest, FlightDumpBodyMatchesGolden)
+{
+    const std::string path = obs::WriteFlightDump(
+        ::testing::TempDir(), 1, 0, "golden",
+        {GoldenServed(), GoldenRefused()});
+    ASSERT_FALSE(path.empty());
+    std::string body = ReadWholeFile(path);
+    std::remove(path.c_str());
+    // The meta line carries wall time and host; everything after it
+    // is pinned.
+    ASSERT_NE(body.find("\"type\":\"meta\""), std::string::npos);
+    body.erase(0, body.find('\n') + 1);
+    EXPECT_EQ(body,
+              std::string("{\"type\":\"flight_dump\",\"reason\":"
+                          "\"golden\",\"shard\":1,\"records\":2}\n") +
+                  kGoldenServedFlight + "\n" + kGoldenRefusedFlight +
+                  "\n");
 }
 
 // --------------------------------------------- Legacy-overload adapter
