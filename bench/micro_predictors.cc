@@ -141,19 +141,25 @@ TrainData(size_t in_w, size_t out_w, size_t n = 5000)
 }
 
 /** One nn::Train epoch (backprop, momentum updates and validation
- *  scoring) at blackscholes' network (arg 0) and fft's unchecked-NPU
- *  network (arg 1): the per-epoch cost behind offline training. */
+ *  scoring) at blackscholes' network (arg 0), fft's unchecked-NPU
+ *  network (arg 1) and the compensator's residual network for fft
+ *  (arg 2: sigmoid hidden layer, linear head): the per-epoch cost
+ *  behind offline training. */
 void
 BM_MlpTrain(benchmark::State& state)
 {
-    const nn::Topology topology = nn::Topology::Parse(
-        state.range(0) == 0 ? "6->8->8->1" : "1->4->4->2");
+    const char* const shapes[] = {"6->8->8->1", "1->4->4->2", "3->8->2"};
+    const nn::Topology topology =
+        nn::Topology::Parse(shapes[state.range(0)]);
+    const nn::Activation head = state.range(0) == 2
+                                    ? nn::Activation::kLinear
+                                    : nn::Activation::kSigmoid;
     const Dataset d =
         TrainData(topology.NumInputs(), topology.NumOutputs());
     nn::TrainConfig tc;
     tc.epochs = 1;
     for (auto _ : state) {
-        nn::Mlp mlp(topology);
+        nn::Mlp mlp(topology, nn::Activation::kSigmoid, head);
         nn::Train(&mlp, d, tc);
         benchmark::DoNotOptimize(mlp.Layers()[0].weights.data());
     }
@@ -161,7 +167,11 @@ BM_MlpTrain(benchmark::State& state)
                             static_cast<int64_t>(d.Size()));
     state.SetLabel(topology.ToString());
 }
-BENCHMARK(BM_MlpTrain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MlpTrain)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_LinearTrain(benchmark::State& state)
@@ -185,7 +195,8 @@ BM_TreeTrain(benchmark::State& state)
         benchmark::DoNotOptimize(p.NumNodes());
     }
 }
-BENCHMARK(BM_TreeTrain)->Arg(500)->Arg(2000);
+// 5000 is the Table-1 training size the offline flow fits on.
+BENCHMARK(BM_TreeTrain)->Arg(500)->Arg(2000)->Arg(5000);
 
 }  // namespace
 

@@ -234,16 +234,17 @@ if [[ "${1:-}" != "--skip-sanitize" ]]; then
     # fault suite drives, the sharded serving engine, the background
     # ground-truth audit pool, the sampling profiler racing engine
     # shutdown, the forensics tsdb sampler racing the same, and the
-    # offline flow training two networks concurrently (the training
-    # constructor in serialization_test and fault_test) — under real
-    # concurrency.
+    # offline flow's trainer threads (the training constructor in
+    # serialization_test and fault_test; core_test's kmeans Pipeline
+    # tests read the unchecked-NPU network right after construction)
+    # — under real concurrency.
     echo "==> thread-sanitized build + threading tests (thread)"
     cmake -B build-tsan -S . -DRUMBA_SANITIZE=thread
     cmake --build build-tsan -j
     # -R must precede the bare -j: ctest would otherwise eat the
     # regex as -j's value and run the whole suite.
     ctest --test-dir build-tsan --output-on-failure \
-        -R '^(obs_test|extensions_test|fault_test|serialization_test|serve_test|audit_test|profiler_test|forensics_test)$' \
+        -R '^(obs_test|extensions_test|fault_test|serialization_test|core_test|serve_test|audit_test|profiler_test|forensics_test)$' \
         -j
 fi
 

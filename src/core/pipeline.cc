@@ -1,7 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <thread>
+#include <future>
+#include <memory>
 
 #include "common/logging.h"
 #include "core/artifact.h"
@@ -25,6 +26,15 @@ Cap(std::vector<std::vector<double>>* v, size_t cap)
         v->resize(cap);
 }
 
+/** A future that already holds @p mlp. */
+std::shared_future<nn::Mlp>
+Ready(nn::Mlp mlp)
+{
+    std::promise<nn::Mlp> promise;
+    promise.set_value(std::move(mlp));
+    return promise.get_future().share();
+}
+
 }  // namespace
 
 Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
@@ -45,11 +55,12 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
     in_norm_.FitInputs(raw_train);
     out_norm_.FitTargets(raw_train);
 
-    // NN-domain training set.
-    Dataset norm_train(bench_->NumInputs(), bench_->NumOutputs());
+    // NN-domain training set, shared with the unchecked-NPU trainer.
+    auto norm_train = std::make_shared<Dataset>(bench_->NumInputs(),
+                                                bench_->NumOutputs());
     for (size_t s = 0; s < raw_train.Size(); ++s) {
-        norm_train.Add(in_norm_.Apply(raw_train.Input(s)),
-                       out_norm_.Apply(raw_train.Target(s)));
+        norm_train->Add(in_norm_.Apply(raw_train.Input(s)),
+                        out_norm_.Apply(raw_train.Target(s)));
     }
 
     nn::TrainConfig tc;
@@ -65,30 +76,33 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
         registry.GetCounter("pipeline.trainings");
 
     // When the topologies differ, the unchecked-NPU network trains on
-    // a second thread while the Rumba network trains here. nn::Train
-    // reads the shared dataset, writes only its own network and never
-    // draws from the fault injector, so every accelerator Configure
-    // and Invoke below stays on this thread in sequential order and
-    // both networks come out bit-identical to training them one after
-    // the other. The jthread is declared after everything it uses, so
-    // it is joined before they are destroyed, on unwinding too.
+    // a thread of its own, and the constructor does not wait for it:
+    // its readers do (NpuMlp()). nn::Train reads the shared dataset,
+    // writes only the network it returns and never draws from the
+    // fault injector, so every accelerator Configure and Invoke stays
+    // on the constructing thread in sequential order and both
+    // networks come out bit-identical to training them one after the
+    // other.
     const auto& info = bench_->Info();
     const bool shared_topology = info.npu_topology == info.rumba_topology;
-    rumba_mlp_.emplace(info.rumba_topology);
-    std::jthread npu_trainer;
     if (!shared_topology) {
-        npu_mlp_.emplace(info.npu_topology);
-        npu_trainer = std::jthread([&] {
-            const obs::ScopedTimer timer(train_ns);
-            nn::Train(&*npu_mlp_, norm_train, tc);
-        });
+        npu_mlp_ = std::async(std::launch::async,
+                              [topology = info.npu_topology, norm_train,
+                               tc, train_ns] {
+                                  const obs::ScopedTimer timer(train_ns);
+                                  nn::Mlp mlp(topology);
+                                  nn::Train(&mlp, *norm_train, tc);
+                                  return mlp;
+                              })
+                       .share();
     }
+    rumba_mlp_.emplace(info.rumba_topology);
     {
         const obs::ScopedTimer timer(train_ns);
-        nn::Train(&*rumba_mlp_, norm_train, tc);
+        nn::Train(&*rumba_mlp_, *norm_train, tc);
     }
     if (shared_topology)
-        npu_mlp_ = rumba_mlp_;
+        npu_mlp_ = Ready(*rumba_mlp_);
 
     // True accelerator errors on the training elements (predictor
     // targets): run the Rumba-topology accelerator over them.
@@ -101,8 +115,6 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
             train_errors_.push_back(
                 bench_->ElementError(raw_train.Target(s), raw_out));
         });
-    if (npu_trainer.joinable())
-        npu_trainer.join();
     trainings->Increment(shared_topology ? 1 : 2);
 }
 
@@ -121,7 +133,7 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
     in_norm_ = Normalizer::Deserialize(artifact.in_norm);
     out_norm_ = Normalizer::Deserialize(artifact.out_norm);
     rumba_mlp_ = nn::Mlp::Deserialize(artifact.rumba_mlp);
-    npu_mlp_ = nn::Mlp::Deserialize(artifact.npu_mlp);
+    npu_mlp_ = Ready(nn::Mlp::Deserialize(artifact.npu_mlp));
     RUMBA_CHECK(rumba_mlp_->GetTopology().NumInputs() ==
                 bench_->NumInputs());
     RUMBA_CHECK(rumba_mlp_->GetTopology().NumOutputs() ==
@@ -137,7 +149,7 @@ Pipeline::ExportArtifact(const predict::ErrorPredictor& predictor,
     Artifact artifact;
     artifact.benchmark = bench_->Info().name;
     artifact.rumba_mlp = rumba_mlp_->Serialize();
-    artifact.npu_mlp = npu_mlp_->Serialize();
+    artifact.npu_mlp = NpuMlp().Serialize();
     artifact.in_norm = in_norm_.Serialize();
     artifact.out_norm = out_norm_.Serialize();
     artifact.predictor = predictor.Serialize();
@@ -184,7 +196,7 @@ npu::Npu
 Pipeline::MakeAccelerator(bool use_rumba_topology) const
 {
     npu::Npu accel(config_.npu);
-    accel.Configure(use_rumba_topology ? *rumba_mlp_ : *npu_mlp_);
+    accel.Configure(use_rumba_topology ? *rumba_mlp_ : NpuMlp());
     return accel;
 }
 
@@ -257,12 +269,13 @@ Pipeline::TrainPredictor(Scheme scheme) const
     return predictor;
 }
 
-predict::Compensator
+std::future<predict::Compensator>
 Pipeline::TrainCompensator() const
 {
     RUMBA_CHECK(!train_inputs_.empty());
-    const obs::ScopedTimer timer(obs::Registry::Default().GetHistogram(
-        "pipeline.compensator_train_ns"));
+    obs::Histogram* train_ns = obs::Registry::Default().GetHistogram(
+        "pipeline.compensator_train_ns");
+    const uint64_t start_ns = obs::NowNs();
     npu::Npu accel = MakeAccelerator(/*use_rumba_topology=*/true);
     const Dataset raw_train = bench_->MakeDataset(train_inputs_);
     // Features are [normalized inputs | normalized approximate
@@ -309,7 +322,16 @@ Pipeline::TrainCompensator() const
     nn::TrainConfig tc;
     tc.epochs = config_.train_epochs;
     tc.seed = config_.seed;
-    return predict::Compensator::Train(refine, tc);
+    // The histogram times refine set plus training, as one span.
+    return std::async(std::launch::async,
+                      [refine = std::move(refine), tc, train_ns,
+                       start_ns] {
+                          predict::Compensator model =
+                              predict::Compensator::Train(refine, tc);
+                          train_ns->Observe(static_cast<double>(
+                              obs::NowNs() - start_ns));
+                          return model;
+                      });
 }
 
 }  // namespace rumba::core

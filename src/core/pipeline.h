@@ -12,6 +12,7 @@
  */
 
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -56,7 +57,8 @@ class Pipeline {
 
     /**
      * Export the trained configuration (networks + normalizers) plus
-     * the given checker and threshold as a deployable artifact.
+     * the given checker and threshold as a deployable artifact; waits
+     * for the unchecked-NPU network (NpuMlp()).
      * @p compensator, when non-null and trained, rides along as the
      * artifact's optional compensator section.
      */
@@ -85,8 +87,10 @@ class Pipeline {
     /** Trained network with the Rumba topology. */
     const nn::Mlp& RumbaMlp() const { return *rumba_mlp_; }
 
-    /** Trained network with the unchecked-NPU topology. */
-    const nn::Mlp& NpuMlp() const { return *npu_mlp_; }
+    /** Trained network with the unchecked-NPU topology. A training
+     *  pipeline may still be training it on its own thread; this
+     *  waits until it is done. */
+    const nn::Mlp& NpuMlp() const { return npu_mlp_.get(); }
 
     /** Normalize one element's raw inputs into the NN domain. */
     std::vector<double> NormalizeInput(
@@ -115,7 +119,8 @@ class Pipeline {
 
     /**
      * Build an accelerator configured with the requested network.
-     * @param use_rumba_topology true for Rumba's (smaller) network.
+     * @param use_rumba_topology true for Rumba's (smaller) network;
+     *        false waits for the unchecked-NPU network (NpuMlp()).
      */
     npu::Npu MakeAccelerator(bool use_rumba_topology) const;
 
@@ -165,13 +170,15 @@ class Pipeline {
     /**
      * Offline-train the self-compensation model (the recovery middle
      * tier's executor): runs the Rumba-topology accelerator over the
-     * training elements and fits normalized inputs -> raw-domain
-     * signed residuals (exact − approximate). Requires an offline
-     * training run — unavailable (checked-fatal) on an
-     * artifact-restored pipeline, whose artifact carries the trained
-     * compensator instead.
+     * training elements on the calling thread to build the refine set
+     * (normalized features -> signed NN-domain residuals exact −
+     * approximate), then fits the residual network on a thread of its
+     * own. The returned future owns that thread; get() waits for it.
+     * Requires an offline training run — unavailable (checked-fatal)
+     * on an artifact-restored pipeline, whose artifact carries the
+     * trained compensator instead.
      */
-    predict::Compensator TrainCompensator() const;
+    std::future<predict::Compensator> TrainCompensator() const;
 
     /**
      * True per-element errors of the Rumba-topology accelerator on
@@ -191,7 +198,10 @@ class Pipeline {
     Normalizer in_norm_;
     Normalizer out_norm_;
     std::optional<nn::Mlp> rumba_mlp_;
-    std::optional<nn::Mlp> npu_mlp_;
+    /** Ready once the unchecked-NPU network is trained. The trainer
+     *  owns its inputs, and the last copy of this future waits for it,
+     *  so a pipeline destroyed mid-training joins the thread first. */
+    std::shared_future<nn::Mlp> npu_mlp_;
     std::vector<double> train_errors_;
 };
 

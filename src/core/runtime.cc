@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <numeric>
 
 #include "common/logging.h"
@@ -55,8 +56,12 @@ RumbaRuntime::RumbaRuntime(std::unique_ptr<apps::Benchmark> bench,
     RUMBA_CHECK(IsPredictorScheme(config.checker));
     RegisterMetrics();
     kernel_ops_ = pipeline_.Bench().ProfileKernel();
+    // The compensator's refine set is built here, on this thread; its
+    // network then trains on a thread of its own while the threshold
+    // is calibrated below.
+    std::future<predict::Compensator> compensator;
     if (config.recovery_policy.compensation)
-        InstallCompensator(pipeline_.TrainCompensator());
+        compensator = pipeline_.TrainCompensator();
     if (config.initial_threshold <= 0.0) {
         const Result<double> result =
             CalibrateThreshold(config.tuner.target_error_pct);
@@ -77,6 +82,11 @@ RumbaRuntime::RumbaRuntime(std::unique_ptr<apps::Benchmark> bench,
                 1, calibration_scores_.size()));
         drift_ = DriftMonitor(drift_options);
     }
+    if (compensator.valid())
+        InstallCompensator(compensator.get());
+    // Wait for the unchecked-NPU network as well: a constructed
+    // runtime leaves no training thread behind it.
+    (void)pipeline_.NpuMlp();
     obs::SnapshotStreamer::AcquireFromEnv();
 }
 

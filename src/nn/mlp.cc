@@ -51,27 +51,6 @@ Mlp::Forward(const std::vector<double>& input) const
     return current;
 }
 
-void
-Mlp::ForwardWithTrace(const double* input, ForwardTrace* trace) const
-{
-    RUMBA_CHECK(trace != nullptr);
-    auto& acts = trace->activations;
-    acts.resize(layers_.size() + 1);
-    acts[0].assign(input, input + topology_.NumInputs());
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        const Layer& layer = layers_[li];
-        const std::vector<double>& prev = acts[li];
-        std::vector<double>& act = acts[li + 1];
-        act.resize(layer.out);
-        for (size_t n = 0; n < layer.out; ++n) {
-            double sum = layer.Bias(n);
-            for (size_t i = 0; i < layer.in; ++i)
-                sum += layer.W(n, i) * prev[i];
-            act[n] = Evaluate(layer.act, sum);
-        }
-    }
-}
-
 size_t
 Mlp::NumParameters() const
 {

@@ -42,12 +42,6 @@ struct Layer {
     double Bias(size_t n) const { return weights[n * (in + 1) + in]; }
 };
 
-/** Per-layer activations captured during a forward pass. */
-struct ForwardTrace {
-    /** activations[0] is the input; activations.back() the output. */
-    std::vector<std::vector<double>> activations;
-};
-
 /** Feed-forward MLP with per-layer activations. */
 class Mlp {
   public:
@@ -74,15 +68,6 @@ class Mlp {
 
     /** Run one forward pass. @p input size must match the topology. */
     std::vector<double> Forward(const std::vector<double>& input) const;
-
-    /**
-     * Forward pass over a borrowed input row retaining every layer's
-     * activations in a caller-owned trace (for training: the trace's
-     * vectors keep their capacity across calls, so a steady-state pass
-     * performs no heap allocation). Same arithmetic, in the same
-     * order, as Forward().
-     */
-    void ForwardWithTrace(const double* input, ForwardTrace* trace) const;
 
     /** Total trainable parameters. */
     size_t NumParameters() const;

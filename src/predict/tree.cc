@@ -1,7 +1,9 @@
 #include "predict/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/dataset.h"
@@ -35,6 +37,35 @@ SubsetSse(const Dataset& data, const std::vector<size_t>& samples)
         sse += d * d;
     }
     return sse;
+}
+
+/** @p y when @p keep, else +0.0, selected by masking the bits: a
+ *  compiler may turn a ternary here into a branch, and the side a
+ *  sample falls on is a coin flip. */
+double
+KeepIf(bool keep, double y)
+{
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(y) &
+                                 -static_cast<uint64_t>(keep));
+}
+
+/**
+ * Rearrange v[lo, hi) so that v[p] holds the p-th smallest value for
+ * every p in the strictly ascending @p positions[0, count), all inside
+ * [lo, hi): select the middle position, then recurse into each side.
+ */
+void
+SelectOrderStatistics(double* v, size_t lo, size_t hi,
+                      const size_t* positions, size_t count)
+{
+    if (count == 0)
+        return;
+    const size_t mid = count / 2;
+    const size_t p = positions[mid];
+    std::nth_element(v + lo, v + p, v + hi);
+    SelectOrderStatistics(v, lo, p, positions, mid);
+    SelectOrderStatistics(v, p + 1, hi, positions + mid + 1,
+                          count - mid - 1);
 }
 
 }  // namespace
@@ -81,34 +112,56 @@ TreeErrorPredictor::Grow(const Dataset& data, std::vector<size_t> samples,
         return index;
 
     // Best split over all features and candidate quantile thresholds.
+    // The node's targets and feature columns are gathered once into
+    // contiguous arrays, the candidates (the order statistics at
+    // q * n / Q) are selected rather than sorted for, and both passes
+    // per candidate are branch-free. Every sum adds the same terms in
+    // the same sample order as a branchy pass over the samples would:
+    // a sample on the other side adds +0.0, which leaves a sum that
+    // started at +0.0 unchanged.
+    const size_t n = samples.size();
+    const size_t width = data.NumInputs();
+    std::vector<double> ys(n), columns(width * n), selected(n);
+    for (size_t i = 0; i < n; ++i) {
+        const std::vector<double>& x = data.Input(samples[i]);
+        for (size_t f = 0; f < width; ++f)
+            columns[f * n + i] = x[f];
+        ys[i] = data.Target(samples[i])[0];
+    }
+    std::vector<size_t> positions;
+    for (size_t q = 1; q < options_.candidate_quantiles; ++q) {
+        const size_t pos = q * n / options_.candidate_quantiles;
+        if (positions.empty() || positions.back() != pos)
+            positions.push_back(pos);
+    }
+
     int best_feature = Node::kLeaf;
     double best_threshold = 0.0;
     double best_sse = parent_sse;
-    std::vector<double> values(samples.size());
-    for (size_t f = 0; f < data.NumInputs(); ++f) {
-        for (size_t i = 0; i < samples.size(); ++i)
-            values[i] = data.Input(samples[i])[f];
-        std::vector<double> sorted = values;
-        std::sort(sorted.begin(), sorted.end());
-        for (size_t q = 1; q < options_.candidate_quantiles; ++q) {
-            const size_t pos = q * sorted.size() /
-                               options_.candidate_quantiles;
-            const double threshold = sorted[pos];
-            if (threshold <= sorted.front() || threshold > sorted.back())
+    for (size_t f = 0; f < width; ++f) {
+        const double* values = columns.data() + f * n;
+        selected.assign(values, values + n);
+        SelectOrderStatistics(selected.data(), 0, n, positions.data(),
+                              positions.size());
+        const double lowest = *std::min_element(values, values + n);
+        double previous = lowest;
+        for (const size_t pos : positions) {
+            // A candidate at the minimum leaves the left side empty,
+            // and a repeat of the previous one scores the same and
+            // cannot win the strict comparison below.
+            const double threshold = selected[pos];
+            if (threshold <= lowest || threshold == previous)
                 continue;
-            // Two-pass SSE of the candidate split.
+            previous = threshold;
             double lsum = 0.0, rsum = 0.0;
-            size_t ln = 0, rn = 0;
-            for (size_t i = 0; i < samples.size(); ++i) {
-                const double y = data.Target(samples[i])[0];
-                if (values[i] < threshold) {
-                    lsum += y;
-                    ++ln;
-                } else {
-                    rsum += y;
-                    ++rn;
-                }
+            size_t ln = 0;
+            for (size_t i = 0; i < n; ++i) {
+                const bool left = values[i] < threshold;
+                lsum += KeepIf(left, ys[i]);
+                rsum += KeepIf(!left, ys[i]);
+                ln += left ? 1 : 0;
             }
+            const size_t rn = n - ln;
             if (ln < options_.min_leaf_samples ||
                 rn < options_.min_leaf_samples) {
                 continue;
@@ -116,10 +169,9 @@ TreeErrorPredictor::Grow(const Dataset& data, std::vector<size_t> samples,
             const double lmean = lsum / static_cast<double>(ln);
             const double rmean = rsum / static_cast<double>(rn);
             double sse = 0.0;
-            for (size_t i = 0; i < samples.size(); ++i) {
-                const double y = data.Target(samples[i])[0];
-                const double mean = values[i] < threshold ? lmean : rmean;
-                const double d = y - mean;
+            for (size_t i = 0; i < n; ++i) {
+                const double d =
+                    ys[i] - (values[i] < threshold ? lmean : rmean);
                 sse += d * d;
             }
             if (sse < best_sse) {

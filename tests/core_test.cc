@@ -539,6 +539,22 @@ TEST(PipelineTest, TrainErrorsPopulated)
         EXPECT_GE(e, 0.0);
 }
 
+TEST(PipelineTest, ReadersWaitForTheNpuNetwork)
+{
+    // kmeans' two topologies differ, so its unchecked-NPU network may
+    // still be training on its own thread when the constructor
+    // returns. A pipeline destroyed without reading it joins that
+    // thread; readers wait for it and all see the same network.
+    { Pipeline unread(apps::MakeBenchmark("kmeans"), FastPipeline()); }
+    Pipeline pipe(apps::MakeBenchmark("kmeans"), FastPipeline());
+    npu::Npu accel = pipe.MakeAccelerator(false);
+    EXPECT_TRUE(accel.Configured());
+    ASSERT_NE(pipe.NpuMlp().GetTopology().ToString(),
+              pipe.RumbaMlp().GetTopology().ToString());
+    Pipeline again(apps::MakeBenchmark("kmeans"), FastPipeline());
+    EXPECT_EQ(again.NpuMlp().Serialize(), pipe.NpuMlp().Serialize());
+}
+
 TEST(PipelineTest, SharesNetworkWhenTopologiesEqual)
 {
     // sobel's Rumba and NPU topologies are identical (Table 1): both

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/dataset.h"
 #include "common/random.h"
@@ -90,21 +92,6 @@ TEST(MlpTest, LinearOutputLayer)
     mlp.MutableLayers()[0].Bias(0) = 0.5;
     const auto out = mlp.Forward({1.0, 2.0});
     EXPECT_DOUBLE_EQ(out[0], 3.0 - 2.0 + 0.5);
-}
-
-TEST(MlpTest, TraceMatchesForward)
-{
-    Rng rng(3);
-    Mlp mlp(Topology::Parse("3->5->2"));
-    mlp.RandomizeWeights(&rng);
-    const std::vector<double> in{0.1, 0.7, 0.3};
-    const auto direct = mlp.Forward(in);
-    ForwardTrace trace;
-    mlp.ForwardWithTrace(in.data(), &trace);
-    ASSERT_EQ(trace.activations.size(), 3u);
-    ASSERT_EQ(trace.activations.back().size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i)
-        EXPECT_DOUBLE_EQ(trace.activations.back()[i], direct[i]);
 }
 
 TEST(MlpTest, NumParameters)
@@ -297,10 +284,12 @@ PinnedData(size_t in_w, size_t out_w, size_t n, double noise,
 
 TEST(TrainerTest, WeightsMatchRecordedDigests)
 {
-    // Digests of Serialize() after Train(), recorded from a
-    // known-good build. Train() must keep every floating-point
-    // operation in the order they were recorded with: a changed
-    // digest means the trained weights moved, not just the speed.
+    // Digests of Serialize() after Train(), and the bit patterns of
+    // the reported MSEs, recorded from a known-good build. Train()
+    // must keep every floating-point operation in the order they were
+    // recorded with: a changed digest means the trained weights moved,
+    // and a changed MSE means the epoch sums moved (SearchTopology
+    // ranks candidates by validation_mse), not just the speed.
     struct Case {
         const char* topology;
         Activation hidden, output;
@@ -309,25 +298,31 @@ TEST(TrainerTest, WeightsMatchRecordedDigests)
         uint64_t seed;
         uint64_t digest;
         size_t epochs_run;
+        uint64_t train_mse_bits, validation_mse_bits;
     };
     const Case cases[] = {
         // blackscholes' network shape, all sigmoid.
         {"6->8->8->1", Activation::kSigmoid, Activation::kSigmoid, 0.0,
-         0.15, 12, 25, 7, 0x63c1242564c9c4f9ull, 12},
+         0.15, 12, 25, 7, 0x63c1242564c9c4f9ull, 12,
+         0x3f88b83007ea33ceull, 0x3f8770a256c15a44ull},
         // fft's unchecked-NPU shape with tanh hidden layers and a
         // linear head.
         {"1->4->4->2", Activation::kTanh, Activation::kLinear, 0.0,
-         0.15, 12, 25, 3, 0xf51736c2188f38bfull, 12},
+         0.15, 12, 25, 3, 0xf51736c2188f38bfull, 12,
+         0x3f2ed4adec1664beull, 0x3f312cfe6bad8486ull},
         // The compensator's residual shape: sigmoid hidden, linear head.
         {"3->8->2", Activation::kSigmoid, Activation::kLinear, 0.0, 0.15,
-         12, 25, 5, 0xeacbaa1748da8ce3ull, 12},
+         12, 25, 5, 0xeacbaa1748da8ce3ull, 12,
+         0x3f544576c5e88a70ull, 0x3f5088a828db114dull},
         // Linear hidden layer, no validation split (no restore).
         {"4->5->2", Activation::kLinear, Activation::kTanh, 0.0, 0.0, 10,
-         25, 9, 0x5697c721e695795cull, 10},
+         25, 9, 0x5697c721e695795cull, 10,
+         0x3f4dc9758fdb73a2ull, 0x3f4dc9758fdb73a2ull},
         // Noisy targets and short patience: stops early and restores
         // the best epoch's weights.
         {"2->3->1", Activation::kTanh, Activation::kSigmoid, 0.6, 0.3,
-         200, 4, 11, 0x24612d60156ce615ull, 26},
+         200, 4, 11, 0x24612d60156ce615ull, 26,
+         0x3f9f4d43ee36f96bull, 0x3fa2d4dbfcc4f5b5ull},
     };
     for (const Case& c : cases) {
         const Topology topology = Topology::Parse(c.topology);
@@ -345,6 +340,14 @@ TEST(TrainerTest, WeightsMatchRecordedDigests)
             << c.topology << std::hex << " digest 0x"
             << testutil::Fnv1a64(mlp.Serialize());
         EXPECT_EQ(res.epochs_run, c.epochs_run) << c.topology;
+        EXPECT_EQ(std::bit_cast<uint64_t>(res.train_mse),
+                  c.train_mse_bits)
+            << c.topology << std::hex << " train_mse bits 0x"
+            << std::bit_cast<uint64_t>(res.train_mse);
+        EXPECT_EQ(std::bit_cast<uint64_t>(res.validation_mse),
+                  c.validation_mse_bits)
+            << c.topology << std::hex << " validation_mse bits 0x"
+            << std::bit_cast<uint64_t>(res.validation_mse);
     }
 }
 

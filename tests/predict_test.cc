@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "digest.h"
 #include "predict/ema.h"
 #include "predict/evp.h"
 #include "predict/linear.h"
@@ -207,6 +209,53 @@ TEST(TreePredictorTest, BeatsLinearOnStep)
         linear_sse += std::pow(linear.PredictError(x, {}) - y, 2);
     }
     EXPECT_LT(tree_sse, linear_sse * 0.5);
+}
+
+TEST(TreePredictorTest, TieHeavyTreesMatchRecordedDigests)
+{
+    // Serialize() after Train(), recorded from a known-good build,
+    // over data that stresses the split search's tie handling: a
+    // binary feature (like blackscholes' option type), a feature on
+    // eight levels so most quantile positions land on repeated
+    // values, a continuous one, a copy of the eight-level feature (its
+    // candidates score exactly as the original's, so the first
+    // feature must keep winning), and targets quantized to 1/64 so
+    // many samples share a target. Nodes grow down to
+    // min_leaf_samples. A changed digest means a split or a leaf
+    // value moved.
+    Rng rng(43);
+    Dataset d(4, 1);
+    for (int i = 0; i < 600; ++i) {
+        const double type = rng.Uniform() < 0.3 ? 1.0 : 0.0;
+        const double level = std::floor(rng.Uniform() * 8.0) / 8.0;
+        const double x = rng.Uniform();
+        const double y = 0.2 * type + 0.5 * level * level +
+                         0.1 * std::sin(9.0 * x) + 0.05 * rng.Uniform();
+        d.Add({type, level, x, level}, {std::round(y * 64.0) / 64.0});
+    }
+    struct Case {
+        size_t max_depth, min_leaf_samples, candidate_quantiles;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        // The defaults.
+        {7, 8, 16, 0x097bebb2b2aaf305ull},
+        // A quantile count that does not divide the node sizes.
+        {5, 24, 10, 0x652b8895c8c425b3ull},
+    };
+    for (const Case& c : cases) {
+        TreeErrorPredictor::Options opt;
+        opt.max_depth = c.max_depth;
+        opt.min_leaf_samples = c.min_leaf_samples;
+        opt.candidate_quantiles = c.candidate_quantiles;
+        TreeErrorPredictor p(opt);
+        p.Train(d);
+        const std::string blob = p.Serialize();
+        EXPECT_EQ(testutil::Fnv1a64(blob), c.digest)
+            << "min_leaf " << c.min_leaf_samples << ", " << p.NumNodes()
+            << " nodes" << std::hex << ", digest 0x"
+            << testutil::Fnv1a64(blob);
+    }
 }
 
 // ------------------------------------------------------------------ EMA

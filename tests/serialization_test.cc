@@ -282,6 +282,38 @@ TEST(ArtifactTest, TrainedArtifactsMatchRecordedDigests)
         << std::hex << "fft digest 0x" << testutil::Fnv1a64(compensated);
 }
 
+TEST(ArtifactTest, ServedArtifactsMatchRecordedDigests)
+{
+    // The artifacts servebench deploys: default PipelineConfig (full
+    // training sets, 120 epochs), tree checker, TOQ mode at a 10%
+    // target; blackscholes without compensation, fft with it.
+    // Recorded from a known-good build like the test above, at the
+    // networks' full size.
+    if (fault::FaultInjector::Default().Armed())
+        GTEST_SKIP() << "a fault plan armed from RUMBA_FAULT_PLAN "
+                        "changes what the offline flow trains";
+    const auto served_config = [](bool compensation) {
+        return core::RuntimeConfig::Builder()
+            .WithChecker(core::Scheme::kTree)
+            .WithTunerMode(core::TuningMode::kToq)
+            .WithTargetErrorPct(10.0)
+            .WithCompensation(compensation)
+            .Build();
+    };
+    core::RumbaRuntime blackscholes(apps::MakeBenchmark("blackscholes"),
+                                    served_config(false));
+    const std::string plain = blackscholes.ExportArtifact().ToString();
+    EXPECT_EQ(testutil::Fnv1a64(plain), 0x4b63645fc3017bc6ull)
+        << std::hex << "blackscholes digest 0x"
+        << testutil::Fnv1a64(plain);
+
+    core::RumbaRuntime fft(apps::MakeBenchmark("fft"),
+                           served_config(true));
+    const std::string compensated = fft.ExportArtifact().ToString();
+    EXPECT_EQ(testutil::Fnv1a64(compensated), 0x4b66de39e6c92f5bull)
+        << std::hex << "fft digest 0x" << testutil::Fnv1a64(compensated);
+}
+
 TEST(ArtifactTest, DeployedRuntimeMatchesTrainedRuntime)
 {
     core::RumbaRuntime trained(apps::MakeBenchmark("inversek2j"),
