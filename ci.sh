@@ -190,6 +190,20 @@ awk 'match($0, /"joins":[0-9]+/) \
      END { exit !f }' "$incident_dir"/incident-*.json
 grep -q '"trace_id"' "$incident_dir"/incident-*.json
 
+echo "==> threshold-convergence stream (RUMBA_STREAM_OUT)"
+# The stream is a sink of the registry sampler's tick: deploy alone,
+# sampled at the live gate's 25 ms period, must record the online
+# tuner moving the threshold (>= 2 distinct values) while it serves.
+rm -f build/deploy_stream.jsonl
+RUMBA_STREAM_OUT=build/deploy_stream.jsonl RUMBA_TSDB_PERIOD_MS=25 \
+    ./build/examples/deploy > build/deploy_stream.log 2>&1
+./build/tools/rumba-stat summary build/deploy_stream.jsonl \
+    > build/deploy_stream.summary
+awk '/^threshold trajectory:/ { if ($5 + 0 >= 2) f = 1 }
+     END { exit !f }' build/deploy_stream.summary
+awk '$1 == "counter" && $2 == "runtime.invocations" \
+     { if ($3 + 0 > 0) f = 1 } END { exit !f }' build/deploy_stream.summary
+
 echo "==> overload scenario matrix (open-loop chaos + admission gate)"
 # Drives the serving engine with the open-loop load generator across
 # arrival shapes x fault plans x admission policies and asserts the
@@ -229,11 +243,12 @@ if [[ "${1:-}" != "--skip-sanitize" ]]; then
     # drain / shutdown across two client threads.
     ./build-sanitize/bench/serve_throughput --smoke > /dev/null
 
-    # TSan: the threaded paths — snapshot streamer, span collector,
-    # the two-thread recovery replay, the queue/breaker paths the
-    # fault suite drives, the sharded serving engine, the background
-    # ground-truth audit pool, the sampling profiler racing engine
-    # shutdown, the forensics tsdb sampler racing the same, and the
+    # TSan: the threaded paths — span collector, the two-thread
+    # recovery replay, the queue/breaker paths the fault suite drives,
+    # the sharded serving engine, the background ground-truth audit
+    # pool, the sampling profiler racing engine shutdown, the one
+    # registry sampler (tsdb, forensics and stream sink) racing the
+    # same and shared with a streaming runtime, and the
     # offline flow's trainer threads (the training constructor in
     # serialization_test and fault_test; core_test's kmeans Pipeline
     # tests read the unchecked-NPU network right after construction)

@@ -11,9 +11,9 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/stream.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "obs/tsdb.h"
 
 namespace rumba::core {
 
@@ -87,7 +87,7 @@ RumbaRuntime::RumbaRuntime(std::unique_ptr<apps::Benchmark> bench,
     // Wait for the unchecked-NPU network as well: a constructed
     // runtime leaves no training thread behind it.
     (void)pipeline_.NpuMlp();
-    obs::SnapshotStreamer::AcquireFromEnv();
+    stream_ref_ = obs::TsdbSampler::AcquireForStream();
 }
 
 RumbaRuntime::RumbaRuntime(const Artifact& artifact,
@@ -116,7 +116,7 @@ RumbaRuntime::RumbaRuntime(const Artifact& artifact,
             Fatal("%s", compensator.status().ToString().c_str());
         InstallCompensator(*std::move(compensator));
     }
-    obs::SnapshotStreamer::AcquireFromEnv();
+    stream_ref_ = obs::TsdbSampler::AcquireForStream();
 }
 
 void
@@ -161,7 +161,8 @@ RumbaRuntime::InstallCompensator(predict::Compensator compensator)
 
 RumbaRuntime::~RumbaRuntime()
 {
-    obs::SnapshotStreamer::Release();
+    if (stream_ref_)
+        obs::TsdbSampler::Release();
 }
 
 Artifact
@@ -792,27 +793,6 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
     event.breaker_state =
         static_cast<uint32_t>(report.breaker_state);
     obs::TraceRing::Default().Record(event);
-    return report;
-}
-
-InvocationReport
-RumbaRuntime::ProcessInvocation(
-    const std::vector<std::vector<double>>& raw_inputs,
-    std::vector<std::vector<double>>* outputs)
-{
-    RUMBA_CHECK(outputs != nullptr);
-    const std::vector<double> flat = FlattenBatch(raw_inputs);
-    const size_t in_w = pipeline_.Bench().NumInputs();
-    const size_t out_w = pipeline_.Bench().NumOutputs();
-    std::vector<double> flat_out(raw_inputs.size() * out_w, 0.0);
-    const InvocationReport report = ProcessInvocation(
-        BatchView(flat, in_w), flat_out.data());
-    outputs->assign(raw_inputs.size(), {});
-    for (size_t i = 0; i < raw_inputs.size(); ++i) {
-        (*outputs)[i].assign(
-            flat_out.begin() + static_cast<ptrdiff_t>(i * out_w),
-            flat_out.begin() + static_cast<ptrdiff_t>((i + 1) * out_w));
-    }
     return report;
 }
 

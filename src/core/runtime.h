@@ -436,8 +436,12 @@ class RumbaRuntime {
     static Result<std::unique_ptr<RumbaRuntime>> FromArtifact(
         const struct Artifact& artifact, const RuntimeConfig& config);
 
-    /** Releases the env-configured snapshot streamer (obs/stream.h). */
+    /** Releases the registry-sampler ref the constructor took when
+     *  RUMBA_STREAM_OUT is set (obs/tsdb.h). */
     ~RumbaRuntime();
+
+    RumbaRuntime(const RumbaRuntime&) = delete;
+    RumbaRuntime& operator=(const RumbaRuntime&) = delete;
 
     /**
      * Export this runtime's trained configuration (networks,
@@ -462,21 +466,6 @@ class RumbaRuntime {
         const BatchView& raw_inputs, double* outputs,
         AuditCapture* capture = nullptr,
         DegradeMode degrade = DegradeMode::kNone);
-
-    /**
-     * Legacy batch form: packs the ragged rows into the contiguous
-     * layout and forwards to the BatchView overload (thin adapter —
-     * identical results, extra copies). Deprecated: new callers
-     * should flatten once (core::FlattenBatch) and use the BatchView
-     * overload, which is allocation-free in steady state and exposes
-     * capture/degrade.
-     */
-    [[deprecated(
-        "use the BatchView overload; this adapter copies every batch "
-        "and hides the capture/degrade parameters")]]
-    InvocationReport ProcessInvocation(
-        const std::vector<std::vector<double>>& raw_inputs,
-        std::vector<std::vector<double>>* outputs);
 
     /** The detection threshold the next invocation will use. */
     double Threshold() const { return tuner_.Threshold(); }
@@ -576,6 +565,9 @@ class RumbaRuntime {
     RunSummary summary_;
     DriftMonitor drift_;
     CircuitBreaker breaker_;
+    /** True when construction took a TsdbSampler ref for
+     *  RUMBA_STREAM_OUT, so the stream covers this runtime's life. */
+    bool stream_ref_ = false;
     /** Process-wide telemetry (obs/): per-invocation counters, hot-path
      *  latency histograms, and the invocation trace ring feed. */
     obs::Counter* obs_invocations_;

@@ -18,7 +18,6 @@
 #include "obs/profiler.h"
 #include "obs/reqtrace.h"
 #include "obs/span.h"
-#include "obs/stream.h"
 #include "obs/tsdb.h"
 
 #ifndef RUMBA_BUILD_TYPE
@@ -139,8 +138,7 @@ BuildInfoJson()
         "RUMBA_METRICS_OUT",      "RUMBA_METRICS_PORT",
         "RUMBA_OBS_LINGER_MS",    "RUMBA_PROFILE_HZ",
         "RUMBA_PROFILE_OUT",      "RUMBA_REQTRACE_OUT",
-        "RUMBA_SCENARIO_OUT",     "RUMBA_STREAM_CHANGED_ONLY",
-        "RUMBA_STREAM_OUT",       "RUMBA_STREAM_PERIOD_MS",
+        "RUMBA_SCENARIO_OUT",     "RUMBA_STREAM_OUT",
         "RUMBA_TRACE_OUT",        "RUMBA_TRACE_RING_CAPACITY",
         "RUMBA_TSDB_PERIOD_MS",
     };
@@ -333,8 +331,8 @@ std::atomic<size_t> g_flush_hook_count{0};
 /**
  * Rewrite every configured JSONL sink with the current state. Shared
  * by the orderly at-exit hook and the signal path; does not join the
- * streamer thread (unsafe from a handler) — callers that can, stop it
- * first.
+ * sampler threads (unsafe from a handler) — callers that can, stop
+ * them first.
  */
 void
 FlushFilesBestEffort()
@@ -356,15 +354,15 @@ FlushFilesBestEffort()
 void
 ExportAtExit()
 {
-    // Stop the sampler first so its final sample lands before the
-    // registry is frozen into the metrics/trace dumps. Runs even if
-    // a signal flush already fired: the exporters are idempotent
-    // rewrites, and the at-exit state is strictly fresher. The
-    // profiling sampler gets the same treatment so RUMBA_PROFILE_OUT
-    // is written even when an engine never released its ref.
-    SnapshotStreamer::Default().Stop();
-    SamplingProfiler::StopEnv();
+    // Stop the registry sampler first so its final sample (and
+    // RUMBA_STREAM_OUT line) lands before the registry is frozen into
+    // the metrics/trace dumps. Runs even if a signal flush already
+    // fired: the exporters are idempotent rewrites, and the at-exit
+    // state is strictly fresher. The profiling sampler gets the same
+    // treatment so RUMBA_PROFILE_OUT is written even when an engine
+    // never released its ref.
     TsdbSampler::StopEnv();
+    SamplingProfiler::StopEnv();
     FlushFilesBestEffort();
 }
 
@@ -456,7 +454,6 @@ InstallAtExitExport()
         // instruments).
         TraceRing::Default();
         SpanCollector::Default();
-        SnapshotStreamer::Default();
         RequestTraceCollector::Default();
         std::atexit(ExportAtExit);
         if (AnySinkConfigured())

@@ -10,8 +10,8 @@
  * Registry::Default()), so every bench and example emits telemetry
  * without code changes; the extension picks the format (.csv writes
  * CSV, anything else JSONL). The same at-exit hook flushes the
- * RUMBA_TRACE_OUT span trace (obs/span.h) and stops the
- * RUMBA_STREAM_OUT sampler (obs/stream.h).
+ * RUMBA_TRACE_OUT span trace (obs/span.h) and stops the registry
+ * sampler that writes the RUMBA_STREAM_OUT stream (obs/tsdb.h).
  *
  * Every file export opens with a run-metadata header — schema
  * version, ISO-8601 wall time, hostname, build type, sanitizer flags,
@@ -113,7 +113,8 @@ std::string BuildInfoJson();
 
 /**
  * Arm the at-exit telemetry flush (once per process): stop the
- * RUMBA_STREAM_OUT sampler, then export RUMBA_METRICS_OUT,
+ * registry sampler (its final RUMBA_STREAM_OUT line included) and the
+ * profiling sampler, then export RUMBA_METRICS_OUT,
  * RUMBA_TRACE_OUT, RUMBA_REQTRACE_OUT and RUMBA_AUDIT_OUT. Called
  * automatically by Registry::Default(). When any of those sinks is
  * configured this also arms the best-effort SIGINT/SIGTERM flush

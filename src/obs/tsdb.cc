@@ -11,6 +11,7 @@
 #include "obs/incident.h"
 #include "obs/span.h"
 #include "obs/timer.h"
+#include "obs/trace.h"
 
 namespace rumba::obs {
 
@@ -304,9 +305,9 @@ TimeSeriesStore::DumpBestEffort(const std::string& path) const
 TimeSeriesStore&
 TimeSeriesStore::Default()
 {
-    // Leaked on purpose, like the stream sampler: the at-exit hook
-    // stops the feeding sampler before static destruction, and
-    // leaking sidesteps teardown races with late appends.
+    // Leaked on purpose: the at-exit hook stops the feeding sampler
+    // before static destruction, and leaking sidesteps teardown races
+    // with late appends.
     static TimeSeriesStore* store = new TimeSeriesStore();
     return *store;
 }
@@ -321,7 +322,7 @@ TsdbSampler::~TsdbSampler()
 }
 
 bool
-TsdbSampler::Start(int period_ms)
+TsdbSampler::Start(int period_ms, const std::string& stream_path)
 {
     std::unique_lock<std::mutex> lock(mu_);
     if (running_)
@@ -329,6 +330,21 @@ TsdbSampler::Start(int period_ms)
     period_ms_ = std::clamp(period_ms, kMinTsdbPeriodMs,
                             kMaxTsdbPeriodMs);
     samples_ = 0;
+    if (!stream_path.empty()) {
+        stream_ = std::fopen(stream_path.c_str(), "w");
+        if (stream_ == nullptr) {
+            Warn("tsdb: could not open stream %s; sampling without it",
+                 stream_path.c_str());
+        } else {
+            // Header first, before the thread exists: no concurrent
+            // writers.
+            const std::string meta = MetadataJsonLine() + "\n";
+            std::fwrite(meta.data(), 1, meta.size(), stream_);
+            std::fflush(stream_);
+        }
+    }
+    prev_counters_.clear();
+    prev_dcounters_.clear();
     stop_requested_ = false;
     running_ = true;
     thread_ = std::thread(&TsdbSampler::Loop, this);
@@ -347,6 +363,10 @@ TsdbSampler::Stop()
     cv_.notify_all();
     thread_.join();  // the loop takes its final sample before exiting.
     std::lock_guard<std::mutex> lock(mu_);
+    if (stream_ != nullptr) {
+        std::fclose(stream_);
+        stream_ = nullptr;
+    }
     running_ = false;
 }
 
@@ -400,6 +420,8 @@ TsdbSampler::SampleOnce()
     // deltas and finalizes due incidents.
     AnomalySet::Default().Observe(snapshot, t_ms, now_ns);
     IncidentManager::Default().ObserveSnapshot(snapshot, t_ms);
+    if (stream_ != nullptr)
+        WriteStreamSample(snapshot, t_ms);
     const TsdbStats stats = store.Stats();
     Registry::Default().GetGauge("tsdb.series")->Set(
         static_cast<double>(stats.series));
@@ -407,6 +429,73 @@ TsdbSampler::SampleOnce()
         static_cast<double>(stats.points));
     Registry::Default().GetGauge("tsdb.dropped_series")->Set(
         static_cast<double>(stats.dropped_series));
+}
+
+void
+TsdbSampler::WriteStreamSample(const RegistrySnapshot& snapshot,
+                               double t_ms)
+{
+    std::string line = "{\"type\":\"sample\",\"t_ms\":" + JsonNum(t_ms);
+
+    line += ",\"counters\":{";
+    bool first = true;
+    for (const CounterSnapshot& c : snapshot.counters) {
+        uint64_t& prev = prev_counters_[c.name];
+        if (!first)
+            line += ",";
+        first = false;
+        line += JsonQuote(c.name) + ":" +
+                std::to_string(c.value - std::min(prev, c.value));
+        prev = c.value;
+    }
+    for (const DoubleCounterSnapshot& c : snapshot.dcounters) {
+        double& prev = prev_dcounters_[c.name];
+        if (!first)
+            line += ",";
+        first = false;
+        line += JsonQuote(c.name) + ":" +
+                JsonNum(std::max(0.0, c.value - prev));
+        prev = c.value;
+    }
+    line += "},\"gauges\":{";
+    first = true;
+    for (const GaugeSnapshot& g : snapshot.gauges) {
+        if (!first)
+            line += ",";
+        first = false;
+        line += JsonQuote(g.name) + ":" + JsonNum(g.value);
+    }
+    line += "}";
+
+    TraceEvent latest;
+    if (TraceRing::Default().Latest(&latest)) {
+        const double fire_rate =
+            latest.elements == 0
+                ? 0.0
+                : static_cast<double>(latest.fires) /
+                      static_cast<double>(latest.elements);
+        line += ",\"trace\":{\"invocation\":" +
+                std::to_string(latest.invocation) +
+                ",\"threshold\":" + JsonNum(latest.threshold) +
+                ",\"fire_rate\":" + JsonNum(fire_rate) +
+                ",\"queue_full_stalls\":" +
+                std::to_string(latest.queue_full_stalls) +
+                ",\"queue_drops\":" +
+                std::to_string(latest.queue_drops) +
+                ",\"non_finite\":" + std::to_string(latest.non_finite) +
+                ",\"output_error_pct\":" +
+                JsonNum(latest.output_error_pct) +
+                ",\"estimated_error_pct\":" +
+                JsonNum(latest.estimated_error_pct) +
+                ",\"drift\":" + (latest.drift ? "true" : "false") +
+                ",\"breaker_state\":" +
+                std::to_string(latest.breaker_state) + "}";
+    }
+    line += "}\n";
+    // One whole line per fwrite + flush: a reader (or a crash) never
+    // sees a torn record.
+    std::fwrite(line.data(), 1, line.size(), stream_);
+    std::fflush(stream_);
 }
 
 TsdbSampler&
@@ -449,9 +538,23 @@ TsdbSampler::Acquire()
     if (period <= 0)
         return;  // explicitly disabled; refcount still tracks.
     RegisterFlushHook(&ForensicsFlushHook);
-    refcount_started = Default().Start(period);
+    const char* stream = std::getenv("RUMBA_STREAM_OUT");
+    const std::string stream_path = stream == nullptr ? "" : stream;
+    refcount_started = Default().Start(period, stream_path);
     if (refcount_started)
-        Debug("tsdb: sampling the registry every %d ms", period);
+        Debug("tsdb: sampling the registry every %d ms (stream: %s)",
+              period,
+              stream_path.empty() ? "off" : stream_path.c_str());
+}
+
+bool
+TsdbSampler::AcquireForStream()
+{
+    const char* stream = std::getenv("RUMBA_STREAM_OUT");
+    if (stream == nullptr || stream[0] == '\0')
+        return false;
+    Acquire();
+    return true;
 }
 
 void

@@ -3,24 +3,33 @@
 
 /**
  * @file
- * Embedded metrics time-series store: the retention layer the
- * incident-forensics subsystem (obs/anomaly.h, obs/incident.h) reads
- * from. A refcounted background sampler (same lifecycle pattern as
- * the stream sampler, obs/stream.h) snapshots every registered
- * counter, gauge, and histogram quantile into fixed-capacity
- * per-series rings with bounded total memory, and a query API serves
- * raw range reads, rate() over counters, and quantile-over-time,
- * selectable by name prefix. `/tsdbz` on the scrape server
- * (obs/http_exporter.h) exposes the same queries over HTTP.
+ * Embedded metrics time-series store and the process's one registry
+ * sampler. A refcounted background sampler snapshots every
+ * registered counter, gauge, and histogram quantile into
+ * fixed-capacity per-series rings with bounded total memory, and a
+ * query API serves raw range reads, rate() over counters, and
+ * quantile-over-time, selectable by name prefix. `/tsdbz` on the
+ * scrape server (obs/http_exporter.h) exposes the same queries over
+ * HTTP, and the incident-forensics subsystem (obs/anomaly.h,
+ * obs/incident.h) reads from the store on the same tick.
+ *
+ * The same tick is the live metric stream: when RUMBA_STREAM_OUT
+ * names a file, each sample is also appended there as one JSONL line
+ * (counter deltas, gauges, the latest invocation TraceEvent), so a
+ * run's tuner-convergence curve (paper Fig. 16's TOQ trajectory)
+ * falls out of any binary:
+ *
+ *   RUMBA_STREAM_OUT=stream.jsonl RUMBA_TSDB_PERIOD_MS=25 ./deploy
  *
  * Timestamps are milliseconds since the store's construction (the
- * process-lifetime steady clock), matching the stream sampler's
- * `t_ms` convention.
+ * process-lifetime steady clock), in the store and the stream alike.
  */
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -191,14 +200,13 @@ class TimeSeriesStore {
 };
 
 /**
- * Background registry sampler feeding TimeSeriesStore::Default(),
- * with the same start/stop/refcount lifecycle as the stream sampler:
- * the engine (and anything else holding telemetry open) calls
+ * Background registry sampler feeding TimeSeriesStore::Default(): the
+ * engine (and a runtime while RUMBA_STREAM_OUT is set) calls
  * Acquire()/Release(); the first acquirer starts the thread and the
- * last release stops it. Each tick also drives the anomaly detectors
- * (obs/anomaly.h) and the incident manager's fault-delta scan + poll
- * (obs/incident.h), so the whole forensics pipeline shares one
- * thread.
+ * last release stops it. Each tick takes one registry snapshot and
+ * hands it to every consumer: the store, the anomaly detectors
+ * (obs/anomaly.h), the incident manager's fault-delta scan + poll
+ * (obs/incident.h), and the JSONL stream sink when one is open.
  */
 class TsdbSampler {
   public:
@@ -208,10 +216,18 @@ class TsdbSampler {
     TsdbSampler(const TsdbSampler&) = delete;
     TsdbSampler& operator=(const TsdbSampler&) = delete;
 
-    /** Start sampling every @p period_ms; false if already running. */
-    bool Start(int period_ms);
+    /**
+     * Start sampling every @p period_ms; false if already running.
+     * An empty @p stream_path streams nothing; otherwise the file is
+     * truncated and gets the run-metadata header of obs/export.h,
+     * then one {"type":"sample",...} line per tick (final tick
+     * included). A path that cannot be opened warns and the sampler
+     * ticks without a stream.
+     */
+    bool Start(int period_ms, const std::string& stream_path);
 
-    /** Stop and join (a final sample is taken first). */
+    /** Stop and join (a final sample is taken first); closes the
+     *  stream. Idempotent. */
     void Stop();
 
     bool Running() const;
@@ -222,9 +238,16 @@ class TsdbSampler {
     /**
      * Refcounted start: the first acquirer starts Default() every
      * RUMBA_TSDB_PERIOD_MS (kDefaultTsdbPeriodMs when unset; 0 keeps
-     * the sampler off entirely).
+     * the sampler, and so the stream, off entirely), streaming to
+     * RUMBA_STREAM_OUT when that names a file.
      */
     static void Acquire();
+
+    /**
+     * Acquire() only when RUMBA_STREAM_OUT names a file; returns
+     * whether a ref was taken (the caller owes one Release()).
+     */
+    static bool AcquireForStream();
 
     /** Refcounted stop: the last release stops Default(). */
     static void Release();
@@ -238,6 +261,10 @@ class TsdbSampler {
     void Loop();
     void SampleOnce();
 
+    /** Append one stream line for @p snapshot (sampler thread only). */
+    void WriteStreamSample(const RegistrySnapshot& snapshot,
+                           double t_ms);
+
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::thread thread_;
@@ -245,6 +272,13 @@ class TsdbSampler {
     bool stop_requested_ = false;
     int period_ms_ = kDefaultTsdbPeriodMs;
     uint64_t samples_ = 0;
+    /** Stream sink and the previous line's cumulative counter values
+     *  (deltas are against them). Set up in Start() before the
+     *  thread exists and torn down in Stop() after it joins, so only
+     *  the sampler thread touches them in between. */
+    std::FILE* stream_ = nullptr;
+    std::map<std::string, uint64_t> prev_counters_;
+    std::map<std::string, double> prev_dcounters_;
 };
 
 /**

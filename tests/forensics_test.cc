@@ -4,14 +4,17 @@
 // count-based hysteresis (obs/anomaly.h), probe plumbing from registry
 // snapshots, incident correlation semantics (obs/incident.h: distinct
 // sources open, same source does not, the rate limiter suppresses),
-// and an engine-level race of the tsdb sampler against
-// ShardedEngine::Shutdown (exercised under TSan in ci.sh).
+// an engine-level race of the tsdb sampler against
+// ShardedEngine::Shutdown (exercised under TSan in ci.sh), and who
+// holds that one sampler: a runtime only while RUMBA_STREAM_OUT is
+// set, sharing the ticks (and the stream) with a forensics engine.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <string>
 #include <vector>
@@ -396,6 +399,72 @@ TEST(ForensicsEngineTest, ShutdownRacesTsdbSamplerCleanly)
     }
     // The last Release() stopped the refcounted sampler.
     EXPECT_FALSE(obs::TsdbSampler::Default().Running());
+}
+
+TEST(ForensicsEngineTest, RuntimeWithoutStreamStartsNoSampler)
+{
+    ::unsetenv("RUMBA_STREAM_OUT");
+    auto runtime = core::RumbaRuntime::FromArtifact(
+        SharedArtifact(), ServeRuntimeConfig());
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    EXPECT_FALSE(obs::TsdbSampler::Default().Running());
+}
+
+TEST(ForensicsEngineTest, StreamingRuntimeAndEngineShareOneSampler)
+{
+    const core::Artifact& artifact = SharedArtifact();
+    const std::string path =
+        ::testing::TempDir() + "forensics_stream.jsonl";
+    ::setenv("RUMBA_STREAM_OUT", path.c_str(), 1);
+    ::setenv("RUMBA_TSDB_PERIOD_MS", "2", 1);
+    {
+        auto runtime = core::RumbaRuntime::FromArtifact(
+            artifact, ServeRuntimeConfig());
+        ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+        EXPECT_TRUE(obs::TsdbSampler::Default().Running());
+
+        serve::ServeConfig config;
+        config.shards = 2;
+        auto engine = serve::ShardedEngine::Create(
+            artifact, ServeRuntimeConfig(), config);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        const auto bench = apps::MakeBenchmark("inversek2j");
+        const std::vector<double> flat =
+            core::FlattenBatch(bench->TestInputs());
+        for (size_t r = 0; r < 4; ++r) {
+            serve::InvocationRequest request;
+            request.width = bench->NumInputs();
+            request.count = 8;
+            request.inputs.assign(
+                flat.begin(),
+                flat.begin() +
+                    static_cast<ptrdiff_t>(8 * request.width));
+            EXPECT_TRUE(
+                (*engine)->Submit(std::move(request)).get().status.ok());
+        }
+        (*engine)->Shutdown();
+        // The engine's release leaves the runtime's ref holding it.
+        EXPECT_TRUE(obs::TsdbSampler::Default().Running());
+    }
+    ::unsetenv("RUMBA_STREAM_OUT");
+    ::unsetenv("RUMBA_TSDB_PERIOD_MS");
+    EXPECT_FALSE(obs::TsdbSampler::Default().Running());
+    const uint64_t ticks = obs::TsdbSampler::Default().Samples();
+
+    // One file, one header, and exactly one sample line per tick.
+    std::ifstream in(path);
+    std::string line;
+    size_t metas = 0, samples = 0;
+    while (std::getline(in, line)) {
+        if (line.find("\"type\":\"meta\"") != std::string::npos)
+            ++metas;
+        if (line.find("\"type\":\"sample\"") != std::string::npos)
+            ++samples;
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(metas, 1u);
+    EXPECT_GE(ticks, 1u);
+    EXPECT_EQ(samples, ticks);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the telemetry subsystem (src/obs): counter / gauge /
 // histogram semantics, quantile accuracy on known distributions,
-// trace-ring wraparound, snapshot idempotence, and exporter
-// round-trips.
+// trace-ring wraparound, snapshot idempotence, exporter round-trips,
+// and the registry sampler's RUMBA_STREAM_OUT sink.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,9 @@
 #include "obs/reqtrace.h"
 #include "obs/slo.h"
 #include "obs/span.h"
-#include "obs/stream.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "obs/tsdb.h"
 
 namespace rumba::obs {
 namespace {
@@ -415,16 +415,6 @@ TEST(ParseTraceRingCapacityTest, DefaultsAndClamps)
               TraceRing::kMaxRingCapacity);
 }
 
-TEST(ParseStreamPeriodMsTest, DefaultsAndClamps)
-{
-    EXPECT_EQ(ParseStreamPeriodMs(nullptr), kDefaultStreamPeriodMs);
-    EXPECT_EQ(ParseStreamPeriodMs(""), kDefaultStreamPeriodMs);
-    EXPECT_EQ(ParseStreamPeriodMs("junk"), kDefaultStreamPeriodMs);
-    EXPECT_EQ(ParseStreamPeriodMs("250"), 250);
-    EXPECT_EQ(ParseStreamPeriodMs("0"), kMinStreamPeriodMs);
-    EXPECT_EQ(ParseStreamPeriodMs("9999999"), kMaxStreamPeriodMs);
-}
-
 // ------------------------------------------------------- Run metadata
 
 TEST(RunMetadataTest, LineCarriesVersionedIdentity)
@@ -653,20 +643,33 @@ TEST(ChromeTraceTest, EmptyDumpIsStillAValidDocument)
     EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
-// ------------------------------------------------------------ Streamer
+// ------------------------------------------------------- Stream sink
 
-TEST(SnapshotStreamerTest, WritesHeaderThenWholeLineSamples)
+/** The "type":"sample" lines of a stream file, in order. */
+std::vector<std::string>
+SampleLines(const std::string& path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        if (line.find("\"type\":\"sample\"") != std::string::npos)
+            lines.push_back(line);
+    return lines;
+}
+
+TEST(TsdbStreamTest, WritesHeaderThenWholeLineSamples)
 {
     Registry::Default().GetCounter("stream_test.marker")->Increment(5);
     const std::string path = ::testing::TempDir() + "obs_stream.jsonl";
-    SnapshotStreamer streamer;
-    ASSERT_TRUE(streamer.Start(path, 1));
-    EXPECT_TRUE(streamer.Running());
-    EXPECT_FALSE(streamer.Start(path, 1));  // refuses a double start.
+    TsdbSampler sampler;
+    ASSERT_TRUE(sampler.Start(1, path));
+    EXPECT_TRUE(sampler.Running());
+    EXPECT_FALSE(sampler.Start(1, path));  // refuses a double start.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    streamer.Stop();
-    EXPECT_FALSE(streamer.Running());
-    EXPECT_GE(streamer.Samples(), 1u);  // final sample at minimum.
+    sampler.Stop();
+    EXPECT_FALSE(sampler.Running());
+    EXPECT_GE(sampler.Samples(), 1u);  // final sample at minimum.
 
     std::ifstream in(path);
     std::string line;
@@ -690,31 +693,100 @@ TEST(SnapshotStreamerTest, WritesHeaderThenWholeLineSamples)
         }
     }
     std::remove(path.c_str());
-    EXPECT_EQ(samples, streamer.Samples());
+    // One line per tick: the stream is the sampler's tick, not a
+    // second clock.
+    EXPECT_EQ(samples, sampler.Samples());
 }
 
-TEST(SnapshotStreamerTest, StopIsIdempotentAndStartReusable)
+TEST(TsdbStreamTest, CounterDeltasAddUpToTheIncrease)
+{
+    const std::string name = "stream_test.delta_sum";
+    Counter* counter = Registry::Default().GetCounter(name);
+    counter->Increment(3);  // before the stream: lands in line one.
+    const std::string path = ::testing::TempDir() + "obs_deltas.jsonl";
+    TsdbSampler sampler;
+    ASSERT_TRUE(sampler.Start(1, path));
+    for (int i = 0; i < 20; ++i) {
+        counter->Increment(static_cast<uint64_t>(i));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    sampler.Stop();  // the final sample sees the last increment.
+
+    const std::string key = "\"" + name + "\":";
+    uint64_t sum = 0;
+    const std::vector<std::string> lines = SampleLines(path);
+    for (const std::string& line : lines) {
+        const size_t at = line.find(key);
+        ASSERT_NE(at, std::string::npos);
+        sum += std::stoull(line.substr(at + key.size()));
+    }
+    std::remove(path.c_str());
+    EXPECT_GE(lines.size(), 2u);
+    // Deltas count from zero, so over the run they sum to the
+    // counter's whole increase (the pre-stream 3 included).
+    EXPECT_EQ(sum, counter->Value());
+}
+
+TEST(TsdbStreamTest, RepeatsGaugesEverySample)
+{
+    const std::string gauge_name = "stream_test.always_on";
+    Registry::Default().GetGauge(gauge_name)->Set(3.75);
+    const std::string path = ::testing::TempDir() + "obs_gauges.jsonl";
+    TsdbSampler sampler;
+    ASSERT_TRUE(sampler.Start(1, path));
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    sampler.Stop();
+
+    // A stable gauge still appears in every sample line.
+    const std::vector<std::string> lines = SampleLines(path);
+    std::remove(path.c_str());
+    EXPECT_GE(lines.size(), 2u);
+    for (const std::string& line : lines)
+        EXPECT_NE(line.find("\"" + gauge_name + "\":3.75"),
+                  std::string::npos);
+}
+
+TEST(TsdbStreamTest, StopIsIdempotentAndStartReusable)
 {
     const std::string path = ::testing::TempDir() + "obs_stream2.jsonl";
-    SnapshotStreamer streamer;
-    streamer.Stop();  // never started: no-op.
-    ASSERT_TRUE(streamer.Start(path, 1));
-    streamer.Stop();
-    streamer.Stop();  // second stop: no-op.
-    const uint64_t first_run = streamer.Samples();
+    TsdbSampler sampler;
+    sampler.Stop();  // never started: no-op.
+    ASSERT_TRUE(sampler.Start(1, path));
+    sampler.Stop();
+    sampler.Stop();  // second stop: no-op.
+    const uint64_t first_run = sampler.Samples();
     EXPECT_GE(first_run, 1u);
-    // The same object can stream again after a stop.
-    ASSERT_TRUE(streamer.Start(path, 1));
-    EXPECT_TRUE(streamer.Running());
-    streamer.Stop();
+    // The same object can stream again after a stop, into a fresh
+    // file: the restart truncates and rewrites the header.
+    ASSERT_TRUE(sampler.Start(1, path));
+    EXPECT_TRUE(sampler.Running());
+    sampler.Stop();
+    EXPECT_EQ(SampleLines(path).size(), sampler.Samples());
     std::remove(path.c_str());
 }
 
-TEST(SnapshotStreamerTest, StartFailsOnUnwritablePath)
+TEST(TsdbStreamTest, UnwritableStreamWarnsAndKeepsTicking)
 {
-    SnapshotStreamer streamer;
-    EXPECT_FALSE(streamer.Start("/nonexistent-dir/x/y/z.jsonl", 10));
-    EXPECT_FALSE(streamer.Running());
+    const std::string path = "/nonexistent-dir/x/y/z.jsonl";
+    ::setenv("RUMBA_STREAM_OUT", path.c_str(), 1);
+    ::setenv("RUMBA_TSDB_PERIOD_MS", "1", 1);
+    ::testing::internal::CaptureStderr();
+    TsdbSampler::Acquire();
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    ::unsetenv("RUMBA_STREAM_OUT");
+    ::unsetenv("RUMBA_TSDB_PERIOD_MS");
+
+    EXPECT_NE(warning.find("could not open stream"), std::string::npos)
+        << warning;
+    EXPECT_TRUE(TsdbSampler::Default().Running());
+    // The rest of the tick (store, detectors, incidents) still runs.
+    for (int i = 0; i < 2000 && TsdbSampler::Default().Samples() < 2;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(TsdbSampler::Default().Samples(), 2u);
+    TsdbSampler::Release();
+    EXPECT_FALSE(TsdbSampler::Default().Running());
+    EXPECT_FALSE(std::ifstream(path).good());  // nothing written.
 }
 
 // --------------------------------------------- Quantile interpolation

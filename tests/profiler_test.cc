@@ -3,9 +3,8 @@
 // bracket, CpuProfiler counter/histogram/efficiency semantics against
 // a private registry, the sampling profiler's folded-stack output
 // (shard frames, same-tag dedup, RUMBA_PROFILE_HZ=0 as a true no-op),
-// the /profilez JSON body, the snapshot streamer's changed-only gauge
-// suppression, and an engine-level race of the env sampler against
-// ShardedEngine::Shutdown (exercised under TSan in ci.sh).
+// the /profilez JSON body, and an engine-level race of the env sampler
+// against ShardedEngine::Shutdown (exercised under TSan in ci.sh).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "core/runtime.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/stream.h"
 #include "serve/engine.h"
 #include "sim/system_model.h"
 
@@ -41,28 +39,6 @@ Burn(int iters = 400000)
     for (int i = 0; i < iters; ++i)
         acc = acc + static_cast<double>(i) * 1e-9;
     return acc;
-}
-
-/** Number of "t_ms" sample lines, and lines containing @p needle. */
-struct LineStats {
-    int samples = 0;
-    int matches = 0;
-};
-
-LineStats
-CountSampleLines(const std::string& path, const std::string& needle)
-{
-    LineStats stats;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"type\":\"sample\"") == std::string::npos)
-            continue;
-        ++stats.samples;
-        if (line.find(needle) != std::string::npos)
-            ++stats.matches;
-    }
-    return stats;
 }
 
 // --------------------------------------------------------- stage names
@@ -377,57 +353,6 @@ TEST(ProfilezJsonTest, CarriesSchemaStagesSamplerAndEfficiency)
     // rumba-stat's mini JSON parser has no array support; /profilez
     // must stay array-free.
     EXPECT_EQ(body.find('['), std::string::npos);
-}
-
-// ------------------------------------------- streamer changed-only
-
-TEST(SnapshotStreamerTest, ChangedOnlySuppressesStableGauges)
-{
-    const std::string gauge_name = "test.profiler.changed_only";
-    obs::Gauge* gauge =
-        obs::Registry::Default().GetGauge(gauge_name);
-    gauge->Set(1.25);
-
-    const std::string path =
-        ::testing::TempDir() + "profiler_changed_only.jsonl";
-    obs::SnapshotStreamer streamer;
-    streamer.SetChangedOnly(true);
-    EXPECT_TRUE(streamer.ChangedOnly());
-    ASSERT_TRUE(streamer.Start(path, /*period_ms=*/1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    gauge->Set(2.5);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    streamer.Stop();
-
-    // The gauge changed value once, so it appears in exactly two
-    // samples (its first observation and the change); every other
-    // sample suppresses it. Stop()'s guaranteed final sample makes
-    // the post-change appearance deterministic.
-    const LineStats stats =
-        CountSampleLines(path, "\"" + gauge_name + "\"");
-    EXPECT_GE(stats.samples, 3);
-    EXPECT_EQ(stats.matches, 2);
-    std::remove(path.c_str());
-}
-
-TEST(SnapshotStreamerTest, DefaultModeRepeatsGaugesEverySample)
-{
-    const std::string gauge_name = "test.profiler.always_on";
-    obs::Registry::Default().GetGauge(gauge_name)->Set(3.75);
-
-    const std::string path =
-        ::testing::TempDir() + "profiler_always_on.jsonl";
-    obs::SnapshotStreamer streamer;
-    EXPECT_FALSE(streamer.ChangedOnly());
-    ASSERT_TRUE(streamer.Start(path, /*period_ms=*/1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    streamer.Stop();
-
-    const LineStats stats =
-        CountSampleLines(path, "\"" + gauge_name + "\"");
-    EXPECT_GE(stats.samples, 2);
-    EXPECT_EQ(stats.matches, stats.samples);
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------ engine integration

@@ -978,47 +978,6 @@ TEST(RecordFormatTest, FlightDumpBodyMatchesGolden)
                   "\n");
 }
 
-// --------------------------------------------- Legacy-overload adapter
-//
-// The only in-tree caller of the deprecated vector-of-vectors
-// ProcessInvocation: it pins the adapter's copy-in/copy-out behavior
-// against the BatchView hot path until the overload is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(BatchViewTest, LegacyProcessInvocationMatchesViewForm)
-{
-    auto via_view = core::RumbaRuntime::FromArtifact(
-        SharedArtifact(), ServeRuntimeConfig());
-    auto via_vectors = core::RumbaRuntime::FromArtifact(
-        SharedArtifact(), ServeRuntimeConfig());
-    ASSERT_TRUE(via_view.ok() && via_vectors.ok());
-
-    constexpr size_t kCount = 300;
-    std::vector<double> flat_out(kCount * 2);
-    const auto report_a = (*via_view)->ProcessInvocation(
-        core::BatchView(SharedInputs().data(), kCount, 2),
-        flat_out.data());
-
-    const auto bench = apps::MakeBenchmark("inversek2j");
-    const auto rows = bench->TestInputs();
-    const std::vector<std::vector<double>> batch(
-        rows.begin(), rows.begin() + kCount);
-    std::vector<std::vector<double>> vec_out;
-    const auto report_b =
-        (*via_vectors)->ProcessInvocation(batch, &vec_out);
-
-    EXPECT_EQ(report_a.fixes, report_b.fixes);
-    EXPECT_DOUBLE_EQ(report_a.output_error_pct,
-                     report_b.output_error_pct);
-    ASSERT_EQ(vec_out.size(), kCount);
-    for (size_t i = 0; i < kCount; ++i)
-        for (size_t o = 0; o < 2; ++o)
-            EXPECT_DOUBLE_EQ(vec_out[i][o], flat_out[i * 2 + o]);
-}
-
-#pragma GCC diagnostic pop
-
 // ------------------------------------------- Admission state machine
 
 TEST(AdmissionControllerTest, SheddingLadderOrdersByClass)

@@ -1,30 +1,33 @@
 /**
  * @file
- * rumba-stat: offline companion to the obs/ subsystem. Reads the
- * JSONL dumps the runtime emits (RUMBA_METRICS_OUT metric dumps and
- * RUMBA_STREAM_OUT sample streams), summarizes one run, and diffs two
- * runs against per-metric relative tolerances so CI can gate merges
- * on telemetry regressions.
+ * rumba-stat: offline companion to the obs/ subsystem. Reads what a
+ * rumba process exports, summarizes one run, and gates a candidate
+ * against a baseline so CI can refuse telemetry regressions.
  *
- *   rumba-stat summary <dump.jsonl>
+ *   rumba-stat summary <dump.jsonl>...
  *   rumba-stat diff <baseline.jsonl> <candidate.jsonl>
  *       [--tol <rel>] [--tol-metric name=<rel>] [--include-latency]
  *   rumba-stat scrape <target> [--check] [--baseline <dump>]
  *       [--tol <rel>] [--tol-metric name=<rel>] [--include-latency]
  *   rumba-stat profile <target> [--baseline <profilez.json>]
  *       [--tol <rel>]
+ *   rumba-stat tsdb <target> [--baseline <tsdbz.json>]
+ *   rumba-stat incident <target> [--baseline <incidentz.json>]
+ *   rumba-stat audit <audit.jsonl> [--baseline <audit.jsonl>]
+ *       [--tol <abs>] [--worst <K>]
+ *   rumba-stat scenarios <scenarios.jsonl>
+ *       [--baseline <scenarios.jsonl>]
  *
- * scrape fetches the Prometheus text exposition a live rumba process
- * serves at /metrics (obs/http_exporter.h) — target is
- * http://host:port[/path], host:port, or a saved exposition file —
- * recovers the dotted registry names from the name="..." labels, and
- * either validates the format (--check — live targets additionally
- * validate the /buildz and /profilez JSON endpoints), diffs against a
- * baseline metrics dump with the same tolerance machinery as `diff`
- * (--baseline; histogram quantiles are not in the exposition, so only
- * counts are compared), or prints a summary. profile reads /profilez
- * (live or saved) and can gate the speedup/energy estimates against
- * a baseline body.
+ * summary and diff read RUMBA_METRICS_OUT metric dumps and
+ * RUMBA_STREAM_OUT sample streams. scrape reads the Prometheus text a
+ * live process serves at /metrics (obs/http_exporter.h), recovering
+ * the dotted registry names from the name="..." labels; --check on a
+ * live target also validates /buildz, /profilez, /tsdbz and
+ * /incidentz. profile, tsdb and incident read those routes' JSON
+ * bodies; audit reads RUMBA_AUDIT_OUT labeled dumps; scenarios reads
+ * the tools/rumba_scenarios matrix dump (RUMBA_SCENARIO_OUT). A
+ * <target> is http://host:port[/path], host:port, or a saved file.
+ * Usage() spells out what each --baseline gate compares.
  *
  * Exit codes: 0 = ok / no regression, 1 = regression detected,
  * 2 = usage, load, fetch, or format-validation error (including
@@ -497,19 +500,33 @@ CheckValue(const std::string& kind, const std::string& name,
                 mag == 0 ? 0 : std::fabs(cand - base) / mag, tol);
 }
 
+/**
+ * Refuse to compare inputs written under different schema versions:
+ * true, with a diagnostic on stderr, when the versions differ. Every
+ * comparing subcommand exits 2 on it.
+ */
+bool
+SchemaMismatch(const std::string& base_path, long base_version,
+               const std::string& cand_path, long cand_version)
+{
+    if (base_version == cand_version)
+        return false;
+    std::fprintf(stderr,
+                 "rumba-stat: schema mismatch: %s is v%ld, %s is v%ld "
+                 "— refusing to compare\n",
+                 base_path.c_str(), base_version, cand_path.c_str(),
+                 cand_version);
+    return true;
+}
+
 int
 CmdDiff(const Dump& base, const Dump& cand, const DiffOptions& opts)
 {
     // Refuse to compare dumps written by incompatible exporters.
     if (base.has_meta && cand.has_meta &&
-        base.schema_version != cand.schema_version) {
-        std::fprintf(stderr,
-                     "rumba-stat: schema mismatch: %s is v%ld, %s is "
-                     "v%ld — refusing to diff\n",
-                     base.path.c_str(), base.schema_version,
-                     cand.path.c_str(), cand.schema_version);
+        SchemaMismatch(base.path, base.schema_version, cand.path,
+                       cand.schema_version))
         return 2;
-    }
     if (base.has_meta && cand.has_meta &&
         base.sanitizers != cand.sanitizers) {
         std::printf("note: sanitizer configs differ (\"%s\" vs "
@@ -925,39 +942,77 @@ FetchTarget(const std::string& target, const char* default_path,
     return true;
 }
 
+// ---------------------------------------------------------------------------
+// JSON diagnostic endpoints (/buildz, /profilez, /tsdbz, /incidentz):
+// one loader and one required-key list per route, shared by each
+// route's subcommand and by `scrape --check`.
+// ---------------------------------------------------------------------------
+
+/** A JSON route and the flattened keys every valid body carries. */
+struct JsonEndpoint {
+    const char* path;
+    std::vector<std::string> required;
+};
+
+const JsonEndpoint kBuildz = {
+    "/buildz",
+    {"version", "git_describe", "build_type", "schema_version"},
+};
+
+const JsonEndpoint kProfilez = {
+    "/profilez",
+    {"schema_version", "cpu_seconds.device",
+     "cpu_seconds.predict_check", "cpu_seconds.recover",
+     "cpu_seconds.total", "sampler.running", "sampler.hz",
+     "sampler.samples", "efficiency.speedup_estimate",
+     "efficiency.energy_ratio", "efficiency.window", "invocations"},
+};
+
+const JsonEndpoint kTsdbz = {
+    "/tsdbz",
+    {"schema_version", "now_ms", "series", "points_total",
+     "sampler_running", "selected"},
+};
+
+const JsonEndpoint kIncidentz = {
+    "/incidentz",
+    {"schema_version", "count", "opened", "dumped", "suppressed"},
+};
+
 /**
- * Fetch @p path from a live process and validate it: parses as one
- * JSON object (via the same mini parser the dump loader uses, so
- * nested objects flatten to dotted keys) and carries every key in
- * @p required. Returns the number of violations (diagnostics on
- * stderr); parsed keys land in @p out when non-null.
+ * Load @p endpoint's body from @p target (a live URL, host:port, or a
+ * saved file) into @p obj: parses as one JSON object (nested objects
+ * flatten to dotted keys) carrying every required key. Returns false,
+ * with diagnostics on stderr, on a fetch, parse, or key failure.
  */
-size_t
-CheckJsonEndpoint(const std::string& host, int port, const char* path,
-                  const std::vector<std::string>& required,
-                  JsonObject* out = nullptr)
+bool
+LoadEndpoint(const std::string& target, const JsonEndpoint& endpoint,
+             JsonObject* obj)
 {
     std::string body;
-    if (!FetchHttp(host, port, path, &body)) {
-        std::fprintf(stderr, "rumba-stat: cannot fetch %s\n", path);
-        return 1;
+    if (!FetchTarget(target, endpoint.path, &body))
+        return false;
+    if (!ParseJsonLine(body, obj)) {
+        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n",
+                     target.c_str());
+        return false;
     }
-    JsonObject obj;
-    if (!ParseJsonLine(body, &obj)) {
-        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n", path);
-        return 1;
-    }
-    size_t violations = 0;
-    for (const std::string& key : required) {
-        if (obj.count(key) != 0)
+    bool ok = true;
+    for (const std::string& key : endpoint.required) {
+        if (obj->count(key) != 0)
             continue;
         std::fprintf(stderr, "rumba-stat: %s: missing key \"%s\"\n",
-                     path, key.c_str());
-        ++violations;
+                     target.c_str(), key.c_str());
+        ok = false;
     }
-    if (out != nullptr)
-        *out = std::move(obj);
-    return violations;
+    return ok;
+}
+
+/** A JSON body's "schema_version" (0 when absent). */
+long
+SchemaVersion(const JsonObject& obj)
+{
+    return static_cast<long>(Field(obj, "schema_version"));
 }
 
 int
@@ -988,31 +1043,22 @@ CmdScrape(const std::string& target, bool check,
         // /buildz, /profilez, /tsdbz and /incidentz are well-formed
         // and carry the keys dashboards key on. File targets only
         // have the exposition.
-        size_t json_violations = 0;
+        size_t bad_endpoints = 0;
         if (!host.empty()) {
-            json_violations += CheckJsonEndpoint(
-                host, port, "/buildz",
-                {"version", "git_describe", "build_type",
-                 "schema_version"});
-            json_violations += CheckJsonEndpoint(
-                host, port, "/profilez",
-                {"schema_version", "cpu_seconds.device",
-                 "cpu_seconds.predict_check", "cpu_seconds.total",
-                 "sampler.hz", "efficiency.speedup_estimate",
-                 "efficiency.energy_ratio"});
-            json_violations += CheckJsonEndpoint(
-                host, port, "/tsdbz",
-                {"schema_version", "now_ms", "series", "points_total",
-                 "sampler_running"});
-            json_violations += CheckJsonEndpoint(
-                host, port, "/incidentz",
-                {"schema_version", "count", "opened", "dumped"});
+            const std::string root =
+                "http://" + host + ":" + std::to_string(port);
+            for (const JsonEndpoint* endpoint :
+                 {&kBuildz, &kProfilez, &kTsdbz, &kIncidentz}) {
+                JsonObject obj;
+                if (!LoadEndpoint(root + endpoint->path, *endpoint, &obj))
+                    ++bad_endpoints;
+            }
         }
-        if (json_violations > 0) {
-            std::printf("FAIL: exposition ok but %zu JSON endpoint "
-                        "violations (/buildz, /profilez, /tsdbz, "
+        if (bad_endpoints > 0) {
+            std::printf("FAIL: exposition ok but %zu JSON endpoint(s) "
+                        "invalid (/buildz, /profilez, /tsdbz, "
                         "/incidentz)\n",
-                        json_violations);
+                        bad_endpoints);
             return 2;
         }
         std::printf("OK: %zu samples, %zu counters, %zu gauges, %zu "
@@ -1040,47 +1086,6 @@ CmdScrape(const std::string& target, bool check,
 // profile: summarize / gate the live cost profiler (/profilez).
 // ---------------------------------------------------------------------------
 
-/** The /profilez keys every valid body carries. */
-const std::vector<std::string> kProfilezRequired = {
-    "schema_version",
-    "cpu_seconds.device",
-    "cpu_seconds.predict_check",
-    "cpu_seconds.recover",
-    "cpu_seconds.total",
-    "sampler.running",
-    "sampler.hz",
-    "sampler.samples",
-    "efficiency.speedup_estimate",
-    "efficiency.energy_ratio",
-    "efficiency.window",
-    "invocations",
-};
-
-/** Load a /profilez body (live endpoint or saved file) into @p obj;
- *  returns false (diagnostics on stderr) on fetch/parse/schema
- *  failure. */
-bool
-LoadProfilez(const std::string& target, JsonObject* obj)
-{
-    std::string body;
-    if (!FetchTarget(target, "/profilez", &body))
-        return false;
-    if (!ParseJsonLine(body, obj)) {
-        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n",
-                     target.c_str());
-        return false;
-    }
-    bool ok = true;
-    for (const std::string& key : kProfilezRequired) {
-        if (obj->count(key) != 0)
-            continue;
-        std::fprintf(stderr, "rumba-stat: %s: missing key \"%s\"\n",
-                     target.c_str(), key.c_str());
-        ok = false;
-    }
-    return ok;
-}
-
 /** One efficiency-figure gate: relative move in the worse direction
  *  beyond @p tol counts a regression. */
 void
@@ -1102,7 +1107,7 @@ CmdProfile(const std::string& target, const std::string& baseline_path,
            double tol)
 {
     JsonObject obj;
-    if (!LoadProfilez(target, &obj))
+    if (!LoadEndpoint(target, kProfilez, &obj))
         return 2;
 
     std::printf("== %s ==\n", target.c_str());
@@ -1137,16 +1142,11 @@ CmdProfile(const std::string& target, const std::string& baseline_path,
         return 0;
 
     JsonObject base;
-    if (!LoadProfilez(baseline_path, &base))
+    if (!LoadEndpoint(baseline_path, kProfilez, &base))
         return 2;
-    if (Field(base, "schema_version") != Field(obj, "schema_version")) {
-        std::fprintf(stderr,
-                     "rumba-stat: profilez schema mismatch (%ld vs "
-                     "%ld) — refusing to gate\n",
-                     static_cast<long>(Field(base, "schema_version")),
-                     static_cast<long>(Field(obj, "schema_version")));
+    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
+                       SchemaVersion(obj)))
         return 2;
-    }
     std::printf("\nefficiency gate vs %s (tol %.3g relative):\n",
                 baseline_path.c_str(), tol);
     size_t regressions = 0;
@@ -1165,37 +1165,6 @@ CmdProfile(const std::string& target, const std::string& baseline_path,
 // ---------------------------------------------------------------------------
 // tsdb: summarize / gate the embedded retention store (/tsdbz).
 // ---------------------------------------------------------------------------
-
-/** The /tsdbz keys every valid body carries. */
-const std::vector<std::string> kTsdbzRequired = {
-    "schema_version", "now_ms",          "series",
-    "points_total",   "sampler_running", "selected",
-};
-
-/** Load a /tsdbz body (live endpoint or saved file) into @p obj;
- *  returns false (diagnostics on stderr) on fetch/parse/schema
- *  failure. */
-bool
-LoadTsdbz(const std::string& target, JsonObject* obj)
-{
-    std::string body;
-    if (!FetchTarget(target, "/tsdbz", &body))
-        return false;
-    if (!ParseJsonLine(body, obj)) {
-        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n",
-                     target.c_str());
-        return false;
-    }
-    bool ok = true;
-    for (const std::string& key : kTsdbzRequired) {
-        if (obj->count(key) != 0)
-            continue;
-        std::fprintf(stderr, "rumba-stat: %s: missing key \"%s\"\n",
-                     target.c_str(), key.c_str());
-        ok = false;
-    }
-    return ok;
-}
 
 /** Series names in a flattened /tsdbz body: every
  *  "series_detail.<name>.points" key names one selected series (the
@@ -1229,7 +1198,7 @@ int
 CmdTsdb(const std::string& target, const std::string& baseline_path)
 {
     JsonObject obj;
-    if (!LoadTsdbz(target, &obj))
+    if (!LoadEndpoint(target, kTsdbz, &obj))
         return 2;
 
     std::printf("== %s ==\n", target.c_str());
@@ -1260,16 +1229,11 @@ CmdTsdb(const std::string& target, const std::string& baseline_path)
         return 0;
 
     JsonObject base;
-    if (!LoadTsdbz(baseline_path, &base))
+    if (!LoadEndpoint(baseline_path, kTsdbz, &base))
         return 2;
-    if (Field(base, "schema_version") != Field(obj, "schema_version")) {
-        std::fprintf(stderr,
-                     "rumba-stat: tsdbz schema mismatch (%ld vs %ld) "
-                     "— refusing to gate\n",
-                     static_cast<long>(Field(base, "schema_version")),
-                     static_cast<long>(Field(obj, "schema_version")));
+    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
+                       SchemaVersion(obj)))
         return 2;
-    }
     // Coverage gate: every series the baseline retained points for
     // must still exist and still have points — a series going dark
     // means a probe was unwired or the sampler stopped feeding it.
@@ -1304,36 +1268,6 @@ CmdTsdb(const std::string& target, const std::string& baseline_path)
 // incident: summarize / gate correlated incident bundles (/incidentz).
 // ---------------------------------------------------------------------------
 
-/** The /incidentz listing keys every valid body carries. */
-const std::vector<std::string> kIncidentzRequired = {
-    "schema_version", "count", "opened", "dumped", "suppressed",
-};
-
-/** Load an /incidentz listing (live endpoint or saved file) into
- *  @p obj; returns false (diagnostics on stderr) on fetch/parse/
- *  schema failure. */
-bool
-LoadIncidentz(const std::string& target, JsonObject* obj)
-{
-    std::string body;
-    if (!FetchTarget(target, "/incidentz", &body))
-        return false;
-    if (!ParseJsonLine(body, obj)) {
-        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n",
-                     target.c_str());
-        return false;
-    }
-    bool ok = true;
-    for (const std::string& key : kIncidentzRequired) {
-        if (obj->count(key) != 0)
-            continue;
-        std::fprintf(stderr, "rumba-stat: %s: missing key \"%s\"\n",
-                     target.c_str(), key.c_str());
-        ok = false;
-    }
-    return ok;
-}
-
 /** Incidents in a listing correlating at least @p min_sources
  *  distinct signal sources. */
 size_t
@@ -1354,7 +1288,7 @@ CmdIncident(const std::string& target,
             const std::string& baseline_path)
 {
     JsonObject obj;
-    if (!LoadIncidentz(target, &obj))
+    if (!LoadEndpoint(target, kIncidentz, &obj))
         return 2;
 
     std::printf("== %s ==\n", target.c_str());
@@ -1383,16 +1317,11 @@ CmdIncident(const std::string& target,
         return 0;
 
     JsonObject base;
-    if (!LoadIncidentz(baseline_path, &base))
+    if (!LoadEndpoint(baseline_path, kIncidentz, &base))
         return 2;
-    if (Field(base, "schema_version") != Field(obj, "schema_version")) {
-        std::fprintf(stderr,
-                     "rumba-stat: incidentz schema mismatch (%ld vs "
-                     "%ld) — refusing to gate\n",
-                     static_cast<long>(Field(base, "schema_version")),
-                     static_cast<long>(Field(obj, "schema_version")));
+    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
+                       SchemaVersion(obj)))
         return 2;
-    }
     // Correlation gate: if the baseline run produced a multi-source
     // incident (the forensics pipeline end-to-end: detectors firing,
     // signals joining, bundle assembled), the candidate must too.
@@ -1646,14 +1575,9 @@ CmdAudit(const std::string& path, const std::string& baseline_path,
     if (!LoadAuditDump(baseline_path, &base))
         return 2;
     if (base.has_meta && dump.has_meta &&
-        base.schema_version != dump.schema_version) {
-        std::fprintf(stderr,
-                     "rumba-stat: schema mismatch: %s is v%ld, %s is "
-                     "v%ld — refusing to diff\n",
-                     base.path.c_str(), base.schema_version,
-                     dump.path.c_str(), dump.schema_version);
+        SchemaMismatch(base.path, base.schema_version, dump.path,
+                       dump.schema_version))
         return 2;
-    }
     const AuditStats bs = SummarizeAudits(base);
     std::printf("\ncalibration gate vs %s (tol %.4f absolute):\n",
                 baseline_path.c_str(), tol);
@@ -1804,14 +1728,9 @@ CmdScenarios(const std::string& path, const std::string& baseline_path)
     if (!LoadScenarioDump(baseline_path, &base))
         return 2;
     if (base.has_meta && dump.has_meta &&
-        base.schema_version != dump.schema_version) {
-        std::fprintf(stderr,
-                     "rumba-stat: schema mismatch: %s is v%ld, %s is "
-                     "v%ld — refusing to diff\n",
-                     base.path.c_str(), base.schema_version,
-                     dump.path.c_str(), dump.schema_version);
+        SchemaMismatch(base.path, base.schema_version, dump.path,
+                       dump.schema_version))
         return 2;
-    }
 
     // Gate: any scenario the baseline passed must still pass (a skip
     // is neutral — the environment forced it off, e.g. an external
