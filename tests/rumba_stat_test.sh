@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end checks for the rumba-stat CLI against synthetic dumps:
 # identical runs pass, an out-of-tolerance metric fails with exit 1,
-# and a schema-version mismatch is refused with exit 2.
+# a schema-version mismatch is refused with exit 2, hostile inputs and
+# arguments exit 2, and a seeded mutation loop over every fixture never
+# crashes or hangs a reader.
 # Usage: rumba_stat_test.sh <path-to-rumba-stat>
 set -u
 STAT="$1"
@@ -271,5 +273,198 @@ sed 's/"schema_version":1/"schema_version":9/' \
 sed 's/"opened":1,//' "$DIR/inc_base.json" > "$DIR/inc_broken.json"
 "$STAT" incident "$DIR/inc_broken.json" > /dev/null 2>&1
 [[ $? -eq 2 ]] || fail "a listing missing required keys should exit 2"
+
+# 23. profile summarizes a saved /profilez body shaped like the
+#     checked-in baseline (no cpu_seconds.compensate key) and gates its
+#     two efficiency figures directionally under a relative --tol.
+cat > "$DIR/prof_base.json" <<'EOF'
+{"schema_version":1,"cpu_seconds":{"queue_wait":4.7599e-05,"device":0.002467135,"predict_check":0.001362954,"recover":0.000412321,"merge":1.9468e-05,"audit":0.000934699,"verify":0.000540304,"other":0,"total":0.00578448},"stage_share":{"queue_wait":0.00822874312,"device":0.426509384,"predict_check":0.235622562,"recover":0.0712805645,"merge":0.00336555749,"audit":0.161587386,"verify":0.0934058031,"other":0},"sampler":{"running":false,"hz":499,"samples":31,"threads":1},"efficiency":{"speedup_estimate":2.3255814,"energy_ratio":0.442030872,"window":32,"invocations":32},"invocations":32}
+EOF
+"$STAT" profile "$DIR/prof_base.json" > "$DIR/prof_out.txt" ||
+    fail "profile summary should succeed (got $?)"
+grep -q "stage CPU attribution (32 invocations)" "$DIR/prof_out.txt" ||
+    fail "profile summary should print the stage table"
+grep -q "speedup estimate 2.326" "$DIR/prof_out.txt" ||
+    fail "profile summary should print the efficiency estimate"
+"$STAT" profile "$DIR/prof_base.json" \
+    --baseline "$DIR/prof_base.json" > /dev/null ||
+    fail "profile should pass against itself (got $?)"
+# Speedup 2.33 -> 1.80 is a 23% drop; energy 0.44 -> 0.55 a 20% rise.
+sed 's/"speedup_estimate":2.3255814/"speedup_estimate":1.8/' \
+    "$DIR/prof_base.json" > "$DIR/prof_slow.json"
+sed 's/"energy_ratio":0.442030872/"energy_ratio":0.55/' \
+    "$DIR/prof_base.json" > "$DIR/prof_hungry.json"
+"$STAT" profile "$DIR/prof_slow.json" \
+    --baseline "$DIR/prof_base.json" > /dev/null
+[[ $? -eq 1 ]] || fail "a speedup drop past --tol should gate (exit 1)"
+"$STAT" profile "$DIR/prof_slow.json" \
+    --baseline "$DIR/prof_base.json" --tol 0.3 > /dev/null ||
+    fail "a speedup drop inside --tol should pass (got $?)"
+"$STAT" profile "$DIR/prof_hungry.json" \
+    --baseline "$DIR/prof_base.json" > /dev/null
+[[ $? -eq 1 ]] || fail "an energy-ratio rise past --tol should gate"
+"$STAT" profile "$DIR/prof_hungry.json" \
+    --baseline "$DIR/prof_base.json" --tol 0.25 > /dev/null ||
+    fail "an energy-ratio rise inside --tol should pass (got $?)"
+# The gate is directional: improvements never regress.
+"$STAT" profile "$DIR/prof_base.json" \
+    --baseline "$DIR/prof_slow.json" > /dev/null ||
+    fail "a speedup gain should pass the gate (got $?)"
+
+# 24. profile refuses a schema mismatch and a body missing a required
+#     key (exit 2).
+sed 's/"schema_version":1/"schema_version":9/' \
+    "$DIR/prof_base.json" > "$DIR/prof_v9.json"
+"$STAT" profile "$DIR/prof_base.json" \
+    --baseline "$DIR/prof_v9.json" > /dev/null 2>&1
+[[ $? -eq 2 ]] || fail "profile schema mismatch should exit 2"
+sed 's/,"invocations":32}$/}/' "$DIR/prof_base.json" \
+    > "$DIR/prof_broken.json"
+"$STAT" profile "$DIR/prof_broken.json" > /dev/null 2>&1
+[[ $? -eq 2 ]] || fail "a body missing required keys should exit 2"
+
+# 25. A ".csv" metrics dump (RUMBA_METRICS_OUT=*.csv; meta header as a
+#     "# " comment) diffs clean against its JSONL twin, and a changed
+#     counter in it is a regression.
+cat > "$DIR/base.csv" <<'EOF'
+# {"type":"meta","schema_version":2,"wall_time":"2026-01-01T00:00:00Z","hostname":"ci","build_type":"Release","sanitizers":""}
+type,name,value,sum,min,max,p50,p90,p99,notes
+counter,runtime.fixes,120,,,,,,,
+counter,runtime.invocations,8,,,,,,,
+gauge,tuner.threshold,0.250000,,,,,,,
+histogram,npu.invoke_ns,8,800.0,90.0,110.0,100.0,108.0,110.0,
+histogram,detector.score,8,4.0,0.1,0.9,0.5,0.8,0.9,
+EOF
+"$STAT" diff "$DIR/base.jsonl" "$DIR/base.csv" > /dev/null ||
+    fail "a CSV dump should diff clean against its JSONL twin (got $?)"
+"$STAT" summary "$DIR/base.csv" | grep -q "meta: schema v2" ||
+    fail "a CSV dump's '# ' comment should carry the meta header"
+sed 's/^counter,runtime.invocations,8,/counter,runtime.invocations,9,/' \
+    "$DIR/base.csv" > "$DIR/worse.csv"
+"$STAT" diff "$DIR/base.jsonl" "$DIR/worse.csv" > /dev/null
+[[ $? -eq 1 ]] || fail "a changed CSV counter should fail the diff"
+
+# 26. profile lists the compensate stage when the compensate tier ran.
+sed 's/"recover":0.000412321,/"recover":0.000412321,"compensate":0.000321,/' \
+    "$DIR/prof_base.json" > "$DIR/prof_comp.json"
+"$STAT" profile "$DIR/prof_comp.json" | grep -q "^  compensate .* s " ||
+    fail "profile should print a compensate row"
+"$STAT" profile "$DIR/prof_base.json" | grep -q "compensate" &&
+    fail "a body without compensate CPU should print no compensate row"
+
+# 27. Hostile bodies are malformed (exit 2), never a crash or a hang:
+#     a 200,000-deep object, and an /incidentz "count" that is not the
+#     number of rows the body carries.
+{
+    printf '{"schema_version":1,"count":0,"opened":0,"dumped":0,'
+    printf '"suppressed":0,"incidents":'
+    yes '{"a":' | head -n 200000 | tr -d '\n'
+    printf 1
+    yes '}' | head -n 200001 | tr -d '\n'
+    echo
+} > "$DIR/deep.json"
+timeout 10 "$STAT" incident "$DIR/deep.json" > /dev/null 2>&1
+[[ $? -eq 2 ]] || fail "a 200,000-deep body should exit 2"
+for count in 1e15 -1 2 0.5; do
+    sed "s/\"count\":1,/\"count\":$count,/" "$DIR/inc_base.json" \
+        > "$DIR/inc_count.json"
+    timeout 10 "$STAT" incident "$DIR/inc_count.json" > /dev/null 2>&1
+    [[ $? -eq 2 ]] || fail "\"count\":$count with one row should exit 2"
+    timeout 10 "$STAT" incident "$DIR/inc_base.json" \
+        --baseline "$DIR/inc_count.json" > /dev/null 2>&1
+    [[ $? -eq 2 ]] || fail "a baseline with \"count\":$count should exit 2"
+done
+
+# 28. Numbers and ports are checked before any input is read: a bad
+#     one is the usage error (exit 2), and a rejected port opens no
+#     socket.
+for tol in abc -5 nan inf 1e999 0.3x ""; do
+    "$STAT" diff "$DIR/base.jsonl" "$DIR/worse.jsonl" --tol "$tol" \
+        > /dev/null 2>&1
+    [[ $? -eq 2 ]] || fail "--tol '$tol' should be a usage error"
+done
+"$STAT" diff "$DIR/base.jsonl" "$DIR/worse.jsonl" \
+    --tol-metric runtime.fixes=nan > /dev/null 2>&1
+[[ $? -eq 2 ]] || fail "--tol-metric name=nan should be a usage error"
+"$STAT" profile "$DIR/prof_slow.json" --baseline "$DIR/prof_base.json" \
+    --tol -0.3 > /dev/null 2>&1
+[[ $? -eq 2 ]] || fail "a negative profile --tol should be a usage error"
+for worst in x -1 1.5 99999999999999999999999; do
+    "$STAT" audit "$DIR/audit_base.jsonl" --worst "$worst" \
+        > /dev/null 2>&1
+    [[ $? -eq 2 ]] || fail "--worst '$worst' should be a usage error"
+done
+"$STAT" audit "$DIR/audit_base.jsonl" --worst 0 > "$DIR/audit_out.txt" ||
+    fail "--worst 0 should be accepted (got $?)"
+grep -q "worst" "$DIR/audit_out.txt" &&
+    fail "--worst 0 should print no worst-K table"
+for target in 127.0.0.1:70000 127.0.0.1:abc 127.0.0.1:0 \
+    http://127.0.0.1:65536/profilez 127.0.0.1:; do
+    timeout 5 "$STAT" profile "$target" > /dev/null 2> "$DIR/err.txt"
+    [[ $? -eq 2 ]] && grep -q "^usage:" "$DIR/err.txt" ||
+        fail "target $target should be a usage error"
+done
+timeout 5 "$STAT" incident "$DIR/inc_base.json" \
+    --baseline 127.0.0.1:70000 > /dev/null 2> "$DIR/err.txt"
+[[ $? -eq 2 ]] && grep -q "^usage:" "$DIR/err.txt" ||
+    fail "a --baseline target's port should be checked too"
+
+# 29. Mutation loop over every fixture above: seeded truncations, bit
+#     flips, splices and inserted JSON metacharacters. Each mutant goes
+#     to the subcommand that reads its fixture, with the clean fixture
+#     as baseline where one is taken, and must end within 5 s with
+#     exit 0, 1 or 2. On a sanitizer build, a report exits 86 or 87.
+export ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}exitcode=86"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:+$UBSAN_OPTIONS:}halt_on_error=1:exitcode=87"
+RANDOM=20261018
+fixtures=(base.jsonl stream.jsonl base.csv expo.prom audit_base.jsonl
+          scen_base.jsonl tsdb_base.json inc_base.json prof_base.json)
+tokens=('{' '}' '"' '\' '\u')
+declare -A size
+for f in "${fixtures[@]}"; do size[$f]=$(wc -c < "$DIR/$f"); done
+rand() { echo $(( (RANDOM * 32768 + RANDOM) % $1 )); }
+for i in $(seq 0 197); do
+    f=${fixtures[i % ${#fixtures[@]}]}
+    src="$DIR/$f"
+    mut="$DIR/mut-$f"
+    off=$(rand "${size[$f]}")
+    case $((RANDOM % 4)) in
+      0) how=truncate
+         head -c "$off" "$src" > "$mut" ;;
+      1) how=bitflip
+         byte=$(od -An -tu1 -j "$off" -N1 "$src" | tr -d ' ')
+         flipped=$(( byte ^ (1 << (RANDOM % 8)) ))
+         { head -c "$off" "$src"
+           printf "\\$(printf %03o "$flipped")"
+           tail -c +$((off + 2)) "$src"; } > "$mut" ;;
+      2) how=splice
+         other=${fixtures[RANDOM % ${#fixtures[@]}]}
+         { head -c "$off" "$src"
+           tail -c +$(( $(rand "${size[$other]}") + 1 )) "$DIR/$other"
+         } > "$mut" ;;
+      3) how=insert
+         { head -c "$off" "$src"
+           printf '%s' "${tokens[RANDOM % ${#tokens[@]}]}"
+           tail -c +$((off + 1)) "$src"; } > "$mut" ;;
+    esac
+    case "$f" in
+      base.jsonl|stream.jsonl)
+        if (( i % 2 )); then args=(summary "$mut")
+        else args=(diff "$src" "$mut"); fi ;;
+      base.csv) args=(diff "$DIR/base.jsonl" "$mut") ;;
+      expo.prom)
+        if (( i % 2 )); then args=(scrape "$mut" --check)
+        else args=(scrape "$mut" --baseline "$DIR/base.jsonl"); fi ;;
+      audit_base.jsonl) args=(audit "$mut" --baseline "$src") ;;
+      scen_base.jsonl) args=(scenarios "$mut" --baseline "$src") ;;
+      tsdb_base.json) args=(tsdb "$mut" --baseline "$src") ;;
+      inc_base.json) args=(incident "$mut" --baseline "$src") ;;
+      prof_base.json) args=(profile "$mut" --baseline "$src") ;;
+    esac
+    timeout 5 "$STAT" "${args[@]}" > /dev/null 2>&1
+    rc=$?
+    (( rc <= 2 )) ||
+        fail "mutant $i ($how at byte $off of $f) exited $rc: ${args[*]}"
+done
 
 echo "PASS: rumba-stat behaves"

@@ -29,6 +29,18 @@
  * <target> is http://host:port[/path], host:port, or a saved file.
  * Usage() spells out what each --baseline gate compares.
  *
+ * All eight share one record reader (ReadRecords: a JSONL dump line by
+ * line or a JSON route body, its meta header and schema_version, each
+ * record kind declared once as a RecordKind with its required keys),
+ * one gate (Gate, RunGate: relative or absolute tolerance, direction,
+ * presence rules, schema refusal, one verdict line) and one argument
+ * parser (kCommands: a row per subcommand; every number and port is
+ * checked before any input is read). Input rules: JSON nested deeper
+ * than kMaxDepth objects, a record missing a required key, and an
+ * /incidentz "count" that is not its number of rows are malformed; a
+ * tolerance is finite and non-negative, --worst a non-negative
+ * integer, and a live target's port lies in 1-65535.
+ *
  * Exit codes: 0 = ok / no regression, 1 = regression detected,
  * 2 = usage, load, fetch, or format-validation error (including
  * schema-version mismatch).
@@ -41,23 +53,26 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON-line parser: handles exactly the flat (one level of
-// nesting for stream samples) objects our own exporters emit. Not a
-// general JSON parser; unknown constructs fail the line loudly.
+// Minimal JSON parser: handles exactly the objects our own exporters
+// emit, nested objects flattened to dotted keys. Not a general JSON
+// parser; unknown constructs fail the line loudly.
 // ---------------------------------------------------------------------------
 
 /** One parsed JSON scalar. */
@@ -67,10 +82,15 @@ struct JsonValue {
     std::string text;
 };
 
-/** A parsed line: scalars at the top level plus "prefix.key" for the
- *  one nested level stream samples use ("counters", "gauges",
- *  "trace"). */
+/** A parsed line or body: scalars keyed by their dotted path
+ *  ("counters.runtime.fixes", "incidents.0.sources"). */
 using JsonObject = std::map<std::string, JsonValue>;
+
+/** Deepest object nesting a line or body may have. The deepest shape
+ *  any exporter writes is /tsdbz's five levels (root, series_detail,
+ *  series, samples, point); deeper input is malformed, not recursed
+ *  into. */
+constexpr int kMaxDepth = 8;
 
 void
 SkipSpace(const std::string& s, size_t* i)
@@ -124,13 +144,13 @@ ParseString(const std::string& s, size_t* i, std::string* out)
 
 bool
 ParseValue(const std::string& s, size_t* i, const std::string& prefix,
-           const std::string& key, JsonObject* out);
+           const std::string& key, int depth, JsonObject* out);
 
 bool
 ParseObject(const std::string& s, size_t* i, const std::string& prefix,
-            JsonObject* out)
+            int depth, JsonObject* out)
 {
-    if (*i >= s.size() || s[*i] != '{')
+    if (depth > kMaxDepth || *i >= s.size() || s[*i] != '{')
         return false;
     ++*i;
     SkipSpace(s, i);
@@ -148,7 +168,7 @@ ParseObject(const std::string& s, size_t* i, const std::string& prefix,
             return false;
         ++*i;
         SkipSpace(s, i);
-        if (!ParseValue(s, i, prefix, key, out))
+        if (!ParseValue(s, i, prefix, key, depth, out))
             return false;
         SkipSpace(s, i);
         if (*i >= s.size())
@@ -167,7 +187,7 @@ ParseObject(const std::string& s, size_t* i, const std::string& prefix,
 
 bool
 ParseValue(const std::string& s, size_t* i, const std::string& prefix,
-           const std::string& key, JsonObject* out)
+           const std::string& key, int depth, JsonObject* out)
 {
     const std::string full = prefix.empty() ? key : prefix + "." + key;
     JsonValue v;
@@ -179,8 +199,8 @@ ParseValue(const std::string& s, size_t* i, const std::string& prefix,
         if (!ParseString(s, i, &v.text))
             return false;
     } else if (c == '{') {
-        // One nested level: flatten as "key.subkey".
-        return ParseObject(s, i, full, out);
+        // Nested objects flatten as "key.subkey".
+        return ParseObject(s, i, full, depth + 1, out);
     } else if (s.compare(*i, 4, "true") == 0) {
         v.kind = JsonValue::Kind::kBool;
         v.number = 1.0;
@@ -205,37 +225,11 @@ ParseJsonLine(const std::string& line, JsonObject* out)
 {
     size_t i = 0;
     SkipSpace(line, &i);
-    if (!ParseObject(line, &i, "", out))
+    if (!ParseObject(line, &i, "", 1, out))
         return false;
     SkipSpace(line, &i);
     return i == line.size() || line[i] == '\n';
 }
-
-// ---------------------------------------------------------------------------
-// Dump model: one loaded metrics or stream file.
-// ---------------------------------------------------------------------------
-
-/** Histogram summary row from a metrics dump. */
-struct HistogramStats {
-    double count = 0, sum = 0, min = 0, max = 0, p50 = 0, p90 = 0,
-           p99 = 0;
-};
-
-/** Everything rumba-stat extracts from one dump file. */
-struct Dump {
-    std::string path;
-    bool has_meta = false;
-    long schema_version = -1;
-    std::string wall_time, hostname, build_type, sanitizers;
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, HistogramStats> histograms;
-    /** Threshold trajectory: per-invocation from trace lines, or
-     *  per-sample from stream lines — whichever the file carries. */
-    std::vector<double> thresholds;
-    size_t samples = 0;      ///< stream "sample" lines seen.
-    size_t trace_lines = 0;  ///< metrics "trace" lines seen.
-};
 
 double
 Field(const JsonObject& obj, const std::string& key, double fallback = 0)
@@ -251,111 +245,535 @@ TextField(const JsonObject& obj, const std::string& key)
     return it == obj.end() ? "" : it->second.text;
 }
 
-/** One "type,name,value,sum,min,max,p50,p90,p99,notes" CSV row. */
-bool
-LoadCsvRow(const std::string& line, Dump* dump)
+/** @p key as a whole number (versions, shard ids): @p fallback when
+ *  absent, not finite, or too large to be one. */
+long
+IntField(const JsonObject& obj, const std::string& key, long fallback = 0)
 {
-    std::vector<std::string> cells;
-    std::string cell;
-    for (char c : line) {
-        if (c == ',') {
-            cells.push_back(cell);
-            cell.clear();
-        } else {
-            cell.push_back(c);
-        }
-    }
-    cells.push_back(cell);
-    if (cells.size() < 3)
-        return false;
-    const std::string& type = cells[0];
-    if (type == "type")
-        return true;  // header row.
-    const std::string& name = cells[1];
-    if (type == "counter") {
-        dump->counters[name] = std::strtod(cells[2].c_str(), nullptr);
-    } else if (type == "gauge") {
-        dump->gauges[name] = std::strtod(cells[2].c_str(), nullptr);
-    } else if (type == "histogram" && cells.size() >= 9) {
-        HistogramStats h;
-        h.count = std::strtod(cells[2].c_str(), nullptr);
-        h.sum = std::strtod(cells[3].c_str(), nullptr);
-        h.min = std::strtod(cells[4].c_str(), nullptr);
-        h.max = std::strtod(cells[5].c_str(), nullptr);
-        h.p50 = std::strtod(cells[6].c_str(), nullptr);
-        h.p90 = std::strtod(cells[7].c_str(), nullptr);
-        h.p99 = std::strtod(cells[8].c_str(), nullptr);
-        dump->histograms[name] = h;
-    }
-    return true;  // unknown row types are forward-compatible.
+    const double v = Field(obj, key, static_cast<double>(fallback));
+    return std::isfinite(v) && std::fabs(v) < 1e15 ? static_cast<long>(v)
+                                                   : fallback;
 }
 
-/** Load a metrics/stream JSONL dump or a ".csv" metrics dump.
- *  Returns false on I/O or parse failure (diagnostic on stderr). */
 bool
-LoadDump(const std::string& path, Dump* dump)
+EndsWith(const std::string& s, const char* suffix)
 {
-    dump->path = path;
-    const bool csv =
-        path.size() >= 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0;
-    std::ifstream in(path);
+    const size_t len = std::strlen(suffix);
+    return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
+}
+
+// ---------------------------------------------------------------------------
+// Targets: a live http://host:port[/path] or host:port, or a saved file.
+// ---------------------------------------------------------------------------
+
+/** A parsed <target>. */
+struct Target {
+    std::string host;  ///< "" for a saved file.
+    int port = 0;
+    std::string path;  ///< HTTP path of a live target.
+};
+
+/**
+ * Parse @p text as a <target>: http://host:port[/path] or host:port is
+ * live (its path @p default_path unless given); anything else is a
+ * saved file. False, with a diagnostic, when a live target's port is
+ * not a number in 1-65535.
+ */
+bool
+ParseTarget(const std::string& text, const char* default_path,
+            Target* out)
+{
+    std::string rest;
+    if (text.rfind("http://", 0) == 0)
+        rest = text.substr(7);
+    else if (text.find(':') != std::string::npos)
+        rest = text;
+    if (rest.empty())
+        return true;
+    out->path = default_path;
+    const size_t slash = rest.find('/');
+    if (slash != std::string::npos) {
+        out->path = rest.substr(slash);
+        rest.resize(slash);
+    }
+    // from_chars leaves port 0 on a malformed or out-of-range number.
+    const size_t colon = rest.find(':');
+    const char* end = rest.data() + rest.size();
+    unsigned port = 0;
+    if (colon == std::string::npos ||
+        std::from_chars(rest.data() + colon + 1, end, port).ptr != end ||
+        port < 1 || port > 65535) {
+        std::fprintf(stderr,
+                     "rumba-stat: target %s needs host:port with a port "
+                     "in 1-65535\n",
+                     text.c_str());
+        return false;
+    }
+    out->host = rest.substr(0, colon);
+    out->port = static_cast<int>(port);
+    return true;
+}
+
+/** Blocking HTTP GET (own tiny client — rumba-stat links nothing from
+ *  src/). Supports dotted-quad hosts and "localhost". */
+bool
+FetchHttp(const Target& target, std::string* body)
+{
+    const std::string addr_text =
+        target.host == "localhost" ? "127.0.0.1" : target.host;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(target.port));
+    if (inet_pton(AF_INET, addr_text.c_str(), &addr.sin_addr) != 1) {
+        std::fprintf(stderr,
+                     "rumba-stat: cannot parse host '%s' (numeric IPv4 "
+                     "or 'localhost' only)\n",
+                     target.host.c_str());
+        return false;
+    }
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return false;
+    if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+        std::fprintf(stderr, "rumba-stat: cannot connect to %s:%d\n",
+                     target.host.c_str(), target.port);
+        close(fd);
+        return false;
+    }
+    const std::string request = "GET " + target.path +
+                                " HTTP/1.0\r\nHost: " + target.host +
+                                "\r\nConnection: close\r\n\r\n";
+    size_t sent = 0;
+    while (sent < request.size()) {
+        const ssize_t n = send(fd, request.data() + sent,
+                               request.size() - sent, 0);
+        if (n <= 0) {
+            close(fd);
+            return false;
+        }
+        sent += static_cast<size_t>(n);
+    }
+    std::string response;
+    char buf[4096];
+    ssize_t n;
+    while ((n = recv(fd, buf, sizeof(buf), 0)) > 0)
+        response.append(buf, static_cast<size_t>(n));
+    close(fd);
+    const size_t sp = response.find(' ');
+    if (response.compare(0, 5, "HTTP/") != 0 ||
+        sp == std::string::npos) {
+        std::fprintf(stderr, "rumba-stat: malformed HTTP response\n");
+        return false;
+    }
+    const long status = std::strtol(response.c_str() + sp + 1, nullptr, 10);
+    if (status != 200) {
+        std::fprintf(stderr, "rumba-stat: HTTP %ld from %s:%d%s\n",
+                     status, target.host.c_str(), target.port,
+                     target.path.c_str());
+        return false;
+    }
+    size_t head_end = response.find("\r\n\r\n");
+    size_t skip = 4;
+    if (head_end == std::string::npos) {
+        head_end = response.find("\n\n");
+        skip = 2;
+    }
+    *body = head_end == std::string::npos
+                ? ""
+                : response.substr(head_end + skip);
+    return true;
+}
+
+/**
+ * Fetch (or read) @p text into @p body, reporting in @p target where
+ * a live fetch connected (host "" for a saved file) so callers can
+ * fetch sibling routes. A live target's path defaults to @p default_path.
+ */
+bool
+FetchTarget(const std::string& text, const char* default_path,
+            std::string* body, Target* target)
+{
+    if (!ParseTarget(text, default_path, target))
+        return false;
+    if (!target->host.empty())
+        return FetchHttp(*target, body);
+    std::ifstream in(text);
     if (!in) {
         std::fprintf(stderr, "rumba-stat: cannot open %s\n",
-                     path.c_str());
+                     text.c_str());
         return false;
+    }
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    *body = contents.str();
+    return true;
+}
+
+// ---------------------------------------------------------------------------
+// Record reader: every JSONL dump and JSON route body is read by
+// ReadRecords. Each record kind is declared once, as data.
+// ---------------------------------------------------------------------------
+
+/** The "incidents.<i>." prefixes of the rows an /incidentz body
+ *  carries, walked from row 0 until one is absent. */
+std::vector<std::string>
+IncidentRows(const JsonObject& obj)
+{
+    std::vector<std::string> rows;
+    for (;;) {
+        std::string at = "incidents." + std::to_string(rows.size()) + ".";
+        const auto it = obj.lower_bound(at);
+        if (it == obj.end() || it->first.compare(0, at.size(), at) != 0)
+            return rows;
+        rows.push_back(std::move(at));
+    }
+}
+
+/** nullptr, or why an /incidentz body is malformed: its "count" must
+ *  be the number of rows it carries. */
+const char*
+CheckIncidentCount(const JsonObject& obj)
+{
+    return Field(obj, "count") ==
+                   static_cast<double>(IncidentRows(obj).size())
+               ? nullptr
+               : "\"count\" is not the number of incident rows";
+}
+
+/** A record kind: the "type" tag its JSONL lines carry, or the route
+ *  ("/...") its JSON body is served at; the keys every record of the
+ *  kind carries (a required string may not be empty); and, for some
+ *  kinds, a check of the values. */
+struct RecordKind {
+    const char* tag;
+    std::vector<std::string> required;
+    const char* (*check)(const JsonObject&) = nullptr;
+};
+
+const RecordKind kBuildz = {
+    "/buildz",
+    {"version", "git_describe", "build_type", "schema_version"},
+};
+
+const RecordKind kProfilez = {
+    "/profilez",
+    {"schema_version", "cpu_seconds.device",
+     "cpu_seconds.predict_check", "cpu_seconds.recover",
+     "cpu_seconds.total", "sampler.running", "sampler.hz",
+     "sampler.samples", "efficiency.speedup_estimate",
+     "efficiency.energy_ratio", "efficiency.window", "invocations"},
+};
+
+const RecordKind kTsdbz = {
+    "/tsdbz",
+    {"schema_version", "now_ms", "series", "points_total",
+     "sampler_running", "selected"},
+};
+
+const RecordKind kIncidentz = {
+    "/incidentz",
+    {"schema_version", "count", "opened", "dumped", "suppressed"},
+    CheckIncidentCount,
+};
+
+const RecordKind kAuditLine = {"audit", {}};
+
+const RecordKind kScenarioLine = {"scenario", {"name", "status"}};
+
+/** One read input: where it came from, its header, and the records of
+ *  the kind it was read for. */
+struct Input {
+    std::string path;
+    bool has_meta = false;     ///< a dump's "meta" line; every body.
+    long schema_version = -1;  ///< the meta line's, or the body's own.
+    JsonObject meta;           ///< the meta line (dumps).
+    std::vector<JsonObject> kept;  ///< records of the kind read for.
+};
+
+/** A ".csv" metrics-dump row ("type,name,value,sum,min,max,p50,p90,
+ *  p99,notes") as the JSONL record it mirrors. */
+bool
+ParseCsvRow(const std::string& line, JsonObject* obj)
+{
+    static const char* kColumns[] = {"type", "name", "value",
+                                     "sum",  "min",  "max",
+                                     "p50",  "p90",  "p99"};
+    std::vector<std::string> cells(1);
+    for (char c : line) {
+        if (c == ',')
+            cells.emplace_back();
+        else
+            cells.back().push_back(c);
+    }
+    if (cells.size() < 3)
+        return false;
+    // A histogram row short of its quantiles is skipped, like a row of
+    // an unknown type.
+    if (cells[0] == "histogram" && cells.size() < 9)
+        return true;
+    for (size_t c = 0; c < cells.size() && c < std::size(kColumns); ++c) {
+        JsonValue& v = (*obj)[kColumns[c]];
+        v.kind = c < 2 ? JsonValue::Kind::kString : JsonValue::Kind::kNumber;
+        v.text = cells[c];
+        v.number = std::strtod(cells[c].c_str(), nullptr);
+    }
+    (*obj)["count"] = (*obj)["value"];  // a histogram's event count.
+    return true;
+}
+
+/**
+ * Read @p path as an input of @p kind into @p in. For a route kind the
+ * body, fetched from a live target or read from a saved file, is the
+ * one record and carries its own schema_version. Otherwise @p path is
+ * a JSONL dump read line by line: its "meta" line, bare or as a CSV
+ * "# {...}" comment, is the header; records of @p kind are kept; every
+ * other record goes to @p visit. A null @p kind reads a metrics dump or
+ * sample stream, whose ".csv" form holds one CSV row per record.
+ * Returns false, with a path:line diagnostic on stderr, on an I/O or
+ * parse failure, a kept record missing a required key or failing its
+ * kind's check, or no record of @p kind at all.
+ */
+bool
+ReadRecords(const std::string& path, const RecordKind* kind, Input* in,
+            const std::function<void(const JsonObject&)>& visit = {})
+{
+    const bool route = kind != nullptr && kind->tag[0] == '/';
+    in->path = path;
+    in->has_meta = route;  // a route body is its own header.
+    const bool csv = kind == nullptr && EndsWith(path, ".csv");
+    std::ifstream file;
+    std::istringstream body;
+    std::istream* lines = &file;
+    if (route) {
+        std::string text;
+        Target live;
+        if (!FetchTarget(path, kind->tag, &text, &live))
+            return false;
+        body.str(std::move(text));
+        lines = &body;
+    } else {
+        file.open(path);
+        if (!file) {
+            std::fprintf(stderr, "rumba-stat: cannot open %s\n",
+                         path.c_str());
+            return false;
+        }
     }
     std::string line;
     size_t lineno = 0;
-    while (std::getline(in, line)) {
+    const auto bad = [&](const std::string& why) {
+        std::fprintf(stderr, "rumba-stat: %s:%zu: %s\n", path.c_str(),
+                     lineno, why.c_str());
+        return false;
+    };
+    while (std::getline(*lines, line)) {
         ++lineno;
         if (line.empty())
             continue;
-        // CSV dumps carry the meta header as a "# " comment.
-        if (line[0] == '#') {
+        // A CSV dump carries its meta header as a "# {...}" comment.
+        const bool csv_row = csv && line[0] != '#';
+        if (!route && line[0] == '#') {
             const size_t brace = line.find('{');
             if (brace == std::string::npos)
                 continue;
-            line = line.substr(brace);
-        } else if (csv) {
-            if (!LoadCsvRow(line, dump)) {
-                std::fprintf(stderr,
-                             "rumba-stat: %s:%zu: bad CSV row\n",
-                             path.c_str(), lineno);
-                return false;
-            }
-            continue;
+            line.erase(0, brace);
         }
         JsonObject obj;
-        if (!ParseJsonLine(line, &obj)) {
-            std::fprintf(stderr, "rumba-stat: %s:%zu: bad JSON line\n",
-                         path.c_str(), lineno);
-            return false;
-        }
-        const std::string type = TextField(obj, "type");
+        if (csv_row ? !ParseCsvRow(line, &obj) : !ParseJsonLine(line, &obj))
+            return bad(csv_row ? "bad CSV row" : "malformed JSON");
+        const std::string type = route ? kind->tag : TextField(obj, "type");
         if (type == "meta") {
-            dump->has_meta = true;
-            dump->schema_version =
-                static_cast<long>(Field(obj, "schema_version", -1));
-            dump->wall_time = TextField(obj, "wall_time");
-            dump->hostname = TextField(obj, "hostname");
-            dump->build_type = TextField(obj, "build_type");
-            dump->sanitizers = TextField(obj, "sanitizers");
-        } else if (type == "counter") {
-            dump->counters[TextField(obj, "name")] =
-                Field(obj, "value");
+            in->has_meta = true;
+            in->schema_version = IntField(obj, "schema_version", -1);
+            in->meta = std::move(obj);
+            continue;
+        }
+        if (route)
+            in->schema_version = IntField(obj, "schema_version");
+        if (kind == nullptr || type != kind->tag) {
+            if (visit)
+                visit(obj);
+            continue;
+        }
+        for (const std::string& key : kind->required) {
+            const auto it = obj.find(key);
+            if (it == obj.end() ||
+                (it->second.kind == JsonValue::Kind::kString &&
+                 it->second.text.empty()))
+                return bad("missing key \"" + key + "\"");
+        }
+        if (kind->check != nullptr) {
+            if (const char* why = kind->check(obj))
+                return bad(why);
+        }
+        in->kept.push_back(std::move(obj));
+    }
+    if (kind == nullptr || !in->kept.empty())
+        return true;
+    std::fprintf(stderr, "rumba-stat: %s: no \"%s\" record\n",
+                 path.c_str(), kind->tag);
+    return false;
+}
+
+// ---------------------------------------------------------------------------
+// Gate: the one regression engine behind every baseline comparison.
+// ---------------------------------------------------------------------------
+
+/** The direction in which a gated figure gets worse. */
+enum class Worse { kEitherWay, kHigher, kLower };
+
+/** How far a gated figure may move: a default plus per-metric
+ *  overrides, relative to the larger magnitude of the two values, or
+ *  absolute. */
+struct Tolerance {
+    double value = 0.0;
+    bool absolute = false;
+    std::map<std::string, double> per_metric;
+};
+
+/** Counts what one gate checks, printing a REGRESSION line, naming the
+ *  figure, per regression. */
+struct Gate {
+    Tolerance tol;
+    size_t gated = 0;
+    size_t regressions = 0;
+    std::string note;  ///< appended to the verdict line.
+
+    /** Gate one figure: a regression when it moved the @p worse way by
+     *  more than its tolerance. */
+    void
+    Compare(const std::string& kind, const std::string& name, double base,
+            double cand, Worse worse = Worse::kEitherWay)
+    {
+        const auto it = tol.per_metric.find(name);
+        const double limit =
+            it == tol.per_metric.end() ? tol.value : it->second;
+        const double delta = worse == Worse::kHigher  ? cand - base
+                             : worse == Worse::kLower ? base - cand
+                                                      : std::fabs(cand - base);
+        const double scale =
+            tol.absolute ? 1.0 : std::max(std::fabs(base), std::fabs(cand));
+        const bool held = base == cand || delta <= limit * scale;
+        char detail[160] = "";
+        if (!held) {
+            std::snprintf(detail, sizeof(detail),
+                          "%.6g -> %.6g  (moved %.3g > tol %.3g %s)", base,
+                          cand, delta / scale, limit,
+                          tol.absolute ? "absolute" : "relative");
+        }
+        Expect(held, kind, name, detail);
+    }
+
+    /** Gate one presence rule (a metric, a series, a correlation or a
+     *  passing scenario the baseline had): a regression when @p held is
+     *  false. */
+    void
+    Expect(bool held, const std::string& kind, const std::string& name,
+           const std::string& detail)
+    {
+        ++gated;
+        if (held)
+            return;
+        ++regressions;
+        std::printf("REGRESSION  %-9s %-32s %s\n", kind.c_str(),
+                    name.c_str(), detail.c_str());
+    }
+};
+
+/**
+ * Compare @p cand against @p base: refuses inputs written under
+ * different schema versions (exit 2), else runs @p gate on a fresh
+ * Gate and prints the verdict line (exit 0 pass, 1 regressed).
+ */
+int
+RunGate(const Input& base, const Input& cand, const Tolerance& tol,
+        const char* noun, const std::function<void(Gate&)>& gate)
+{
+    if (base.has_meta && cand.has_meta &&
+        base.schema_version != cand.schema_version) {
+        std::fprintf(stderr,
+                     "rumba-stat: schema mismatch: %s is v%ld, %s is v%ld "
+                     "— refusing to compare\n",
+                     base.path.c_str(), base.schema_version,
+                     cand.path.c_str(), cand.schema_version);
+        return 2;
+    }
+    Gate checked{tol, 0, 0, ""};
+    gate(checked);
+    std::printf("%s: %zu %s compared, %zu regressions%s\n",
+                checked.regressions == 0 ? "PASS" : "FAIL", checked.gated,
+                noun, checked.regressions, checked.note.c_str());
+    return checked.regressions == 0 ? 0 : 1;
+}
+
+/** A checked command line. */
+struct Args {
+    std::vector<std::string> inputs;  ///< positional dumps or targets.
+    std::string baseline;             ///< --baseline ("" = none).
+    Tolerance tol;                    ///< --tol, --tol-metric.
+    size_t worst = 5;                 ///< --worst.
+    std::set<std::string> switches;   ///< --check, --include-latency.
+};
+
+/**
+ * The gating half of a subcommand that read @p cand as @p kind: without
+ * --baseline, returns @p alone; otherwise reads the baseline the same
+ * way and runs @p gate on it under RunGate.
+ */
+int
+GateBaseline(const Args& args, const RecordKind& kind, const Input& cand,
+             int alone, const char* noun,
+             const std::function<void(const Input& base, Gate&)>& gate)
+{
+    if (args.baseline.empty())
+        return alone;
+    Input base;
+    if (!ReadRecords(args.baseline, &kind, &base))
+        return 2;
+    return RunGate(base, cand, args.tol, noun,
+                   [&](Gate& checked) { gate(base, checked); });
+}
+
+// ---------------------------------------------------------------------------
+// Dump: the fold summary, diff and scrape share.
+// ---------------------------------------------------------------------------
+
+/** Histogram summary row from a metrics dump. */
+struct HistogramStats {
+    double count = 0, p50 = 0, p99 = 0;
+};
+
+/** Everything rumba-stat extracts from one metrics dump, sample stream
+ *  or scraped exposition. */
+struct Dump {
+    Input in;
+    std::map<std::string, double> counters;
+    std::map<std::string, double> gauges;
+    std::map<std::string, HistogramStats> histograms;
+    /** Threshold trajectory: per-invocation from trace lines, or
+     *  per-sample from stream lines — whichever the file carries. */
+    std::vector<double> thresholds;
+    size_t samples = 0;      ///< stream "sample" lines seen.
+    size_t trace_lines = 0;  ///< metrics "trace" lines seen.
+};
+
+/** Read a metrics dump or sample stream (JSONL, or a ".csv" metrics
+ *  dump) into @p dump. */
+bool
+ReadDump(const std::string& path, Dump* dump)
+{
+    return ReadRecords(path, nullptr, &dump->in,
+                       [dump](const JsonObject& obj) {
+        const std::string type = TextField(obj, "type");
+        const std::string name = TextField(obj, "name");
+        if (type == "counter") {
+            dump->counters[name] = Field(obj, "value");
         } else if (type == "gauge") {
-            dump->gauges[TextField(obj, "name")] = Field(obj, "value");
+            dump->gauges[name] = Field(obj, "value");
         } else if (type == "histogram") {
-            HistogramStats h;
-            h.count = Field(obj, "count");
-            h.sum = Field(obj, "sum");
-            h.min = Field(obj, "min");
-            h.max = Field(obj, "max");
-            h.p50 = Field(obj, "p50");
-            h.p90 = Field(obj, "p90");
-            h.p99 = Field(obj, "p99");
-            dump->histograms[TextField(obj, "name")] = h;
+            dump->histograms[name] = {Field(obj, "count"),
+                                      Field(obj, "p50"), Field(obj, "p99")};
         } else if (type == "trace") {
             ++dump->trace_lines;
             dump->thresholds.push_back(Field(obj, "threshold"));
@@ -377,8 +795,7 @@ LoadDump(const std::string& path, Dump* dump)
                     Field(obj, "trace.threshold"));
         }
         // Unknown types are forward-compatible: ignored.
-    }
-    return true;
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -412,15 +829,18 @@ PrintThresholdTrajectory(const Dump& dump)
 }
 
 int
-CmdSummary(const Dump& dump)
+PrintSummary(const Dump& dump)
 {
-    std::printf("== %s ==\n", dump.path.c_str());
-    if (dump.has_meta) {
+    std::printf("== %s ==\n", dump.in.path.c_str());
+    if (dump.in.has_meta) {
+        const std::string sanitizers = TextField(dump.in.meta, "sanitizers");
         std::printf("meta: schema v%ld, %s on %s, build %s%s%s\n",
-                    dump.schema_version, dump.wall_time.c_str(),
-                    dump.hostname.c_str(), dump.build_type.c_str(),
-                    dump.sanitizers.empty() ? "" : ", sanitizers ",
-                    dump.sanitizers.c_str());
+                    dump.in.schema_version,
+                    TextField(dump.in.meta, "wall_time").c_str(),
+                    TextField(dump.in.meta, "hostname").c_str(),
+                    TextField(dump.in.meta, "build_type").c_str(),
+                    sanitizers.empty() ? "" : ", sanitizers ",
+                    sanitizers.c_str());
     } else {
         std::printf("meta: (no header — pre-v2 dump)\n");
     }
@@ -443,226 +863,102 @@ CmdSummary(const Dump& dump)
     return 0;
 }
 
+int
+CmdSummary(const Args& args)
+{
+    for (size_t i = 0; i < args.inputs.size(); ++i) {
+        Dump dump;
+        if (!ReadDump(args.inputs[i], &dump))
+            return 2;
+        if (i > 0)
+            std::printf("\n");
+        PrintSummary(dump);
+    }
+    return 0;
+}
+
 // ---------------------------------------------------------------------------
 // diff
 // ---------------------------------------------------------------------------
-
-/** Tolerances: a default plus per-metric overrides. */
-struct DiffOptions {
-    double default_tol = 0.0;  ///< relative; 0 = exact.
-    std::map<std::string, double> per_metric;
-    bool include_latency = false;
-    /** Compare only histogram counts (scrape mode: the exposition
-     *  carries buckets, not the exporter's quantile estimates). */
-    bool histogram_counts_only = false;
-};
-
-double
-TolFor(const DiffOptions& opts, const std::string& name)
-{
-    const auto it = opts.per_metric.find(name);
-    return it == opts.per_metric.end() ? opts.default_tol : it->second;
-}
 
 /** True when the metric measures wall time (machine-dependent). */
 bool
 IsLatencyMetric(const std::string& name)
 {
-    return name.size() > 3 &&
-           name.compare(name.size() - 3, 3, "_ns") == 0;
-}
-
-bool
-WithinTolerance(double base, double cand, double tol)
-{
-    if (base == cand)
-        return true;
-    const double mag = std::max(std::fabs(base), std::fabs(cand));
-    return std::fabs(cand - base) <= tol * mag;
-}
-
-/** Compare one metric; prints and counts a regression when outside
- *  tolerance. */
-void
-CheckValue(const std::string& kind, const std::string& name,
-           double base, double cand, const DiffOptions& opts,
-           size_t* compared, size_t* regressions)
-{
-    ++*compared;
-    const double tol = TolFor(opts, name);
-    if (WithinTolerance(base, cand, tol))
-        return;
-    ++*regressions;
-    const double mag = std::max(std::fabs(base), std::fabs(cand));
-    std::printf("REGRESSION  %-9s %-32s %.6g -> %.6g  (rel %.3g > tol "
-                "%.3g)\n",
-                kind.c_str(), name.c_str(), base, cand,
-                mag == 0 ? 0 : std::fabs(cand - base) / mag, tol);
+    return name.size() > 3 && EndsWith(name, "_ns");
 }
 
 /**
- * Refuse to compare inputs written under different schema versions:
- * true, with a diagnostic on stderr, when the versions differ. Every
- * comparing subcommand exits 2 on it.
+ * Gate every metric of @p base against @p cand: one missing from the
+ * candidate or moved past its tolerance is a regression. Histograms
+ * gate their event count, and their p50 unless @p counts_only (a
+ * scrape carries buckets, not the exporter's quantile estimates) or
+ * they time something and --include-latency is off.
  */
-bool
-SchemaMismatch(const std::string& base_path, long base_version,
-               const std::string& cand_path, long cand_version)
+int
+GateMetrics(const Dump& base, const Dump& cand, const Args& args,
+            bool counts_only)
 {
-    if (base_version == cand_version)
-        return false;
-    std::fprintf(stderr,
-                 "rumba-stat: schema mismatch: %s is v%ld, %s is v%ld "
-                 "— refusing to compare\n",
-                 base_path.c_str(), base_version, cand_path.c_str(),
-                 cand_version);
-    return true;
+    return RunGate(base.in, cand.in, args.tol, "metrics", [&](Gate& gate) {
+        const std::string base_san = TextField(base.in.meta, "sanitizers");
+        const std::string cand_san = TextField(cand.in.meta, "sanitizers");
+        if (base.in.has_meta && cand.in.has_meta && base_san != cand_san) {
+            std::printf("note: sanitizer configs differ (\"%s\" vs "
+                        "\"%s\") — latency metrics are not comparable\n",
+                        base_san.c_str(), cand_san.c_str());
+        }
+        const auto values = [&gate](const char* kind,
+                                    const std::map<std::string, double>& b,
+                                    const std::map<std::string, double>& c) {
+            for (const auto& [name, value] : b) {
+                const auto it = c.find(name);
+                if (it == c.end())
+                    gate.Expect(false, kind, name, "missing in candidate");
+                else
+                    gate.Compare(kind, name, value, it->second);
+            }
+        };
+        values("counter", base.counters, cand.counters);
+        values("gauge", base.gauges, cand.gauges);
+        size_t skipped_latency = 0;
+        for (const auto& [name, h] : base.histograms) {
+            const auto it = cand.histograms.find(name);
+            if (it == cand.histograms.end()) {
+                gate.Expect(false, "histogram", name,
+                            "missing in candidate");
+                continue;
+            }
+            // Event counts are deterministic; the value distribution of
+            // a latency histogram is machine noise unless asked for.
+            gate.Compare("histogram", name + ".count", h.count,
+                         it->second.count);
+            if (counts_only)
+                continue;
+            if (IsLatencyMetric(name) &&
+                args.switches.count("--include-latency") == 0) {
+                ++skipped_latency;
+                continue;
+            }
+            gate.Compare("histogram", name + ".p50", h.p50,
+                         it->second.p50);
+        }
+        gate.note = ", " + std::to_string(skipped_latency) +
+                    " latency distributions skipped";
+    });
 }
 
 int
-CmdDiff(const Dump& base, const Dump& cand, const DiffOptions& opts)
+CmdDiff(const Args& args)
 {
-    // Refuse to compare dumps written by incompatible exporters.
-    if (base.has_meta && cand.has_meta &&
-        SchemaMismatch(base.path, base.schema_version, cand.path,
-                       cand.schema_version))
+    Dump base, cand;
+    if (!ReadDump(args.inputs[0], &base) || !ReadDump(args.inputs[1], &cand))
         return 2;
-    if (base.has_meta && cand.has_meta &&
-        base.sanitizers != cand.sanitizers) {
-        std::printf("note: sanitizer configs differ (\"%s\" vs "
-                    "\"%s\") — latency metrics are not comparable\n",
-                    base.sanitizers.c_str(), cand.sanitizers.c_str());
-    }
-
-    size_t compared = 0, regressions = 0, skipped_latency = 0;
-    std::vector<std::string> missing;
-
-    for (const auto& [name, value] : base.counters) {
-        const auto it = cand.counters.find(name);
-        if (it == cand.counters.end()) {
-            missing.push_back("counter " + name);
-            continue;
-        }
-        CheckValue("counter", name, value, it->second, opts, &compared,
-                   &regressions);
-    }
-    for (const auto& [name, value] : base.gauges) {
-        const auto it = cand.gauges.find(name);
-        if (it == cand.gauges.end()) {
-            missing.push_back("gauge " + name);
-            continue;
-        }
-        CheckValue("gauge", name, value, it->second, opts, &compared,
-                   &regressions);
-    }
-    for (const auto& [name, h] : base.histograms) {
-        const auto it = cand.histograms.find(name);
-        if (it == cand.histograms.end()) {
-            missing.push_back("histogram " + name);
-            continue;
-        }
-        // Event counts are deterministic; the value distribution of a
-        // latency histogram is machine noise unless asked for.
-        CheckValue("histogram", name + ".count", h.count,
-                   it->second.count, opts, &compared, &regressions);
-        if (opts.histogram_counts_only)
-            continue;
-        if (IsLatencyMetric(name) && !opts.include_latency) {
-            ++skipped_latency;
-            continue;
-        }
-        if (!IsLatencyMetric(name) || opts.include_latency) {
-            CheckValue("histogram", name + ".p50", h.p50,
-                       it->second.p50, opts, &compared, &regressions);
-        }
-    }
-
-    for (const auto& name : missing)
-        std::printf("REGRESSION  missing in candidate: %s\n",
-                    name.c_str());
-    regressions += missing.size();
-
-    std::printf("%s: %zu metrics compared, %zu regressions, %zu "
-                "latency distributions skipped\n",
-                regressions == 0 ? "PASS" : "FAIL", compared,
-                regressions, skipped_latency);
-    return regressions == 0 ? 0 : 1;
+    return GateMetrics(base, cand, args, /*counts_only=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // scrape: fetch / parse / validate Prometheus text exposition.
 // ---------------------------------------------------------------------------
-
-/** Blocking HTTP GET (own tiny client — rumba-stat links nothing from
- *  src/). Supports dotted-quad hosts and "localhost". */
-bool
-FetchHttp(const std::string& host, int port, const std::string& path,
-          std::string* body)
-{
-    const std::string addr_text =
-        host == "localhost" ? "127.0.0.1" : host;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (inet_pton(AF_INET, addr_text.c_str(), &addr.sin_addr) != 1) {
-        std::fprintf(stderr,
-                     "rumba-stat: cannot parse host '%s' (numeric IPv4 "
-                     "or 'localhost' only)\n",
-                     host.c_str());
-        return false;
-    }
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return false;
-    if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-        std::fprintf(stderr, "rumba-stat: cannot connect to %s:%d\n",
-                     host.c_str(), port);
-        close(fd);
-        return false;
-    }
-    const std::string request = "GET " + path +
-                                " HTTP/1.0\r\nHost: " + host +
-                                "\r\nConnection: close\r\n\r\n";
-    size_t sent = 0;
-    while (sent < request.size()) {
-        const ssize_t n = send(fd, request.data() + sent,
-                               request.size() - sent, 0);
-        if (n <= 0) {
-            close(fd);
-            return false;
-        }
-        sent += static_cast<size_t>(n);
-    }
-    std::string response;
-    char buf[4096];
-    ssize_t n;
-    while ((n = recv(fd, buf, sizeof(buf), 0)) > 0)
-        response.append(buf, static_cast<size_t>(n));
-    close(fd);
-    const size_t sp = response.find(' ');
-    if (response.compare(0, 5, "HTTP/") != 0 ||
-        sp == std::string::npos) {
-        std::fprintf(stderr, "rumba-stat: malformed HTTP response\n");
-        return false;
-    }
-    const int status = std::atoi(response.c_str() + sp + 1);
-    if (status != 200) {
-        std::fprintf(stderr, "rumba-stat: HTTP %d from %s:%d%s\n",
-                     status, host.c_str(), port, path.c_str());
-        return false;
-    }
-    size_t head_end = response.find("\r\n\r\n");
-    size_t skip = 4;
-    if (head_end == std::string::npos) {
-        head_end = response.find("\n\n");
-        skip = 2;
-    }
-    *body = head_end == std::string::npos
-                ? ""
-                : response.substr(head_end + skip);
-    return true;
-}
 
 /** One parsed exposition sample. */
 struct PromSample {
@@ -775,8 +1071,7 @@ std::string
 StripSuffix(const std::string& name, const char* suffix)
 {
     const size_t len = std::strlen(suffix);
-    if (name.size() > len &&
-        name.compare(name.size() - len, len, suffix) == 0)
+    if (name.size() > len && EndsWith(name, suffix))
         return name.substr(0, name.size() - len);
     return "";
 }
@@ -798,7 +1093,7 @@ BaseSeries(const PromScrape& scrape, const std::string& prom_name)
 /** Per-histogram accumulation for validation and Dump conversion. */
 struct HistAccum {
     std::vector<std::pair<double, double>> buckets;  ///< (le, cum).
-    double sum = 0, count = 0, min = 0, max = 0;
+    double count = 0;
     bool has_count = false;
 };
 
@@ -831,25 +1126,22 @@ ScrapeToDump(PromScrape* scrape, Dump* dump)
                     s.le == "+Inf" ? HUGE_VAL
                                    : std::strtod(s.le.c_str(), nullptr),
                     s.value);
-            } else if (s.prom_name == base + "_sum") {
-                h.sum = s.value;
             } else if (s.prom_name == base + "_count") {
                 h.count = s.value;
                 h.has_count = true;
             }
         } else if (type == "gauge") {
-            // A histogram's companion extrema gauges fold back into
-            // its stats; everything else is a plain gauge.
+            // A histogram's companion extrema gauges belong to it;
+            // everything else is a plain gauge.
             const std::string min_base = StripSuffix(base, "_min");
             const std::string max_base = StripSuffix(base, "_max");
-            if (!min_base.empty() &&
-                scrape->types.count(min_base) &&
-                scrape->types[min_base] == "histogram") {
-                hists[key].min = s.value;
-            } else if (!max_base.empty() &&
-                       scrape->types.count(max_base) &&
-                       scrape->types[max_base] == "histogram") {
-                hists[key].max = s.value;
+            if ((!min_base.empty() &&
+                 scrape->types.count(min_base) &&
+                 scrape->types[min_base] == "histogram") ||
+                (!max_base.empty() &&
+                 scrape->types.count(max_base) &&
+                 scrape->types[max_base] == "histogram")) {
+                hists.try_emplace(key);
             } else {
                 dump->gauges[key] = s.value;
             }
@@ -883,151 +1175,22 @@ ScrapeToDump(PromScrape* scrape, Dump* dump)
             scrape->errors.push_back("histogram '" + name +
                                      "' has no +Inf bucket");
         }
-        HistogramStats stats;
-        stats.count = h.count;
-        stats.sum = h.sum;
-        stats.min = h.min;
-        stats.max = h.max;
-        dump->histograms[name] = stats;
+        dump->histograms[name].count = h.count;
     }
-}
-
-/**
- * Fetch (or read) the target into @p body. Live HTTP targets
- * (http://host:port[/path] or host:port) default to @p default_path
- * and, when @p host_out / @p port_out are given, report where they
- * connected so callers can fetch sibling endpoints; plain paths read
- * a saved file (host_out stays empty).
- */
-bool
-FetchTarget(const std::string& target, const char* default_path,
-            std::string* body, std::string* host_out = nullptr,
-            int* port_out = nullptr)
-{
-    std::string rest;
-    if (target.rfind("http://", 0) == 0)
-        rest = target.substr(7);
-    else if (target.find(':') != std::string::npos)
-        rest = target;
-    if (!rest.empty()) {
-        std::string path = default_path;
-        const size_t slash = rest.find('/');
-        if (slash != std::string::npos) {
-            path = rest.substr(slash);
-            rest.resize(slash);
-        }
-        const size_t colon = rest.find(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr,
-                         "rumba-stat: scrape target needs host:port\n");
-            return false;
-        }
-        const int port = std::atoi(rest.c_str() + colon + 1);
-        const std::string host = rest.substr(0, colon);
-        if (host_out != nullptr)
-            *host_out = host;
-        if (port_out != nullptr)
-            *port_out = port;
-        return FetchHttp(host, port, path, body);
-    }
-    std::ifstream in(target);
-    if (!in) {
-        std::fprintf(stderr, "rumba-stat: cannot open %s\n",
-                     target.c_str());
-        return false;
-    }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    *body = contents.str();
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// JSON diagnostic endpoints (/buildz, /profilez, /tsdbz, /incidentz):
-// one loader and one required-key list per route, shared by each
-// route's subcommand and by `scrape --check`.
-// ---------------------------------------------------------------------------
-
-/** A JSON route and the flattened keys every valid body carries. */
-struct JsonEndpoint {
-    const char* path;
-    std::vector<std::string> required;
-};
-
-const JsonEndpoint kBuildz = {
-    "/buildz",
-    {"version", "git_describe", "build_type", "schema_version"},
-};
-
-const JsonEndpoint kProfilez = {
-    "/profilez",
-    {"schema_version", "cpu_seconds.device",
-     "cpu_seconds.predict_check", "cpu_seconds.recover",
-     "cpu_seconds.total", "sampler.running", "sampler.hz",
-     "sampler.samples", "efficiency.speedup_estimate",
-     "efficiency.energy_ratio", "efficiency.window", "invocations"},
-};
-
-const JsonEndpoint kTsdbz = {
-    "/tsdbz",
-    {"schema_version", "now_ms", "series", "points_total",
-     "sampler_running", "selected"},
-};
-
-const JsonEndpoint kIncidentz = {
-    "/incidentz",
-    {"schema_version", "count", "opened", "dumped", "suppressed"},
-};
-
-/**
- * Load @p endpoint's body from @p target (a live URL, host:port, or a
- * saved file) into @p obj: parses as one JSON object (nested objects
- * flatten to dotted keys) carrying every required key. Returns false,
- * with diagnostics on stderr, on a fetch, parse, or key failure.
- */
-bool
-LoadEndpoint(const std::string& target, const JsonEndpoint& endpoint,
-             JsonObject* obj)
-{
-    std::string body;
-    if (!FetchTarget(target, endpoint.path, &body))
-        return false;
-    if (!ParseJsonLine(body, obj)) {
-        std::fprintf(stderr, "rumba-stat: %s: malformed JSON\n",
-                     target.c_str());
-        return false;
-    }
-    bool ok = true;
-    for (const std::string& key : endpoint.required) {
-        if (obj->count(key) != 0)
-            continue;
-        std::fprintf(stderr, "rumba-stat: %s: missing key \"%s\"\n",
-                     target.c_str(), key.c_str());
-        ok = false;
-    }
-    return ok;
-}
-
-/** A JSON body's "schema_version" (0 when absent). */
-long
-SchemaVersion(const JsonObject& obj)
-{
-    return static_cast<long>(Field(obj, "schema_version"));
 }
 
 int
-CmdScrape(const std::string& target, bool check,
-          const std::string& baseline_path, const DiffOptions& opts)
+CmdScrape(const Args& args)
 {
+    const std::string& target = args.inputs[0];
     std::string body;
-    std::string host;
-    int port = 0;
-    if (!FetchTarget(target, "/metrics", &body, &host, &port))
+    Target live;
+    if (!FetchTarget(target, "/metrics", &body, &live))
         return 2;
     PromScrape scrape;
     ParseExposition(body, &scrape);
     Dump dump;
-    dump.path = target;
+    dump.in.path = target;
     ScrapeToDump(&scrape, &dump);
     if (!scrape.errors.empty()) {
         for (const std::string& error : scrape.errors)
@@ -1038,19 +1201,19 @@ CmdScrape(const std::string& target, bool check,
                     scrape.errors.size(), scrape.samples.size());
         return 2;
     }
-    if (check) {
+    if (args.switches.count("--check") != 0) {
         // Live targets also serve JSON diagnostics; validate that
         // /buildz, /profilez, /tsdbz and /incidentz are well-formed
         // and carry the keys dashboards key on. File targets only
         // have the exposition.
         size_t bad_endpoints = 0;
-        if (!host.empty()) {
+        if (!live.host.empty()) {
             const std::string root =
-                "http://" + host + ":" + std::to_string(port);
-            for (const JsonEndpoint* endpoint :
+                "http://" + live.host + ":" + std::to_string(live.port);
+            for (const RecordKind* route :
                  {&kBuildz, &kProfilez, &kTsdbz, &kIncidentz}) {
-                JsonObject obj;
-                if (!LoadEndpoint(root + endpoint->path, *endpoint, &obj))
+                Input in;
+                if (!ReadRecords(root + route->tag, route, &in))
                     ++bad_endpoints;
             }
         }
@@ -1066,55 +1229,38 @@ CmdScrape(const std::string& target, bool check,
                     "cumulative%s\n",
                     scrape.samples.size(), dump.counters.size(),
                     dump.gauges.size(), dump.histograms.size(),
-                    host.empty() ? ""
-                                 : "; /buildz, /profilez, /tsdbz and "
-                                   "/incidentz valid");
+                    live.host.empty() ? ""
+                                      : "; /buildz, /profilez, /tsdbz and "
+                                        "/incidentz valid");
         return 0;
     }
-    if (!baseline_path.empty()) {
+    if (!args.baseline.empty()) {
         Dump base;
-        if (!LoadDump(baseline_path, &base))
+        if (!ReadDump(args.baseline, &base))
             return 2;
-        DiffOptions scrape_opts = opts;
-        scrape_opts.histogram_counts_only = true;
-        return CmdDiff(base, dump, scrape_opts);
+        return GateMetrics(base, dump, args, /*counts_only=*/true);
     }
-    return CmdSummary(dump);
+    return PrintSummary(dump);
 }
 
 // ---------------------------------------------------------------------------
 // profile: summarize / gate the live cost profiler (/profilez).
 // ---------------------------------------------------------------------------
 
-/** One efficiency-figure gate: relative move in the worse direction
- *  beyond @p tol counts a regression. */
-void
-CheckEfficiency(const char* what, double base, double cand,
-                bool higher_is_worse, double tol, size_t* regressions)
-{
-    const double mag = std::max(std::fabs(base), std::fabs(cand));
-    const double delta = higher_is_worse ? cand - base : base - cand;
-    if (mag == 0.0 || delta <= tol * mag)
-        return;
-    ++*regressions;
-    std::printf("REGRESSION  %-24s %.4g -> %.4g  (moved %.3g > tol "
-                "%.3g relative)\n",
-                what, base, cand, delta / mag, tol);
-}
-
 int
-CmdProfile(const std::string& target, const std::string& baseline_path,
-           double tol)
+CmdProfile(const Args& args)
 {
-    JsonObject obj;
-    if (!LoadEndpoint(target, kProfilez, &obj))
+    Input cand;
+    if (!ReadRecords(args.inputs[0], &kProfilez, &cand))
         return 2;
+    const JsonObject& obj = cand.kept.front();
 
-    std::printf("== %s ==\n", target.c_str());
+    std::printf("== %s ==\n", cand.path.c_str());
+    // obs::ProfileStage order.
     static const char* kStages[] = {"queue_wait", "device",
                                     "predict_check", "recover",
-                                    "merge", "audit", "verify",
-                                    "other"};
+                                    "compensate", "merge", "audit",
+                                    "verify", "other"};
     const double total = Field(obj, "cpu_seconds.total");
     std::printf("stage CPU attribution (%0.f invocations):\n",
                 Field(obj, "invocations"));
@@ -1138,28 +1284,18 @@ CmdProfile(const std::string& target, const std::string& baseline_path,
                 "%.4g (window %.0f of %.0f invocations)\n",
                 speedup, energy, Field(obj, "efficiency.window"),
                 Field(obj, "efficiency.invocations"));
-    if (baseline_path.empty())
-        return 0;
-
-    JsonObject base;
-    if (!LoadEndpoint(baseline_path, kProfilez, &base))
-        return 2;
-    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
-                       SchemaVersion(obj)))
-        return 2;
-    std::printf("\nefficiency gate vs %s (tol %.3g relative):\n",
-                baseline_path.c_str(), tol);
-    size_t regressions = 0;
-    CheckEfficiency("speedup estimate",
-                    Field(base, "efficiency.speedup_estimate"),
-                    speedup, /*higher_is_worse=*/false, tol,
-                    &regressions);
-    CheckEfficiency("energy ratio",
-                    Field(base, "efficiency.energy_ratio"), energy,
-                    /*higher_is_worse=*/true, tol, &regressions);
-    std::printf("%s: 2 efficiency figures gated, %zu regressions\n",
-                regressions == 0 ? "PASS" : "FAIL", regressions);
-    return regressions == 0 ? 0 : 1;
+    return GateBaseline(args, kProfilez, cand, 0, "efficiency figures",
+                        [&](const Input& base, Gate& gate) {
+        const JsonObject& before = base.kept.front();
+        std::printf("\nefficiency gate vs %s (tol %.3g relative):\n",
+                    args.baseline.c_str(), args.tol.value);
+        gate.Compare("figure", "speedup estimate",
+                     Field(before, "efficiency.speedup_estimate"), speedup,
+                     Worse::kLower);
+        gate.Compare("figure", "energy ratio",
+                     Field(before, "efficiency.energy_ratio"), energy,
+                     Worse::kHigher);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,13 +1331,14 @@ TsdbzSeries(const JsonObject& obj)
 }
 
 int
-CmdTsdb(const std::string& target, const std::string& baseline_path)
+CmdTsdb(const Args& args)
 {
-    JsonObject obj;
-    if (!LoadEndpoint(target, kTsdbz, &obj))
+    Input cand;
+    if (!ReadRecords(args.inputs[0], &kTsdbz, &cand))
         return 2;
+    const JsonObject& obj = cand.kept.front();
 
-    std::printf("== %s ==\n", target.c_str());
+    std::printf("== %s ==\n", cand.path.c_str());
     std::printf("store: %.0f series, %.0f points retained, %.0f "
                 "series dropped at capacity; sampler %s (%.0f "
                 "samples)\n",
@@ -1225,43 +1362,25 @@ CmdTsdb(const std::string& target, const std::string& baseline_path)
                     Field(obj, at + "rate_per_s"),
                     Field(obj, at + "quantile_value"));
     }
-    if (baseline_path.empty())
-        return 0;
-
-    JsonObject base;
-    if (!LoadEndpoint(baseline_path, kTsdbz, &base))
-        return 2;
-    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
-                       SchemaVersion(obj)))
-        return 2;
     // Coverage gate: every series the baseline retained points for
     // must still exist and still have points — a series going dark
     // means a probe was unwired or the sampler stopped feeding it.
     // Values are workload-dependent, so only presence is gated.
-    std::printf("\ncoverage gate vs %s:\n", baseline_path.c_str());
-    size_t gated = 0;
-    size_t regressions = 0;
-    for (const std::string& name : TsdbzSeries(base)) {
-        if (Field(base, "series_detail." + name + ".points") <= 0)
-            continue;
-        ++gated;
-        const double cand_points =
-            Field(obj, "series_detail." + name + ".points", -1.0);
-        if (cand_points < 0) {
-            ++regressions;
-            std::printf("REGRESSION  series %-44s retained in "
-                        "baseline, missing from candidate\n",
-                        name.c_str());
-        } else if (cand_points == 0) {
-            ++regressions;
-            std::printf("REGRESSION  series %-44s has no points in "
-                        "candidate window\n",
-                        name.c_str());
+    return GateBaseline(args, kTsdbz, cand, 0, "series",
+                        [&](const Input& base, Gate& gate) {
+        const JsonObject& before = base.kept.front();
+        std::printf("\ncoverage gate vs %s:\n", args.baseline.c_str());
+        for (const std::string& name : TsdbzSeries(before)) {
+            const std::string points = "series_detail." + name + ".points";
+            if (Field(before, points) <= 0)
+                continue;
+            const double cand_points = Field(obj, points, -1.0);
+            gate.Expect(cand_points > 0, "series", name,
+                        cand_points < 0
+                            ? "retained in baseline, missing from candidate"
+                            : "has no points in candidate window");
         }
-    }
-    std::printf("%s: %zu series gated, %zu regressions\n",
-                regressions == 0 ? "PASS" : "FAIL", gated, regressions);
-    return regressions == 0 ? 0 : 1;
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1274,36 +1393,32 @@ size_t
 CorrelatedIncidents(const JsonObject& obj, double min_sources)
 {
     size_t correlated = 0;
-    const size_t count = static_cast<size_t>(Field(obj, "count"));
-    for (size_t i = 0; i < count; ++i) {
-        const std::string at = "incidents." + std::to_string(i) + ".";
+    for (const std::string& at : IncidentRows(obj))
         if (Field(obj, at + "sources") >= min_sources)
             ++correlated;
-    }
     return correlated;
 }
 
 int
-CmdIncident(const std::string& target,
-            const std::string& baseline_path)
+CmdIncident(const Args& args)
 {
-    JsonObject obj;
-    if (!LoadEndpoint(target, kIncidentz, &obj))
+    Input cand;
+    if (!ReadRecords(args.inputs[0], &kIncidentz, &cand))
         return 2;
+    const JsonObject& obj = cand.kept.front();
 
-    std::printf("== %s ==\n", target.c_str());
-    const size_t count = static_cast<size_t>(Field(obj, "count"));
+    std::printf("== %s ==\n", cand.path.c_str());
+    const std::vector<std::string> rows = IncidentRows(obj);
     std::printf("%zu bundle(s) kept (%.0f opened, %.0f dumped to "
                 "disk, %.0f suppressed by rate limit)%s%s\n",
-                count, Field(obj, "opened"), Field(obj, "dumped"),
+                rows.size(), Field(obj, "opened"), Field(obj, "dumped"),
                 Field(obj, "suppressed"),
                 TextField(obj, "dir").empty() ? "" : ", dir ",
                 TextField(obj, "dir").c_str());
-    if (count > 0)
+    if (!rows.empty())
         std::printf("  %-4s %12s %8s %8s %6s  %s\n", "id", "onset_ms",
                     "sources", "signals", "joins", "kinds");
-    for (size_t i = 0; i < count; ++i) {
-        const std::string at = "incidents." + std::to_string(i) + ".";
+    for (const std::string& at : rows) {
         std::printf("  %-4.0f %12.1f %8.0f %8.0f %6.0f  %s%s%s\n",
                     Field(obj, at + "id"), Field(obj, at + "onset_ms"),
                     Field(obj, at + "sources"),
@@ -1313,190 +1428,114 @@ CmdIncident(const std::string& target,
                     TextField(obj, at + "path").empty() ? "" : " -> ",
                     TextField(obj, at + "path").c_str());
     }
-    if (baseline_path.empty())
-        return 0;
-
-    JsonObject base;
-    if (!LoadEndpoint(baseline_path, kIncidentz, &base))
-        return 2;
-    if (SchemaMismatch(baseline_path, SchemaVersion(base), target,
-                       SchemaVersion(obj)))
-        return 2;
     // Correlation gate: if the baseline run produced a multi-source
     // incident (the forensics pipeline end-to-end: detectors firing,
     // signals joining, bundle assembled), the candidate must too.
     // Counts are workload-dependent, so >=1 is the bar, not equality.
-    const size_t base_correlated = CorrelatedIncidents(base, 2.0);
-    const size_t cand_correlated = CorrelatedIncidents(obj, 2.0);
-    std::printf("\ncorrelation gate vs %s: baseline %zu multi-source "
-                "incident(s), candidate %zu\n",
-                baseline_path.c_str(), base_correlated,
-                cand_correlated);
-    if (base_correlated > 0 && cand_correlated == 0) {
-        std::printf("REGRESSION  baseline correlated >=2 sources but "
-                    "candidate produced no multi-source incident\n");
-        std::printf("FAIL: correlation pipeline regressed\n");
-        return 1;
-    }
-    std::printf("PASS: correlation pipeline intact\n");
-    return 0;
+    return GateBaseline(args, kIncidentz, cand, 0, "correlations",
+                        [&](const Input& base, Gate& gate) {
+        const size_t base_correlated =
+            CorrelatedIncidents(base.kept.front(), 2.0);
+        const size_t cand_correlated = CorrelatedIncidents(obj, 2.0);
+        std::printf("\ncorrelation gate vs %s: baseline %zu multi-source "
+                    "incident(s), candidate %zu\n",
+                    args.baseline.c_str(), base_correlated,
+                    cand_correlated);
+        if (base_correlated > 0) {
+            gate.Expect(cand_correlated > 0, "incident",
+                        "multi-source correlation",
+                        "baseline correlated >=2 sources, candidate "
+                        "produced none");
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // audit: summarize / regression-gate RUMBA_AUDIT_OUT labeled dumps.
 // ---------------------------------------------------------------------------
 
-/** One "audit" line from a RUMBA_AUDIT_OUT dump. */
-struct AuditRecord {
-    double trace_id = 0;
-    long shard = 0;
-    bool forced = false;
-    std::string forced_reason;
-    double elements = 0;  ///< audited elements (strided subset size).
-    double estimated_error_pct = 0;
-    double reported_error_pct = 0;
-    double true_error_pct = 0;
-    bool toq_violation = false;
-    double toq_bound_pct = 0;
-    double tp = 0, fp = 0, fn = 0, tn = 0;
-};
+/** Checker calibration counts: tp, fp (recovered), fn (accepted), tn. */
+using Calibration = std::array<double, 4>;
 
-/** Everything loaded from one audit dump. */
-struct AuditDump {
-    std::string path;
-    bool has_meta = false;
-    long schema_version = -1;
-    std::vector<AuditRecord> records;
-    size_t element_lines = 0;
-    size_t needs_fix_elements = 0;  ///< from audit_element labels.
-};
-
-/** Derived calibration summary of one audit dump. */
-struct AuditStats {
-    size_t audits = 0, forced = 0, violations = 0;
-    double elements = 0;
-    double tp = 0, fp = 0, fn = 0, tn = 0;
-    double mean_true_error = 0, mean_abs_gap = 0;
-    double violation_rate = 0, precision = 1.0, recall = 1.0;
-    std::map<long, std::array<double, 4>> per_shard;  ///< tp,fp,fn,tn.
-};
-
-bool
-LoadAuditDump(const std::string& path, AuditDump* dump)
+/** Precision and recall of @p c (1 when nothing fired / needed a fix). */
+std::pair<double, double>
+PrecisionRecall(const Calibration& c)
 {
-    dump->path = path;
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "rumba-stat: cannot open %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        JsonObject obj;
-        if (!ParseJsonLine(line, &obj)) {
-            std::fprintf(stderr, "rumba-stat: %s:%zu: bad JSON line\n",
-                         path.c_str(), lineno);
-            return false;
-        }
-        const std::string type = TextField(obj, "type");
-        if (type == "meta") {
-            dump->has_meta = true;
-            dump->schema_version =
-                static_cast<long>(Field(obj, "schema_version", -1));
-        } else if (type == "audit") {
-            AuditRecord r;
-            r.trace_id = Field(obj, "trace_id");
-            r.shard = static_cast<long>(Field(obj, "shard"));
-            r.forced = Field(obj, "forced") != 0;
-            r.forced_reason = TextField(obj, "forced_reason");
-            // Older dumps predate element-budget striding and carry
-            // only "elements" (then every element was audited).
-            r.elements =
-                Field(obj, "audited_elements",
-                      Field(obj, "elements"));
-            r.estimated_error_pct = Field(obj, "estimated_error_pct");
-            r.reported_error_pct = Field(obj, "reported_error_pct");
-            r.true_error_pct = Field(obj, "true_error_pct");
-            r.toq_violation = Field(obj, "toq_violation") != 0;
-            r.toq_bound_pct = Field(obj, "toq_bound_pct");
-            r.tp = Field(obj, "tp");
-            r.fp = Field(obj, "fp");
-            r.fn = Field(obj, "fn");
-            r.tn = Field(obj, "tn");
-            dump->records.push_back(std::move(r));
-        } else if (type == "audit_element") {
-            ++dump->element_lines;
-            if (Field(obj, "needs_fix") != 0)
-                ++dump->needs_fix_elements;
-        }
-        // Other line types (metrics mixed in, future kinds): ignored.
-    }
-    if (dump->records.empty()) {
-        std::fprintf(stderr,
-                     "rumba-stat: %s has no \"audit\" lines — not a "
-                     "RUMBA_AUDIT_OUT dump?\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
+    const double fires = c[0] + c[1], needed = c[0] + c[2];
+    return {fires == 0 ? 1.0 : c[0] / fires,
+            needed == 0 ? 1.0 : c[0] / needed};
 }
 
+/** Derived calibration summary of one audit dump's "audit" lines. */
+struct AuditStats {
+    size_t forced = 0, violations = 0;
+    double elements = 0;
+    double mean_true_error = 0, mean_abs_gap = 0;
+    double violation_rate = 0, precision = 1.0, recall = 1.0;
+    Calibration total = {};
+    std::map<long, Calibration> per_shard;
+};
+
 AuditStats
-SummarizeAudits(const AuditDump& dump)
+SummarizeAudits(const std::vector<JsonObject>& audits)
 {
     AuditStats s;
     double gap_sum = 0, err_sum = 0;
-    for (const AuditRecord& r : dump.records) {
-        ++s.audits;
-        s.forced += r.forced ? 1 : 0;
-        s.violations += r.toq_violation ? 1 : 0;
-        s.elements += r.elements;
-        s.tp += r.tp;
-        s.fp += r.fp;
-        s.fn += r.fn;
-        s.tn += r.tn;
-        err_sum += r.true_error_pct;
-        gap_sum += std::fabs(r.true_error_pct - r.estimated_error_pct);
-        auto& shard = s.per_shard[r.shard];
-        shard[0] += r.tp;
-        shard[1] += r.fp;
-        shard[2] += r.fn;
-        shard[3] += r.tn;
+    for (const JsonObject& r : audits) {
+        s.forced += Field(r, "forced") != 0 ? 1 : 0;
+        s.violations += Field(r, "toq_violation") != 0 ? 1 : 0;
+        // Older dumps predate element-budget striding and carry only
+        // "elements" (then every element was audited).
+        s.elements += Field(r, "audited_elements", Field(r, "elements"));
+        const double true_error = Field(r, "true_error_pct");
+        err_sum += true_error;
+        gap_sum += std::fabs(true_error - Field(r, "estimated_error_pct"));
+        Calibration& shard = s.per_shard[IntField(r, "shard")];
+        static const char* kCounts[] = {"tp", "fp", "fn", "tn"};
+        for (size_t i = 0; i < shard.size(); ++i) {
+            const double n = Field(r, kCounts[i]);
+            shard[i] += n;
+            s.total[i] += n;
+        }
     }
-    if (s.audits > 0) {
-        s.mean_true_error = err_sum / static_cast<double>(s.audits);
-        s.mean_abs_gap = gap_sum / static_cast<double>(s.audits);
-        s.violation_rate = static_cast<double>(s.violations) /
-                           static_cast<double>(s.audits);
+    const double audits_n = static_cast<double>(audits.size());
+    if (!audits.empty()) {
+        s.mean_true_error = err_sum / audits_n;
+        s.mean_abs_gap = gap_sum / audits_n;
+        s.violation_rate = static_cast<double>(s.violations) / audits_n;
     }
-    const double fires = s.tp + s.fp;
-    const double needed = s.tp + s.fn;
-    s.precision = fires == 0 ? 1.0 : s.tp / fires;
-    s.recall = needed == 0 ? 1.0 : s.tp / needed;
+    std::tie(s.precision, s.recall) = PrecisionRecall(s.total);
     return s;
 }
 
-void
-PrintAuditSummary(const AuditDump& dump, const AuditStats& s,
-                  size_t worst_k)
+int
+CmdAudit(const Args& args)
 {
+    // "audit" lines are kept; the per-element "audit_element" lines
+    // (up to retained results x audited elements) are only counted.
+    Input dump;
+    size_t element_lines = 0, needs_fix = 0;
+    if (!ReadRecords(args.inputs[0], &kAuditLine, &dump,
+                     [&](const JsonObject& obj) {
+                         if (TextField(obj, "type") != "audit_element")
+                             return;
+                         ++element_lines;
+                         needs_fix += Field(obj, "needs_fix") != 0 ? 1 : 0;
+                     }))
+        return 2;
+    const AuditStats s = SummarizeAudits(dump.kept);
+
     std::printf("== %s ==\n", dump.path.c_str());
     if (dump.has_meta)
         std::printf("meta: schema v%ld\n", dump.schema_version);
     std::printf(
         "%zu audits (%zu forced), %.0f elements audited (%zu element "
         "lines, %zu needing a fix)\n",
-        s.audits, s.forced, s.elements, dump.element_lines,
-        dump.needs_fix_elements);
+        dump.kept.size(), s.forced, s.elements, element_lines, needs_fix);
     std::printf(
         "true TOQ violations: %zu / %zu (rate %.4f, bound %.4g%%)\n",
-        s.violations, s.audits, s.violation_rate,
-        dump.records.front().toq_bound_pct);
+        s.violations, dump.kept.size(), s.violation_rate,
+        Field(dump.kept.front(), "toq_bound_pct"));
     std::printf(
         "mean true error %.4g%%   mean |true - estimated| gap %.4g%%\n"
         "\n",
@@ -1506,93 +1545,59 @@ PrintAuditSummary(const AuditDump& dump, const AuditStats& s,
     std::printf("  %-8s %10s %10s %10s %10s %10s %8s\n", "shard",
                 "tp", "fp(rec)", "fn(acc)", "tn", "precision",
                 "recall");
-    for (const auto& [shard, counts] : s.per_shard) {
-        const double fires = counts[0] + counts[1];
-        const double needed = counts[0] + counts[2];
-        std::printf("  %-8ld %10.0f %10.0f %10.0f %10.0f %10.4f "
-                    "%8.4f\n",
-                    shard, counts[0], counts[1], counts[2], counts[3],
-                    fires == 0 ? 1.0 : counts[0] / fires,
-                    needed == 0 ? 1.0 : counts[0] / needed);
-    }
-    std::printf("  %-8s %10.0f %10.0f %10.0f %10.0f %10.4f %8.4f\n",
-                "total", s.tp, s.fp, s.fn, s.tn, s.precision,
-                s.recall);
+    const auto row = [](const std::string& label, const Calibration& c) {
+        const auto [precision, recall] = PrecisionRecall(c);
+        std::printf("  %-8s %10.0f %10.0f %10.0f %10.0f %10.4f %8.4f\n",
+                    label.c_str(), c[0], c[1], c[2], c[3], precision,
+                    recall);
+    };
+    for (const auto& [shard, counts] : s.per_shard)
+        row(std::to_string(shard), counts);
+    row("total", s.total);
 
-    if (worst_k > 0) {
-        std::vector<const AuditRecord*> ranked;
-        ranked.reserve(dump.records.size());
-        for (const AuditRecord& r : dump.records)
+    if (args.worst > 0) {
+        // NaN ranks last, so the order stays a strict weak ordering.
+        const auto true_error = [](const JsonObject* r) {
+            const double v = Field(*r, "true_error_pct");
+            return std::isnan(v) ? -HUGE_VAL : v;
+        };
+        std::vector<const JsonObject*> ranked;
+        ranked.reserve(dump.kept.size());
+        for (const JsonObject& r : dump.kept)
             ranked.push_back(&r);
         std::sort(ranked.begin(), ranked.end(),
-                  [](const AuditRecord* a, const AuditRecord* b) {
-                      return a->true_error_pct > b->true_error_pct;
+                  [&](const JsonObject* a, const JsonObject* b) {
+                      return true_error(a) > true_error(b);
                   });
         std::printf("\nworst %zu audited invocations by true error:\n",
-                    std::min(worst_k, ranked.size()));
+                    std::min(args.worst, ranked.size()));
         std::printf("  %-12s %-6s %12s %12s %5s %s\n", "trace_id",
                     "shard", "true_err%", "est_err%", "viol",
                     "forced");
-        for (size_t i = 0; i < ranked.size() && i < worst_k; ++i) {
-            const AuditRecord& r = *ranked[i];
+        for (size_t i = 0; i < ranked.size() && i < args.worst; ++i) {
+            const JsonObject& r = *ranked[i];
+            const bool forced = Field(r, "forced") != 0;
             std::printf("  %-12.0f %-6ld %12.4g %12.4g %5s %s\n",
-                        r.trace_id, r.shard, r.true_error_pct,
-                        r.estimated_error_pct,
-                        r.toq_violation ? "YES" : "no",
-                        r.forced ? r.forced_reason.c_str() : "-");
+                        Field(r, "trace_id"), IntField(r, "shard"),
+                        Field(r, "true_error_pct"),
+                        Field(r, "estimated_error_pct"),
+                        Field(r, "toq_violation") != 0 ? "YES" : "no",
+                        forced ? TextField(r, "forced_reason").c_str()
+                               : "-");
         }
     }
-}
-
-/** One audited calibration figure gate: candidate may not be worse
- *  than baseline by more than @p tol (absolute). */
-void
-CheckCalibration(const char* what, double base, double cand,
-                 bool higher_is_worse, double tol, size_t* regressions)
-{
-    const double delta = higher_is_worse ? cand - base : base - cand;
-    if (delta <= tol)
-        return;
-    ++*regressions;
-    std::printf("REGRESSION  %-24s %.4f -> %.4f  (moved %.4f > tol "
-                "%.4f)\n",
-                what, base, cand, delta, tol);
-}
-
-int
-CmdAudit(const std::string& path, const std::string& baseline_path,
-         double tol, size_t worst_k)
-{
-    AuditDump dump;
-    if (!LoadAuditDump(path, &dump))
-        return 2;
-    const AuditStats stats = SummarizeAudits(dump);
-    PrintAuditSummary(dump, stats, worst_k);
-    if (baseline_path.empty())
-        return 0;
-
-    AuditDump base;
-    if (!LoadAuditDump(baseline_path, &base))
-        return 2;
-    if (base.has_meta && dump.has_meta &&
-        SchemaMismatch(base.path, base.schema_version, dump.path,
-                       dump.schema_version))
-        return 2;
-    const AuditStats bs = SummarizeAudits(base);
-    std::printf("\ncalibration gate vs %s (tol %.4f absolute):\n",
-                baseline_path.c_str(), tol);
-    size_t regressions = 0;
-    CheckCalibration("checker precision", bs.precision,
-                     stats.precision, /*higher_is_worse=*/false, tol,
-                     &regressions);
-    CheckCalibration("checker recall", bs.recall, stats.recall,
-                     /*higher_is_worse=*/false, tol, &regressions);
-    CheckCalibration("true TOQ violation rate", bs.violation_rate,
-                     stats.violation_rate, /*higher_is_worse=*/true,
-                     tol, &regressions);
-    std::printf("%s: 3 calibration figures gated, %zu regressions\n",
-                regressions == 0 ? "PASS" : "FAIL", regressions);
-    return regressions == 0 ? 0 : 1;
+    return GateBaseline(args, kAuditLine, dump, 0, "calibration figures",
+                        [&](const Input& base, Gate& gate) {
+        const AuditStats bs = SummarizeAudits(base.kept);
+        std::printf("\ncalibration gate vs %s (tol %.4f absolute):\n",
+                    args.baseline.c_str(), args.tol.value);
+        gate.Compare("figure", "checker precision", bs.precision,
+                     s.precision, Worse::kLower);
+        gate.Compare("figure", "checker recall", bs.recall, s.recall,
+                     Worse::kLower);
+        gate.Compare("figure", "true TOQ violation rate",
+                     bs.violation_rate, s.violation_rate, Worse::kHigher);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1600,180 +1605,82 @@ CmdAudit(const std::string& path, const std::string& baseline_path,
 // (tools/rumba_scenarios --out, RUMBA_SCENARIO_OUT).
 // ---------------------------------------------------------------------------
 
-/** One "type":"scenario" line from the matrix runner. */
-struct ScenarioRow {
-    std::string name, status, workload, arrival, fault, violations;
-    bool admission = false;
-    double offered = 0, served = 0, shed = 0, expired = 0,
-           rejected = 0, gold_p99_ms = 0, loss_fraction = 0;
-};
-
-/** A loaded scenario dump: meta header plus rows in file order. */
-struct ScenarioDump {
-    std::string path;
-    bool has_meta = false;
-    long schema_version = -1;
-    std::vector<ScenarioRow> rows;
-};
-
-bool
-LoadScenarioDump(const std::string& path, ScenarioDump* dump)
+const JsonObject*
+FindScenario(const Input& dump, const std::string& name)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "rumba-stat: cannot open %s\n",
-                     path.c_str());
-        return false;
-    }
-    dump->path = path;
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        JsonObject obj;
-        if (!ParseJsonLine(line, &obj)) {
-            std::fprintf(stderr,
-                         "rumba-stat: %s:%zu: malformed JSON line\n",
-                         path.c_str(), lineno);
-            return false;
-        }
-        const std::string type = TextField(obj, "type");
-        if (type == "meta") {
-            dump->has_meta = true;
-            dump->schema_version =
-                static_cast<long>(Field(obj, "schema_version", -1));
-            continue;
-        }
-        if (type != "scenario")
-            continue;
-        ScenarioRow row;
-        row.name = TextField(obj, "name");
-        row.status = TextField(obj, "status");
-        row.workload = TextField(obj, "workload");
-        row.arrival = TextField(obj, "arrival");
-        row.fault = TextField(obj, "fault");
-        row.violations = TextField(obj, "violations");
-        row.admission = Field(obj, "admission") != 0;
-        row.offered = Field(obj, "offered");
-        row.served = Field(obj, "served");
-        row.shed = Field(obj, "shed");
-        row.expired = Field(obj, "expired");
-        row.rejected = Field(obj, "rejected");
-        row.gold_p99_ms = Field(obj, "gold_p99_ms");
-        row.loss_fraction = Field(obj, "loss_fraction");
-        if (row.name.empty() || row.status.empty()) {
-            std::fprintf(stderr,
-                         "rumba-stat: %s:%zu: scenario line missing "
-                         "name/status\n",
-                         path.c_str(), lineno);
-            return false;
-        }
-        dump->rows.push_back(std::move(row));
-    }
-    if (dump->rows.empty()) {
-        std::fprintf(stderr,
-                     "rumba-stat: %s: no scenario lines found\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
-const ScenarioRow*
-FindScenario(const ScenarioDump& dump, const std::string& name)
-{
-    for (const ScenarioRow& row : dump.rows)
-        if (row.name == name)
+    for (const JsonObject& row : dump.kept)
+        if (TextField(row, "name") == name)
             return &row;
     return nullptr;
 }
 
 int
-CmdScenarios(const std::string& path, const std::string& baseline_path)
+CmdScenarios(const Args& args)
 {
-    ScenarioDump dump;
-    if (!LoadScenarioDump(path, &dump))
+    Input dump;
+    if (!ReadRecords(args.inputs[0], &kScenarioLine, &dump))
         return 2;
 
     std::printf("== %s ==\n", dump.path.c_str());
     size_t pass = 0, fail = 0, skip = 0;
-    for (const ScenarioRow& row : dump.rows) {
-        if (row.status == "pass")
+    for (const JsonObject& row : dump.kept) {
+        const std::string status = TextField(row, "status");
+        if (status == "pass")
             ++pass;
-        else if (row.status == "skip")
+        else if (status == "skip")
             ++skip;
         else
             ++fail;
         std::printf("  %-5s %-24s %-10s %-8s adm=%-3s offered=%-6.0f "
                     "served=%-6.0f shed=%-5.0f rejected=%-5.0f "
                     "gold_p99=%.1fms loss=%.3f\n",
-                    row.status.c_str(), row.name.c_str(),
-                    row.workload.c_str(), row.arrival.c_str(),
-                    row.admission ? "on" : "off", row.offered,
-                    row.served, row.shed, row.rejected,
-                    row.gold_p99_ms, row.loss_fraction);
-        if (!row.violations.empty())
-            std::printf("        violations: %s\n",
-                        row.violations.c_str());
+                    status.c_str(), TextField(row, "name").c_str(),
+                    TextField(row, "workload").c_str(),
+                    TextField(row, "arrival").c_str(),
+                    Field(row, "admission") != 0 ? "on" : "off",
+                    Field(row, "offered"), Field(row, "served"),
+                    Field(row, "shed"), Field(row, "rejected"),
+                    Field(row, "gold_p99_ms"), Field(row, "loss_fraction"));
+        const std::string violations = TextField(row, "violations");
+        if (!violations.empty())
+            std::printf("        violations: %s\n", violations.c_str());
     }
     std::printf("%zu scenarios: %zu pass, %zu fail/error, %zu skip\n",
-                dump.rows.size(), pass, fail, skip);
-
-    if (baseline_path.empty())
-        return fail == 0 ? 0 : 1;
-
-    ScenarioDump base;
-    if (!LoadScenarioDump(baseline_path, &base))
-        return 2;
-    if (base.has_meta && dump.has_meta &&
-        SchemaMismatch(base.path, base.schema_version, dump.path,
-                       dump.schema_version))
-        return 2;
+                dump.kept.size(), pass, fail, skip);
 
     // Gate: any scenario the baseline passed must still pass (a skip
     // is neutral — the environment forced it off, e.g. an external
     // RUMBA_FAULT_PLAN). New scenarios and fixed failures are notes.
-    std::printf("\nscenario gate vs %s:\n", baseline_path.c_str());
-    size_t regressions = 0, compared = 0;
-    for (const ScenarioRow& brow : base.rows) {
-        if (brow.status != "pass")
-            continue;
-        ++compared;
-        const ScenarioRow* crow = FindScenario(dump, brow.name);
-        if (crow == nullptr) {
-            ++regressions;
-            std::printf("REGRESSION  %-24s pass -> (missing)\n",
-                        brow.name.c_str());
-            continue;
+    return GateBaseline(args, kScenarioLine, dump, fail == 0 ? 0 : 1,
+                        "baseline scenarios",
+                        [&](const Input& base, Gate& gate) {
+        std::printf("\nscenario gate vs %s:\n", args.baseline.c_str());
+        for (const JsonObject& brow : base.kept) {
+            const std::string was = TextField(brow, "status");
+            const std::string name = TextField(brow, "name");
+            const JsonObject* crow = FindScenario(dump, name);
+            const std::string status =
+                crow == nullptr ? "(missing)" : TextField(*crow, "status");
+            const std::string violations =
+                crow == nullptr ? "" : TextField(*crow, "violations");
+            if (was == "pass") {
+                gate.Expect(status == "pass" || status == "skip",
+                            "scenario", name,
+                            "pass -> " + status +
+                                (violations.empty() ? "" : ": " + violations));
+            } else if (status == "pass") {
+                std::printf("note: %s now passes (was %s)\n", name.c_str(),
+                            was.c_str());
+            }
         }
-        if (crow->status == "pass" || crow->status == "skip")
-            continue;
-        ++regressions;
-        std::printf("REGRESSION  %-24s pass -> %s%s%s\n",
-                    brow.name.c_str(), crow->status.c_str(),
-                    crow->violations.empty() ? "" : ": ",
-                    crow->violations.c_str());
-    }
-    for (const ScenarioRow& brow : base.rows) {
-        if (brow.status == "pass")
-            continue;
-        const ScenarioRow* crow = FindScenario(dump, brow.name);
-        if (crow != nullptr && crow->status == "pass")
-            std::printf("note: %s now passes (was %s)\n",
-                        brow.name.c_str(), brow.status.c_str());
-    }
-    for (const ScenarioRow& crow : dump.rows) {
-        if (FindScenario(base, crow.name) == nullptr)
-            std::printf("note: new scenario %s (%s) — not in "
-                        "baseline\n",
-                        crow.name.c_str(), crow.status.c_str());
-    }
-    std::printf("%s: %zu baseline scenarios gated, %zu regressions\n",
-                regressions == 0 ? "PASS" : "FAIL", compared,
-                regressions);
-    return regressions == 0 ? 0 : 1;
+        for (const JsonObject& crow : dump.kept) {
+            const std::string name = TextField(crow, "name");
+            if (FindScenario(base, name) == nullptr)
+                std::printf("note: new scenario %s (%s) — not in "
+                            "baseline\n",
+                            name.c_str(), TextField(crow, "status").c_str());
+        }
+    });
 }
 
 int
@@ -1837,8 +1744,113 @@ Usage()
         "violations; without --baseline, exit 1 when any scenario is\n"
         "fail/error; with --baseline, exit 1 when any scenario the\n"
         "baseline passed now fails or is missing (skips are neutral;\n"
-        "new scenarios and fixed failures are notes).\n");
+        "new scenarios and fixed failures are notes).\n"
+        "\n"
+        "Each gate prints a REGRESSION line per regressed metric,\n"
+        "series, figure or scenario, then \"PASS|FAIL: <n> <figures>\n"
+        "compared, <m> regressions\". A tolerance is a finite,\n"
+        "non-negative number, --worst a non-negative integer, a port\n"
+        "1-65535. JSON nested over 8 objects deep, a missing required\n"
+        "key, or an /incidentz count that is not its row count is\n"
+        "malformed input (exit 2).\n");
     return 2;
+}
+
+// ---------------------------------------------------------------------------
+// Argument parser: one table row per subcommand. Every number and port
+// is parsed and checked here, before any input is read.
+// ---------------------------------------------------------------------------
+
+/** How a command-line value is parsed and checked. */
+enum class ArgType { kPath, kTarget, kTolerance, kMetricTolerance, kCount };
+
+/** A flag that takes a value. */
+struct ValueFlag {
+    const char* name;
+    ArgType type;
+};
+
+/** One subcommand: its entry point and its command line. */
+struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    size_t inputs;  ///< positional count; 0 = one or more.
+    ArgType input;  ///< kPath or kTarget.
+    std::vector<ValueFlag> flags;
+    std::vector<std::string> switches;
+    Tolerance tol;  ///< --tol default, relative or absolute.
+};
+
+const Command kCommands[] = {
+    {"summary", CmdSummary, 0, ArgType::kPath, {}, {}, {}},
+    {"diff", CmdDiff, 2, ArgType::kPath,
+     {{"--tol", ArgType::kTolerance},
+      {"--tol-metric", ArgType::kMetricTolerance}},
+     {"--include-latency"}, {}},
+    {"scrape", CmdScrape, 1, ArgType::kTarget,
+     {{"--baseline", ArgType::kPath},
+      {"--tol", ArgType::kTolerance},
+      {"--tol-metric", ArgType::kMetricTolerance}},
+     {"--check", "--include-latency"}, {}},
+    {"profile", CmdProfile, 1, ArgType::kTarget,
+     {{"--baseline", ArgType::kTarget}, {"--tol", ArgType::kTolerance}},
+     {}, {0.15, false, {}}},
+    {"tsdb", CmdTsdb, 1, ArgType::kTarget,
+     {{"--baseline", ArgType::kTarget}}, {}, {}},
+    {"incident", CmdIncident, 1, ArgType::kTarget,
+     {{"--baseline", ArgType::kTarget}}, {}, {}},
+    {"audit", CmdAudit, 1, ArgType::kPath,
+     {{"--baseline", ArgType::kPath},
+      {"--tol", ArgType::kTolerance},
+      {"--worst", ArgType::kCount}},
+     {}, {0.05, /*absolute=*/true, {}}},
+    {"scenarios", CmdScenarios, 1, ArgType::kPath,
+     {{"--baseline", ArgType::kPath}}, {}, {}},
+};
+
+/** A tolerance: all of @p text, a finite, non-negative number. */
+bool
+ParseTolerance(const std::string& text, double* out)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end && std::isfinite(*out) &&
+           *out >= 0;
+}
+
+/** Check @p text as @p type and store it in @p args: a path or target
+ *  is --baseline when @p flag names it, else a positional input. */
+bool
+ParseArg(ArgType type, const std::string& flag, const std::string& text,
+         Args* args)
+{
+    Target target;
+    switch (type) {
+      case ArgType::kTolerance:
+        return ParseTolerance(text, &args->tol.value);
+      case ArgType::kMetricTolerance: {
+        const size_t eq = text.find('=');
+        return eq != std::string::npos &&
+               ParseTolerance(text.substr(eq + 1),
+                              &args->tol.per_metric[text.substr(0, eq)]);
+      }
+      case ArgType::kCount: {
+        const char* end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, args->worst);
+        return ec == std::errc() && ptr == end;
+      }
+      case ArgType::kTarget:
+        if (!ParseTarget(text, "", &target))
+            return false;
+        break;
+      case ArgType::kPath:
+        break;
+    }
+    if (flag.empty())
+        args->inputs.push_back(text);
+    else
+        args->baseline = text;
+    return true;
 }
 
 }  // namespace
@@ -1846,169 +1858,33 @@ Usage()
 int
 main(int argc, char** argv)
 {
-    if (argc < 2)
+    const Command* cmd = nullptr;
+    for (const Command& c : kCommands)
+        if (argc >= 2 && std::strcmp(argv[1], c.name) == 0)
+            cmd = &c;
+    if (cmd == nullptr)
         return Usage();
-    const std::string cmd = argv[1];
-
-    if (cmd == "summary") {
-        if (argc < 3)
+    Args args;
+    args.tol = cmd->tol;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const auto flag =
+            std::find_if(cmd->flags.begin(), cmd->flags.end(),
+                         [&](const ValueFlag& f) { return arg == f.name; });
+        bool ok = true;
+        if (flag != cmd->flags.end() && i + 1 < argc)
+            ok = ParseArg(flag->type, arg, argv[++i], &args);
+        else if (std::count(cmd->switches.begin(), cmd->switches.end(), arg))
+            args.switches.insert(arg);
+        else if (!arg.empty() && arg[0] == '-')
+            ok = false;
+        else
+            ok = ParseArg(cmd->input, "", arg, &args);
+        if (!ok)
             return Usage();
-        for (int i = 2; i < argc; ++i) {
-            Dump dump;
-            if (!LoadDump(argv[i], &dump))
-                return 2;
-            if (i > 2)
-                std::printf("\n");
-            CmdSummary(dump);
-        }
-        return 0;
     }
-
-    if (cmd == "diff") {
-        DiffOptions opts;
-        std::vector<std::string> files;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--tol" && i + 1 < argc) {
-                opts.default_tol = std::strtod(argv[++i], nullptr);
-            } else if (arg == "--tol-metric" && i + 1 < argc) {
-                const std::string spec = argv[++i];
-                const size_t eq = spec.find('=');
-                if (eq == std::string::npos)
-                    return Usage();
-                opts.per_metric[spec.substr(0, eq)] =
-                    std::strtod(spec.c_str() + eq + 1, nullptr);
-            } else if (arg == "--include-latency") {
-                opts.include_latency = true;
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.size() != 2)
-            return Usage();
-        Dump base, cand;
-        if (!LoadDump(files[0], &base) || !LoadDump(files[1], &cand))
-            return 2;
-        return CmdDiff(base, cand, opts);
-    }
-
-    if (cmd == "scrape") {
-        DiffOptions opts;
-        bool check = false;
-        std::string baseline;
-        std::vector<std::string> targets;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--check") {
-                check = true;
-            } else if (arg == "--baseline" && i + 1 < argc) {
-                baseline = argv[++i];
-            } else if (arg == "--tol" && i + 1 < argc) {
-                opts.default_tol = std::strtod(argv[++i], nullptr);
-            } else if (arg == "--tol-metric" && i + 1 < argc) {
-                const std::string spec = argv[++i];
-                const size_t eq = spec.find('=');
-                if (eq == std::string::npos)
-                    return Usage();
-                opts.per_metric[spec.substr(0, eq)] =
-                    std::strtod(spec.c_str() + eq + 1, nullptr);
-            } else if (arg == "--include-latency") {
-                opts.include_latency = true;
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                targets.push_back(arg);
-            }
-        }
-        if (targets.size() != 1)
-            return Usage();
-        return CmdScrape(targets[0], check, baseline, opts);
-    }
-
-    if (cmd == "profile") {
-        double tol = 0.15;
-        std::string baseline;
-        std::vector<std::string> targets;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--baseline" && i + 1 < argc) {
-                baseline = argv[++i];
-            } else if (arg == "--tol" && i + 1 < argc) {
-                tol = std::strtod(argv[++i], nullptr);
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                targets.push_back(arg);
-            }
-        }
-        if (targets.size() != 1)
-            return Usage();
-        return CmdProfile(targets[0], baseline, tol);
-    }
-
-    if (cmd == "tsdb" || cmd == "incident") {
-        std::string baseline;
-        std::vector<std::string> targets;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--baseline" && i + 1 < argc) {
-                baseline = argv[++i];
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                targets.push_back(arg);
-            }
-        }
-        if (targets.size() != 1)
-            return Usage();
-        return cmd == "tsdb" ? CmdTsdb(targets[0], baseline)
-                             : CmdIncident(targets[0], baseline);
-    }
-
-    if (cmd == "scenarios") {
-        std::string baseline;
-        std::vector<std::string> files;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--baseline" && i + 1 < argc) {
-                baseline = argv[++i];
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.size() != 1)
-            return Usage();
-        return CmdScenarios(files[0], baseline);
-    }
-
-    if (cmd == "audit") {
-        double tol = 0.05;
-        size_t worst_k = 5;
-        std::string baseline;
-        std::vector<std::string> files;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--baseline" && i + 1 < argc) {
-                baseline = argv[++i];
-            } else if (arg == "--tol" && i + 1 < argc) {
-                tol = std::strtod(argv[++i], nullptr);
-            } else if (arg == "--worst" && i + 1 < argc) {
-                worst_k = static_cast<size_t>(
-                    std::strtoul(argv[++i], nullptr, 10));
-            } else if (!arg.empty() && arg[0] == '-') {
-                return Usage();
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.size() != 1)
-            return Usage();
-        return CmdAudit(files[0], baseline, tol, worst_k);
-    }
-
-    return Usage();
+    if (cmd->inputs == 0 ? args.inputs.empty()
+                         : args.inputs.size() != cmd->inputs)
+        return Usage();
+    return cmd->run(args);
 }
