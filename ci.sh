@@ -189,6 +189,9 @@ awk 'match($0, /"joins":[0-9]+/) \
      { if (substr($0, RSTART + 8, RLENGTH - 8) + 0 >= 1) f = 1 }
      END { exit !f }' "$incident_dir"/incident-*.json
 grep -q '"trace_id"' "$incident_dir"/incident-*.json
+# The SLO burn monitors reach the correlator through the shared edge
+# latch: the NaN storm's serve-quality fire must be among the sources.
+grep -q '"source_kinds":"[a-z+]*slo' "$incident_dir"/incident-*.json
 
 echo "==> threshold-convergence stream (RUMBA_STREAM_OUT)"
 # The stream is a sink of the registry sampler's tick: deploy alone,

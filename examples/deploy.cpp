@@ -325,15 +325,15 @@ main()
     if (audit_engine.Auditor() != nullptr &&
         audit_engine.Auditor()->Slo() != nullptr) {
         audit_engine.Auditor()->Slo()->SetAlertSink(
-            [&audited_slo_fires](const obs::SloAlert& alert) {
+            [&audited_slo_fires](const obs::AlarmEdge& alert) {
                 if (alert.firing)
                     audited_slo_fires.fetch_add(
                         1, std::memory_order_relaxed);
-                std::printf("[audit] SLO '%s' %s (fast burn %.1f, "
-                            "slow %.1f) — measured, not predicted\n",
+                std::printf("[audit] SLO '%s' %s (%s) — measured, not "
+                            "predicted\n",
                             alert.name.c_str(),
                             alert.firing ? "FIRING" : "cleared",
-                            alert.fast_burn, alert.slow_burn);
+                            alert.detail.c_str());
             });
     }
 
@@ -575,13 +575,12 @@ main()
     // The alert sink is where a deployment pages an operator or
     // forces a breaker canary probe; here it narrates the edges.
     std::atomic<size_t> slo_edges{0};
-    const auto alert_sink = [&slo_edges](const obs::SloAlert& alert) {
+    const auto alert_sink = [&slo_edges](const obs::AlarmEdge& alert) {
         slo_edges.fetch_add(1, std::memory_order_relaxed);
-        std::printf("[obs] SLO '%s' %s (fast burn %.1f, slow %.1f)\n",
-                    alert.name.c_str(),
+        std::printf("[obs] SLO '%s' %s (%s)\n", alert.name.c_str(),
                     alert.firing ? "FIRING — requesting breaker probe"
                                  : "cleared",
-                    alert.fast_burn, alert.slow_burn);
+                    alert.detail.c_str());
     };
     if (obs_engine.QualitySlo() != nullptr)
         obs_engine.QualitySlo()->SetAlertSink(alert_sink);

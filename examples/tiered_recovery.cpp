@@ -220,6 +220,14 @@ main()
             return 1;
         }
     }
+    if (engine.Auditor() == nullptr) {
+        engine.Shutdown();
+        std::printf("\nserved %zu batches with auditing off "
+                    "(RUMBA_AUDIT_SAMPLE_N=0): the audited quality "
+                    "contract is not checked.\n",
+                    kServeBatches);
+        return 0;
+    }
     engine.Auditor()->Flush();
     const obs::AuditorStats audit = engine.Auditor()->Stats();
     const double multiple = engine.Runtime(0).Policy().Multiple();

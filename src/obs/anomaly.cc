@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/logging.h"
+#include <utility>
 
 namespace rumba::obs {
 
@@ -32,122 +31,80 @@ FindByName(const Vec& entries, const std::string& name)
 
 }  // namespace
 
-AnomalyDetector::AnomalyDetector(const AnomalyConfig& config)
+AnomalyDetector::AnomalyDetector(const AnomalyConfig& config,
+                                 std::string series)
     : config_(config),
-      edges_counter_(Registry::Default().GetCounter(
-          MetricName(config.name, "edges"))),
       zscore_gauge_(Registry::Default().GetGauge(
           MetricName(config.name, "zscore"))),
       mean_gauge_(Registry::Default().GetGauge(
           MetricName(config.name, "mean"))),
-      firing_gauge_(Registry::Default().GetGauge(
-          MetricName(config.name, "firing")))
+      latch_("anomaly", config.name, std::move(series),
+             Registry::Default().GetGauge(
+                 MetricName(config.name, "firing")),
+             Registry::Default().GetCounter(
+                 MetricName(config.name, "edges")),
+             Registry::Default().GetCounter(
+                 MetricName(config.name, "edges")))
 {
 }
 
 bool
-AnomalyDetector::ObserveLocked(double value, uint64_t now_ns,
-                               const std::string& series,
-                               AnomalyEvent* out)
+AnomalyDetector::Observe(double value, uint64_t now_ns)
 {
-    const bool warm =
-        samples_ >= static_cast<uint64_t>(config_.warmup_samples);
-    ++samples_;
-
-    double zscore = 0.0;
-    bool anomalous = false;
-    if (warm) {
-        const double stddev = std::max(std::sqrt(std::max(0.0, var_)),
-                                       config_.min_stddev);
-        zscore = (value - mean_) / stddev;
-        anomalous = std::fabs(zscore) >= config_.z_threshold;
-    }
-    // Normal observations adapt the baseline; anomalous ones do not,
-    // so a fault burst cannot absorb itself into "normal".
-    if (!anomalous) {
-        const double delta = value - mean_;
-        mean_ += config_.alpha * delta;
-        var_ = (1.0 - config_.alpha) *
-               (var_ + config_.alpha * delta * delta);
-    }
-
-    bool edge = false;
-    if (anomalous) {
-        ++consecutive_anomalous_;
-        consecutive_normal_ = 0;
-        if (!firing_ && consecutive_anomalous_ >= config_.fire_count) {
-            firing_ = true;
-            edge = true;
-        }
-    } else {
-        ++consecutive_normal_;
-        consecutive_anomalous_ = 0;
-        if (firing_ && consecutive_normal_ >= config_.clear_count) {
-            firing_ = false;
-            edge = true;
-        }
-    }
-
-    zscore_gauge_->Set(zscore);
-    mean_gauge_->Set(mean_);
-    firing_gauge_->Set(firing_ ? 1.0 : 0.0);
-    if (edge) {
-        ++edges_;
-        edges_counter_->Increment();
-        out->name = config_.name;
-        out->series = series;
-        out->firing = firing_;
-        out->value = value;
-        out->zscore = zscore;
-        out->mean = mean_;
-        out->now_ns = now_ns;
-    }
-    return edge;
-}
-
-bool
-AnomalyDetector::Observe(double value, uint64_t now_ns,
-                         const std::string& series)
-{
-    AnomalyEvent event;
-    std::function<void(const AnomalyEvent&)> sink;
-    bool edge = false;
+    EdgeLatch::Step step;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        edge = ObserveLocked(value, now_ns, series, &event);
-        if (edge)
-            sink = sink_;
-    }
-    // SLO-monitor discipline: deliver outside the lock so a sink may
-    // re-enter observability (or this detector) freely.
-    if (edge && sink)
-        sink(event);
-    if (edge)
-        Inform("anomaly %s: %s (value %.6g, z %.3g, mean %.6g)",
-               event.name.c_str(), event.firing ? "FIRE" : "clear",
-               event.value, event.zscore, event.mean);
-    return edge;
-}
+        const bool warm =
+            samples_ >= static_cast<uint64_t>(config_.warmup_samples);
+        ++samples_;
 
-void
-AnomalyDetector::SetSink(std::function<void(const AnomalyEvent&)> sink)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sink_ = std::move(sink);
+        double zscore = 0.0;
+        bool anomalous = false;
+        if (warm) {
+            const double stddev =
+                std::max(std::sqrt(std::max(0.0, var_)),
+                         config_.min_stddev);
+            zscore = (value - mean_) / stddev;
+            anomalous = std::fabs(zscore) >= config_.z_threshold;
+        }
+        if (anomalous) {
+            ++consecutive_anomalous_;
+            consecutive_normal_ = 0;
+        } else {
+            // Normal observations adapt the baseline; anomalous ones
+            // do not, so a fault burst cannot absorb itself into
+            // "normal".
+            const double delta = value - mean_;
+            mean_ += config_.alpha * delta;
+            var_ = (1.0 - config_.alpha) *
+                   (var_ + config_.alpha * delta * delta);
+            ++consecutive_normal_;
+            consecutive_anomalous_ = 0;
+        }
+
+        zscore_gauge_->Set(zscore);
+        mean_gauge_->Set(mean_);
+        step = latch_.Update(
+            anomalous && consecutive_anomalous_ >= config_.fire_count,
+            !anomalous && consecutive_normal_ >= config_.clear_count,
+            now_ns, "value=%.6g z=%.3g mean=%.6g", value, zscore, mean_);
+    }
+    latch_.Deliver(step);
+    return step.edge;
 }
 
 bool
 AnomalyDetector::Firing() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return firing_;
+    return latch_.Firing();
 }
 
 uint64_t
 AnomalyDetector::Edges() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return edges_;
+    return latch_.Edges();
 }
 
 uint64_t
@@ -162,13 +119,6 @@ AnomalyDetector::Mean() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return mean_;
-}
-
-double
-AnomalyDetector::StdDev() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::sqrt(std::max(0.0, var_));
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +136,7 @@ AnomalySet::Add(Probe probe, const std::string& series,
     Entry entry;
     entry.probe = probe;
     entry.series = series;
-    entry.detector = std::make_unique<AnomalyDetector>(config);
-    if (sink_)
-        entry.detector->SetSink(sink_);
+    entry.detector = std::make_unique<AnomalyDetector>(config, series);
     it = entries_.emplace(config.name, std::move(entry)).first;
     return it->second.detector.get();
 }
@@ -198,12 +146,11 @@ AnomalySet::Observe(const RegistrySnapshot& snapshot, double t_ms,
                     uint64_t now_ns)
 {
     // Extract every probe's reading under the set lock, then feed the
-    // detectors outside it: detector sinks may be arbitrarily
-    // re-entrant, and detector pointers are stable (append-only map
-    // of unique_ptrs).
+    // detectors outside it: an edge re-enters observability (the
+    // incident manager), and detector pointers are stable (append-only
+    // map of unique_ptrs).
     struct Reading {
         AnomalyDetector* detector;
-        std::string series;
         double value;
     };
     std::vector<Reading> readings;
@@ -259,30 +206,12 @@ AnomalySet::Observe(const RegistrySnapshot& snapshot, double t_ms,
                 break;
             }
             if (have && std::isfinite(value))
-                readings.push_back(Reading{entry.detector.get(),
-                                           entry.series, value});
+                readings.push_back(
+                    Reading{entry.detector.get(), value});
         }
     }
     for (const Reading& reading : readings)
-        reading.detector->Observe(reading.value, now_ns,
-                                  reading.series);
-}
-
-void
-AnomalySet::SetSink(std::function<void(const AnomalyEvent&)> sink)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sink_ = sink;
-    for (auto& [name, entry] : entries_)
-        entry.detector->SetSink(sink_);
-}
-
-AnomalyDetector*
-AnomalySet::Find(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    return it == entries_.end() ? nullptr : it->second.detector.get();
+        reading.detector->Observe(reading.value, now_ns);
 }
 
 size_t

@@ -6,9 +6,9 @@
  * Online anomaly detection over the forensics time series
  * (obs/tsdb.h): per-series EWMA mean/variance z-score detectors with
  * a warmup period and count-based hysteresis, exporting `anomaly.*`
- * edge counters/gauges and delivering fire/clear edges to a
- * pluggable sink — outside the detector lock, same discipline as the
- * SLO monitor (obs/slo.h).
+ * gauges and edge counters. Fire/clear edges go through the shared
+ * EdgeLatch (obs/incident.h), the SLO monitors' path: logged, and
+ * every fire becomes one "anomaly" incident signal.
  *
  * Detector math (DESIGN.md §14): after `warmup_samples`
  * observations have seeded the EWMA statistics, each observation is
@@ -22,13 +22,13 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/incident.h"
 #include "obs/metrics.h"
 
 namespace rumba::obs {
@@ -44,47 +44,24 @@ struct AnomalyConfig {
     double min_stddev = 1e-9; ///< variance floor (constant series).
 };
 
-/** Delivered on every fire/clear edge. */
-struct AnomalyEvent {
-    std::string name;
-    std::string series;  ///< the registry series the value came from.
-    bool firing = false;
-    double value = 0.0;
-    double zscore = 0.0;
-    double mean = 0.0;
-    uint64_t now_ns = 0;
-};
-
-/**
- * One EWMA z-score detector. Observe() is thread-safe; the sink is
- * invoked outside the lock (it may re-enter observability freely).
- */
+/** One EWMA z-score detector. Observe() is thread-safe. */
 class AnomalyDetector {
   public:
-    explicit AnomalyDetector(const AnomalyConfig& config);
+    /** @p series names the registry series the values come from (the
+     *  incident signal's onset extract; "" for none). */
+    explicit AnomalyDetector(const AnomalyConfig& config,
+                             std::string series = "");
 
-    /**
-     * Score and absorb one observation; returns true on a fire or
-     * clear edge (the sink, if set, was invoked with the event).
-     * @p series labels the event for downstream correlation.
-     */
-    bool Observe(double value, uint64_t now_ns,
-                 const std::string& series = "");
-
-    /** Edge sink; replaces any previous sink. */
-    void SetSink(std::function<void(const AnomalyEvent&)> sink);
+    /** Score and absorb one observation; returns true on a fire or
+     *  clear edge (delivered before returning). */
+    bool Observe(double value, uint64_t now_ns);
 
     bool Firing() const;
     uint64_t Edges() const;
     uint64_t SamplesSeen() const;
     double Mean() const;
-    double StdDev() const;
-    const AnomalyConfig& Config() const { return config_; }
 
   private:
-    bool ObserveLocked(double value, uint64_t now_ns,
-                       const std::string& series, AnomalyEvent* out);
-
     const AnomalyConfig config_;
     mutable std::mutex mu_;
     double mean_ = 0.0;
@@ -92,13 +69,11 @@ class AnomalyDetector {
     uint64_t samples_ = 0;
     int consecutive_anomalous_ = 0;
     int consecutive_normal_ = 0;
-    bool firing_ = false;
-    uint64_t edges_ = 0;
-    std::function<void(const AnomalyEvent&)> sink_;
-    Counter* edges_counter_;   ///< anomaly.<name>.edges
     Gauge* zscore_gauge_;      ///< anomaly.<name>.zscore
     Gauge* mean_gauge_;        ///< anomaly.<name>.mean
-    Gauge* firing_gauge_;      ///< anomaly.<name>.firing
+    /** anomaly.<name>.firing (0/1) and anomaly.<name>.edges (fires
+     *  and clears). */
+    EdgeLatch latch_;
 };
 
 /**
@@ -129,12 +104,6 @@ class AnomalySet {
     void Observe(const RegistrySnapshot& snapshot, double t_ms,
                  uint64_t now_ns);
 
-    /** Sink applied to every current and future detector. */
-    void SetSink(std::function<void(const AnomalyEvent&)> sink);
-
-    /** Detector by name (nullptr when absent). */
-    AnomalyDetector* Find(const std::string& name) const;
-
     size_t Detectors() const;
 
     /**
@@ -161,7 +130,6 @@ class AnomalySet {
 
     mutable std::mutex mu_;
     std::map<std::string, Entry> entries_;  ///< by detector name.
-    std::function<void(const AnomalyEvent&)> sink_;
 };
 
 }  // namespace rumba::obs

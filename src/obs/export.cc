@@ -361,8 +361,8 @@ ExportAtExit()
     // state is strictly fresher. The profiling sampler gets the same
     // treatment so RUMBA_PROFILE_OUT is written even when an engine
     // never released its ref.
-    TsdbSampler::StopEnv();
-    SamplingProfiler::StopEnv();
+    TsdbSampler::Default().Stop();
+    SamplingProfiler::Default().Stop();
     FlushFilesBestEffort();
 }
 

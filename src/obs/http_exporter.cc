@@ -371,6 +371,35 @@ ObservabilityServer::StartFromEnv()
     return server.Start(static_cast<uint16_t>(port));
 }
 
+std::optional<std::string>
+QueryParam(const std::string& query, const std::string& key)
+{
+    size_t pos = 0;
+    while (pos < query.size()) {
+        size_t amp = query.find('&', pos);
+        if (amp == std::string::npos)
+            amp = query.size();
+        const size_t eq = query.find('=', pos);
+        if (eq != std::string::npos && eq < amp &&
+            query.compare(pos, eq - pos, key) == 0)
+            return query.substr(eq + 1, amp - eq - 1);
+        pos = amp + 1;
+    }
+    return std::nullopt;
+}
+
+double
+QueryParamNum(const std::string& query, const std::string& key,
+              double fallback)
+{
+    const std::string raw = QueryParam(query, key).value_or("");
+    char* end = nullptr;
+    const double parsed = std::strtod(raw.c_str(), &end);
+    if (end == raw.c_str() || !std::isfinite(parsed))
+        return fallback;
+    return parsed;
+}
+
 bool
 HttpGet(uint16_t port, const std::string& path, std::string* body,
         int* status)

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -153,6 +154,20 @@ class ObservabilityServer {
     std::function<std::string()> provider_;
     const void* provider_owner_ = nullptr;
 };
+
+/**
+ * Value of the first @p key in an application/x-www-form-urlencoded
+ * query string, the one query parser of the JSON routes: nullopt when
+ * the key is absent, "" for a bare `key=`. No percent-decoding: route
+ * parameters are plain [A-Za-z0-9._] names and numbers.
+ */
+std::optional<std::string> QueryParam(const std::string& query,
+                                      const std::string& key);
+
+/** QueryParam parsed as a finite number; @p fallback when absent,
+ *  empty, unparseable or non-finite. */
+double QueryParamNum(const std::string& query, const std::string& key,
+                     double fallback);
 
 /**
  * Minimal blocking HTTP GET against 127.0.0.1:@p port (test helper

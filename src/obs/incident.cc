@@ -1,14 +1,17 @@
 #include "obs/incident.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
-#include "obs/anomaly.h"
 #include "obs/export.h"
+#include "obs/http_exporter.h"
 #include "obs/profiler.h"
 #include "obs/reqtrace.h"
 #include "obs/tsdb.h"
@@ -76,6 +79,64 @@ DistinctSources(const std::vector<IncidentSignal>& signals,
 
 }  // namespace
 
+EdgeLatch::EdgeLatch(std::string source, std::string name,
+                     std::string series, Gauge* firing, Counter* fires,
+                     Counter* clears)
+    : source_(std::move(source)), name_(std::move(name)),
+      series_(std::move(series)), firing_gauge_(firing),
+      fire_counter_(fires), clear_counter_(clears)
+{
+}
+
+EdgeLatch::Step
+EdgeLatch::Update(bool fire, bool clear, uint64_t now_ns, const char* fmt,
+                  ...)
+{
+    Step step;
+    step.edge = firing_ ? clear : fire;
+    if (step.edge) {
+        firing_ = !firing_;
+        ++edges_;
+        if (Counter* counter = firing_ ? fire_counter_ : clear_counter_)
+            counter->Increment();
+        char detail[128];
+        va_list args;
+        va_start(args, fmt);
+        std::vsnprintf(detail, sizeof detail, fmt, args);
+        va_end(args);
+        step.alarm = AlarmEdge{name_, firing_, detail, now_ns};
+        step.sink = sink_;
+    }
+    firing_gauge_->Set(firing_ ? 1.0 : 0.0);
+    return step;
+}
+
+void
+EdgeLatch::Deliver(const Step& step) const
+{
+    if (!step.edge)
+        return;
+    const AlarmEdge& alarm = step.alarm;
+    if (alarm.firing)
+        Warn("%s.%s: FIRING (%s)", source_.c_str(), name_.c_str(),
+             alarm.detail.c_str());
+    else
+        Inform("%s.%s: cleared (%s)", source_.c_str(), name_.c_str(),
+               alarm.detail.c_str());
+    if (step.sink)
+        step.sink(alarm);
+    // Fires are incident-correlation signals whoever owns the sink
+    // (examples routinely replace it); clears end the story.
+    if (!alarm.firing)
+        return;
+    IncidentSignal signal;
+    signal.source = source_;
+    signal.name = source_ + "." + name_;
+    signal.detail = alarm.detail;
+    signal.series = series_;
+    IncidentManager::Default().OnSignal(std::move(signal));
+}
+
 IncidentManager::IncidentManager()
     : opened_counter_(Registry::Default().GetCounter("incident.opened")),
       dumped_counter_(Registry::Default().GetCounter("incident.dumped")),
@@ -95,6 +156,7 @@ IncidentManager::Configure(const IncidentConfig& config)
 {
     std::lock_guard<std::mutex> lock(mu_);
     config_ = config;
+    kept_ = Ring<Bundle>(config_.max_kept);
     if (config_.dir.empty()) {
         if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
             dir != nullptr && dir[0] != '\0')
@@ -386,9 +448,7 @@ IncidentManager::Assemble(OpenIncident incident)
 
     {
         std::lock_guard<std::mutex> lock(mu_);
-        kept_.push_back(Bundle{summary, std::move(body)});
-        while (kept_.size() > config_.max_kept)
-            kept_.erase(kept_.begin());
+        kept_.Push(Bundle{summary, std::move(body)});
     }
     Inform("incident %llu finalized: %zu sources (%s), %zu signals, "
            "%zu tsdb extracts, %zu trace joins%s%s",
@@ -437,9 +497,8 @@ IncidentManager::List() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<Summary> out;
-    out.reserve(kept_.size());
-    for (const Bundle& bundle : kept_)
-        out.push_back(bundle.summary);
+    kept_.ForEach(
+        [&out](const Bundle& bundle) { out.push_back(bundle.summary); });
     return out;
 }
 
@@ -447,7 +506,7 @@ std::string
 IncidentManager::Detail(uint64_t id) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Bundle& bundle : kept_)
+    for (const Bundle& bundle : kept_.Slots())  // ids are unique.
         if (bundle.summary.id == id)
             return bundle.json;
     return "";
@@ -458,7 +517,7 @@ IncidentManager::Clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     recent_.clear();
-    kept_.clear();
+    kept_.Clear();
     has_open_ = false;
     open_ = OpenIncident{};
     last_open_ms_ = -1.0e300;
@@ -467,26 +526,8 @@ IncidentManager::Clear()
 IncidentManager&
 IncidentManager::Default()
 {
-    // Leaked on purpose (see TimeSeriesStore::Default()); first use
-    // also subscribes the manager to every anomaly detector's edges.
-    static IncidentManager* manager = [] {
-        auto* m = new IncidentManager();
-        AnomalySet::Default().SetSink([m](const AnomalyEvent& event) {
-            if (!event.firing)
-                return;  // clears close the story; fires open it.
-            IncidentSignal signal;
-            signal.source = "anomaly";
-            signal.name = event.name;
-            char detail[128];
-            std::snprintf(detail, sizeof detail,
-                          "fire value=%.6g z=%.3g mean=%.6g",
-                          event.value, event.zscore, event.mean);
-            signal.detail = detail;
-            signal.series = event.series;
-            m->OnSignal(std::move(signal));
-        });
-        return m;
-    }();
+    // Leaked on purpose (see TimeSeriesStore::Default()).
+    static IncidentManager* manager = new IncidentManager();
     return *manager;
 }
 
@@ -500,13 +541,9 @@ IncidentzJson(const std::string& query_string)
     IncidentManager& manager = IncidentManager::Default();
 
     // ?id=<n> serves one bundle verbatim.
-    size_t pos = query_string.find("id=");
-    while (pos != std::string::npos && pos != 0 &&
-           query_string[pos - 1] != '&')
-        pos = query_string.find("id=", pos + 1);
-    if (pos != std::string::npos) {
-        const uint64_t id = std::strtoull(
-            query_string.c_str() + pos + 3, nullptr, 10);
+    if (const std::optional<std::string> raw =
+            QueryParam(query_string, "id")) {
+        const uint64_t id = std::strtoull(raw->c_str(), nullptr, 10);
         const std::string detail = manager.Detail(id);
         if (!detail.empty())
             return detail;

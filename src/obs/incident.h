@@ -3,8 +3,9 @@
 
 /**
  * @file
- * Incident correlation: joins anomaly edges (obs/anomaly.h), SLO
- * alerts (obs/slo.h), breaker state transitions (serve engine), and
+ * Incident correlation: joins anomaly and SLO fires (obs/anomaly.h,
+ * obs/slo.h; both reach it through the one EdgeLatch below), breaker
+ * state transitions (serve engine), and
  * `fault.injected.*` counter deltas inside a correlation window into
  * a single rate-limited incident bundle — a timeline of contributing
  * signals, tsdb extracts around onset (obs/tsdb.h), the per-shard
@@ -27,8 +28,10 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/ring.h"
 #include "obs/metrics.h"
 
 namespace rumba::obs {
@@ -43,12 +46,75 @@ struct IncidentSignal {
     double t_ms = 0.0;      ///< tsdb-epoch ms (0 ⇒ stamped on entry).
 };
 
+/** One fire/clear edge of an alarm, as EdgeLatch hands it to a sink. */
+struct AlarmEdge {
+    std::string name;     ///< SloConfig::name / AnomalyConfig::name.
+    bool firing = false;  ///< true = fired, false = cleared.
+    std::string detail;   ///< readings at the edge, "fast_burn=12 ...".
+    uint64_t now_ns = 0;  ///< event time (steady clock).
+};
+
+/**
+ * The one fire/clear edge latch of the alarm detectors (SLO burn
+ * monitors, obs/slo.h; anomaly detectors, obs/anomaly.h), guarded by
+ * its owner's lock. Update() takes the owner's two conditions: fire
+ * when not firing and @p fire holds, clear when firing and @p clear
+ * holds. It keeps the firing gauge and edge counters and returns the
+ * step; after releasing its lock the owner hands the step to
+ * Deliver(), which logs an edge, calls the sink, and turns a fire
+ * into one IncidentSignal. So the sink may call back into the owner.
+ * Concurrent deliveries may interleave out of order: AlarmEdge::firing
+ * is the state at the edge, not the current state.
+ */
+class EdgeLatch {
+  public:
+    /** What Update() carries out of the owner's lock. */
+    struct Step {
+        bool edge = false;  ///< false: the state held; nothing to do.
+        AlarmEdge alarm;
+        std::function<void(const AlarmEdge&)> sink;
+    };
+
+    /** Edges log and signal as `<source>.<name>`, extracting onset
+     *  series @p series. @p fires / @p clears count fires / clears
+     *  (null skips; both may be one counter). */
+    EdgeLatch(std::string source, std::string name, std::string series,
+              Gauge* firing, Counter* fires, Counter* clears);
+
+    /** On an edge, printf-style @p fmt formats AlarmEdge::detail. */
+    Step Update(bool fire, bool clear, uint64_t now_ns, const char* fmt,
+                ...) __attribute__((format(printf, 5, 6)));
+
+    /** Post-unlock half of a step; a no-edge step is a no-op. */
+    void Deliver(const Step& step) const;
+
+    /** Replace the alert sink (nullptr clears). */
+    void SetSink(std::function<void(const AlarmEdge&)> sink)
+    {
+        sink_ = std::move(sink);
+    }
+
+    bool Firing() const { return firing_; }
+    uint64_t Edges() const { return edges_; }  ///< fires + clears.
+
+  private:
+    const std::string source_;
+    const std::string name_;
+    const std::string series_;
+    Gauge* const firing_gauge_;
+    Counter* const fire_counter_;
+    Counter* const clear_counter_;
+    bool firing_ = false;
+    uint64_t edges_ = 0;
+    std::function<void(const AlarmEdge&)> sink_;
+};
+
 /** Correlation tuning. */
 struct IncidentConfig {
     double window_ms = 2000.0;     ///< sliding correlation window.
     size_t min_sources = 2;        ///< distinct sources to open.
     double rate_limit_ms = 5000.0; ///< min spacing between incidents.
-    size_t max_kept = 8;           ///< bundles retained in memory.
+    size_t max_kept = 8;           ///< bundles retained (at least 1).
     size_t max_signals = 64;       ///< timeline cap per incident.
     double extract_ms = 2000.0;    ///< tsdb extract half-window.
     std::string dir;               ///< dump dir ("" = memory only).
@@ -62,7 +128,7 @@ struct IncidentFlightExtract {
 
 /**
  * Process-wide incident correlator. OnSignal() may be called from any
- * thread (workers, the SLO monitors' delivery path, the tsdb sampler);
+ * thread (workers, EdgeLatch::Deliver, the tsdb sampler);
  * bundle assembly happens outside the signal lock on whichever thread
  * trips the finalize.
  */
@@ -73,7 +139,8 @@ class IncidentManager {
     IncidentManager(const IncidentManager&) = delete;
     IncidentManager& operator=(const IncidentManager&) = delete;
 
-    /** Replace tuning (dir defaults to RUMBA_INCIDENT_DIR). */
+    /** Replace tuning (dir defaults to RUMBA_INCIDENT_DIR); rebuilds
+     *  the kept-bundle ring, dropping retained bundles. */
     void Configure(const IncidentConfig& config);
     IncidentConfig Config() const;
 
@@ -160,7 +227,7 @@ class IncidentManager {
     OpenIncident open_;
     double last_open_ms_ = -1.0e300;
     uint64_t next_id_ = 1;
-    std::vector<Bundle> kept_;
+    Ring<Bundle> kept_{IncidentConfig{}.max_kept};
 
     mutable std::mutex provider_mu_;
     std::function<IncidentFlightExtract()> flight_provider_;

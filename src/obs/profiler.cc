@@ -3,7 +3,7 @@
 #include <time.h>
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -264,107 +264,92 @@ BindThreadShard(int shard)
 
 // --------------------------------------------------- SamplingProfiler
 
-SamplingProfiler::~SamplingProfiler()
+int64_t
+ParseProfilePeriodNs(const char* value)
 {
-    Stop();
+    if (value == nullptr || value[0] == '\0')
+        return kDefaultProfilePeriodNs;
+    char* end = nullptr;
+    const double hz = std::strtod(value, &end);
+    if (end == value || !std::isfinite(hz))
+        return kDefaultProfilePeriodNs;
+    if (hz <= 0.0)
+        return 0;  // explicit opt-out.
+    // Clamp in double before narrowing: 1e9 / 1e-300 overflows int64.
+    return static_cast<int64_t>(
+        std::clamp(1e9 / hz, static_cast<double>(kMinTickNs),
+                   static_cast<double>(kMaxTickNs)));
 }
 
 void
-SamplingProfiler::Start(double hz, const std::string& out_path)
+SamplingProfiler::Start(int64_t period_ns, const std::string& out_path)
 {
-    if (hz <= 0.0 || running_.load(std::memory_order_acquire))
-        return;
-    {
+    ticker_.Start(period_ns, [&] {
         std::lock_guard<std::mutex> lock(mu_);
-        hz_ = hz;
         out_path_ = out_path;
         folded_.clear();
         samples_ = 0;
-    }
-    stop_.store(false, std::memory_order_release);
-    running_.store(true, std::memory_order_release);
-    thread_ = std::thread([this] { Loop(); });
+    });
 }
 
 void
-SamplingProfiler::Loop()
+SamplingProfiler::Tick(bool final)
 {
-    const auto period = std::chrono::nanoseconds(
-        static_cast<int64_t>(1e9 / hz_));
-    while (!stop_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(period);
-        // Walk the slot registry: fold one stack per live thread,
-        // prune slots whose threads exited.
-        std::vector<std::shared_ptr<ThreadSlot>> slots;
-        {
-            std::lock_guard<std::mutex> lock(SlotMutex());
-            auto& list = SlotList();
-            list.erase(std::remove_if(
-                           list.begin(), list.end(),
-                           [](const std::shared_ptr<ThreadSlot>& s) {
-                               return !s->alive.load(
-                                   std::memory_order_relaxed);
-                           }),
-                       list.end());
-            slots = list;
-        }
-        for (const auto& slot : slots) {
-            const uint32_t depth = std::min<uint32_t>(
-                slot->depth.load(std::memory_order_relaxed),
-                ThreadSlot::kMaxDepth);
-            const int32_t shard =
-                slot->shard.load(std::memory_order_relaxed);
-            std::string stack =
-                shard >= 0 ? "shard" + std::to_string(shard)
-                           : "thread";
-            if (depth == 0) {
-                stack += ";idle";
-            } else {
-                for (uint32_t d = 0; d < depth; ++d) {
-                    const auto tag = static_cast<ProfileStage>(
-                        slot->stack[d].load(
-                            std::memory_order_relaxed));
-                    stack += ";";
-                    stack += ProfileStageName(tag);
-                }
+    // Walk the slot registry: fold one stack per live thread, prune
+    // slots whose threads exited.
+    std::vector<std::shared_ptr<ThreadSlot>> slots;
+    {
+        std::lock_guard<std::mutex> lock(SlotMutex());
+        auto& list = SlotList();
+        list.erase(std::remove_if(
+                       list.begin(), list.end(),
+                       [](const std::shared_ptr<ThreadSlot>& s) {
+                           return !s->alive.load(
+                               std::memory_order_relaxed);
+                       }),
+                   list.end());
+        slots = list;
+    }
+    for (const auto& slot : slots) {
+        const uint32_t depth = std::min<uint32_t>(
+            slot->depth.load(std::memory_order_relaxed),
+            ThreadSlot::kMaxDepth);
+        const int32_t shard =
+            slot->shard.load(std::memory_order_relaxed);
+        std::string stack =
+            shard >= 0 ? "shard" + std::to_string(shard) : "thread";
+        if (depth == 0) {
+            stack += ";idle";
+        } else {
+            for (uint32_t d = 0; d < depth; ++d) {
+                const auto tag = static_cast<ProfileStage>(
+                    slot->stack[d].load(std::memory_order_relaxed));
+                stack += ";";
+                stack += ProfileStageName(tag);
             }
-            std::lock_guard<std::mutex> lock(mu_);
-            ++folded_[stack];
-            ++samples_;
         }
+        std::lock_guard<std::mutex> lock(mu_);
+        ++folded_[stack];
+        ++samples_;
     }
-}
-
-void
-SamplingProfiler::Stop()
-{
-    if (!running_.load(std::memory_order_acquire))
+    if (!final)
         return;
-    stop_.store(true, std::memory_order_release);
-    if (thread_.joinable())
-        thread_.join();
-    running_.store(false, std::memory_order_release);
     std::string path;
     {
         std::lock_guard<std::mutex> lock(mu_);
         path = out_path_;
     }
-    if (!path.empty()) {
-        FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
-            Warn("profiler: cannot write %s", path.c_str());
-        } else {
-            const std::string text = FoldedText();
-            std::fwrite(text.data(), 1, text.size(), f);
-            std::fclose(f);
-        }
+    if (path.empty())
+        return;
+    FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        Warn("profiler: cannot write %s", path.c_str());
+        return;
     }
-}
-
-bool
-SamplingProfiler::Running() const
-{
-    return running_.load(std::memory_order_acquire);
+    for (const FoldedStack& folded : Folded())
+        std::fprintf(f, "%s %llu\n", folded.stack.c_str(),
+                     static_cast<unsigned long long>(folded.count));
+    std::fclose(f);
 }
 
 uint64_t
@@ -372,6 +357,13 @@ SamplingProfiler::Samples() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return samples_;
+}
+
+double
+SamplingProfiler::Hz() const
+{
+    const int64_t period_ns = ticker_.PeriodNs();
+    return period_ns > 0 ? 1e9 / static_cast<double>(period_ns) : 0.0;
 }
 
 std::vector<FoldedStack>
@@ -385,72 +377,40 @@ SamplingProfiler::Folded() const
     return out;
 }
 
-std::string
-SamplingProfiler::FoldedText() const
-{
-    std::string out;
-    for (const FoldedStack& f : Folded()) {
-        out += f.stack;
-        out += " ";
-        out += std::to_string(f.count);
-        out += "\n";
-    }
-    return out;
-}
-
-namespace {
-
 SamplingProfiler&
-EnvSampler()
+SamplingProfiler::Default()
 {
-    static SamplingProfiler sampler;
-    return sampler;
+    // Leaked on purpose (see TimeSeriesStore::Default()): the at-exit
+    // exporter stops it while the slot registry is still alive.
+    static SamplingProfiler* sampler = new SamplingProfiler();
+    return *sampler;
 }
-
-std::mutex env_sampler_mu;
-int env_sampler_refs = 0;
-
-}  // namespace
 
 SamplingProfiler*
 SamplingProfiler::AcquireFromEnv()
 {
-    std::lock_guard<std::mutex> lock(env_sampler_mu);
-    if (env_sampler_refs++ == 0) {
+    SamplingProfiler& sampler = Default();
+    sampler.ticker_.Acquire([&sampler] {
         // Opt-in, like RUMBA_STREAM_OUT / RUMBA_AUDIT_OUT: either
         // knob arms the sampler; neither set means no thread at all.
         // Thread wakeups are not free (tens of µs of scheduler CPU
         // per tick on a small virtualized box), so an unrequested
         // sampler would burn the whole <5% instrumentation budget
         // folding stacks nobody dumps.
-        const char* hz_env = std::getenv("RUMBA_PROFILE_HZ");
+        const char* hz = std::getenv("RUMBA_PROFILE_HZ");
         const char* out = std::getenv("RUMBA_PROFILE_OUT");
-        const bool armed =
-            (hz_env != nullptr && hz_env[0] != '\0') ||
-            (out != nullptr && out[0] != '\0');
-        if (armed) {
-            double hz = 101.0;
-            if (hz_env != nullptr && hz_env[0] != '\0')
-                hz = std::strtod(hz_env, nullptr);
-            EnvSampler().Start(hz, out != nullptr ? out : "");
-        }
-    }
-    return &EnvSampler();
+        if ((hz != nullptr && hz[0] != '\0') ||
+            (out != nullptr && out[0] != '\0'))
+            sampler.Start(ParseProfilePeriodNs(hz),
+                          out != nullptr ? out : "");
+    });
+    return &sampler;
 }
 
 void
 SamplingProfiler::Release()
 {
-    std::lock_guard<std::mutex> lock(env_sampler_mu);
-    if (env_sampler_refs > 0 && --env_sampler_refs == 0)
-        EnvSampler().Stop();
-}
-
-void
-SamplingProfiler::StopEnv()
-{
-    std::lock_guard<std::mutex> lock(env_sampler_mu);
-    EnvSampler().Stop();
+    Default().ticker_.Release();
 }
 
 // ----------------------------------------------------------- profilez
@@ -460,7 +420,7 @@ ProfilezJson()
 {
     CpuProfiler& prof = CpuProfiler::Default();
     const sim::EfficiencyEstimate est = prof.Efficiency();
-    SamplingProfiler& sampler = EnvSampler();
+    SamplingProfiler& sampler = SamplingProfiler::Default();
 
     double total = 0.0;
     double seconds[kStageCount] = {};

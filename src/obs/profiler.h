@@ -20,11 +20,10 @@
  *
  * 2. A sampling profiler. Every worker thread keeps a lock-free
  *    fixed-depth stack of stage tags in a per-thread slot; a
- *    background thread wakes at RUMBA_PROFILE_HZ (101 Hz when only
- *    RUMBA_PROFILE_OUT is set — prime, so it cannot alias against
- *    millisecond-periodic work; 0 disables; neither knob set spawns
- *    no thread at all) and appends one sample of every registered
- *    thread's current stack. Samples fold into
+ *    background ticker wakes at RUMBA_PROFILE_HZ (see
+ *    ParseProfilePeriodNs; neither knob set spawns no thread at all)
+ *    and appends one sample of every registered thread's current
+ *    stack. Samples fold into
  *    flamegraph-compatible "shard0;device;predict_check 42" lines
  *    (RUMBA_PROFILE_OUT), independently validating the exact
  *    attribution.
@@ -50,10 +49,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/ticker.h"
 #include "sim/system_model.h"
 
 namespace rumba::obs {
@@ -210,72 +209,84 @@ struct FoldedStack {
     uint64_t count = 0;
 };
 
+/** RUMBA_PROFILE_HZ when only RUMBA_PROFILE_OUT is set: prime, so
+ *  the sampler cannot alias against millisecond-periodic work. */
+inline constexpr int64_t kDefaultProfilePeriodNs = 1'000'000'000 / 101;
+
 /**
- * The background sampling profiler. Start() spawns the sampler
- * thread (hz <= 0 is a no-op: no thread, no samples); Stop() joins
- * it and, when an output path was given, writes the folded-stacks
- * dump. AcquireFromEnv()/Release() refcount a process-wide instance
- * configured by RUMBA_PROFILE_HZ / RUMBA_PROFILE_OUT so several
- * engines share one sampler.
+ * Parse a RUMBA_PROFILE_HZ value into a sampling period in ns, the
+ * way ParseTsdbPeriodMs parses its period: unset, empty, unparseable
+ * or non-finite values select kDefaultProfilePeriodNs (101 Hz); a
+ * rate <= 0 returns 0, meaning off; anything else becomes the period
+ * 1e9 / hz clamped to [kMinTickNs, kMaxTickNs] (1000 Hz down to one
+ * sample a minute).
+ */
+int64_t ParseProfilePeriodNs(const char* value);
+
+/**
+ * The background sampling profiler, on the Ticker lifecycle
+ * (obs/ticker.h). Start() samples every registered thread's stack
+ * once per period (period <= 0 is a no-op: no thread, no samples);
+ * Stop() takes a final sample, joins, and, when an output path was
+ * given, writes the folded-stacks dump. AcquireFromEnv()/Release()
+ * refcount a process-wide instance configured by RUMBA_PROFILE_HZ /
+ * RUMBA_PROFILE_OUT so several engines share one sampler.
  */
 class SamplingProfiler {
   public:
     SamplingProfiler() = default;
-    ~SamplingProfiler();
 
     SamplingProfiler(const SamplingProfiler&) = delete;
     SamplingProfiler& operator=(const SamplingProfiler&) = delete;
 
-    /** Spawn the sampler at @p hz; @p out_path ("" = none) receives
-     *  the folded dump on Stop(). No-op if hz <= 0 or running. */
-    void Start(double hz, const std::string& out_path);
+    /** Sample every @p period_ns (clamped to the Ticker's range);
+     *  @p out_path ("" = none) receives the folded dump on Stop().
+     *  No-op if period_ns <= 0 or running. */
+    void Start(int64_t period_ns, const std::string& out_path);
 
-    /** Join the sampler and write the folded dump. Safe to call
-     *  when not running. */
-    void Stop();
+    /** Final sample, join, write the folded dump. Safe to call when
+     *  not running. */
+    void Stop() { ticker_.Stop(); }
 
     /** True while the sampler thread is live. */
-    bool Running() const;
+    bool Running() const { return ticker_.Running(); }
 
     /** Samples captured so far (one per registered thread per tick). */
     uint64_t Samples() const;
 
-    /** Sampling rate passed to Start (0 when never started). */
-    double Hz() const { return hz_; }
+    /** Effective sampling rate of the last Start (0 when never
+     *  started). */
+    double Hz() const;
 
     /** Current folded stacks, sorted by stack text. */
     std::vector<FoldedStack> Folded() const;
 
-    /** Folded stacks as "stack count\n" lines (flamegraph input). */
-    std::string FoldedText() const;
-
     /**
      * Refcounted process-wide sampler, opt-in via RUMBA_PROFILE_HZ
-     * and/or RUMBA_PROFILE_OUT (neither set: no thread; HZ unset
-     * with OUT set: 101 Hz; HZ=0: disabled). The first acquire
+     * and/or RUMBA_PROFILE_OUT (neither set: no thread; otherwise
+     * ParseProfilePeriodNs(RUMBA_PROFILE_HZ)). The first acquire
      * starts it; the last release stops it and writes the dump.
      * Always returns the instance (running or not).
      */
     static SamplingProfiler* AcquireFromEnv();
     static void Release();
 
-    /** Exit-path backstop: stop the env sampler (writing its dump)
-     *  regardless of outstanding refs. Idempotent; used by the
-     *  at-exit exporter so RUMBA_PROFILE_OUT survives code paths
+    /** The shared env sampler. The at-exit exporter Stop()s it
+     *  whatever refs remain, so RUMBA_PROFILE_OUT survives code paths
      *  that never release (e.g. leaked engines). */
-    static void StopEnv();
+    static SamplingProfiler& Default();
 
   private:
-    void Loop();
+    /** Fold one stack per live thread; the final tick dumps the
+     *  fold as "stack count\n" lines (flamegraph input). */
+    void Tick(bool final);
 
     mutable std::mutex mu_;
     std::map<std::string, uint64_t> folded_;
     uint64_t samples_ = 0;
-    double hz_ = 0.0;
     std::string out_path_;
-    std::atomic<bool> running_{false};
-    std::atomic<bool> stop_{false};
-    std::thread thread_;
+    /** Last: destroyed (stopped and joined) before what Tick reads. */
+    Ticker ticker_{[this](bool final) { Tick(final); }};
 };
 
 /**

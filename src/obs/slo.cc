@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include <cstdio>
-
 #include "common/logging.h"
-#include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 
@@ -19,10 +16,12 @@ SloMonitor::SloMonitor(const SloConfig& config)
           "slo." + config.name + ".fast_burn_rate")),
       slow_gauge_(Registry::Default().GetGauge(
           "slo." + config.name + ".slow_burn_rate")),
-      alert_gauge_(Registry::Default().GetGauge(
-          "slo." + config.name + ".alerting")),
-      alert_counter_(Registry::Default().GetCounter(
-          "slo." + config.name + ".alerts"))
+      latch_("slo", config.name, "slo." + config.name + ".fast_burn_rate",
+             Registry::Default().GetGauge("slo." + config.name +
+                                          ".alerting"),
+             Registry::Default().GetCounter("slo." + config.name +
+                                            ".alerts"),
+             nullptr)
 {
     RUMBA_CHECK(config_.objective > 0.0 && config_.objective < 1.0);
     RUMBA_CHECK(config_.fast_window_ns > 0);
@@ -55,13 +54,7 @@ SloMonitor::Record(bool good, uint64_t now_ns)
 {
     if (now_ns == 0)
         now_ns = NowNs();
-    // Deliver any fire/clear edge AFTER releasing mu_: the sink may
-    // be slow (it must not stall other recording threads) and may
-    // call back into the monitor's accessors without self-deadlocking
-    // on the non-recursive mutex.
-    SloAlert alert;
-    std::function<void(const SloAlert&)> sink;
-    bool edge = false;
+    EdgeLatch::Step step;
     {
         std::lock_guard<std::mutex> lock(mu_);
         AdvanceLocked(now_ns);
@@ -71,27 +64,24 @@ SloMonitor::Record(bool good, uint64_t now_ns)
             ++slot.good;
         else
             ++slot.bad;
-        edge = EvaluateLocked(now_ns, &alert);
-        if (edge)
-            sink = sink_;
+        const double fast = BurnLocked(now_ns, config_.fast_window_ns);
+        const double slow = BurnLocked(now_ns, config_.slow_window_ns);
+        fast_gauge_->Set(fast);
+        slow_gauge_->Set(slow);
+        uint64_t fast_good = 0;
+        uint64_t fast_bad = 0;
+        SumWindowLocked(now_ns, config_.fast_window_ns, &fast_good,
+                        &fast_bad);
+        // Fire on the multi-window rule; clear with hysteresis on the
+        // fast window alone — the slow window can stay hot long after
+        // the incident ends.
+        step = latch_.Update(fast_good + fast_bad >= config_.min_events &&
+                                 fast >= config_.fast_burn_alert &&
+                                 slow >= config_.slow_burn_alert,
+                             fast < config_.fast_burn_alert, now_ns,
+                             "fast_burn=%.3g slow_burn=%.3g", fast, slow);
     }
-    if (edge && sink)
-        sink(alert);
-    // Burn-rate fires are incident-correlation signals regardless of
-    // who owns the alert sink (examples routinely replace it); clears
-    // end the story, so only fires feed the correlator.
-    if (edge && alert.firing) {
-        IncidentSignal signal;
-        signal.source = "slo";
-        signal.name = "slo." + alert.name;
-        char detail[96];
-        std::snprintf(detail, sizeof detail,
-                      "fast_burn=%.3g slow_burn=%.3g",
-                      alert.fast_burn, alert.slow_burn);
-        signal.detail = detail;
-        signal.series = "slo." + alert.name + ".fast_burn_rate";
-        IncidentManager::Default().OnSignal(std::move(signal));
-    }
+    latch_.Deliver(step);
 }
 
 void
@@ -152,67 +142,14 @@ bool
 SloMonitor::Alerting() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return alerting_;
-}
-
-uint64_t
-SloMonitor::AlertCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return alerts_;
+    return latch_.Firing();
 }
 
 void
-SloMonitor::SetAlertSink(std::function<void(const SloAlert&)> sink)
+SloMonitor::SetAlertSink(std::function<void(const AlarmEdge&)> sink)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    sink_ = std::move(sink);
-}
-
-bool
-SloMonitor::EvaluateLocked(uint64_t now_ns, SloAlert* out_alert)
-{
-    const double fast = BurnLocked(now_ns, config_.fast_window_ns);
-    const double slow = BurnLocked(now_ns, config_.slow_window_ns);
-    fast_gauge_->Set(fast);
-    slow_gauge_->Set(slow);
-
-    uint64_t fast_good = 0;
-    uint64_t fast_bad = 0;
-    SumWindowLocked(now_ns, config_.fast_window_ns, &fast_good,
-                    &fast_bad);
-    const bool enough = fast_good + fast_bad >= config_.min_events;
-
-    bool edge = false;
-    if (!alerting_) {
-        if (enough && fast >= config_.fast_burn_alert &&
-            slow >= config_.slow_burn_alert) {
-            alerting_ = true;
-            ++alerts_;
-            alert_counter_->Increment();
-            edge = true;
-            Warn("slo.%s: burn-rate alert FIRING (fast %.2f >= %.2f, "
-                 "slow %.2f >= %.2f)",
-                 config_.name.c_str(), fast, config_.fast_burn_alert,
-                 slow, config_.slow_burn_alert);
-        }
-    } else if (fast < config_.fast_burn_alert) {
-        // Hysteresis: clear on the fast window alone — the slow
-        // window can stay hot long after the incident ends.
-        alerting_ = false;
-        edge = true;
-        Inform("slo.%s: burn-rate alert cleared (fast %.2f, slow %.2f)",
-               config_.name.c_str(), fast, slow);
-    }
-    alert_gauge_->Set(alerting_ ? 1.0 : 0.0);
-    if (edge) {
-        out_alert->name = config_.name;
-        out_alert->firing = alerting_;
-        out_alert->fast_burn = fast;
-        out_alert->slow_burn = slow;
-        out_alert->now_ns = now_ns;
-    }
-    return edge;
+    latch_.SetSink(std::move(sink));
 }
 
 }  // namespace rumba::obs

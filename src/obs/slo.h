@@ -25,9 +25,10 @@
  * `slo.<name>.fast_burn_rate`, `slo.<name>.slow_burn_rate`,
  * `slo.<name>.alerting` — and firing increments the
  * `slo.<name>.alerts` counter, so the scrape endpoint
- * (obs/http_exporter.h) exposes burn rates live. An optional alert
- * sink receives fire/clear edges; the deploy example wires it to the
- * circuit breaker's canary probe.
+ * (obs/http_exporter.h) exposes burn rates live. Fire/clear edges go
+ * through the shared EdgeLatch (obs/incident.h): logged, handed to an
+ * optional alert sink (the deploy example narrates them), and every
+ * fire becomes one "slo" incident signal.
  *
  * Thread-safe; time is injectable for tests (pass now_ns to Record).
  */
@@ -38,10 +39,9 @@
 #include <string>
 #include <vector>
 
-namespace rumba::obs {
+#include "obs/incident.h"
 
-class Counter;
-class Gauge;
+namespace rumba::obs {
 
 /** Configuration of one service-level objective. */
 struct SloConfig {
@@ -62,15 +62,6 @@ struct SloConfig {
     /** Events required in the fast window before alerting (keeps a
      *  single early failure from paging). */
     uint64_t min_events = 10;
-};
-
-/** One fire/clear edge delivered to the alert sink. */
-struct SloAlert {
-    std::string name;       ///< SloConfig::name.
-    bool firing = false;    ///< true = fired, false = cleared.
-    double fast_burn = 0.0; ///< fast-window burn rate at the edge.
-    double slow_burn = 0.0; ///< slow-window burn rate at the edge.
-    uint64_t now_ns = 0;    ///< event time (steady clock).
 };
 
 /**
@@ -95,18 +86,12 @@ class SloMonitor {
     /** True while the alert is firing. */
     bool Alerting() const;
 
-    /** Fire/clear edges delivered so far (fires only). */
-    uint64_t AlertCount() const;
-
-    /** Install the fire/clear edge sink (nullptr clears). Edges are
-     *  also logged. The sink is invoked AFTER the monitor's lock is
-     *  released, so it may call back into the monitor (Alerting(),
-     *  burn-rate accessors, even Record()) and a slow sink delays
-     *  only the recording thread that hit the edge. Under concurrent
-     *  Record() calls, edge deliveries may interleave out of order —
-     *  treat SloAlert::firing as the state at the edge, not the
-     *  current state. */
-    void SetAlertSink(std::function<void(const SloAlert&)> sink);
+    /** Install the fire/clear edge sink (nullptr clears). It runs
+     *  after the monitor's lock is released (EdgeLatch::Deliver), so
+     *  it may call back into the monitor (Alerting(), burn-rate
+     *  accessors, even Record()); AlarmEdge::detail carries the burn
+     *  rates at the edge. */
+    void SetAlertSink(std::function<void(const AlarmEdge&)> sink);
 
     const SloConfig& Config() const { return config_; }
 
@@ -122,20 +107,13 @@ class SloMonitor {
     void SumWindowLocked(uint64_t now_ns, uint64_t window_ns,
                          uint64_t* good, uint64_t* bad) const;
     double BurnLocked(uint64_t now_ns, uint64_t window_ns) const;
-    /** Refresh gauges/alert state; true if a fire/clear edge occurred
-     *  (then @p out_alert is filled for post-unlock delivery). */
-    bool EvaluateLocked(uint64_t now_ns, SloAlert* out_alert);
-
     const SloConfig config_;
     mutable std::mutex mu_;
     std::vector<Bucket> ring_;
-    bool alerting_ = false;
-    uint64_t alerts_ = 0;
-    std::function<void(const SloAlert&)> sink_;
     Gauge* fast_gauge_;   ///< slo.<name>.fast_burn_rate
     Gauge* slow_gauge_;   ///< slo.<name>.slow_burn_rate
-    Gauge* alert_gauge_;  ///< slo.<name>.alerting (0/1)
-    Counter* alert_counter_;  ///< slo.<name>.alerts
+    /** slo.<name>.alerting (0/1) and slo.<name>.alerts (fires). */
+    EdgeLatch latch_;
 };
 
 }  // namespace rumba::obs

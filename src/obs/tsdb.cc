@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "obs/anomaly.h"
 #include "obs/export.h"
+#include "obs/http_exporter.h"
 #include "obs/incident.h"
 #include "obs/span.h"
 #include "obs/timer.h"
@@ -26,8 +27,9 @@ ParseTsdbPeriodMs(const char* value)
         return kDefaultTsdbPeriodMs;
     if (parsed <= 0)
         return 0;  // explicit opt-out.
-    return std::clamp(static_cast<int>(parsed), kMinTsdbPeriodMs,
-                      kMaxTsdbPeriodMs);
+    // Clamp before narrowing: a long past INT_MAX must not wrap.
+    return static_cast<int>(std::clamp<long>(parsed, kMinTsdbPeriodMs,
+                                             kMaxTsdbPeriodMs));
 }
 
 // ---------------------------------------------------------------------------
@@ -215,24 +217,6 @@ TimeSeriesStore::QuantileOverTime(const std::string& name, double q,
     return true;
 }
 
-std::vector<std::string>
-TimeSeriesStore::SeriesNames(const std::string& prefix) const
-{
-    std::vector<std::string> out;
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto& sorted = SortedLocked();
-    for (auto it = std::lower_bound(
-             sorted.begin(), sorted.end(), prefix,
-             [](const auto* entry, const std::string& p) {
-                 return entry->first < p;
-             });
-         it != sorted.end() &&
-         (*it)->first.compare(0, prefix.size(), prefix) == 0;
-         ++it)
-        out.push_back((*it)->first);
-    return out;
-}
-
 TsdbStats
 TimeSeriesStore::Stats() const
 {
@@ -316,98 +300,29 @@ TimeSeriesStore::Default()
 // TsdbSampler
 // ---------------------------------------------------------------------------
 
-TsdbSampler::~TsdbSampler()
-{
-    Stop();
-}
-
 bool
 TsdbSampler::Start(int period_ms, const std::string& stream_path)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (running_)
-        return false;
-    period_ms_ = std::clamp(period_ms, kMinTsdbPeriodMs,
-                            kMaxTsdbPeriodMs);
-    samples_ = 0;
-    if (!stream_path.empty()) {
-        stream_ = std::fopen(stream_path.c_str(), "w");
-        if (stream_ == nullptr) {
-            Warn("tsdb: could not open stream %s; sampling without it",
-                 stream_path.c_str());
-        } else {
-            // Header first, before the thread exists: no concurrent
-            // writers.
-            const std::string meta = MetadataJsonLine() + "\n";
-            std::fwrite(meta.data(), 1, meta.size(), stream_);
-            std::fflush(stream_);
+    return ticker_.Start(int64_t{period_ms} * 1'000'000, [&] {
+        if (!stream_path.empty()) {
+            stream_ = std::fopen(stream_path.c_str(), "w");
+            if (stream_ == nullptr) {
+                Warn("tsdb: could not open stream %s; sampling "
+                     "without it",
+                     stream_path.c_str());
+            } else {
+                const std::string meta = MetadataJsonLine() + "\n";
+                std::fwrite(meta.data(), 1, meta.size(), stream_);
+                std::fflush(stream_);
+            }
         }
-    }
-    prev_counters_.clear();
-    prev_dcounters_.clear();
-    stop_requested_ = false;
-    running_ = true;
-    thread_ = std::thread(&TsdbSampler::Loop, this);
-    return true;
+        prev_counters_.clear();
+        prev_dcounters_.clear();
+    });
 }
 
 void
-TsdbSampler::Stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!running_)
-            return;
-        stop_requested_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();  // the loop takes its final sample before exiting.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stream_ != nullptr) {
-        std::fclose(stream_);
-        stream_ = nullptr;
-    }
-    running_ = false;
-}
-
-bool
-TsdbSampler::Running() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return running_;
-}
-
-uint64_t
-TsdbSampler::Samples() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_;
-}
-
-void
-TsdbSampler::Loop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        // Wait-first: a short-lived acquire (an engine created and
-        // shut down inside one period, as the overhead bench does
-        // per round) costs exactly one sample — the final one below —
-        // instead of a startup + shutdown pair.
-        cv_.wait_for(lock, std::chrono::milliseconds(period_ms_),
-                     [this] { return stop_requested_; });
-        const bool stopping = stop_requested_;
-        lock.unlock();
-        SampleOnce();
-        lock.lock();
-        ++samples_;
-        if (stopping)
-            return;
-        // A stop request still gets one final sample above.
-    }
-}
-
-void
-TsdbSampler::SampleOnce()
+TsdbSampler::Tick(bool final)
 {
     const Span span("tsdb.sample");
     TimeSeriesStore& store = TimeSeriesStore::Default();
@@ -429,6 +344,10 @@ TsdbSampler::SampleOnce()
         static_cast<double>(stats.points));
     Registry::Default().GetGauge("tsdb.dropped_series")->Set(
         static_cast<double>(stats.dropped_series));
+    if (final && stream_ != nullptr) {
+        std::fclose(stream_);
+        stream_ = nullptr;
+    }
 }
 
 void
@@ -508,10 +427,6 @@ TsdbSampler::Default()
 
 namespace {
 
-std::mutex refcount_mu;
-int refcount = 0;
-bool refcount_started = false;
-
 /** Best-effort forensics flush for the SIGINT/SIGTERM path: dump any
  *  open incident bundle and the retained tsdb rings (try-lock only —
  *  a sampler mid-append means no dump, never a deadlock). */
@@ -530,21 +445,20 @@ ForensicsFlushHook()
 void
 TsdbSampler::Acquire()
 {
-    std::lock_guard<std::mutex> lock(refcount_mu);
-    if (++refcount != 1)
-        return;
-    const int period =
-        ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
-    if (period <= 0)
-        return;  // explicitly disabled; refcount still tracks.
-    RegisterFlushHook(&ForensicsFlushHook);
-    const char* stream = std::getenv("RUMBA_STREAM_OUT");
-    const std::string stream_path = stream == nullptr ? "" : stream;
-    refcount_started = Default().Start(period, stream_path);
-    if (refcount_started)
-        Debug("tsdb: sampling the registry every %d ms (stream: %s)",
-              period,
-              stream_path.empty() ? "off" : stream_path.c_str());
+    TsdbSampler& sampler = Default();
+    sampler.ticker_.Acquire([&sampler] {
+        const int period =
+            ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
+        if (period <= 0)
+            return;  // explicitly disabled; the refcount still tracks.
+        RegisterFlushHook(&ForensicsFlushHook);
+        const char* stream = std::getenv("RUMBA_STREAM_OUT");
+        const std::string stream_path = stream == nullptr ? "" : stream;
+        if (sampler.Start(period, stream_path))
+            Debug("tsdb: sampling the registry every %d ms (stream: %s)",
+                  period,
+                  stream_path.empty() ? "off" : stream_path.c_str());
+    });
 }
 
 bool
@@ -560,68 +474,19 @@ TsdbSampler::AcquireForStream()
 void
 TsdbSampler::Release()
 {
-    std::lock_guard<std::mutex> lock(refcount_mu);
-    if (--refcount != 0 || !refcount_started)
-        return;
-    refcount_started = false;
-    Default().Stop();
-}
-
-void
-TsdbSampler::StopEnv()
-{
-    std::lock_guard<std::mutex> lock(refcount_mu);
-    refcount_started = false;
-    Default().Stop();
+    Default().ticker_.Release();
 }
 
 // ---------------------------------------------------------------------------
 // /tsdbz
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Value of @p key in an application/x-www-form-urlencoded query
- *  string ("" when absent). No percent-decoding: series prefixes are
- *  plain [A-Za-z0-9._] names. */
-std::string
-QueryParam(const std::string& query, const std::string& key)
-{
-    size_t pos = 0;
-    while (pos < query.size()) {
-        size_t amp = query.find('&', pos);
-        if (amp == std::string::npos)
-            amp = query.size();
-        const size_t eq = query.find('=', pos);
-        if (eq != std::string::npos && eq < amp &&
-            query.compare(pos, eq - pos, key) == 0)
-            return query.substr(eq + 1, amp - eq - 1);
-        pos = amp + 1;
-    }
-    return "";
-}
-
-double
-QueryParamNum(const std::string& query, const std::string& key,
-              double fallback)
-{
-    const std::string raw = QueryParam(query, key);
-    if (raw.empty())
-        return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || !std::isfinite(parsed))
-        return fallback;
-    return parsed;
-}
-
-}  // namespace
-
 std::string
 TsdbzJson(const std::string& query_string)
 {
     const TimeSeriesStore& store = TimeSeriesStore::Default();
-    const std::string prefix = QueryParam(query_string, "prefix");
+    const std::string prefix =
+        QueryParam(query_string, "prefix").value_or("");
     const double range_ms =
         std::max(1.0, QueryParamNum(query_string, "range_ms", 60000.0));
     const double quantile =

@@ -26,19 +26,18 @@
  */
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ring.h"
 #include "obs/metrics.h"
+#include "obs/ticker.h"
 
 namespace rumba::obs {
 
@@ -46,10 +45,10 @@ namespace rumba::obs {
  *  100 ms keeps the whole-registry snapshot + ingest tick inside the
  *  bench/serve_throughput <5% instrumentation-overhead budget; drills
  *  that want finer resolution (ci.sh live stage) lower it via the
- *  environment variable. */
+ *  environment variable. The clamp range is the Ticker's. */
 inline constexpr int kDefaultTsdbPeriodMs = 100;
-inline constexpr int kMinTsdbPeriodMs = 1;
-inline constexpr int kMaxTsdbPeriodMs = 60000;
+inline constexpr int kMinTsdbPeriodMs = kMinTickNs / 1'000'000;
+inline constexpr int kMaxTsdbPeriodMs = kMaxTickNs / 1'000'000;
 
 /** Per-series ring capacity (points retained per series). */
 inline constexpr size_t kDefaultTsdbRingCapacity = 256;
@@ -144,10 +143,6 @@ class TimeSeriesStore {
                           double t0_ms, double t1_ms,
                           double* out) const;
 
-    /** Names of every retained series starting with @p prefix. */
-    std::vector<std::string> SeriesNames(
-        const std::string& prefix) const;
-
     /** Store accounting. */
     TsdbStats Stats() const;
 
@@ -200,40 +195,40 @@ class TimeSeriesStore {
 };
 
 /**
- * Background registry sampler feeding TimeSeriesStore::Default(): the
- * engine (and a runtime while RUMBA_STREAM_OUT is set) calls
- * Acquire()/Release(); the first acquirer starts the thread and the
- * last release stops it. Each tick takes one registry snapshot and
- * hands it to every consumer: the store, the anomaly detectors
- * (obs/anomaly.h), the incident manager's fault-delta scan + poll
- * (obs/incident.h), and the JSONL stream sink when one is open.
+ * Background registry sampler feeding TimeSeriesStore::Default(), on
+ * the process's one Ticker lifecycle (obs/ticker.h): the engine (and
+ * a runtime while RUMBA_STREAM_OUT is set) calls Acquire()/Release();
+ * the first acquirer starts the thread and the last release stops it.
+ * Each tick takes one registry snapshot and hands it to every
+ * consumer: the store, the anomaly detectors (obs/anomaly.h), the
+ * incident manager's fault-delta scan + poll (obs/incident.h), and the
+ * JSONL stream sink when one is open.
  */
 class TsdbSampler {
   public:
     TsdbSampler() = default;
-    ~TsdbSampler();
 
     TsdbSampler(const TsdbSampler&) = delete;
     TsdbSampler& operator=(const TsdbSampler&) = delete;
 
     /**
-     * Start sampling every @p period_ms; false if already running.
-     * An empty @p stream_path streams nothing; otherwise the file is
-     * truncated and gets the run-metadata header of obs/export.h,
-     * then one {"type":"sample",...} line per tick (final tick
-     * included). A path that cannot be opened warns and the sampler
-     * ticks without a stream.
+     * Start sampling every @p period_ms (clamped to the Ticker's
+     * range); false if already running or @p period_ms <= 0. An empty
+     * @p stream_path streams nothing; otherwise the file is truncated
+     * and gets the run-metadata header of obs/export.h, then one
+     * {"type":"sample",...} line per tick (final tick included). A
+     * path that cannot be opened warns and the sampler ticks without
+     * a stream.
      */
     bool Start(int period_ms, const std::string& stream_path);
 
-    /** Stop and join (a final sample is taken first); closes the
-     *  stream. Idempotent. */
-    void Stop();
+    /** Final sample, join, close the stream. Idempotent. */
+    void Stop() { ticker_.Stop(); }
 
-    bool Running() const;
+    bool Running() const { return ticker_.Running(); }
 
     /** Samples taken since Start(). */
-    uint64_t Samples() const;
+    uint64_t Samples() const { return ticker_.Ticks(); }
 
     /**
      * Refcounted start: the first acquirer starts Default() every
@@ -252,33 +247,28 @@ class TsdbSampler {
     /** Refcounted stop: the last release stops Default(). */
     static void Release();
 
-    /** Unconditional stop for the at-exit path (obs/export.h). */
-    static void StopEnv();
-
+    /** The shared sampler; the at-exit path (obs/export.h) Stop()s
+     *  it whatever refs remain. */
     static TsdbSampler& Default();
 
   private:
-    void Loop();
-    void SampleOnce();
+    /** Snapshot the registry once and feed every consumer; the
+     *  final tick also closes the stream. */
+    void Tick(bool final);
 
     /** Append one stream line for @p snapshot (sampler thread only). */
     void WriteStreamSample(const RegistrySnapshot& snapshot,
                            double t_ms);
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::thread thread_;
-    bool running_ = false;
-    bool stop_requested_ = false;
-    int period_ms_ = kDefaultTsdbPeriodMs;
-    uint64_t samples_ = 0;
     /** Stream sink and the previous line's cumulative counter values
-     *  (deltas are against them). Set up in Start() before the
-     *  thread exists and torn down in Stop() after it joins, so only
-     *  the sampler thread touches them in between. */
+     *  (deltas are against them). Set up by Start() before the thread
+     *  exists and closed by the final tick, so only the sampler
+     *  thread touches them in between. */
     std::FILE* stream_ = nullptr;
     std::map<std::string, uint64_t> prev_counters_;
     std::map<std::string, double> prev_dcounters_;
+    /** Last: destroyed (stopped and joined) before what Tick reads. */
+    Ticker ticker_{[this](bool final) { Tick(final); }};
 };
 
 /**

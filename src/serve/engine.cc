@@ -1,6 +1,8 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <string_view>
@@ -46,6 +48,26 @@ TuningModeName(core::TuningMode mode)
 }
 
 }  // namespace
+
+std::optional<size_t>
+ParseAuditSampleN(const char* value)
+{
+    if (value == nullptr || value[0] == '\0')
+        return std::nullopt;
+    // strtoull alone would take "abc" as 0 (auditing off) and "-1" as
+    // 2^64-1 (healthy traffic never audited): digits only.
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(value, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE) {
+        Warn("RUMBA_AUDIT_SAMPLE_N='%s' is not a non-negative integer; "
+             "keeping the configured audit rate",
+             value);
+        return std::nullopt;
+    }
+    return static_cast<size_t>(parsed);
+}
 
 ShardedEngine::ShardedEngine(const ServeConfig& config,
                              size_t input_width, size_t output_width)
@@ -186,11 +208,10 @@ ShardedEngine::Create(const core::Artifact& artifact,
     // invocations. RUMBA_AUDIT_SAMPLE_N overrides the configured
     // sampling rate; 0 disables the auditor entirely.
     ServeConfig::AuditOptions audit_opts = serve_config.audit;
-    if (const char* env = std::getenv("RUMBA_AUDIT_SAMPLE_N");
-        env != nullptr && env[0] != '\0') {
-        audit_opts.sample_every = static_cast<size_t>(
-            std::strtoull(env, nullptr, 10));
-        if (audit_opts.sample_every == 0)
+    if (const std::optional<size_t> every = ParseAuditSampleN(
+            std::getenv("RUMBA_AUDIT_SAMPLE_N"))) {
+        audit_opts.sample_every = *every;
+        if (*every == 0)
             audit_opts.enabled = false;
     }
     if (audit_opts.enabled) {

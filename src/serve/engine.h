@@ -33,6 +33,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -139,7 +140,8 @@ struct ServeConfig {
         bool enabled = true;
         /** Healthy invocations audited 1-in-N (0 = forced samples
          *  only). The RUMBA_AUDIT_SAMPLE_N environment variable
-         *  overrides this; "0" there disables auditing entirely. */
+         *  overrides this (ParseAuditSampleN); "0" there disables
+         *  auditing entirely. */
         size_t sample_every = 16;
         /** Recovered requests are routine under Rumba's 10-25% fix
          *  rates, so forcing every one would audit nearly all
@@ -236,6 +238,15 @@ struct InvocationResult {
     core::InvocationReport report;
     size_t shard = 0;  ///< shard that served (or rejected) it.
 };
+
+/**
+ * Parse a RUMBA_AUDIT_SAMPLE_N value, which overrides
+ * ServeConfig::audit.sample_every (0 disables auditing). nullopt,
+ * meaning "keep the configured rate", when unset or empty, and, with
+ * a warning, when it is anything but plain decimal digits (a sign,
+ * spaces, trailing garbage) or overflows.
+ */
+std::optional<size_t> ParseAuditSampleN(const char* value);
 
 /** N RumbaRuntime replicas behind bounded queues. */
 class ShardedEngine {

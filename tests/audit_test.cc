@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -675,7 +676,28 @@ TEST(EngineAuditTest, AuditDisabledByConfigAndByEnv)
     ASSERT_TRUE(engine2.ok());
     EXPECT_EQ((*engine2)->Auditor(), nullptr);
     (*engine2)->Shutdown();
+
+    // Garbage warns and keeps the configured rate: it must not read
+    // as 0 and switch auditing off.
+    setenv("RUMBA_AUDIT_SAMPLE_N", "abc", 1);
+    auto engine3 = serve::ShardedEngine::Create(
+        AuditArtifact(), AuditRuntimeConfig(), enabled);
+    ASSERT_TRUE(engine3.ok());
+    EXPECT_NE((*engine3)->Auditor(), nullptr);
+    (*engine3)->Shutdown();
     unsetenv("RUMBA_AUDIT_SAMPLE_N");
+}
+
+TEST(EngineAuditTest, SampleNParserAcceptsOnlyPlainDigits)
+{
+    using Parsed = std::optional<size_t>;
+    EXPECT_EQ(serve::ParseAuditSampleN(nullptr), Parsed());
+    EXPECT_EQ(serve::ParseAuditSampleN(""), Parsed());
+    EXPECT_EQ(serve::ParseAuditSampleN("0"), Parsed(0));
+    EXPECT_EQ(serve::ParseAuditSampleN("16"), Parsed(16));
+    for (const char* garbage :
+         {"abc", "-1", "+4", " 4", "4x", "1e3", "99999999999999999999999"})
+        EXPECT_EQ(serve::ParseAuditSampleN(garbage), Parsed()) << garbage;
 }
 
 }  // namespace

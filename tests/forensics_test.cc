@@ -4,6 +4,8 @@
 // count-based hysteresis (obs/anomaly.h), probe plumbing from registry
 // snapshots, incident correlation semantics (obs/incident.h: distinct
 // sources open, same source does not, the rate limiter suppresses),
+// the one edge latch that carries anomaly and SLO fires (never
+// clears) into the default incident manager,
 // an engine-level race of the tsdb sampler against
 // ShardedEngine::Shutdown (exercised under TSan in ci.sh), and who
 // holds that one sampler: a runtime only while RUMBA_STREAM_OUT is
@@ -26,6 +28,7 @@
 #include "obs/anomaly.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "obs/tsdb.h"
 #include "serve/engine.h"
 
@@ -45,6 +48,9 @@ TEST(TsdbPeriodTest, ParseHonorsDefaultDisableAndClamp)
     EXPECT_EQ(obs::ParseTsdbPeriodMs("-40"), 0);
     EXPECT_EQ(obs::ParseTsdbPeriodMs("7"), 7);
     EXPECT_EQ(obs::ParseTsdbPeriodMs("999999"),
+              obs::kMaxTsdbPeriodMs);
+    // Past INT_MAX: clamps, where a narrowing cast would wrap to 1.
+    EXPECT_EQ(obs::ParseTsdbPeriodMs("4294967297"),
               obs::kMaxTsdbPeriodMs);
 }
 
@@ -186,35 +192,40 @@ TEST(AnomalyDetectorTest, WarmupSamplesNeverFire)
     EXPECT_EQ(detector.SamplesSeen(), 10u);
 }
 
+/** Signals the default incident manager has accepted so far. */
+uint64_t
+IncidentSignals()
+{
+    return obs::Registry::Default()
+        .GetCounter("incident.signals")
+        ->Value();
+}
+
 TEST(AnomalyDetectorTest, HysteresisEdgesAreCountDeterministic)
 {
     obs::AnomalyDetector detector(
         DetectorConfig("forensics_test.hysteresis"));
-    std::vector<obs::AnomalyEvent> events;
-    detector.SetSink(
-        [&events](const obs::AnomalyEvent& e) { events.push_back(e); });
 
     Settle(&detector, 100.0);
     EXPECT_FALSE(detector.Firing());
-    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(detector.Edges(), 0u);
+    const uint64_t signals = IncidentSignals();
 
     // Fire on exactly the fire_count-th consecutive anomalous sample.
     EXPECT_FALSE(detector.Observe(200.0, 1));
     EXPECT_FALSE(detector.Observe(200.0, 1));
     EXPECT_TRUE(detector.Observe(200.0, 1));
     EXPECT_TRUE(detector.Firing());
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_TRUE(events[0].firing);
-    EXPECT_DOUBLE_EQ(events[0].value, 200.0);
+    EXPECT_EQ(detector.Edges(), 1u);
+    EXPECT_EQ(IncidentSignals(), signals + 1);
 
     // Clear on exactly the clear_count-th consecutive normal sample.
     for (int i = 0; i < 4; ++i)
         EXPECT_FALSE(detector.Observe(100.0, 1));
     EXPECT_TRUE(detector.Observe(100.0, 1));
     EXPECT_FALSE(detector.Firing());
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_FALSE(events[1].firing);
     EXPECT_EQ(detector.Edges(), 2u);
+    EXPECT_EQ(IncidentSignals(), signals + 1);  // clears signal nothing.
 }
 
 TEST(AnomalyDetectorTest, AnomalousSamplesDoNotShiftBaseline)
@@ -334,6 +345,105 @@ TEST(IncidentManagerTest, RateLimitSuppressesTheSecondBurst)
     manager.OnSignal(Signal("slo", "slo.serve_latency"));
     manager.FinalizeOpenNow();
     EXPECT_EQ(manager.List().size(), 1u);  // suppressed, not opened.
+}
+
+TEST(IncidentzJsonTest, IdParameterUsesTheSharedQueryParser)
+{
+    obs::IncidentManager& manager = obs::IncidentManager::Default();
+    manager.Configure(CorrelatorConfig());
+    manager.Clear();
+    manager.OnSignal(Signal("breaker", "serve.shard0"));
+    manager.OnSignal(Signal("fault", "fault.injected.output_nan"));
+    manager.FinalizeOpenNow();
+    ASSERT_EQ(manager.List().size(), 1u);
+    const uint64_t id = manager.List()[0].id;
+    const std::string n = std::to_string(id);
+    const std::string bundle = manager.Detail(id);
+    const std::string listing = obs::IncidentzJson("");
+    const std::string unknown_zero =
+        "{\"schema_version\":1,\"error\":\"unknown incident\","
+        "\"id\":0}";
+    ASSERT_NE(listing.find("\"count\":1,"), std::string::npos);
+
+    EXPECT_EQ(obs::IncidentzJson("id=" + n), bundle);
+    EXPECT_EQ(obs::IncidentzJson("x=1&id=" + n), bundle);
+    EXPECT_EQ(obs::IncidentzJson("xid=" + n), listing);  // not "id".
+    EXPECT_EQ(obs::IncidentzJson("id=abc"), unknown_zero);
+    EXPECT_EQ(obs::IncidentzJson("id="), unknown_zero);  // present.
+}
+
+// ------------------------------------------------- edge latch
+
+TEST(EdgeLatchTest, StandaloneAnomalyFireIsOneIncidentSignal)
+{
+    obs::IncidentManager& manager = obs::IncidentManager::Default();
+    manager.Configure(CorrelatorConfig());
+    manager.Clear();
+    // No AnomalySet and no engine: the detector's own latch is the
+    // path into the default incident manager.
+    obs::AnomalyDetector detector(DetectorConfig("forensics_test.latch"),
+                                  "forensics_test.latch_series");
+    Settle(&detector, 100.0);
+    manager.OnSignal(Signal("breaker", "serve.shard0"));
+    const uint64_t signals = IncidentSignals();
+
+    for (int i = 0; i < 3; ++i)
+        detector.Observe(200.0, 1);
+    ASSERT_TRUE(detector.Firing());
+    EXPECT_EQ(IncidentSignals(), signals + 1);
+    for (int i = 0; i < 5; ++i)
+        detector.Observe(100.0, 1);
+    ASSERT_FALSE(detector.Firing());
+    EXPECT_EQ(IncidentSignals(), signals + 1);
+
+    manager.FinalizeOpenNow();
+    const auto list = manager.List();
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].kinds, "anomaly+breaker");
+    EXPECT_EQ(list[0].signals, 2u);
+    const std::string detail = manager.Detail(list[0].id);
+    EXPECT_NE(detail.find("\"name\":\"anomaly.forensics_test.latch\""),
+              std::string::npos);
+    EXPECT_NE(detail.find("\"detail\":\"value=200 "), std::string::npos);
+    EXPECT_NE(detail.find("\"series\":\"forensics_test.latch_series\""),
+              std::string::npos);
+}
+
+TEST(EdgeLatchTest, SloFireIsOneIncidentSignalBesideAUserSink)
+{
+    obs::IncidentManager& manager = obs::IncidentManager::Default();
+    manager.Configure(CorrelatorConfig());
+    manager.Clear();
+    obs::SloConfig config;
+    config.name = "forensics_test_slo";
+    config.objective = 0.9;
+    config.fast_window_ns = 1000;
+    config.slow_window_ns = 10000;
+    config.buckets = 10;
+    config.fast_burn_alert = 5.0;  // all-bad burns at 10x.
+    config.min_events = 5;
+    obs::SloMonitor monitor(config);
+    std::vector<obs::AlarmEdge> edges;
+    monitor.SetAlertSink(
+        [&edges](const obs::AlarmEdge& edge) { edges.push_back(edge); });
+    manager.OnSignal(Signal("breaker", "serve.shard0"));
+    const uint64_t signals = IncidentSignals();
+
+    for (int i = 0; i < 10; ++i)
+        monitor.Record(false, 10000 + i * 100);
+    ASSERT_TRUE(monitor.Alerting());
+    monitor.Record(true, 12500);  // a healthy fast window clears.
+    ASSERT_FALSE(monitor.Alerting());
+
+    ASSERT_EQ(edges.size(), 2u);
+    EXPECT_TRUE(edges[0].firing);
+    EXPECT_FALSE(edges[1].firing);
+    EXPECT_EQ(IncidentSignals(), signals + 1);
+    manager.FinalizeOpenNow();
+    const auto list = manager.List();
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].kinds, "breaker+slo");
+    EXPECT_EQ(list[0].signals, 2u);
 }
 
 // ------------------------------------------------- engine race

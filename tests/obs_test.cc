@@ -996,9 +996,9 @@ TEST(SloMonitorTest, MultiWindowAlertFiresAndClearsWithHysteresis)
     cfg.min_events = 5;
     SloMonitor monitor(cfg);
 
-    std::vector<SloAlert> edges;
+    std::vector<AlarmEdge> edges;
     monitor.SetAlertSink(
-        [&edges](const SloAlert& a) { edges.push_back(a); });
+        [&edges](const AlarmEdge& a) { edges.push_back(a); });
 
     // Below min_events nothing fires, however bad the stream.
     for (int i = 0; i < 4; ++i)
@@ -1010,18 +1010,20 @@ TEST(SloMonitorTest, MultiWindowAlertFiresAndClearsWithHysteresis)
     for (int i = 4; i < 10; ++i)
         monitor.Record(false, 10000 + i * 100);
     EXPECT_TRUE(monitor.Alerting());
-    EXPECT_EQ(monitor.AlertCount(), 1u);
+    Counter* alerts = Registry::Default().GetCounter("slo.slo_test.alerts");
+    EXPECT_EQ(alerts->Value(), 1u);
     EXPECT_NEAR(monitor.FastBurnRate(10900), 10.0, 1e-9);
     EXPECT_NEAR(monitor.SlowBurnRate(10900), 10.0, 1e-9);
     ASSERT_EQ(edges.size(), 1u);
     EXPECT_TRUE(edges[0].firing);
     EXPECT_EQ(edges[0].name, "slo_test");
+    EXPECT_EQ(edges[0].detail, "fast_burn=10 slow_burn=10");
 
     // A healthy fast window clears the alert (hysteresis: the slow
     // window still carries the bad events).
     monitor.Record(true, 12500);
     EXPECT_FALSE(monitor.Alerting());
-    EXPECT_EQ(monitor.AlertCount(), 1u);  // fires counted, not clears.
+    EXPECT_EQ(alerts->Value(), 1u);  // fires counted, not clears.
     ASSERT_EQ(edges.size(), 2u);
     EXPECT_FALSE(edges[1].firing);
     EXPECT_GT(monitor.SlowBurnRate(12500), 2.0);
@@ -1046,7 +1048,7 @@ TEST(SloMonitorTest, AlertSinkMayReenterTheMonitor)
 
     bool alerting_inside_sink = false;
     double fast_inside_sink = 0.0;
-    monitor.SetAlertSink([&](const SloAlert& a) {
+    monitor.SetAlertSink([&](const AlarmEdge& a) {
         alerting_inside_sink = monitor.Alerting();
         fast_inside_sink = monitor.FastBurnRate(a.now_ns);
     });

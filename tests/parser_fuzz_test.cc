@@ -1,0 +1,234 @@
+// Seeded mutation loop over the hand-written parsers outside
+// rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_TRACE_RING_CAPACITY,
+// RUMBA_PROFILE_HZ and RUMBA_AUDIT_SAMPLE_N parsers, and the route
+// query parser behind /tsdbz and /incidentz. Valid seeds are mutated
+// by truncation and bit flips (fault/corrupt.h), signs, exponents and
+// special values, leading spaces and trailing garbage; every result
+// must lie in its parser's documented range or be its documented
+// default or off value. The loop is deterministic, so a failure
+// replays; ci.sh also runs it under ASan/UBSan.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/logging.h"
+#include "common/random.h"
+#include "fault/corrupt.h"
+#include "obs/http_exporter.h"
+#include "obs/incident.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
+#include "obs/tsdb.h"
+#include "serve/engine.h"
+
+namespace rumba {
+namespace {
+
+constexpr uint64_t kSeed = 0x5eed;
+constexpr int kMutantsPerSeed = 150;
+
+/** Spliced in anywhere: signs, exponents, special values, radixes and
+ *  query metacharacters. */
+const char* const kTokens[] = {
+    "-",   "+",      "-0",   "1e999", "1e-300", "nan", "inf",  "-inf",
+    "0x10", "e",     ".",    " ",     "\t",     "&",   "=",    "id=",
+    "%00", "18446744073709551616",   "9223372036854775808",
+};
+
+/** @p seeds plus kMutantsPerSeed seeded mutants of each. */
+std::vector<std::string>
+Mutants(const std::vector<std::string>& seeds, uint64_t stream)
+{
+    Rng rng = Rng::ForStream(kSeed, stream);
+    std::vector<std::string> out = seeds;
+    for (const std::string& seed : seeds) {
+        for (int i = 0; i < kMutantsPerSeed; ++i) {
+            std::string s = seed;
+            const char* token = kTokens[rng.Below(std::size(kTokens))];
+            switch (rng.Below(6)) {
+            case 0:
+                fault::TruncateBlob(&s, rng.Uniform());
+                break;
+            case 1:
+                fault::BitrotBlob(&s, 0.3, rng.Next());
+                break;
+            case 2:
+                s.insert(0, rng.Chance(0.5) ? "-" : "+");
+                break;
+            case 3:
+                s.insert(rng.Below(s.size() + 1), token);
+                break;
+            case 4:
+                s.insert(0, std::string(1 + rng.Below(3), ' '));
+                break;
+            default:
+                s += token;
+                break;
+            }
+            out.push_back(s);
+        }
+    }
+    return out;
+}
+
+/** The number after `"key":` in a JSON body (NaN when absent). */
+double
+JsonField(const std::string& body, const std::string& key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const size_t at = body.find(needle);
+    if (at == std::string::npos)
+        return std::nan("");
+    return std::strtod(body.c_str() + at + needle.size(), nullptr);
+}
+
+bool
+AllDigits(const std::string& s)
+{
+    if (s.empty())
+        return false;
+    for (char c : s)
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            return false;
+    return true;
+}
+
+class ParserFuzzTest : public ::testing::Test {
+  protected:
+    // Garbage is the point here: keep the warn-and-fallback lines of
+    // the env parsers off the test log.
+    void SetUp() override
+    {
+        threshold_ = LogThreshold();
+        SetLogThreshold(LogLevel::kFatal);
+    }
+    void TearDown() override { SetLogThreshold(threshold_); }
+
+  private:
+    LogLevel threshold_ = LogLevel::kInform;
+};
+
+TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
+{
+    const std::vector<std::string> inputs = Mutants(
+        {"100", "25", "0", "60000", "4096", "101", "0.2", "499", "16"},
+        1);
+    for (const std::string& input : inputs) {
+        const char* value = input.c_str();
+
+        const int period_ms = obs::ParseTsdbPeriodMs(value);
+        EXPECT_TRUE(period_ms == 0 ||
+                    (period_ms >= obs::kMinTsdbPeriodMs &&
+                     period_ms <= obs::kMaxTsdbPeriodMs))
+            << "RUMBA_TSDB_PERIOD_MS='" << input << "' -> " << period_ms;
+
+        const size_t capacity = obs::ParseTraceRingCapacity(value);
+        EXPECT_TRUE(capacity >= obs::TraceRing::kMinRingCapacity &&
+                    capacity <= obs::TraceRing::kMaxRingCapacity)
+            << "RUMBA_TRACE_RING_CAPACITY='" << input << "' -> "
+            << capacity;
+
+        if (AllDigits(input)) {
+            // Plain digits clamp into range; they never wrap.
+            const double n = std::strtod(value, nullptr);
+            EXPECT_EQ(period_ms,
+                      n == 0.0 ? 0.0
+                               : std::clamp<double>(
+                                     n, obs::kMinTsdbPeriodMs,
+                                     obs::kMaxTsdbPeriodMs))
+                << input;
+            EXPECT_EQ(capacity,
+                      std::clamp<double>(
+                          n, obs::TraceRing::kMinRingCapacity,
+                          obs::TraceRing::kMaxRingCapacity))
+                << input;
+        }
+
+        const int64_t period_ns = obs::ParseProfilePeriodNs(value);
+        EXPECT_TRUE(period_ns == 0 || (period_ns >= obs::kMinTickNs &&
+                                       period_ns <= obs::kMaxTickNs))
+            << "RUMBA_PROFILE_HZ='" << input << "' -> " << period_ns;
+
+        // nullopt keeps the configured rate; a value must come from
+        // plain digits that spell exactly it.
+        const std::optional<size_t> every =
+            serve::ParseAuditSampleN(value);
+        if (every.has_value()) {
+            EXPECT_TRUE(AllDigits(input)) << input;
+            EXPECT_EQ(*every, std::strtoull(value, nullptr, 10)) << input;
+        }
+    }
+}
+
+TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
+{
+    obs::TimeSeriesStore& store = obs::TimeSeriesStore::Default();
+    for (const char* name : {"fuzz.a", "fuzz.b", "fuzz.c"})
+        store.Append(name, obs::SeriesKind::kGauge, store.NowMs(), 1.0);
+    obs::IncidentManager& manager = obs::IncidentManager::Default();
+    obs::IncidentConfig config;
+    config.rate_limit_ms = 0.0;
+    config.dir = "";
+    manager.Configure(config);
+    manager.Clear();
+    for (const char* source : {"breaker", "fault"}) {
+        obs::IncidentSignal signal;
+        signal.source = source;
+        signal.name = "fuzz";
+        manager.OnSignal(signal);
+    }
+    manager.FinalizeOpenNow();
+    ASSERT_EQ(manager.List().size(), 1u);
+    const std::string id = std::to_string(manager.List()[0].id);
+
+    const std::vector<std::string> queries = Mutants(
+        {"prefix=fuzz.&range_ms=60000&quantile=0.5&max_series=2",
+         "range_ms=1&max_series=512", "id=" + id, "x=1&id=" + id, ""},
+        2);
+    for (const std::string& query : queries) {
+        const std::string tsdbz = obs::TsdbzJson(query);
+        ASSERT_FALSE(tsdbz.empty());
+        EXPECT_EQ(tsdbz.front(), '{') << query;
+        EXPECT_EQ(tsdbz.back(), '}') << query;
+        EXPECT_GE(JsonField(tsdbz, "range_ms"), 1.0) << query;
+        const double quantile = JsonField(tsdbz, "quantile");
+        EXPECT_TRUE(quantile >= 0.0 && quantile <= 1.0) << query;
+        const double selected = JsonField(tsdbz, "selected");
+        EXPECT_TRUE(selected >= 0.0 && selected <= 512.0) << query;
+
+        // No id parameter lists; any id value names one bundle or is
+        // an unknown-incident error echoing the parsed id.
+        const std::string incidentz = obs::IncidentzJson(query);
+        const std::optional<std::string> raw =
+            obs::QueryParam(query, "id");
+        if (!raw.has_value()) {
+            EXPECT_NE(incidentz.find("\"incidents\":{"),
+                      std::string::npos)
+                << query;
+            continue;
+        }
+        const uint64_t want = std::strtoull(raw->c_str(), nullptr, 10);
+        if (incidentz.find("\"type\":\"incident\"") != std::string::npos) {
+            EXPECT_EQ(JsonField(incidentz, "id"),
+                      static_cast<double>(want))
+                << query;
+        } else {
+            EXPECT_EQ(incidentz,
+                      "{\"schema_version\":1,\"error\":\"unknown "
+                      "incident\",\"id\":" +
+                          std::to_string(want) + "}")
+                << query;
+        }
+    }
+}
+
+}  // namespace
+}  // namespace rumba

@@ -3,11 +3,13 @@
 // bracket, CpuProfiler counter/histogram/efficiency semantics against
 // a private registry, the sampling profiler's folded-stack output
 // (shard frames, same-tag dedup, RUMBA_PROFILE_HZ=0 as a true no-op),
+// the RUMBA_PROFILE_HZ parse rules and a slow sampler's prompt stop,
 // the /profilez JSON body, and an engine-level race of the env sampler
 // against ShardedEngine::Shutdown (exercised under TSan in ci.sh).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -248,9 +250,9 @@ TEST(SamplingProfilerTest, FoldedOutputParsesAndCarriesShardFrames)
         std::this_thread::yield();
 
     obs::SamplingProfiler sampler;
-    sampler.Start(/*hz=*/2000.0, path);
+    sampler.Start(obs::kMinTickNs, path);  // the fastest rate: 1000 Hz.
     EXPECT_TRUE(sampler.Running());
-    EXPECT_NEAR(sampler.Hz(), 2000.0, 1e-9);
+    EXPECT_NEAR(sampler.Hz(), 1000.0, 1e-9);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     sampler.Stop();
     EXPECT_FALSE(sampler.Running());
@@ -303,7 +305,7 @@ TEST(SamplingProfilerTest, ZeroHzIsATrueNoop)
         ::testing::TempDir() + "profiler_test_zero.folded";
     std::remove(path.c_str());
     obs::SamplingProfiler sampler;
-    sampler.Start(/*hz=*/0.0, path);
+    sampler.Start(/*period_ns=*/0, path);
     EXPECT_FALSE(sampler.Running());
     EXPECT_EQ(sampler.Samples(), 0u);
     sampler.Stop();  // safe when never started; writes no dump.
@@ -332,6 +334,64 @@ TEST(SamplingProfilerTest, EnvUnsetSpawnsNoThread)
     ASSERT_NE(sampler, nullptr);
     EXPECT_FALSE(sampler->Running());
     obs::SamplingProfiler::Release();
+}
+
+TEST(SamplingProfilerTest, ProfileHzParsesLikeTheTsdbPeriod)
+{
+    EXPECT_EQ(obs::ParseProfilePeriodNs(nullptr),
+              obs::kDefaultProfilePeriodNs);
+    for (const char* fallback : {"", "abc", "inf", "-inf", "nan"})
+        EXPECT_EQ(obs::ParseProfilePeriodNs(fallback),
+                  obs::kDefaultProfilePeriodNs)
+            << fallback;
+    EXPECT_EQ(obs::ParseProfilePeriodNs("0"), 0);
+    EXPECT_EQ(obs::ParseProfilePeriodNs("-1"), 0);
+    EXPECT_EQ(obs::ParseProfilePeriodNs("499"), 1'000'000'000 / 499);
+    // Clamped in double before narrowing: no int64 overflow.
+    EXPECT_EQ(obs::ParseProfilePeriodNs("1e-300"), obs::kMaxTickNs);
+    EXPECT_EQ(obs::ParseProfilePeriodNs("1e6"), obs::kMinTickNs);
+}
+
+TEST(SamplingProfilerTest, EnvRateFollowsTheParseRules)
+{
+    unsetenv("RUMBA_PROFILE_OUT");
+    const struct {
+        const char* env;
+        double hz;  ///< 0 = off.
+    } cases[] = {
+        {"inf", 101.0},      {"nan", 101.0}, {"abc", 101.0},
+        {"1e-300", 1.0 / 60}, {"1e6", 1000.0}, {"0", 0.0},
+        {"-1", 0.0},
+    };
+    for (const auto& c : cases) {
+        setenv("RUMBA_PROFILE_HZ", c.env, 1);
+        obs::SamplingProfiler* sampler =
+            obs::SamplingProfiler::AcquireFromEnv();
+        EXPECT_EQ(sampler->Running(), c.hz > 0.0) << c.env;
+        if (c.hz > 0.0) {
+            EXPECT_NEAR(sampler->Hz(), c.hz, 1e-4 * c.hz) << c.env;
+        }
+        obs::SamplingProfiler::Release();
+        EXPECT_FALSE(sampler->Running()) << c.env;
+    }
+    unsetenv("RUMBA_PROFILE_HZ");
+}
+
+TEST(SamplingProfilerTest, SlowSamplerStopsWithoutWaitingOutItsPeriod)
+{
+    setenv("RUMBA_PROFILE_HZ", "0.2", 1);  // a 5 s period.
+    unsetenv("RUMBA_PROFILE_OUT");
+    obs::SamplingProfiler* sampler = obs::SamplingProfiler::AcquireFromEnv();
+    ASSERT_TRUE(sampler->Running());
+    // Let the thread settle into its wait, as an engine that serves
+    // for a while does.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto start = std::chrono::steady_clock::now();
+    obs::SamplingProfiler::Release();
+    const auto stop_time = std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(sampler->Running());
+    EXPECT_LT(stop_time, std::chrono::milliseconds(500));
+    unsetenv("RUMBA_PROFILE_HZ");
 }
 
 // ----------------------------------------------------- /profilez JSON
@@ -404,7 +464,7 @@ TEST(ProfilerEngineTest, EngineFeedsProfilerAndRacesSamplerShutdown)
     const std::string folded =
         ::testing::TempDir() + "profiler_engine.folded";
     std::remove(folded.c_str());
-    setenv("RUMBA_PROFILE_HZ", "1499", 1);  // fast prime: many ticks.
+    setenv("RUMBA_PROFILE_HZ", "997", 1);  // fast prime: many ticks.
     setenv("RUMBA_PROFILE_OUT", folded.c_str(), 1);
 
     obs::CpuProfiler& profiler = obs::CpuProfiler::Default();
@@ -438,7 +498,7 @@ TEST(ProfilerEngineTest, EngineFeedsProfilerAndRacesSamplerShutdown)
     EXPECT_GT(estimate.speedup, 0.0);
     EXPECT_GT(estimate.energy_ratio, 0.0);
 
-    // Shutdown while the 1499 Hz env sampler is mid-flight: the
+    // Shutdown while the 997 Hz env sampler is mid-flight: the
     // worker-thread slots die as the sampler walks them (the race
     // TSan checks), and the last release writes the folded dump.
     (*engine)->Shutdown();
