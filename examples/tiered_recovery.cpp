@@ -76,10 +76,11 @@ Stream(core::RumbaRuntime& runtime, const std::vector<double>& flat,
         tally.elements += report.elements;
         tally.err_weighted += report.output_error_pct *
                               static_cast<double>(report.elements);
-        tally.recover_cpu_ms +=
-            static_cast<double>(report.cpu.recover_cpu_ns) / 1e6;
-        tally.compensate_cpu_ms +=
-            static_cast<double>(report.cpu.compensate_cpu_ns) / 1e6;
+        auto cpu_ms = [&](obs::ProfileStage stage) {
+            return static_cast<double>(report.stages.Cpu(stage)) / 1e6;
+        };
+        tally.recover_cpu_ms += cpu_ms(obs::ProfileStage::kRecover);
+        tally.compensate_cpu_ms += cpu_ms(obs::ProfileStage::kCompensate);
     }
     return tally;
 }

@@ -114,16 +114,6 @@ ExactReexecutor::RunElement(const double* in, double* out) const
     bench_->RunExact(in, out);
 }
 
-void
-ExactReexecutor::RunBatch(const double* in, double* out,
-                          size_t count) const
-{
-    const size_t in_w = bench_->NumInputs();
-    const size_t out_w = bench_->NumOutputs();
-    for (size_t i = 0; i < count; ++i)
-        bench_->RunExact(in + i * in_w, out + i * out_w);
-}
-
 double
 ExactReexecutor::ElementError(const std::vector<double>& exact,
                               const std::vector<double>& approx) const

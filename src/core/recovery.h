@@ -181,9 +181,6 @@ class ExactReexecutor {
      *  @p out OutputWidth() doubles). */
     void RunElement(const double* in, double* out) const;
 
-    /** Exact kernel for @p count contiguous elements. */
-    void RunBatch(const double* in, double* out, size_t count) const;
-
     /** Benchmark-defined scalar error of one element. */
     double ElementError(const std::vector<double>& exact,
                         const std::vector<double>& approx) const;

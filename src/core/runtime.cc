@@ -380,30 +380,31 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
     size_t queue_full_stalls = 0;
     size_t queue_drops = 0;
     size_t non_finite_seen = 0;
-    // CPU attribution rides on the wall-clock stage timings: the
-    // check/stream wall ratio apportions the stream's thread-CPU
-    // between device and checker (see InvocationCpuTimings).
-    const bool cpu_timed = config_.cpu_attribution;
-    const bool timed = config_.stage_timings || cpu_timed;
-    uint64_t stage_start = 0;
-    uint64_t check_ns = 0;
-    size_t checks_timed = 0;
-    int64_t stream_cpu_total = 0;   ///< whole stream loop, drains incl.
-    int64_t in_loop_recover_cpu = 0;  ///< backpressure drains in-loop.
+    // Each pass below is bracketed by one StageScope, which adds the
+    // pass's wall time (and thread CPU) to the report's stage record.
+    obs::StageRecord* const stages =
+        config_.stage_timings || config_.cpu_attribution
+            ? &report.stages
+            : nullptr;
+    const bool cpu = config_.cpu_attribution;
+    const size_t in_w = app.NumInputs();
+    std::vector<double>& norm_in = scratch_norm_in_;
+    std::vector<double>& elem_in = scratch_elem_in_;
+    std::vector<double>& norm_out = scratch_norm_out_;
+    std::vector<double>& raw_out = scratch_raw_out_;
 
+    // ---- Stream: the accelerator slice through the NPU ---------------
     {
         const obs::Span stream_span("runtime.accel_stream");
-        const obs::StageScope device_scope(
-            obs::ProfileStage::kDevice, cpu_timed, &stream_cpu_total);
-        if (timed)
-            stage_start = obs::NowNs();
-        std::vector<double>& norm_in = scratch_norm_in_;
-        std::vector<double>& norm_out = scratch_norm_out_;
-        std::vector<double>& raw_out = scratch_raw_out_;
+        const obs::StageScope device_scope(obs::ProfileStage::kDevice,
+                                           stages, cpu);
+        norm_in.resize(approx_n * in_w);
         for (size_t i = 0; i < approx_n; ++i) {
-            pipeline_.NormalizeInput(raw_inputs[i].data(), &norm_in);
-            accel_.Invoke(norm_in, &norm_out);
+            pipeline_.NormalizeInput(raw_inputs[i].data(), &elem_in);
+            accel_.Invoke(elem_in, &norm_out);
             pipeline_.DenormalizeOutput(norm_out, &raw_out);
+            std::copy(elem_in.begin(), elem_in.end(),
+                      norm_in.begin() + static_cast<ptrdiff_t>(i * in_w));
             std::copy(raw_out.begin(), raw_out.end(),
                       outputs + i * out_w);
             if (capture != nullptr) {
@@ -411,25 +412,21 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
                           capture->approx_outputs.begin() +
                               static_cast<ptrdiff_t>(i * out_w));
             }
+        }
+    }
 
-            if (!run_check)
-                continue;  // skip-check rung: raw approximate output.
-
-            // Strided check timing: clocking every element doubles
-            // the clock-read traffic of the hot loop, so time one
-            // check in eight and scale below. The estimate is for
-            // trace spans, not for gating.
-            const uint64_t check_start =
-                timed && (i & 7u) == 0 ? obs::NowNs() : 0;
-            const CheckResult check = [&] {
-                const obs::StageScope check_tag(
-                    obs::ProfileStage::kPredictCheck);
-                return detector_.Check(norm_in, raw_out);
-            }();
-            if (check_start != 0) {
-                check_ns += obs::NowNs() - check_start;
-                ++checks_timed;
-            }
+    // ---- Check: a verdict per streamed element, a tier per fire ------
+    // Skipped on the skip-check rung: raw approximate outputs.
+    std::vector<RecoveryDecision>& decisions = scratch_decisions_;
+    decisions.clear();
+    if (run_check) {
+        const obs::Span check_span("runtime.check");
+        const obs::StageScope check_scope(
+            obs::ProfileStage::kPredictCheck, stages, cpu);
+        for (size_t i = 0; i < approx_n; ++i) {
+            elem_in.assign(&norm_in[i * in_w], &norm_in[i * in_w] + in_w);
+            raw_out.assign(outputs + i * out_w, outputs + (i + 1) * out_w);
+            const CheckResult check = detector_.Check(elem_in, raw_out);
             if (check.non_finite)
                 ++non_finite_seen;
             bool fired = check.fired;
@@ -460,32 +457,7 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
                     decision.tier == RecoveryTier::kReexecute) {
                     decision.tier = RecoveryTier::kCompensate;
                 }
-                if (recovery_.Queue().Full()) {
-                    // Queue-stall fault: the CPU side is unavailable,
-                    // so no backpressure drain can happen and the
-                    // push below overflows into drop-and-count.
-                    if (inject_stall &&
-                        injector.ShouldInject(
-                            fault::FaultClass::kQueueStall)) {
-                        // stalled: fall through to the failing Push.
-                    } else {
-                        // Backpressure: drain the queue when full, as
-                        // the pipelined CPU side would.
-                        const obs::Span stall_span(
-                            "recovery.queue_backpressure");
-                        const obs::StageScope recover_scope(
-                            obs::ProfileStage::kRecover, cpu_timed,
-                            &in_loop_recover_cpu);
-                        ++queue_full_stalls;
-                        recovery_.RecordQueueFullStall();
-                        recovery_.Drain(raw_inputs, outputs, out_w,
-                                        &fixed, &drain_stats);
-                    }
-                }
-                if (!recovery_.Queue().Push(decision)) {
-                    recovery_.RecordQueueDrop();
-                    ++queue_drops;
-                }
+                decisions.push_back(decision);
             } else {
                 // Unfired — or fired on the skip-recovery rung, where
                 // the verdict is recorded but the element stays
@@ -496,81 +468,69 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
                 ++unfixed_count;
             }
         }
-        if (timed) {
-            report.timings.accel_stream_ns =
-                obs::NowNs() - stage_start;
-            // Scale the 1-in-8 sample up to the full stream, clamped
-            // so the check slice never exceeds its containing stage.
-            report.timings.check_ns =
-                checks_timed == 0
-                    ? 0
-                    : std::min(check_ns * approx_n / checks_timed,
-                               report.timings.accel_stream_ns);
-        }
     }
-    if (cpu_timed) {
-        // Split the stream's CPU: backpressure drains re-execute on
-        // the CPU and belong to recover; the checker's slice is
-        // apportioned by the wall-clock check/stream ratio.
-        report.cpu.stream_cpu_ns =
-            std::max<int64_t>(0, stream_cpu_total - in_loop_recover_cpu);
-        report.cpu.recover_cpu_ns += in_loop_recover_cpu;
-        if (report.timings.accel_stream_ns > 0) {
-            const double check_ratio =
-                static_cast<double>(report.timings.check_ns) /
-                static_cast<double>(report.timings.accel_stream_ns);
-            report.cpu.check_cpu_ns = static_cast<int64_t>(
-                static_cast<double>(report.cpu.stream_cpu_ns) *
-                std::min(1.0, check_ratio));
-        }
-    }
-    if (approx_n < n) {
-        // Breaker-degraded tail: exact CPU execution (paper-faithful
-        // recovery of everything), bypassing accelerator and checker.
-        const obs::Span exact_span("runtime.breaker_exact");
-        const obs::StageScope exact_scope(obs::ProfileStage::kRecover,
-                                          cpu_timed,
-                                          &report.cpu.exact_cpu_ns);
-        if (timed)
-            stage_start = obs::NowNs();
-        for (size_t i = approx_n; i < n; ++i) {
-            app.RunExact(raw_inputs[i].data(), outputs + i * out_w);
-            fixed[i] = 1;
-            if (capture != nullptr) {
-                std::copy(outputs + i * out_w,
-                          outputs + (i + 1) * out_w,
-                          capture->approx_outputs.begin() +
-                              static_cast<ptrdiff_t>(i * out_w));
-                capture->exact_path[i] = 1;
-            }
-        }
-        if (timed)
-            report.timings.exact_ns = obs::NowNs() - stage_start;
-        obs_breaker_exact_elements_->Increment(n - approx_n);
-    }
+
+    // ---- Recover: queue, drain and merge; the breaker's exact tail ---
     {
         const obs::Span merge_span("runtime.merge");
-        const obs::StageScope recover_scope(
-            obs::ProfileStage::kRecover, cpu_timed,
-            &report.cpu.recover_cpu_ns);
-        if (timed)
-            stage_start = obs::NowNs();
+        const obs::StageScope recover_scope(obs::ProfileStage::kRecover,
+                                            stages, cpu);
+        for (const RecoveryDecision& decision : decisions) {
+            if (recovery_.Queue().Full()) {
+                // Queue-stall fault: the CPU side is unavailable, so
+                // no backpressure drain can happen and the push below
+                // overflows into drop-and-count.
+                if (inject_stall &&
+                    injector.ShouldInject(fault::FaultClass::kQueueStall)) {
+                    // stalled: fall through to the failing Push.
+                } else {
+                    // Backpressure: drain the queue when full, as the
+                    // pipelined CPU side would.
+                    const obs::Span stall_span(
+                        "recovery.queue_backpressure");
+                    ++queue_full_stalls;
+                    recovery_.RecordQueueFullStall();
+                    recovery_.Drain(raw_inputs, outputs, out_w, &fixed,
+                                    &drain_stats);
+                }
+            }
+            if (!recovery_.Queue().Push(decision)) {
+                recovery_.RecordQueueDrop();
+                ++queue_drops;
+            }
+        }
         if (run_recovery) {
             recovery_.Drain(raw_inputs, outputs, out_w, &fixed,
                             &drain_stats);
         }
-        if (timed)
-            report.timings.recover_ns = obs::NowNs() - stage_start;
+        if (approx_n < n) {
+            // Breaker-degraded tail: exact CPU execution
+            // (paper-faithful recovery of everything), bypassing
+            // accelerator and checker.
+            const obs::Span exact_span("runtime.breaker_exact");
+            for (size_t i = approx_n; i < n; ++i) {
+                app.RunExact(raw_inputs[i].data(), outputs + i * out_w);
+                fixed[i] = 1;
+                if (capture != nullptr) {
+                    std::copy(outputs + i * out_w,
+                              outputs + (i + 1) * out_w,
+                              capture->approx_outputs.begin() +
+                                  static_cast<ptrdiff_t>(i * out_w));
+                    capture->exact_path[i] = 1;
+                }
+            }
+            obs_breaker_exact_elements_->Increment(n - approx_n);
+        }
     }
-    // Non-finite salvage: a NaN/Inf approximate output must never be
-    // delivered. The detector's guard queues them, but an overflowed
-    // (dropped) entry could still slip through — recover it here,
-    // unconditionally.
+
+    // ---- Salvage ------------------------------------------------------
+    // A NaN/Inf approximate output must never be delivered. The
+    // detector's guard queues them, but an overflowed (dropped) entry
+    // could still slip through — recover it here, unconditionally.
     size_t salvaged = 0;
     {
-        const obs::StageScope salvage_scope(
-            obs::ProfileStage::kRecover, cpu_timed,
-            &report.cpu.recover_cpu_ns);
+        const obs::StageScope salvage_scope(obs::ProfileStage::kRecover,
+                                            stages, cpu);
         for (size_t i = 0; i < approx_n; ++i) {
             if (fixed[i])
                 continue;
@@ -601,22 +561,28 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
     report.fixes = report.tier_reexecuted + report.tier_compensated;
     if (capture != nullptr)
         capture->fixed.assign(fixed.begin(), fixed.end());
-    if (timed)
-        report.timings.compensate_ns = drain_stats.compensate_ns;
-    if (cpu_timed && drain_stats.compensate_ns > 0) {
-        // The drains' CPU was all attributed to recover; carve the
-        // compensate tier's share out by the measured per-tier wall
-        // ratio (the thread clock is not read per queue entry).
-        const double frac =
+    if (stages != nullptr && drain_stats.compensate_ns > 0) {
+        // The drains interleave the two tiers per queue entry, so no
+        // scope brackets compensation alone: carve its share out of
+        // recover by the drains' per-entry compensate/re-execute wall
+        // ratio.
+        const double share =
             static_cast<double>(drain_stats.compensate_ns) /
             static_cast<double>(drain_stats.compensate_ns +
                                 drain_stats.reexec_ns);
-        const int64_t comp_cpu = static_cast<int64_t>(
-            static_cast<double>(report.cpu.recover_cpu_ns) * frac);
-        report.cpu.compensate_cpu_ns = comp_cpu;
-        report.cpu.recover_cpu_ns -= comp_cpu;
+        auto carve = [share](int64_t& recover, int64_t& compensate) {
+            compensate = static_cast<int64_t>(
+                static_cast<double>(recover) * share);
+            recover -= compensate;
+        };
+        const obs::ProfileStage recover = obs::ProfileStage::kRecover;
+        const obs::ProfileStage compensate =
+            obs::ProfileStage::kCompensate;
+        carve(stages->Wall(recover), stages->Wall(compensate));
+        carve(stages->Cpu(recover), stages->Cpu(compensate));
     }
 
+    // ---- Verify -------------------------------------------------------
     // True residual error (the runtime can verify because the exact
     // kernel is available; a production deployment would not).
     std::vector<double>& residual = scratch_residual_;
@@ -624,13 +590,10 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
     {
         const obs::ScopedTimer verify_timer(obs_verify_ns_);
         const obs::Span verify_span("runtime.verify");
-        const obs::StageScope verify_scope(
-            obs::ProfileStage::kVerify, cpu_timed,
-            &report.cpu.verify_cpu_ns);
-        if (timed)
-            stage_start = obs::NowNs();
-        std::vector<double>& exact = scratch_raw_out_;
-        std::vector<double>& approx = scratch_norm_out_;
+        const obs::StageScope verify_scope(obs::ProfileStage::kVerify,
+                                           stages, cpu);
+        std::vector<double>& exact = raw_out;
+        std::vector<double>& approx = norm_out;
         exact.assign(out_w, 0.0);
         // Degraded invocations skip verification entirely — it is the
         // single most expensive stage (exact re-execution per unfixed
@@ -649,8 +612,6 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
                           outputs + (i + 1) * out_w);
             residual[i] = app.ElementError(exact, approx);
         }
-        if (timed)
-            report.timings.verify_ns = obs::NowNs() - stage_start;
     }
     report.output_error_pct = app.AggregateError(residual);
     if (!degraded && report.tier_compensated > 0) {

@@ -27,13 +27,8 @@
 #include "core/schemes.h"
 #include "core/status.h"
 #include "core/tuner.h"
+#include "obs/profiler.h"
 #include "sim/system_model.h"
-
-namespace rumba::obs {
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace rumba::obs
 
 namespace rumba::core {
 
@@ -58,18 +53,18 @@ struct RuntimeConfig {
      *  core/breaker.h). Enabled by default; in healthy operation it
      *  never trips and costs one branch per invocation. */
     BreakerConfig breaker;
-    /** Measure wall-clock per pipeline stage into
-     *  InvocationReport::timings. Off by default: it adds two clock
-     *  reads per eighth element on the check path (the check slice is
-     *  a scaled 1-in-8 sample), which request-scoped tracing
-     *  (obs/reqtrace.h) needs but batch experiments do not. */
+    /** Measure each pass's wall clock into InvocationReport::stages
+     *  (two steady-clock reads per pass, never per element), which
+     *  request-scoped tracing (obs/reqtrace.h) needs and batch
+     *  experiments do not. Off by default. */
     bool stage_timings = false;
-    /** Attribute per-stage *thread CPU time* (CLOCK_THREAD_CPUTIME_ID)
-     *  into InvocationReport::cpu for the live cost profiler
-     *  (obs/profiler.h). Reads the thread clock only at stage
-     *  boundaries (~8 syscalls per invocation, never per element);
-     *  implies the wall-clock stage timings, whose check/stream ratio
-     *  apportions the stream's CPU between device and checker. */
+    /** Also read each pass's *thread CPU time*
+     *  (CLOCK_THREAD_CPUTIME_ID) into InvocationReport::stages for
+     *  the live cost profiler (obs/profiler.h): two syscalls per
+     *  pass, never per element. Implies stage_timings. Only the
+     *  compensate tier's share of recover is apportioned, by the
+     *  drains' per-entry compensate/re-execute wall ratio: the two
+     *  tiers interleave per queue entry. */
     bool cpu_attribution = false;
     sim::CoreParams core;             ///< host-core model (Table 2).
     sim::EnergyParams energy;         ///< event energies.
@@ -201,7 +196,7 @@ class RuntimeConfig::Builder {
         return *this;
     }
 
-    /** Measure per-stage wall clock into InvocationReport::timings. */
+    /** Measure per-pass wall clock into InvocationReport::stages. */
     Builder&
     WithStageTimings(bool enabled = true)
     {
@@ -209,7 +204,7 @@ class RuntimeConfig::Builder {
         return *this;
     }
 
-    /** Attribute per-stage thread CPU into InvocationReport::cpu. */
+    /** Attribute per-pass thread CPU into InvocationReport::stages. */
     Builder&
     WithCpuAttribution(bool enabled = true)
     {
@@ -221,39 +216,6 @@ class RuntimeConfig::Builder {
 
   private:
     RuntimeConfig config_;
-};
-
-/** Per-stage wall clock of one invocation (all zero unless
- *  RuntimeConfig::stage_timings). accel_stream_ns covers the whole
- *  normalize/invoke/denormalize/check loop and *includes* check_ns,
- *  so device-only time is the difference. */
-struct InvocationTimings {
-    uint64_t accel_stream_ns = 0;  ///< accelerator streaming loop.
-    uint64_t check_ns = 0;         ///< detector checks (within stream).
-    uint64_t exact_ns = 0;         ///< breaker-degraded exact tail.
-    uint64_t recover_ns = 0;       ///< recovery-queue drain + merge.
-    /** Compensate-tier slice of this invocation's drains (measured
-     *  per entry inside the drain, so it overlaps recover_ns /
-     *  accel_stream_ns rather than adding to them). */
-    uint64_t compensate_ns = 0;
-    uint64_t verify_ns = 0;        ///< true-error verification pass.
-};
-
-/** Per-stage *thread CPU time* of one invocation (all zero unless
- *  RuntimeConfig::cpu_attribution). stream_cpu_ns covers the whole
- *  accelerator streaming loop and *includes* check_cpu_ns, which is
- *  the checker's estimated slice of it (apportioned by the wall-clock
- *  check/stream ratio — the thread clock is too expensive to read per
- *  element). */
-struct InvocationCpuTimings {
-    int64_t stream_cpu_ns = 0;   ///< accel streaming loop (checks incl.).
-    int64_t check_cpu_ns = 0;    ///< checker slice of stream_cpu_ns.
-    int64_t exact_cpu_ns = 0;    ///< breaker-degraded exact tail.
-    int64_t recover_cpu_ns = 0;  ///< exact re-execution drain + merge.
-    /** Compensate-tier slice, apportioned out of the drains' CPU by
-     *  the per-tier wall ratio (disjoint from recover_cpu_ns). */
-    int64_t compensate_cpu_ns = 0;
-    int64_t verify_cpu_ns = 0;   ///< true-error verification pass.
 };
 
 /**
@@ -323,10 +285,12 @@ struct InvocationReport {
     size_t tier_accepted = 0;
     size_t tier_compensated = 0;
     size_t tier_reexecuted = 0;
-    /** Per-stage wall clock (RuntimeConfig::stage_timings only). */
-    InvocationTimings timings;
-    /** Per-stage thread CPU (RuntimeConfig::cpu_attribution only). */
-    InvocationCpuTimings cpu;
+    /** Wall clock and thread CPU of each pass: device (stream),
+     *  predict_check (check), recover (queue, drains, the breaker's
+     *  exact tail and salvage), compensate (carved out of recover)
+     *  and verify. All zero unless RuntimeConfig::stage_timings or
+     *  cpu_attribution; CPU only with cpu_attribution. */
+    obs::StageRecord stages;
     sim::SystemCosts costs;         ///< modeled energy/time.
 };
 
@@ -548,10 +512,14 @@ class RumbaRuntime {
      *  threshold calibration (drift baseline). */
     std::vector<double> calibration_scores_;
     /** Hot-path scratch reused across invocations so steady-state
-     *  ProcessInvocation() stays allocation-free. */
+     *  ProcessInvocation() stays allocation-free: the stream pass's
+     *  normalized inputs (count x NumInputs(), read by the check
+     *  pass), one element's vectors, the check pass's decisions. */
     std::vector<double> scratch_norm_in_;
+    std::vector<double> scratch_elem_in_;
     std::vector<double> scratch_norm_out_;
     std::vector<double> scratch_raw_out_;
+    std::vector<RecoveryDecision> scratch_decisions_;
     std::vector<double> scratch_residual_;
     std::vector<char> scratch_fixed_;
     /** Compensator-hook scratch: the feature vector under assembly

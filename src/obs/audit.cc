@@ -195,13 +195,17 @@ QualityAuditor::WorkerLoop()
         {
             // The shadow exact re-execution is the "audit" stage in
             // the cost profiler: tagged for the sampling profiler and
-            // accounted straight into the global stage counters
-            // (shard known per sample).
-            const StageScope audit_scope(
-                ProfileStage::kAudit, /*account=*/true,
-                /*sink_ns=*/nullptr,
-                static_cast<int>(sample.shard));
-            AuditOne(sample);
+            // accounted into the global stage counters (shard known
+            // per sample).
+            StageRecord stages;
+            {
+                const StageScope audit_scope(ProfileStage::kAudit,
+                                             &stages, /*cpu=*/true);
+                AuditOne(sample);
+            }
+            CpuProfiler::Default().AddStageCpuNs(
+                ProfileStage::kAudit, static_cast<int>(sample.shard),
+                stages.Cpu(ProfileStage::kAudit));
         }
         {
             std::lock_guard<std::mutex> lock(mu_);

@@ -178,8 +178,6 @@ struct AuditConfig {
      *  the engine sets it to the tuner target + SLO margin so proxy
      *  and audited SLOs judge the same objective. */
     double toq_bound_pct = 10.0;
-    bool force_recovered = true;   ///< boost-audit fixed>0 requests.
-    bool force_breaker = true;     ///< always audit degraded requests.
     /** Recovered requests are *routine* in Rumba — fix rates of
      *  10-25% are the design point — so forcing every one would audit
      *  nearly all traffic. Forced "recovered" candidates therefore

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "obs/export.h"
+#include "obs/timer.h"
 
 namespace rumba::obs {
 
@@ -20,11 +21,8 @@ constexpr const char* kStageNames[] = {
     "compensate", "merge",      "audit",  "verify",        "other",
 };
 static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
-                  static_cast<size_t>(ProfileStage::kStageCount),
+                  kProfileStageCount,
               "stage name table out of sync with ProfileStage");
-
-constexpr size_t kStageCount =
-    static_cast<size_t>(ProfileStage::kStageCount);
 
 /** Stage-share histograms span [0, 1]; 20 linear buckets of 0.05. */
 std::vector<double>
@@ -84,7 +82,7 @@ const char*
 ProfileStageName(ProfileStage stage)
 {
     const size_t i = static_cast<size_t>(stage);
-    return i < kStageCount ? kStageNames[i] : "unknown";
+    return i < kProfileStageCount ? kStageNames[i] : "unknown";
 }
 
 int64_t
@@ -99,7 +97,7 @@ ThreadCpuNowNs()
 
 CpuProfiler::CpuProfiler(Registry* registry) : registry_(registry)
 {
-    for (size_t s = 0; s < kStageCount; ++s) {
+    for (size_t s = 0; s < kProfileStageCount; ++s) {
         const std::string name(kStageNames[s]);
         stage_seconds_[s] =
             registry_->GetDoubleCounter("cpu_stage_seconds." + name);
@@ -121,8 +119,8 @@ CpuProfiler::ShardStageCounter(int shard, ProfileStage stage)
     while (shard_seconds_.size() <= index) {
         const std::string prefix = "cpu_stage_seconds.shard" +
                                    std::to_string(shard_seconds_.size());
-        std::array<DoubleCounter*, kStageCount> row{};
-        for (size_t s = 0; s < kStageCount; ++s) {
+        std::array<DoubleCounter*, kProfileStageCount> row{};
+        for (size_t s = 0; s < kProfileStageCount; ++s) {
             row[s] = registry_->GetDoubleCounter(prefix + "." +
                                                  kStageNames[s]);
         }
@@ -143,27 +141,17 @@ CpuProfiler::AddStageCpuNs(ProfileStage stage, int shard, int64_t ns)
 }
 
 void
-CpuProfiler::RecordInvocation(int shard, const InvocationCpu& cpu)
+CpuProfiler::RecordInvocation(int shard, const StageRecord& stages)
 {
-    const std::pair<ProfileStage, int64_t> stages[] = {
-        {ProfileStage::kQueueWait, cpu.queue_wait_ns},
-        {ProfileStage::kDevice, cpu.device_ns},
-        {ProfileStage::kPredictCheck, cpu.predict_check_ns},
-        {ProfileStage::kRecover, cpu.recover_ns},
-        {ProfileStage::kCompensate, cpu.compensate_ns},
-        {ProfileStage::kMerge, cpu.merge_ns},
-        {ProfileStage::kAudit, cpu.audit_ns},
-        {ProfileStage::kVerify, cpu.verify_ns},
-    };
     int64_t total_ns = 0;
-    for (const auto& [stage, ns] : stages)
+    for (const int64_t ns : stages.cpu_ns)
         total_ns += std::max<int64_t>(0, ns);
-    for (const auto& [stage, ns] : stages) {
-        AddStageCpuNs(stage, shard, ns);
+    for (size_t s = 0; s < kProfileStageCount; ++s) {
+        const int64_t ns = stages.cpu_ns[s];
+        AddStageCpuNs(static_cast<ProfileStage>(s), shard, ns);
         if (total_ns > 0 && ns > 0) {
-            stage_share_[static_cast<size_t>(stage)]->Observe(
-                static_cast<double>(ns) /
-                static_cast<double>(total_ns));
+            stage_share_[s]->Observe(static_cast<double>(ns) /
+                                     static_cast<double>(total_ns));
         }
     }
     invocations_->Increment();
@@ -215,10 +203,9 @@ CpuProfiler::Default()
 
 // --------------------------------------------------------- StageScope
 
-StageScope::StageScope(ProfileStage stage, bool account,
-                       int64_t* sink_ns, int shard)
-    : stage_(stage), account_(account), sink_ns_(sink_ns),
-      shard_(shard)
+StageScope::StageScope(ProfileStage stage, StageRecord* record,
+                       bool cpu)
+    : stage_(stage), record_(record), cpu_(record != nullptr && cpu)
 {
     ThreadSlot* slot = LocalSlot();
     const uint32_t depth =
@@ -234,18 +221,19 @@ StageScope::StageScope(ProfileStage stage, bool account,
         }
         slot->depth.store(depth + 1, std::memory_order_relaxed);
     }
-    if (account_)
-        start_ns_ = ThreadCpuNowNs();
+    if (record_ != nullptr)
+        wall_start_ns_ = NowNs();
+    if (cpu_)
+        cpu_start_ns_ = ThreadCpuNowNs();
 }
 
 StageScope::~StageScope()
 {
-    if (account_) {
-        const int64_t delta = ThreadCpuNowNs() - start_ns_;
-        if (sink_ns_ != nullptr)
-            *sink_ns_ += delta;
-        else
-            CpuProfiler::Default().AddStageCpuNs(stage_, shard_, delta);
+    if (cpu_)
+        record_->Cpu(stage_) += ThreadCpuNowNs() - cpu_start_ns_;
+    if (record_ != nullptr) {
+        record_->Wall(stage_) +=
+            static_cast<int64_t>(NowNs() - wall_start_ns_);
     }
     if (pushed_) {
         ThreadSlot* slot = LocalSlot();
@@ -423,8 +411,8 @@ ProfilezJson()
     SamplingProfiler& sampler = SamplingProfiler::Default();
 
     double total = 0.0;
-    double seconds[kStageCount] = {};
-    for (size_t s = 1; s < kStageCount; ++s) {  // skip idle.
+    double seconds[kProfileStageCount] = {};
+    for (size_t s = 1; s < kProfileStageCount; ++s) {  // skip idle.
         seconds[s] =
             prof.StageSeconds(static_cast<ProfileStage>(s));
         total += seconds[s];
@@ -439,14 +427,14 @@ ProfilezJson()
     std::string out = "{";
     out += "\"schema_version\":1";
     out += ",\"cpu_seconds\":{";
-    for (size_t s = 1; s < kStageCount; ++s) {
+    for (size_t s = 1; s < kProfileStageCount; ++s) {
         out += "\"";
         out += kStageNames[s];
         out += "\":" + JsonNum(seconds[s]) + ",";
     }
     out += "\"total\":" + JsonNum(total) + "}";
     out += ",\"stage_share\":{";
-    for (size_t s = 1; s < kStageCount; ++s) {
+    for (size_t s = 1; s < kProfileStageCount; ++s) {
         if (s > 1)
             out += ",";
         out += "\"";

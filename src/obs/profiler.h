@@ -8,11 +8,12 @@
  *
  * Three cooperating pieces:
  *
- * 1. Per-stage thread-CPU attribution. The serving pipeline's stage
- *    boundaries (queue_wait / device / predict_check / recover /
- *    merge / audit / verify) are bracketed with CLOCK_THREAD_CPUTIME_ID
- *    reads (see StageScope and RumbaRuntime's cpu_attribution mode)
- *    and the deltas accumulate into `cpu_stage_seconds.<stage>`
+ * 1. Per-stage thread-CPU attribution. The serving pipeline's stages
+ *    (queue_wait / device / predict_check / recover / merge / audit /
+ *    verify) are each bracketed once by a StageScope that reads
+ *    CLOCK_THREAD_CPUTIME_ID at both ends into one StageRecord per
+ *    invocation (see RumbaRuntime's cpu_attribution mode), and the
+ *    record accumulates into `cpu_stage_seconds.<stage>`
  *    DoubleCounters (exposed as `rumba_cpu_stage_seconds_*_total`)
  *    plus per-shard variants and per-invocation stage-share
  *    histograms — the paper's Figure 18 CPU-activity breakdown as a
@@ -24,7 +25,7 @@
  *    ParseProfilePeriodNs; neither knob set spawns no thread at all)
  *    and appends one sample of every registered thread's current
  *    stack. Samples fold into
- *    flamegraph-compatible "shard0;device;predict_check 42" lines
+ *    flamegraph-compatible "shard0;predict_check 42" lines
  *    (RUMBA_PROFILE_OUT), independently validating the exact
  *    attribution.
  *
@@ -75,6 +76,30 @@ enum class ProfileStage : uint8_t {
 /** Stable lowercase name for @p stage ("queue_wait", "device", ...). */
 const char* ProfileStageName(ProfileStage stage);
 
+inline constexpr size_t kProfileStageCount =
+    static_cast<size_t>(ProfileStage::kStageCount);
+
+/**
+ * Where one invocation's time went: wall clock and thread CPU per
+ * stage, in ns, indexed by ProfileStage. StageScope writes it; the
+ * runtime carries it on its InvocationReport, and the serving engine
+ * adds its own stages before handing it to
+ * CpuProfiler::RecordInvocation. Stages are disjoint, so each
+ * column sums to the time the bracketed stages took.
+ */
+struct StageRecord {
+    int64_t wall_ns[kProfileStageCount] = {};
+    int64_t cpu_ns[kProfileStageCount] = {};
+
+    int64_t& Wall(ProfileStage s) { return wall_ns[Index(s)]; }
+    int64_t Wall(ProfileStage s) const { return wall_ns[Index(s)]; }
+    int64_t& Cpu(ProfileStage s) { return cpu_ns[Index(s)]; }
+    int64_t Cpu(ProfileStage s) const { return cpu_ns[Index(s)]; }
+
+  private:
+    static size_t Index(ProfileStage s) { return static_cast<size_t>(s); }
+};
+
 /** Current thread's CPU time (CLOCK_THREAD_CPUTIME_ID), in ns. */
 int64_t ThreadCpuNowNs();
 
@@ -100,30 +125,19 @@ struct ThreadSlot {
  */
 class CpuProfiler {
   public:
-    /** Per-invocation stage CPU breakdown, in nanoseconds. */
-    struct InvocationCpu {
-        int64_t queue_wait_ns = 0;
-        int64_t device_ns = 0;
-        int64_t predict_check_ns = 0;
-        int64_t recover_ns = 0;
-        int64_t compensate_ns = 0;
-        int64_t merge_ns = 0;
-        int64_t audit_ns = 0;
-        int64_t verify_ns = 0;
-    };
-
     /** @param registry instrument sink (tests pass their own). */
     explicit CpuProfiler(Registry* registry);
 
     /** Add @p ns of CPU time to @p stage for @p shard (shard < 0
      *  skips the per-shard series). Used for stages recorded outside
-     *  an invocation (audit pool, queue waits folded later). */
+     *  an invocation (the audit pool). */
     void AddStageCpuNs(ProfileStage stage, int shard, int64_t ns);
 
-    /** Record one invocation's full stage breakdown: accumulates the
-     *  stage counters and observes the per-invocation stage-share
-     *  histograms (share of the invocation's total attributed CPU). */
-    void RecordInvocation(int shard, const InvocationCpu& cpu);
+    /** Record one invocation's stage CPU (@p stages' cpu_ns column):
+     *  accumulates the stage counters and observes the
+     *  per-invocation stage-share histograms (share of the
+     *  invocation's total attributed CPU). */
+    void RecordInvocation(int shard, const StageRecord& stages);
 
     /** Feed one invocation's modeled costs into the rolling
      *  efficiency window and refresh the estimate gauges. */
@@ -147,18 +161,14 @@ class CpuProfiler {
   private:
     Registry* registry_;
     /** cpu_stage_seconds.<stage> totals, indexed by stage. */
-    DoubleCounter* stage_seconds_[static_cast<size_t>(
-        ProfileStage::kStageCount)] = {};
+    DoubleCounter* stage_seconds_[kProfileStageCount] = {};
     /** stage-share-of-invocation histograms, indexed by stage. */
-    Histogram* stage_share_[static_cast<size_t>(
-        ProfileStage::kStageCount)] = {};
+    Histogram* stage_share_[kProfileStageCount] = {};
     Counter* invocations_;
 
     /** Per-shard counters register lazily (shard count is dynamic). */
     std::mutex shard_mu_;
-    std::vector<std::array<DoubleCounter*,
-                           static_cast<size_t>(
-                               ProfileStage::kStageCount)>>
+    std::vector<std::array<DoubleCounter*, kProfileStageCount>>
         shard_seconds_;
 
     DoubleCounter* ShardStageCounter(int shard, ProfileStage stage);
@@ -173,15 +183,16 @@ class CpuProfiler {
 /**
  * RAII stage bracket. Construction pushes @p stage onto the calling
  * thread's sampling slot (always — relaxed stores are nearly free);
- * destruction pops it. When @p account is true it also reads
- * CLOCK_THREAD_CPUTIME_ID at both ends and reports the delta, either
- * into @p sink_ns (caller aggregates into an InvocationCpu) or
- * straight to CpuProfiler::Default() when @p sink_ns is null.
+ * destruction pops it. Given a @p record, it also adds its wall time
+ * (steady clock) to record->Wall(stage) and, when @p cpu, its thread
+ * CPU time (CLOCK_THREAD_CPUTIME_ID) to record->Cpu(stage): two or
+ * four clock reads, so a scope with a record brackets a whole stage,
+ * never a single element.
  */
 class StageScope {
   public:
-    explicit StageScope(ProfileStage stage, bool account = false,
-                        int64_t* sink_ns = nullptr, int shard = -1);
+    explicit StageScope(ProfileStage stage, StageRecord* record = nullptr,
+                        bool cpu = false);
     ~StageScope();
 
     StageScope(const StageScope&) = delete;
@@ -189,10 +200,10 @@ class StageScope {
 
   private:
     ProfileStage stage_;
-    bool account_;
-    int64_t* sink_ns_;
-    int shard_;
-    int64_t start_ns_ = 0;
+    StageRecord* record_;
+    bool cpu_;
+    uint64_t wall_start_ns_ = 0;
+    int64_t cpu_start_ns_ = 0;
     /** False when the parent frame already carries the same tag (the
      *  frame is elided so "device;device" never appears). */
     bool pushed_ = true;
@@ -205,7 +216,7 @@ void BindThreadShard(int shard);
 
 /** One captured folded stack with its occurrence count. */
 struct FoldedStack {
-    std::string stack;  ///< "shard0;device;predict_check".
+    std::string stack;  ///< "shard0;predict_check".
     uint64_t count = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -10,11 +11,15 @@ namespace rumba::obs {
 size_t
 ParseTraceRingCapacity(const char* value)
 {
-    if (value == nullptr || value[0] == '\0')
+    // Plain decimal digits only: strtoull alone would read "-1" as
+    // 2^64-1 (the largest ring) and "64abc" as 64. Digits past the
+    // range saturate at ULLONG_MAX and clamp to the largest ring.
+    if (value == nullptr ||
+        !std::isdigit(static_cast<unsigned char>(value[0])))
         return TraceRing::kDefaultRingCapacity;
     char* end = nullptr;
     const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value)
+    if (*end != '\0')
         return TraceRing::kDefaultRingCapacity;
     return std::clamp(static_cast<size_t>(parsed),
                       TraceRing::kMinRingCapacity,

@@ -104,9 +104,10 @@ class TraceRing {
 };
 
 /**
- * Parse a RUMBA_TRACE_RING_CAPACITY value: nullptr / empty / garbage
- * select TraceRing::kDefaultRingCapacity; numbers are clamped to
- * [kMinRingCapacity, kMaxRingCapacity].
+ * Parse a RUMBA_TRACE_RING_CAPACITY value: plain decimal digits are
+ * clamped to [kMinRingCapacity, kMaxRingCapacity]; anything else
+ * (nullptr, empty, a sign, spaces, trailing garbage) selects
+ * TraceRing::kDefaultRingCapacity.
  */
 size_t ParseTraceRingCapacity(const char* value);
 

@@ -631,9 +631,11 @@ ShardedEngine::RecordRequest(size_t shard_index, bool to_flight,
         trace.actual_error_pct = report.output_error_pct;
         trace.queue_wait_ns = served->pickup_ns - submit_ns;
         trace.device_ns = served->device_ns;
-        trace.check_ns = report.timings.check_ns;
-        trace.recover_ns =
-            report.timings.recover_ns + report.timings.exact_ns;
+        trace.check_ns = static_cast<uint64_t>(
+            report.stages.Wall(obs::ProfileStage::kPredictCheck));
+        trace.recover_ns = static_cast<uint64_t>(
+            report.stages.Wall(obs::ProfileStage::kRecover) +
+            report.stages.Wall(obs::ProfileStage::kCompensate));
         trace.merge_start_ns = served->merge_start_ns;
         trace.merge_ns = served->merge_end_ns - served->merge_start_ns;
     }
@@ -812,8 +814,8 @@ ShardedEngine::WorkerLoop(size_t shard_index)
             // as "queue_wait" in sampled stacks, and its (tiny) CPU
             // cost folds into the next invocation's attribution.
             const obs::StageScope wait_scope(
-                obs::ProfileStage::kQueueWait, profiling_,
-                &shard.queue_wait_cpu_ns);
+                obs::ProfileStage::kQueueWait,
+                profiling_ ? &shard.queue_wait : nullptr, /*cpu=*/true);
             popped = shard.queue.Pop(&first);
         }
         if (!popped)
@@ -947,13 +949,20 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
     served.report = &report;
     served.batch_requests = static_cast<uint32_t>(batch->size());
     served.pickup_ns = pickup_ns;
-    served.device_ns = report.timings.accel_stream_ns -
-                       report.timings.check_ns +
-                       config_.emulated_device_ns * total;
+    served.device_ns =
+        static_cast<uint64_t>(report.stages.Wall(obs::ProfileStage::kDevice)) +
+        config_.emulated_device_ns * total;
+
+    // The invocation's stage record; the engine adds its own stages:
+    // the queue wait since the last batch, and merge and audit per
+    // request.
+    obs::StageRecord stages = report.stages;
+    stages.Cpu(obs::ProfileStage::kQueueWait) =
+        shard.queue_wait.Cpu(obs::ProfileStage::kQueueWait);
+    shard.queue_wait = {};
+    obs::StageRecord* const engine_stages = profiling_ ? &stages : nullptr;
 
     const uint64_t done_ns = obs::NowNs();
-    int64_t merge_cpu_ns = 0;
-    int64_t audit_cpu_ns = 0;
     size_t offset = 0;
     for (Pending& pending : *batch) {
         const size_t count = pending.request.count;
@@ -966,7 +975,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         served.merge_start_ns = obs::NowNs();
         {
             const obs::StageScope merge_scope(
-                obs::ProfileStage::kMerge, profiling_, &merge_cpu_ns);
+                obs::ProfileStage::kMerge, engine_stages, /*cpu=*/true);
             result.outputs.assign(
                 shard.scratch_out.begin() +
                     static_cast<ptrdiff_t>(offset * output_width_),
@@ -993,14 +1002,13 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
             // Sample-assembly cost lands on "audit" (the shadow
             // re-execution itself is tagged in the audit pool).
             const obs::StageScope audit_scope(
-                obs::ProfileStage::kAudit, profiling_, &audit_cpu_ns);
+                obs::ProfileStage::kAudit, engine_stages, /*cpu=*/true);
             size_t req_fixes = 0;
             size_t req_exact = 0;
             for (size_t i = offset; i < offset + count; ++i) {
                 req_fixes += capture->fixed[i] != 0 ? 1 : 0;
                 req_exact += capture->exact_path[i] != 0 ? 1 : 0;
             }
-            const obs::AuditConfig& audit_config = auditor_->Config();
             bool forced = false;
             const char* reason = "sampled";
             if (report.degrade != core::DegradeMode::kNone) {
@@ -1009,12 +1017,11 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
                 // proxy SLO silent): audit every one.
                 forced = true;
                 reason = "degraded";
-            } else if (audit_config.force_recovered && req_fixes > 0 &&
+            } else if (req_fixes > 0 &&
                        auditor_->SampleForcedRecovered()) {
                 forced = true;
                 reason = "recovered";
-            } else if (audit_config.force_breaker &&
-                       (breaker_state != 0 || req_exact > 0)) {
+            } else if (breaker_state != 0 || req_exact > 0) {
                 forced = true;
                 reason = "breaker";
             } else if (report.non_finite_outputs > 0 ||
@@ -1080,26 +1087,11 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         FinishOne(&pending, std::move(result));
     }
 
-    // Fold this invocation's stage CPU into the live profiler: the
-    // runtime's attribution (device/check/recover/verify) plus the
-    // engine-side stages (queue wait since the last batch, merge,
-    // audit assembly), and feed the modeled costs to the rolling
-    // efficiency estimator.
+    // Fold this invocation's stage CPU into the live profiler and
+    // feed the modeled costs to the rolling efficiency estimator.
     if (profiling_) {
-        obs::CpuProfiler::InvocationCpu cpu;
-        cpu.queue_wait_ns = shard.queue_wait_cpu_ns;
-        shard.queue_wait_cpu_ns = 0;
-        cpu.device_ns = std::max<int64_t>(
-            0, report.cpu.stream_cpu_ns - report.cpu.check_cpu_ns);
-        cpu.predict_check_ns = report.cpu.check_cpu_ns;
-        cpu.recover_ns =
-            report.cpu.recover_cpu_ns + report.cpu.exact_cpu_ns;
-        cpu.compensate_ns = report.cpu.compensate_cpu_ns;
-        cpu.merge_ns = merge_cpu_ns;
-        cpu.audit_ns = audit_cpu_ns;
-        cpu.verify_ns = report.cpu.verify_cpu_ns;
         obs::CpuProfiler::Default().RecordInvocation(
-            static_cast<int>(shard_index), cpu);
+            static_cast<int>(shard_index), stages);
         obs::CpuProfiler::Default().RecordCosts(report.costs);
     }
 

@@ -40,6 +40,7 @@
 #include "core/artifact.h"
 #include "core/runtime.h"
 #include "core/status.h"
+#include "obs/profiler.h"
 #include "obs/reqtrace.h"
 #include "serve/admission.h"
 #include "serve/queue.h"
@@ -393,10 +394,10 @@ class ShardedEngine {
         /** Auto-dump bookkeeping (worker thread only). */
         uint32_t last_breaker_state = 0;
         bool fault_dump_latched = false;
-        /** Thread CPU spent blocked on the queue since the last
-         *  invocation (worker thread only; folded into the next
-         *  invocation's profiler record). */
-        int64_t queue_wait_cpu_ns = 0;
+        /** Time spent blocked on the queue since the last invocation
+         *  (worker thread only; its CPU folds into the next
+         *  invocation's stage record). */
+        obs::StageRecord queue_wait;
         /** Per-element audit capture of the worker's last invocation
          *  (worker thread only; filled when auditing is enabled). */
         core::AuditCapture audit_capture;

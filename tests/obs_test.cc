@@ -413,6 +413,13 @@ TEST(ParseTraceRingCapacityTest, DefaultsAndClamps)
     EXPECT_EQ(ParseTraceRingCapacity("1"), TraceRing::kMinRingCapacity);
     EXPECT_EQ(ParseTraceRingCapacity("999999999"),
               TraceRing::kMaxRingCapacity);
+    // Plain digits only: a sign, a space or trailing garbage is not a
+    // count (strtoull alone reads "-1" as the largest ring).
+    for (const char* value : {"-1", "-4096", "+64", " 64", "64abc"}) {
+        EXPECT_EQ(ParseTraceRingCapacity(value),
+                  TraceRing::kDefaultRingCapacity)
+            << value;
+    }
 }
 
 // ------------------------------------------------------- Run metadata

@@ -1,6 +1,7 @@
 // Tests for the live cost & efficiency profiler (obs/profiler.h):
 // StageScope thread-CPU attribution summing to the wall thread-CPU
-// bracket, CpuProfiler counter/histogram/efficiency semantics against
+// bracket, the runtime's passes (one span and one stage-record entry
+// each), CpuProfiler counter/histogram/efficiency semantics against
 // a private registry, the sampling profiler's folded-stack output
 // (shard frames, same-tag dedup, RUMBA_PROFILE_HZ=0 as a true no-op),
 // the RUMBA_PROFILE_HZ parse rules and a slow sampler's prompt stop,
@@ -25,6 +26,7 @@
 #include "core/runtime.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/span.h"
 #include "serve/engine.h"
 #include "sim/system_model.h"
 
@@ -72,31 +74,26 @@ TEST(ProfileStageTest, ThreadCpuClockAdvancesUnderWork)
 
 TEST(StageScopeTest, AttributionSumsToThreadCpuBracket)
 {
-    int64_t device_ns = 0;
-    int64_t check_ns = 0;
-    int64_t recover_ns = 0;
-
+    obs::StageRecord record;
     const int64_t bracket_start = obs::ThreadCpuNowNs();
-    {
-        const obs::StageScope scope(obs::ProfileStage::kDevice,
-                                    /*account=*/true, &device_ns);
-        Burn();
-    }
-    {
-        const obs::StageScope scope(obs::ProfileStage::kPredictCheck,
-                                    /*account=*/true, &check_ns);
-        Burn();
-    }
-    {
-        const obs::StageScope scope(obs::ProfileStage::kRecover,
-                                    /*account=*/true, &recover_ns);
+    for (const obs::ProfileStage stage :
+         {obs::ProfileStage::kDevice, obs::ProfileStage::kPredictCheck,
+          obs::ProfileStage::kRecover}) {
+        const obs::StageScope scope(stage, &record, /*cpu=*/true);
         Burn();
     }
     const int64_t bracket_ns = obs::ThreadCpuNowNs() - bracket_start;
 
+    const int64_t device_ns = record.Cpu(obs::ProfileStage::kDevice);
+    const int64_t check_ns = record.Cpu(obs::ProfileStage::kPredictCheck);
+    const int64_t recover_ns = record.Cpu(obs::ProfileStage::kRecover);
     EXPECT_GT(device_ns, 0);
     EXPECT_GT(check_ns, 0);
     EXPECT_GT(recover_ns, 0);
+    // Each scope's wall bracket encloses its CPU bracket.
+    EXPECT_GE(record.Wall(obs::ProfileStage::kDevice), device_ns);
+    EXPECT_GE(record.Wall(obs::ProfileStage::kPredictCheck), check_ns);
+    EXPECT_GE(record.Wall(obs::ProfileStage::kRecover), recover_ns);
 
     // The three scopes cover everything inside the bracket except a
     // few clock reads, so their sum tracks the bracket's thread-CPU
@@ -109,13 +106,19 @@ TEST(StageScopeTest, AttributionSumsToThreadCpuBracket)
 
 TEST(StageScopeTest, UnaccountedScopeLeavesSinkUntouched)
 {
-    int64_t sink_ns = 0;
+    // Without cpu a scope clocks wall time only; without a record it
+    // only tags the sampling slot.
+    obs::StageRecord record;
     {
-        const obs::StageScope scope(obs::ProfileStage::kDevice,
-                                    /*account=*/false, &sink_ns);
+        const obs::StageScope tag(obs::ProfileStage::kDevice);
+        const obs::StageScope wall(obs::ProfileStage::kRecover, &record,
+                                   /*cpu=*/false);
         Burn(50000);
     }
-    EXPECT_EQ(sink_ns, 0);
+    for (const int64_t ns : record.cpu_ns)
+        EXPECT_EQ(ns, 0);
+    EXPECT_EQ(record.Wall(obs::ProfileStage::kDevice), 0);
+    EXPECT_GT(record.Wall(obs::ProfileStage::kRecover), 0);
 }
 
 // -------------------------------------------------------- CpuProfiler
@@ -125,11 +128,12 @@ TEST(CpuProfilerTest, RecordInvocationAccumulatesStageCounters)
     obs::Registry registry;
     obs::CpuProfiler profiler(&registry);
 
-    obs::CpuProfiler::InvocationCpu cpu;
-    cpu.device_ns = 2000000;         // 2 ms
-    cpu.predict_check_ns = 1000000;  // 1 ms
-    cpu.recover_ns = 1000000;        // 1 ms
-    profiler.RecordInvocation(/*shard=*/1, cpu);
+    obs::StageRecord stages;
+    stages.Cpu(obs::ProfileStage::kDevice) = 2000000;        // 2 ms
+    stages.Cpu(obs::ProfileStage::kPredictCheck) = 1000000;  // 1 ms
+    stages.Cpu(obs::ProfileStage::kRecover) = 1000000;       // 1 ms
+    stages.Wall(obs::ProfileStage::kDevice) = 9000000;  // not CPU.
+    profiler.RecordInvocation(/*shard=*/1, stages);
 
     EXPECT_NEAR(profiler.StageSeconds(obs::ProfileStage::kDevice),
                 0.002, 1e-12);
@@ -454,6 +458,107 @@ MakeRequest(size_t start_element, size_t count)
         flat.begin() +
             static_cast<ptrdiff_t>((start_element + count) * 2));
     return request;
+}
+
+// ------------------------------------------------------ runtime passes
+
+/** A 256-element inversek2j batch from the test inputs. */
+const std::vector<double>&
+PassBatch()
+{
+    static const std::vector<double> flat = [] {
+        const auto inputs = apps::MakeBenchmark("inversek2j")->TestInputs();
+        return core::FlattenBatch({inputs.begin(), inputs.begin() + 256});
+    }();
+    return flat;
+}
+
+TEST(RuntimePassTest, EachPassLeavesOneSpanInOrder)
+{
+    auto runtime = core::RumbaRuntime::FromArtifact(SharedArtifact(),
+                                                    ServeRuntimeConfig());
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    const core::BatchView view(PassBatch().data(), 256, 2);
+    std::vector<double> outputs(256 * 2);
+
+    obs::SpanCollector& collector = obs::SpanCollector::Default();
+    collector.Clear();
+    collector.Enable();
+    (*runtime)->ProcessInvocation(view, outputs.data());
+    collector.Disable();
+    const std::vector<obs::SpanRecord> spans = collector.Dump();
+    collector.Clear();
+
+    auto only = [&](const char* name) -> const obs::SpanRecord* {
+        const obs::SpanRecord* found = nullptr;
+        for (const obs::SpanRecord& span : spans) {
+            if (span.name != name)
+                continue;
+            EXPECT_EQ(found, nullptr) << "a second " << name << " span";
+            found = &span;
+        }
+        return found;
+    };
+    const obs::SpanRecord* invocation = only("runtime.invocation");
+    ASSERT_NE(invocation, nullptr);
+    const uint64_t end = invocation->start_ns + invocation->duration_ns;
+    uint64_t previous_end = invocation->start_ns;
+    for (const char* name : {"runtime.accel_stream", "runtime.check",
+                             "runtime.merge", "runtime.verify"}) {
+        const obs::SpanRecord* pass = only(name);
+        ASSERT_NE(pass, nullptr) << name;
+        EXPECT_EQ(pass->depth, invocation->depth + 1) << name;
+        EXPECT_EQ(pass->thread_id, invocation->thread_id) << name;
+        // In order, without overlap, inside the invocation.
+        EXPECT_GE(pass->start_ns, previous_end) << name;
+        previous_end = pass->start_ns + pass->duration_ns;
+        EXPECT_LE(previous_end, end) << name;
+    }
+}
+
+TEST(RuntimePassTest, StageRecordClocksEachPassOnlyWhenAsked)
+{
+    const core::BatchView view(PassBatch().data(), 256, 2);
+    std::vector<double> outputs(256 * 2);
+    core::RuntimeConfig timed_config = ServeRuntimeConfig();
+    timed_config.stage_timings = true;
+    timed_config.cpu_attribution = true;
+    auto timed =
+        core::RumbaRuntime::FromArtifact(SharedArtifact(), timed_config);
+    ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+
+    const int64_t cpu_before = obs::ThreadCpuNowNs();
+    const core::InvocationReport report =
+        (*timed)->ProcessInvocation(view, outputs.data());
+    const int64_t cpu_after = obs::ThreadCpuNowNs();
+
+    using Stage = obs::ProfileStage;
+    ASSERT_GT(report.fixes, 0u);
+    for (const Stage stage : {Stage::kDevice, Stage::kPredictCheck,
+                              Stage::kRecover, Stage::kVerify}) {
+        EXPECT_GT(report.stages.Wall(stage), 0)
+            << obs::ProfileStageName(stage);
+        EXPECT_GT(report.stages.Cpu(stage), 0)
+            << obs::ProfileStageName(stage);
+    }
+    // The passes are disjoint scopes inside the call.
+    int64_t cpu_sum = 0;
+    for (const int64_t ns : report.stages.cpu_ns) {
+        EXPECT_GE(ns, 0);
+        cpu_sum += ns;
+    }
+    EXPECT_LE(cpu_sum, cpu_after - cpu_before);
+
+    // Both knobs off: nothing is clocked.
+    auto plain = core::RumbaRuntime::FromArtifact(SharedArtifact(),
+                                                  ServeRuntimeConfig());
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    const core::InvocationReport quiet =
+        (*plain)->ProcessInvocation(view, outputs.data());
+    for (size_t s = 0; s < obs::kProfileStageCount; ++s) {
+        EXPECT_EQ(quiet.stages.wall_ns[s], 0) << s;
+        EXPECT_EQ(quiet.stages.cpu_ns[s], 0) << s;
+    }
 }
 
 /** The engine races the env sampler against Shutdown (TSan target)

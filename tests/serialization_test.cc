@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "common/dataset.h"
 #include "common/random.h"
@@ -15,6 +17,9 @@
 #include "digest.h"
 #include "fault/corrupt.h"
 #include "fault/injector.h"
+#include "fault/plan.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "predict/ema.h"
 #include "predict/evp.h"
 #include "predict/hybrid.h"
@@ -447,6 +452,216 @@ TEST(ArtifactTest, FromArtifactReportsEveryRejection)
         core::RumbaRuntime::FromArtifact(good, FastConfig());
     ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
     EXPECT_EQ((*deployed)->Bench().Info().name, "fft");
+}
+
+// ------------------------------------------------ Runtime behaviour pin
+
+template <typename T>
+void
+AppendBytes(std::string* out, const T& value)
+{
+    out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+template <typename T>
+void
+AppendVector(std::string* out, const std::vector<T>& values)
+{
+    AppendBytes(out, values.size());
+    out->append(reinterpret_cast<const char*>(values.data()),
+                values.size() * sizeof(T));
+}
+
+/** Recovery, salvage, breaker and checker counters one case moves. */
+constexpr const char* kPinnedCounters[] = {
+    "recovery.reexecutions",     "recovery.compensations",
+    "recovery.queue_full_stalls", "recovery.queue_drops",
+    "runtime.non_finite_salvaged", "breaker.exact_elements",
+    "detector.checks",           "detector.fires",
+    "detector.non_finite",       "drift.alarms",
+};
+
+uint64_t
+CounterValue(const char* name)
+{
+    return obs::Registry::Default().GetCounter(name)->Value();
+}
+
+/** One pinned scenario: six consecutive invocations of one runtime
+ *  deployed from the shared artifact. */
+struct PinCase {
+    const char* name;
+    bool compensation;
+    core::DegradeMode degrade;
+    size_t queue_capacity;
+    /** Armed for the whole case, or (half_open_drill) for the first
+     *  invocation only; "" arms nothing. */
+    const char* fault_plan;
+    /** Trip the breaker on the first invocation's NaNs and let it
+     *  probe half-open, so the breaker's exact tail runs. */
+    bool half_open_drill;
+    uint64_t digest;
+};
+
+TEST(RuntimePinTest, InvocationsMatchRecordedDigests)
+{
+    // Digests of everything an invocation decides — merged outputs,
+    // every report field except wall-clock timings, the audit
+    // capture, the invocation trace event, and the recovery, fault
+    // and checker counters — recorded from a known-good build. How
+    // ProcessInvocation orders its passes and clocks must not move
+    // one of them.
+    if (fault::FaultInjector::Default().Armed())
+        GTEST_SKIP() << "a fault plan armed from RUMBA_FAULT_PLAN "
+                        "changes what the runtime serves";
+    core::RuntimeConfig train_config = FastConfig();
+    train_config.recovery_policy.compensation = true;
+    const core::Artifact artifact =
+        core::RumbaRuntime(apps::MakeBenchmark("inversek2j"),
+                           train_config)
+            .ExportArtifact();
+    ASSERT_FALSE(artifact.compensator.empty());
+
+    const PinCase cases[] = {
+        {"none", true, core::DegradeMode::kNone, 64, "", false,
+         0xbd622f75cae80fc8ull},
+        {"compensate-only", true, core::DegradeMode::kCompensateOnly, 64,
+         "", false, 0x38957f9489ef5be9ull},
+        {"skip-recovery", true, core::DegradeMode::kSkipRecovery, 64, "",
+         false, 0x57536e6c24fc1a73ull},
+        {"skip-check", true, core::DegradeMode::kSkipCheck, 64, "", false,
+         0x4370d0ca43d7434bull},
+        {"compensation-off", false, core::DegradeMode::kNone, 64, "",
+         false, 0x1448ce9194c0be4cull},
+        {"half-open", false, core::DegradeMode::kNone, 64,
+         "seed=7;npu.output_nan=0.05", true, 0xf95c48e0dc0c7307ull},
+        {"queue-faults", true, core::DegradeMode::kNone, 4,
+         "seed=103;queue.stall=0.5;checker.mispredict=0.1;"
+         "npu.output_nan=0.02",
+         false, 0x55b016764e2f87e8ull},
+    };
+
+    const auto bench = apps::MakeBenchmark("inversek2j");
+    const std::vector<double> pool = core::FlattenBatch(bench->TestInputs());
+    const size_t in_w = bench->NumInputs();
+    const size_t out_w = bench->NumOutputs();
+    const size_t pool_n = pool.size() / in_w;
+    constexpr size_t kBatch = 200;
+    constexpr size_t kInvocations = 6;
+    ASSERT_GE(pool_n, kBatch * kInvocations);
+    obs::TraceRing::Default().Start();
+
+    for (const PinCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        core::RuntimeConfig config = FastConfig();
+        config.recovery_policy.compensation = c.compensation;
+        config.recovery_queue_capacity = c.queue_capacity;
+        // Clocked as the serving engine runs it; no digested field
+        // may depend on the clocks.
+        config.stage_timings = true;
+        config.cpu_attribution = true;
+        if (c.half_open_drill) {
+            config.breaker.trip_after = 1;
+            config.breaker.open_invocations = 1;
+            config.breaker.close_after = 1;
+        } else if (c.fault_plan[0] != '\0') {
+            // Keep the queue in play for all six invocations.
+            config.breaker.enabled = false;
+        }
+        core::RumbaRuntime runtime(artifact, config);
+        fault::FaultPlan plan;
+        ASSERT_TRUE(fault::FaultPlan::Parse(c.fault_plan, &plan, nullptr));
+        fault::FaultInjector::Default().Arm(plan);
+
+        std::map<std::string, uint64_t> before;
+        for (const char* name : kPinnedCounters)
+            before[name] = CounterValue(name);
+        auto moved = [&](const char* name) {
+            return CounterValue(name) - before[name];
+        };
+        std::string bytes;
+        std::vector<double> outputs(kBatch * out_w);
+        core::AuditCapture capture;
+        size_t half_open_tails = 0;
+        for (size_t inv = 0; inv < kInvocations; ++inv) {
+            const core::BatchView view(pool.data() + inv * kBatch * in_w,
+                                       kBatch, in_w);
+            const core::InvocationReport r = runtime.ProcessInvocation(
+                view, outputs.data(), &capture, c.degrade);
+            if (c.half_open_drill && inv == 0)
+                fault::FaultInjector::Default().Disarm();
+            if (r.exact_elements > 0 && r.exact_elements < kBatch)
+                ++half_open_tails;
+
+            AppendVector(&bytes, outputs);
+            AppendBytes(&bytes, r.elements);
+            AppendBytes(&bytes, r.fixes);
+            AppendBytes(&bytes, r.threshold_used);
+            AppendBytes(&bytes, r.output_error_pct);
+            AppendBytes(&bytes, r.estimated_error_pct);
+            AppendBytes(&bytes, r.drift_detected);
+            AppendBytes(&bytes, r.queue_drops);
+            AppendBytes(&bytes, r.non_finite_outputs);
+            AppendBytes(&bytes, r.exact_elements);
+            AppendBytes(&bytes, r.breaker_state);
+            AppendBytes(&bytes, r.degrade);
+            AppendBytes(&bytes, r.tier_accepted);
+            AppendBytes(&bytes, r.tier_compensated);
+            AppendBytes(&bytes, r.tier_reexecuted);
+            const double costs[] = {
+                r.costs.baseline_region_ns, r.costs.baseline_region_nj,
+                r.costs.baseline_app_ns,    r.costs.baseline_app_nj,
+                r.costs.scheme_region_ns,   r.costs.scheme_region_nj,
+                r.costs.scheme_app_ns,      r.costs.scheme_app_nj,
+                r.costs.checker_ns,         r.costs.npu_ns,
+                r.costs.recovery_ns,
+            };
+            AppendBytes(&bytes, costs);
+
+            AppendBytes(&bytes, capture.count);
+            AppendBytes(&bytes, capture.out_width);
+            AppendVector(&bytes, capture.approx_outputs);
+            AppendVector(&bytes, capture.predicted_error);
+            AppendVector(&bytes, capture.fired);
+            AppendVector(&bytes, capture.fixed);
+            AppendVector(&bytes, capture.exact_path);
+
+            const obs::TraceEvent event =
+                obs::TraceRing::Default().Dump().back();
+            AppendBytes(&bytes, event.fires);
+            AppendBytes(&bytes, event.queue_full_stalls);
+            AppendBytes(&bytes, event.tuner_adjustments);
+
+            for (const char* name : kPinnedCounters)
+                AppendBytes(&bytes, moved(name));
+            for (size_t f = 0; f < fault::kNumFaultClasses; ++f) {
+                AppendBytes(&bytes,
+                            fault::FaultInjector::Default().Injections(
+                                static_cast<fault::FaultClass>(f)));
+            }
+        }
+        AppendBytes(&bytes, runtime.TotalFixes());
+        AppendBytes(&bytes, runtime.TotalCompensations());
+        AppendBytes(&bytes, runtime.Recovery().QueueDrops());
+        fault::FaultInjector::Default().Disarm();
+
+        // The cases reach what they are named for.
+        if (c.half_open_drill) {
+            EXPECT_GT(half_open_tails, 0u);
+        }
+        if (c.queue_capacity == 4) {
+            EXPECT_GT(moved("recovery.queue_full_stalls"), 0u);
+            EXPECT_GT(moved("recovery.queue_drops"), 0u);
+            EXPECT_GT(moved("runtime.non_finite_salvaged"), 0u);
+        }
+        if (c.compensation && c.degrade == core::DegradeMode::kNone) {
+            EXPECT_GT(runtime.TotalCompensations(), 0u);
+        }
+
+        EXPECT_EQ(testutil::Fnv1a64(bytes), c.digest)
+            << std::hex << c.name << " digest 0x"
+            << testutil::Fnv1a64(bytes);
+    }
 }
 
 }  // namespace
