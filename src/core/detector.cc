@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/timer.h"
 
 namespace rumba::core {
@@ -28,7 +27,6 @@ Detector::Check(const std::vector<double>& inputs,
                 const std::vector<double>& approx_outputs)
 {
     const obs::ScopedTimer timer(obs_check_ns_);
-    const obs::Span span("detector.check");
     CheckResult result;
 
     // Non-finite guard: a NaN/Inf anywhere in the element means the

@@ -53,7 +53,6 @@ RecoveryModule::Drain(const BatchView& inputs, double* outputs,
         bool did_compensate = false;
         if (decision.tier == RecoveryTier::kCompensate &&
             compensate_ != nullptr) {
-            const obs::Span fix_span("recovery.compensate");
             const uint64_t start = obs::NowNs();
             did_compensate = compensate_(in, out);
             compensate_ns += obs::NowNs() - start;
@@ -63,7 +62,6 @@ RecoveryModule::Drain(const BatchView& inputs, double* outputs,
             // (no compensator installed, non-finite element): the
             // merger writes straight into the element's output slot;
             // re-execution of a pure kernel is idempotent.
-            const obs::Span fix_span("recovery.reexecute");
             const uint64_t start = obs::NowNs();
             bench_->RunExact(in, out);
             reexec_ns += obs::NowNs() - start;

@@ -115,14 +115,6 @@ class RuntimeConfig::Builder {
         return *this;
     }
 
-    /** Energy-mode goal: re-executions allowed per invocation. */
-    Builder&
-    WithIterationBudget(size_t budget)
-    {
-        config_.tuner.iteration_budget = budget;
-        return *this;
-    }
-
     /** Fixed starting threshold (skips offline calibration). */
     Builder&
     WithInitialThreshold(double threshold)
@@ -149,26 +141,12 @@ class RuntimeConfig::Builder {
         return *this;
     }
 
-    Builder&
-    WithSeed(uint64_t seed)
-    {
-        config_.pipeline.seed = seed;
-        return *this;
-    }
-
     /** Subsample caps for quick runs (0 = use everything). */
     Builder&
     WithElementCaps(size_t max_train, size_t max_test)
     {
         config_.pipeline.max_train_elements = max_train;
         config_.pipeline.max_test_elements = max_test;
-        return *this;
-    }
-
-    Builder&
-    WithRecoveryQueueCapacity(size_t capacity)
-    {
-        config_.recovery_queue_capacity = capacity;
         return *this;
     }
 
@@ -181,26 +159,10 @@ class RuntimeConfig::Builder {
         return *this;
     }
 
-    /** Full tiered-recovery policy control. */
-    Builder&
-    WithRecoveryPolicy(const RecoveryPolicyConfig& policy)
-    {
-        config_.recovery_policy = policy;
-        return *this;
-    }
-
     Builder&
     WithBreaker(const BreakerConfig& breaker)
     {
         config_.breaker = breaker;
-        return *this;
-    }
-
-    /** Measure per-pass wall clock into InvocationReport::stages. */
-    Builder&
-    WithStageTimings(bool enabled = true)
-    {
-        config_.stage_timings = enabled;
         return *this;
     }
 

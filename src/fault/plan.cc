@@ -1,5 +1,7 @@
 #include "fault/plan.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -39,7 +41,7 @@ LookupClass(const std::string& name, FaultClass* fault)
     return false;
 }
 
-/** Parse a double; returns false on trailing garbage. */
+/** Parse a finite double; false on trailing garbage, NaN or Inf. */
 bool
 ParseNumber(const std::string& text, double* out)
 {
@@ -47,7 +49,16 @@ ParseNumber(const std::string& text, double* out)
         return false;
     char* end = nullptr;
     *out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size();
+    return end == text.c_str() + text.size() && std::isfinite(*out);
+}
+
+/** Parse a seed: plain decimal digits that fit uint64_t. */
+bool
+ParseSeed(const std::string& text, uint64_t* out)
+{
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, *out);
+    return error == std::errc() && stop == end;
 }
 
 }  // namespace
@@ -107,10 +118,8 @@ FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
         const std::string key = clause.substr(0, eq);
         std::string value = clause.substr(eq + 1);
         if (key == "seed") {
-            double seed = 0.0;
-            if (!ParseNumber(value, &seed) || seed < 0.0)
-                return fail("bad seed");
-            parsed.seed = static_cast<uint64_t>(seed);
+            if (!ParseSeed(value, &parsed.seed))
+                return fail("seed must be a non-negative integer");
             continue;
         }
         FaultRule rule;
@@ -119,7 +128,7 @@ FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
         const size_t colon = value.find(':');
         if (colon != std::string::npos) {
             if (!ParseNumber(value.substr(colon + 1), &rule.param))
-                return fail("bad param");
+                return fail("param must be a finite number");
             value = value.substr(0, colon);
         }
         if (!ParseNumber(value, &rule.rate) || rule.rate < 0.0 ||

@@ -20,7 +20,8 @@
  *   seed=42;npu.output_nan=0.01;npu.bitflip=0.002;queue.stall=0.5
  *
  * Each clause is `class=rate` with an optional `:param` whose meaning
- * is class-specific (e.g. the stuck-at value).
+ * is class-specific (e.g. the stuck-at value). Rates and params must
+ * be finite; the seed is plain decimal digits that fit uint64_t.
  */
 
 #include <cstdint>

@@ -93,7 +93,10 @@ Mlp::TryDeserialize(const std::string& blob)
     if (tag != "mlp" || in.fail())
         return std::nullopt;
     const std::optional<Topology> topo = Topology::TryParse(topo_text);
-    if (!topo.has_value())
+    // Every weight takes at least two characters (" w"): a blob too
+    // short for the weights its topology names is refused before they
+    // are allocated.
+    if (!topo.has_value() || topo->MacsPerInvocation() > blob.size() / 2)
         return std::nullopt;
     Mlp mlp(*topo);
     for (auto& layer : mlp.layers_) {

@@ -1,5 +1,6 @@
 #include "nn/topology.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/logging.h"
@@ -32,15 +33,17 @@ Topology::TryParse(const std::string& text)
 {
     Topology topo;
     size_t pos = 0;
-    while (pos < text.size()) {
-        size_t next = text.find("->", pos);
-        const std::string token = text.substr(
-            pos, next == std::string::npos ? std::string::npos : next - pos);
-        char* end = nullptr;
-        const long v = std::strtol(token.c_str(), &end, 10);
-        if (end == token.c_str() || v <= 0)
+    for (;;) {
+        const size_t next = text.find("->", pos);
+        const char* first = text.data() + pos;
+        const char* last =
+            text.data() + (next == std::string::npos ? text.size() : next);
+        size_t width = 0;
+        const auto [stop, error] = std::from_chars(first, last, width);
+        if (error != std::errc() || stop != last || width == 0 ||
+            width > kMaxWidth || topo.layers.size() == kMaxLayers)
             return std::nullopt;
-        topo.layers.push_back(static_cast<size_t>(v));
+        topo.layers.push_back(width);
         if (next == std::string::npos)
             break;
         pos = next + 2;

@@ -16,6 +16,11 @@ namespace rumba::nn {
 
 /** Layer widths of an MLP, input first, output last. */
 struct Topology {
+    /** Bounds on what a parsed topology may name: far above every
+     *  Table 1 network (the widest is jpeg's 64). */
+    static constexpr size_t kMaxWidth = 4096;
+    static constexpr size_t kMaxLayers = 16;
+
     std::vector<size_t> layers;
 
     /** "a->b->c" rendering matching Table 1 of the paper. */
@@ -25,7 +30,9 @@ struct Topology {
     static Topology Parse(const std::string& text);
 
     /** Parse() that reports malformed input instead of dying — for
-     *  blobs that arrive as external data (deployment artifacts). */
+     *  blobs that arrive as external data (deployment artifacts).
+     *  Every token must be a whole decimal number in [1, kMaxWidth]
+     *  (no sign, space or suffix), and there are 2 to kMaxLayers. */
     static std::optional<Topology> TryParse(const std::string& text);
 
     /** Number of inputs. */

@@ -7,7 +7,6 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "obs/timer.h"
 
 namespace rumba::npu {
@@ -99,7 +98,6 @@ Npu::Invoke(const std::vector<double>& input,
     RUMBA_CHECK(input.size() == topology_.NumInputs());
     RUMBA_CHECK(output != nullptr);
     const obs::ScopedTimer timer(obs_invoke_ns_);
-    const obs::Span span("npu.invoke");
     // Sampling-profiler tag (obs/profiler.h): any caller — the
     // runtime's stream loop, calibration replay, the trainer — shows
     // as "device" in folded stacks. Elided when the caller already

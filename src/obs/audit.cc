@@ -35,6 +35,14 @@ WithDefaultName(SloConfig slo)
     return slo;
 }
 
+/** One 1-in-@p every draw on @p seen (never when @p every is 0). */
+bool
+OneIn(std::atomic<uint64_t>* seen, size_t every)
+{
+    return every != 0 &&
+           seen->fetch_add(1, std::memory_order_relaxed) % every == 0;
+}
+
 }  // namespace
 
 QualityAuditor::QualityAuditor(const AuditConfig& config,
@@ -123,27 +131,73 @@ QualityAuditor::Live()
 }
 
 bool
-QualityAuditor::SampleHealthy()
+QualityAuditor::Offer(const AuditOffer& offer)
 {
-    if (config_.sample_every == 0)
+    const size_t n = offer.count;
+    const size_t in_w = offer.in_width;
+    const size_t out_w = offer.out_width;
+    RUMBA_CHECK(n > 0 && in_w > 0 && out_w > 0);
+    RUMBA_CHECK(offer.inputs.size() == n * in_w &&
+                offer.served_outputs.size() == n * out_w &&
+                offer.approx_outputs.size() == n * out_w &&
+                offer.predicted_error.size() == n &&
+                offer.fired.size() == n && offer.fixed.size() == n &&
+                offer.exact_path.size() == n);
+
+    uint64_t fixes = 0;
+    bool exact_tail = false;
+    for (size_t i = 0; i < n; ++i) {
+        fixes += offer.fixed[i] != 0 ? 1 : 0;
+        exact_tail |= offer.exact_path[i] != 0;
+    }
+    // The policy of audit.h, in its order: each gate advances only
+    // when the request reaches it.
+    const char* reason = nullptr;
+    if (offer.degrade != 0)
+        reason = "degraded";
+    else if (fixes > 0 && OneIn(&recovered_seen_, kForcedRecoveredEvery))
+        reason = "recovered";
+    else if (offer.breaker_state != 0 || exact_tail)
+        reason = "breaker";
+    else if (offer.fault)
+        reason = "fault";
+    if (reason == nullptr && !OneIn(&healthy_seen_, config_.sample_every))
         return false;
-    const uint64_t seen =
-        healthy_seen_.fetch_add(1, std::memory_order_relaxed);
-    return seen % config_.sample_every == 0;
+
+    Sample s;
+    s.trace_id = offer.trace_id;
+    s.shard = offer.shard;
+    s.forced_reason = reason;
+    s.count = n;
+    s.stride = (n + kMaxAuditedElements - 1) / kMaxAuditedElements;
+    s.in_width = in_w;
+    s.out_width = out_w;
+    s.threshold_used = offer.threshold_used;
+    s.reported_error_pct = offer.reported_error_pct;
+    s.estimated_error_pct = offer.estimated_error_pct;
+    s.breaker_state = offer.breaker_state;
+    s.fixes = fixes;
+    const size_t kept = (n + s.stride - 1) / s.stride;
+    s.values.reserve(kept * (in_w + 2 * out_w + 1));
+    s.masks.reserve(kept * 3);
+    for (size_t i = 0; i < n; i += s.stride) {
+        const auto append = [&s, i](std::span<const double> view,
+                                    size_t width) {
+            const auto element = view.subspan(i * width, width);
+            s.values.insert(s.values.end(), element.begin(), element.end());
+        };
+        append(offer.inputs, in_w);
+        append(offer.served_outputs, out_w);
+        append(offer.approx_outputs, out_w);
+        append(offer.predicted_error, 1);
+        s.masks.insert(s.masks.end(), {offer.fired[i], offer.fixed[i],
+                                       offer.exact_path[i]});
+    }
+    return Enqueue(std::move(s));
 }
 
 bool
-QualityAuditor::SampleForcedRecovered()
-{
-    if (config_.forced_sample_every == 0)
-        return false;
-    const uint64_t seen =
-        forced_candidates_seen_.fetch_add(1, std::memory_order_relaxed);
-    return seen % config_.forced_sample_every == 0;
-}
-
-bool
-QualityAuditor::Enqueue(AuditSample&& sample)
+QualityAuditor::Enqueue(Sample&& sample)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -154,7 +208,7 @@ QualityAuditor::Enqueue(AuditSample&& sample)
         }
         obs_enqueued_->Increment();
         enqueued_.fetch_add(1, std::memory_order_relaxed);
-        if (sample.forced) {
+        if (sample.forced_reason != nullptr) {
             obs_forced_->Increment();
             forced_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -177,7 +231,7 @@ void
 QualityAuditor::WorkerLoop()
 {
     for (;;) {
-        AuditSample sample;
+        Sample sample;
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_work_.wait(lock, [this] {
@@ -217,68 +271,50 @@ QualityAuditor::WorkerLoop()
 }
 
 void
-QualityAuditor::AuditOne(const AuditSample& s)
+QualityAuditor::AuditOne(const Sample& s)
 {
-    const size_t n = s.count;
     const size_t in_w = s.in_width;
     const size_t out_w = s.out_width;
-    if (n == 0 || in_w == 0 || out_w == 0 ||
-        s.inputs.size() < n * in_w ||
-        s.served_outputs.size() < n * out_w) {
-        Warn("audit: dropping malformed sample (trace %llu)",
-             static_cast<unsigned long long>(s.trace_id));
-        return;
-    }
-    const bool have_approx = s.approx_outputs.size() >= n * out_w;
+    const size_t kept = s.masks.size() / 3;
 
     AuditResult result;
     result.trace_id = s.trace_id;
     result.shard = s.shard;
-    result.forced = s.forced;
-    result.forced_reason = s.forced_reason;
-    result.elements = n;
+    result.forced = s.forced_reason != nullptr;
+    result.forced_reason = result.forced ? s.forced_reason : "sampled";
+    result.elements = s.count;
     result.threshold_used = s.threshold_used;
     result.estimated_error_pct = s.estimated_error_pct;
     result.reported_error_pct = s.reported_error_pct;
     result.toq_bound_pct = config_.toq_bound_pct;
     result.breaker_state = s.breaker_state;
     result.fixes = s.fixes;
-
-    // Element budget: stride large invocations down so one audit's
-    // exact re-execution cost is bounded by config, not by whatever
-    // batch size the client chose. The stride is deterministic — the
-    // same invocation always audits the same subset.
-    const size_t budget = config_.max_elements_per_sample;
-    const size_t stride =
-        (budget == 0 || n <= budget) ? 1 : (n + budget - 1) / budget;
-    result.labeled.reserve((n + stride - 1) / stride);
+    result.labeled.reserve(kept);
 
     std::vector<double> exact(out_w, 0.0);
     std::vector<double> served(out_w, 0.0);
     std::vector<double> approx(out_w, 0.0);
     std::vector<double> served_errors;
-    served_errors.reserve((n + stride - 1) / stride);
+    served_errors.reserve(kept);
     uint64_t tp = 0, fp = 0, fn = 0, tn = 0;
     double compensated_sum = 0.0;  ///< unit-fraction residual sum.
     size_t compensated_count = 0;
-    for (size_t i = 0; i < n; i += stride) {
+    for (size_t k = 0; k < kept; ++k) {
+        const double* in = s.values.data() + k * (in_w + 2 * out_w + 1);
+        const double* served_at = in + in_w;
+        const double* approx_at = served_at + out_w;
+        const char* mask = s.masks.data() + 3 * k;
+        served.assign(served_at, served_at + out_w);
+        approx.assign(approx_at, approx_at + out_w);
         AuditedElement el;
-        el.index = i;
-        el.inputs.assign(
-            s.inputs.begin() + static_cast<ptrdiff_t>(i * in_w),
-            s.inputs.begin() + static_cast<ptrdiff_t>((i + 1) * in_w));
-        el.predicted_error =
-            i < s.predicted_error.size() ? s.predicted_error[i] : 0.0;
-        el.fired = i < s.fired.size() && s.fired[i] != 0;
-        el.fixed = i < s.fixed.size() && s.fixed[i] == 1;
-        el.compensated = i < s.fixed.size() && s.fixed[i] == 2;
-        el.exact_path = i < s.exact_path.size() && s.exact_path[i] != 0;
+        el.index = k * s.stride;
+        el.inputs.assign(in, in + in_w);
+        el.predicted_error = approx_at[out_w];
+        el.fired = mask[0] != 0;
+        el.fixed = mask[1] == 1;
+        el.compensated = mask[1] == 2;
+        el.exact_path = mask[2] != 0;
 
-        served.assign(
-            s.served_outputs.begin() +
-                static_cast<ptrdiff_t>(i * out_w),
-            s.served_outputs.begin() +
-                static_cast<ptrdiff_t>((i + 1) * out_w));
         if (el.fixed || el.exact_path) {
             // Exact re-execution and the breaker's exact tail run the
             // same exact kernel the auditor would: the served output
@@ -288,7 +324,7 @@ QualityAuditor::AuditOne(const AuditSample& s)
             // the residual it left behind is the whole point.
             exact = served;
         } else {
-            hooks_.run_exact(s.inputs.data() + i * in_w, exact.data());
+            hooks_.run_exact(in, exact.data());
         }
         const double served_err =
             (el.fixed || el.exact_path)
@@ -300,16 +336,11 @@ QualityAuditor::AuditOne(const AuditSample& s)
             compensated_sum += served_err;
             ++compensated_count;
         }
-        if (el.exact_path || !have_approx) {
+        if (el.exact_path) {
             // The breaker served it exactly: no approximate output
             // existed, so no checker verdict to calibrate.
             el.approx_error = 0.0;
         } else {
-            approx.assign(
-                s.approx_outputs.begin() +
-                    static_cast<ptrdiff_t>(i * out_w),
-                s.approx_outputs.begin() +
-                    static_cast<ptrdiff_t>((i + 1) * out_w));
             el.approx_error = hooks_.element_error(exact, approx);
             el.needs_fix = el.approx_error >= s.threshold_used;
             if (el.fired && el.needs_fix)

@@ -8,11 +8,13 @@
  * Every quality signal the serving engine exposes is derived from the
  * checker's *predicted* error — the system has no production view of
  * how wrong its own checkers are. The QualityAuditor closes that
- * loop: serving workers enqueue a sampled fraction of completed
- * invocations (1-in-N, with forced inclusion of breaker-degraded and
- * non-finite-salvage requests and a boosted 1-in-M gate for the
- * routine recovered ones), and a background audit pool re-executes
- * each one through the exact CPU path to compute
+ * loop. Serving workers offer every served request as a borrowed
+ * view (AuditOffer); the auditor alone decides which to audit
+ * (forced inclusion of degraded, breaker and fault-touched requests,
+ * a 1-in-4 gate for the routine recovered ones, 1-in-N for the rest)
+ * and queues a copy of only the elements it will audit, at most 128
+ * per request. A background audit pool re-executes each one through
+ * the exact CPU path to compute
  *
  *   - the true per-invocation output error and true TOQ-violation
  *     rate (`audit.true_error_pct`, `audit.true_toq_violations`,
@@ -44,6 +46,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,38 +60,48 @@ class Counter;
 class Gauge;
 class Histogram;
 
-/** One sampled invocation, as enqueued by a serving worker. */
-struct AuditSample {
+/**
+ * One served request, lent to QualityAuditor::Offer for the length of
+ * the call: the spans view the caller's buffers and hold @c count
+ * elements each (inputs count x in_width, outputs count x out_width,
+ * one entry per element otherwise). Nothing is copied unless the
+ * auditor picks the request.
+ */
+struct AuditOffer {
     uint64_t trace_id = 0;   ///< reqtrace id (joins traces + flights).
     uint32_t shard = 0;
-    bool forced = false;     ///< bypassed 1-in-N sampling.
-    std::string forced_reason;  ///< "recovered" / "breaker" / ...
-    size_t count = 0;        ///< elements in the invocation.
+    size_t count = 0;        ///< elements in the request.
     size_t in_width = 0;
     size_t out_width = 0;
-    std::vector<double> inputs;          ///< count x in_width.
-    std::vector<double> served_outputs;  ///< post-merge, as delivered.
-    std::vector<double> approx_outputs;  ///< pre-merge accelerator out.
-    std::vector<double> predicted_error; ///< checker estimate / element.
-    std::vector<char> fired;             ///< acted-on verdict / element.
+    std::span<const double> inputs;
+    std::span<const double> served_outputs;  ///< post-merge, as delivered.
+    /** Pre-merge accelerator outputs (breaker exact-tail elements
+     *  hold their exact outputs). */
+    std::span<const double> approx_outputs;
+    std::span<const double> predicted_error; ///< checker estimate / element.
+    std::span<const char> fired;             ///< acted-on verdict / element.
     /** Recovery-tier mask per element: 0 = accepted as-is, 1 = exact
      *  re-execution (core::kFixedExact), 2 = compensated in place
      *  (core::kFixedCompensated). Compensated elements are NOT ground
      *  truth — the auditor re-executes them to measure the residual
      *  the compensator left behind. */
-    std::vector<char> fixed;
-    std::vector<char> exact_path;        ///< breaker exact tail mask.
+    std::span<const char> fixed;
+    std::span<const char> exact_path;        ///< breaker exact tail mask.
     double threshold_used = 0.0;
     double reported_error_pct = 0.0;   ///< runtime's verified error.
     double estimated_error_pct = 0.0;  ///< checker invocation estimate.
     uint32_t breaker_state = 0;
-    uint64_t fixes = 0;
+    /** Overload rung the request was served at (core::DegradeMode;
+     *  0 = full service). */
+    uint32_t degrade = 0;
+    /** The invocation saw non-finite outputs or recovery-queue drops. */
+    bool fault = false;
 };
 
 /** One audited element: a labeled (input, true error) pair. */
 struct AuditedElement {
-    /** Element index within the original invocation (subset indices
-     *  are sparse when the per-sample element budget strides). */
+    /** Element index within the original request (sparse when the
+     *  request was strided down to the per-audit element budget). */
     size_t index = 0;
     std::vector<double> inputs;
     double predicted_error = 0.0;
@@ -116,9 +129,9 @@ struct AuditResult {
     uint32_t shard = 0;
     bool forced = false;
     std::string forced_reason;
-    size_t elements = 0;          ///< invocation size.
-    /** Elements actually audited (== elements unless the per-sample
-     *  element budget strided the invocation down). */
+    size_t elements = 0;          ///< request size.
+    /** Elements actually audited (== elements unless the request was
+     *  strided down to QualityAuditor::kMaxAuditedElements). */
     size_t audited_elements = 0;
     double threshold_used = 0.0;
     double estimated_error_pct = 0.0;
@@ -167,7 +180,7 @@ struct AuditHooks {
 
 /** Auditor policy. */
 struct AuditConfig {
-    /** Healthy invocations sampled 1-in-N (1 = audit everything,
+    /** Healthy requests sampled 1-in-N (1 = audit everything,
      *  0 = forced samples only). */
     size_t sample_every = 16;
     /** Bounded sample queue; overflow is drop-and-count
@@ -178,23 +191,6 @@ struct AuditConfig {
      *  the engine sets it to the tuner target + SLO margin so proxy
      *  and audited SLOs judge the same objective. */
     double toq_bound_pct = 10.0;
-    /** Recovered requests are *routine* in Rumba — fix rates of
-     *  10-25% are the design point — so forcing every one would audit
-     *  nearly all traffic. Forced "recovered" candidates therefore
-     *  ride their own 1-in-M gate (1 = force every one, 0 = never
-     *  force; candidates that lose the gate still enter the healthy
-     *  1-in-N draw). Breaker-degraded and fault-touched requests are
-     *  genuinely rare and stay unconditional. The serving engine
-     *  defaults this to 4 to hold the <5% instrumentation budget. */
-    size_t forced_sample_every = 1;
-    /** Element budget per audited invocation: invocations larger than
-     *  this are strided down to at most this many audited elements
-     *  (deterministic stride, no RNG), bounding the exact re-execution
-     *  cost of one audit regardless of batch size. True error,
-     *  calibration counts, and labeled exports then describe the
-     *  audited subset — the auditor is a sampler at both levels.
-     *  0 = audit every element. */
-    size_t max_elements_per_sample = 0;
     /** Completed audits retained for statusz / JSONL export. */
     size_t result_capacity = 256;
     uint32_t shards = 1;           ///< per-shard calibration gauges.
@@ -231,14 +227,24 @@ struct AuditorStats {
 };
 
 /**
- * Background ground-truth auditor. Thread-safe: serving workers call
- * SampleHealthy()/Enqueue() concurrently with the audit pool and with
- * Shutdown(). Construction registers the instance as the process's
- * live auditor (consulted by the RUMBA_AUDIT_OUT at-exit/signal
- * export); Shutdown() deregisters it and writes the export itself.
+ * Background ground-truth auditor and the one owner of the audit
+ * sampling policy. Thread-safe: serving workers call Offer()
+ * concurrently with the audit pool and with Shutdown(). Construction
+ * registers the instance as the process's live auditor (consulted by
+ * the RUMBA_AUDIT_OUT at-exit/signal export); Shutdown() deregisters
+ * it and writes the export itself.
  */
 class QualityAuditor {
   public:
+    /** Recovered requests are *routine* in Rumba (fix rates of 10-25%
+     *  are the design point): forcing every one would audit nearly all
+     *  traffic, so they are forced 1-in-this. */
+    static constexpr size_t kForcedRecoveredEvery = 4;
+    /** Element budget per audit, which bounds its exact re-execution
+     *  cost whatever batch sizes clients submit. True error,
+     *  calibration counts and labels describe the audited subset. */
+    static constexpr size_t kMaxAuditedElements = 128;
+
     QualityAuditor(const AuditConfig& config, AuditHooks hooks);
 
     /** Calls Shutdown(). */
@@ -247,16 +253,21 @@ class QualityAuditor {
     QualityAuditor(const QualityAuditor&) = delete;
     QualityAuditor& operator=(const QualityAuditor&) = delete;
 
-    /** 1-in-N decision for a healthy (non-forced) invocation. */
-    bool SampleHealthy();
-
-    /** 1-in-M decision for a forced-"recovered" candidate
-     *  (AuditConfig::forced_sample_every). */
-    bool SampleForcedRecovered();
-
-    /** Queue @p sample for background audit; false (and
-     *  audit.queue_drops) when the queue is full or shut down. */
-    bool Enqueue(AuditSample&& sample);
+    /**
+     * Decide whether to audit @p offer and, when it is picked, queue a
+     * copy of the elements the audit reads: every
+     * ceil(count / kMaxAuditedElements)-th one. The policy, in order:
+     * a degraded request is forced ("degraded": verify was skipped and
+     * the proxy SLO is silent); a request with a recovered element is
+     * forced when it wins the kForcedRecoveredEvery gate
+     * ("recovered"); a non-closed breaker or an exact-tail element
+     * forces it ("breaker"); so does a fault ("fault"); anything left,
+     * gate losers included, passes the 1-in-sample_every healthy gate
+     * ("sampled"). True when the request was queued; false when it was
+     * not picked, or the queue is full or shut down (counted in
+     * audit.queue_drops).
+     */
+    bool Offer(const AuditOffer& offer);
 
     /** Block until every queued sample has been audited. */
     void Flush();
@@ -284,8 +295,32 @@ class QualityAuditor {
     static QualityAuditor* Live();
 
   private:
+    /** A queued audit: the offer's scalars plus its audited elements.
+     *  Audited element k is request element k * stride; its values
+     *  are inputs, served outputs, pre-merge outputs and predicted
+     *  error, its masks fired, fixed and exact_path. */
+    struct Sample {
+        uint64_t trace_id = 0;
+        uint32_t shard = 0;
+        const char* forced_reason = nullptr;  ///< null: 1-in-N sampled.
+        size_t count = 0;   ///< elements in the request.
+        size_t stride = 1;
+        size_t in_width = 0;
+        size_t out_width = 0;
+        std::vector<double> values;
+        std::vector<char> masks;
+        double threshold_used = 0.0;
+        double reported_error_pct = 0.0;
+        double estimated_error_pct = 0.0;
+        uint32_t breaker_state = 0;
+        uint64_t fixes = 0;  ///< recovered elements in the request.
+    };
+
+    /** Queue @p sample; false (and audit.queue_drops) when the queue
+     *  is full or shut down. */
+    bool Enqueue(Sample&& sample);
     void WorkerLoop();
-    void AuditOne(const AuditSample& sample);
+    void AuditOne(const Sample& sample);
 
     const AuditConfig config_;
     const AuditHooks hooks_;
@@ -293,7 +328,7 @@ class QualityAuditor {
     SloMonitor slo_;
 
     std::atomic<uint64_t> healthy_seen_{0};
-    std::atomic<uint64_t> forced_candidates_seen_{0};
+    std::atomic<uint64_t> recovered_seen_{0};
     /** Per-instance ingress totals (the registry counters are
      *  process-wide and outlive any one auditor). */
     std::atomic<uint64_t> enqueued_{0};
@@ -303,7 +338,7 @@ class QualityAuditor {
     mutable std::mutex mu_;
     std::condition_variable cv_work_;   ///< queue became non-empty.
     std::condition_variable cv_idle_;   ///< queue drained + idle.
-    std::deque<AuditSample> queue_;
+    std::deque<Sample> queue_;
     size_t in_flight_ = 0;
     bool stopping_ = false;
     bool shut_down_ = false;

@@ -383,6 +383,8 @@ SignalFlushHandler(int signo)
     raise(signo);
 }
 
+void InstallSignalFlush();
+
 bool
 AnySinkConfigured()
 {
@@ -419,9 +421,22 @@ RegisterFlushHook(void (*hook)())
         return false;
     }
     g_flush_hooks[slot].store(hook, std::memory_order_release);
+    InstallSignalFlush();
     return true;
 }
 
+namespace {
+
+/**
+ * Best-effort flush of the configured sinks on SIGINT/SIGTERM, so a
+ * killed run does not lose the tail of its dumps. Installed only over
+ * SIG_DFL dispositions (an application's own handlers are never
+ * displaced); after flushing, the default disposition is restored and
+ * the signal re-raised so the process still dies with the right
+ * status. The flush calls stdio from a signal handler — technically
+ * async-signal-unsafe, accepted here as best-effort (the alternative
+ * is certain data loss). Idempotent.
+ */
 void
 InstallSignalFlush()
 {
@@ -444,6 +459,8 @@ InstallSignalFlush()
     }();
     (void)installed;
 }
+
+}  // namespace
 
 void
 InstallAtExitExport()

@@ -117,35 +117,26 @@ std::string BuildInfoJson();
  * profiling sampler, then export RUMBA_METRICS_OUT,
  * RUMBA_TRACE_OUT, RUMBA_REQTRACE_OUT and RUMBA_AUDIT_OUT. Called
  * automatically by Registry::Default(). When any of those sinks is
- * configured this also arms the best-effort SIGINT/SIGTERM flush
- * (see InstallSignalFlush).
+ * configured this also arms a best-effort SIGINT/SIGTERM flush of
+ * them, which never displaces an application's own handler and
+ * re-raises the signal so the process dies with the right status.
  */
 void InstallAtExitExport();
 
 /**
  * Register a best-effort flush hook, invoked (in registration order)
  * alongside the env-configured JSONL sink rewrites by both the
- * at-exit export and the SIGINT/SIGTERM flush. For sinks configured
- * programmatically rather than by env var — the load generator's and
- * scenario runner's JSONL reports — so a killed run still writes its
- * partial results. Hooks run in signal context: they must only
+ * at-exit export and the SIGINT/SIGTERM flush, and arm that signal
+ * flush. For sinks other than the four above —
+ * the forensics dump into RUMBA_INCIDENT_DIR, the load generator's
+ * and scenario runner's JSONL reports — so a killed run still writes
+ * its partial results. A module registers its hook only when its
+ * sink is configured. Hooks run in signal context: they must only
  * try-lock, never block or allocate unboundedly. Re-registering the
  * same function is a no-op; the table holds 8 slots (false, with a
  * warning, when full or @p hook is null).
  */
 bool RegisterFlushHook(void (*hook)());
-
-/**
- * Best-effort flush of the configured JSONL sinks on SIGINT/SIGTERM,
- * so killed deploy runs don't lose the tail of the stream. Installed
- * only over SIG_DFL dispositions (an application's own handlers are
- * never displaced); after flushing, the default disposition is
- * restored and the signal re-raised so the process still dies with
- * the right status. The flush calls stdio from a signal handler —
- * technically async-signal-unsafe, accepted here as best-effort
- * (the alternative is certain data loss). Idempotent.
- */
-void InstallSignalFlush();
 
 }  // namespace rumba::obs
 

@@ -451,7 +451,9 @@ TsdbSampler::Acquire()
             ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
         if (period <= 0)
             return;  // explicitly disabled; the refcount still tracks.
-        RegisterFlushHook(&ForensicsFlushHook);
+        if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
+            dir != nullptr && dir[0] != '\0')
+            RegisterFlushHook(&ForensicsFlushHook);
         const char* stream = std::getenv("RUMBA_STREAM_OUT");
         const std::string stream_path = stream == nullptr ? "" : stream;
         if (sampler.Start(period, stream_path))

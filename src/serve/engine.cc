@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 
 #include "common/fnv.h"
@@ -34,6 +35,23 @@ Resolved(InvocationResult result)
     std::future<InvocationResult> future = promise.get_future();
     promise.set_value(std::move(result));
     return future;
+}
+
+/** Burn-rate windows shared by the engine's three SLOs. */
+constexpr uint64_t kSloFastWindowNs = 10ull * 1000 * 1000 * 1000;
+constexpr uint64_t kSloSlowWindowNs = 60ull * 1000 * 1000 * 1000;
+/** Objective of the latency and quality SLOs. */
+constexpr double kServeSloObjective = 0.99;
+
+obs::SloConfig
+EngineSlo(const char* name, double objective)
+{
+    obs::SloConfig slo;
+    slo.name = name;
+    slo.objective = objective;
+    slo.fast_window_ns = kSloFastWindowNs;
+    slo.slow_window_ns = kSloSlowWindowNs;
+    return slo;
 }
 
 const char*
@@ -177,27 +195,16 @@ ShardedEngine::Create(const core::Artifact& artifact,
     if (serve_config.trace.enabled) {
         obs::TailSamplingPolicy policy;
         policy.sample_every = serve_config.trace.sample_every;
-        policy.latency_keep_ns = serve_config.trace.latency_keep_ns;
         obs::RequestTraceCollector::Default().Configure(policy);
     }
     if (serve_config.slo.enabled) {
         if (serve_config.slo.latency_bound_ns > 0) {
-            obs::SloConfig slo;
-            slo.name = "serve_latency";
-            slo.objective = serve_config.slo.latency_objective;
-            slo.fast_window_ns = serve_config.slo.fast_window_ns;
-            slo.slow_window_ns = serve_config.slo.slow_window_ns;
-            engine->latency_slo_ =
-                std::make_unique<obs::SloMonitor>(slo);
+            engine->latency_slo_ = std::make_unique<obs::SloMonitor>(
+                EngineSlo("serve_latency", kServeSloObjective));
         }
         if (serve_config.slo.quality_margin_pct >= 0.0) {
-            obs::SloConfig slo;
-            slo.name = "serve_quality";
-            slo.objective = serve_config.slo.quality_objective;
-            slo.fast_window_ns = serve_config.slo.fast_window_ns;
-            slo.slow_window_ns = serve_config.slo.slow_window_ns;
-            engine->quality_slo_ =
-                std::make_unique<obs::SloMonitor>(slo);
+            engine->quality_slo_ = std::make_unique<obs::SloMonitor>(
+                EngineSlo("serve_quality", kServeSloObjective));
             engine->quality_bound_pct_ =
                 runtime_config.tuner.target_error_pct +
                 serve_config.slo.quality_margin_pct;
@@ -225,10 +232,6 @@ ShardedEngine::Create(const core::Artifact& artifact,
         } else {
             obs::AuditConfig audit_config;
             audit_config.sample_every = audit_opts.sample_every;
-            audit_config.forced_sample_every =
-                audit_opts.forced_sample_every;
-            audit_config.max_elements_per_sample =
-                audit_opts.max_audit_elements;
             audit_config.queue_capacity = audit_opts.queue_capacity;
             audit_config.threads = audit_opts.threads;
             const double margin =
@@ -241,11 +244,8 @@ ShardedEngine::Create(const core::Artifact& artifact,
             audit_config.result_capacity = audit_opts.result_capacity;
             audit_config.shards =
                 static_cast<uint32_t>(serve_config.shards);
-            audit_config.slo_enabled = true;
-            audit_config.slo.name = "audited_quality";
-            audit_config.slo.objective = audit_opts.objective;
-            audit_config.slo.fast_window_ns = audit_opts.fast_window_ns;
-            audit_config.slo.slow_window_ns = audit_opts.slow_window_ns;
+            audit_config.slo =
+                EngineSlo("audited_quality", audit_opts.objective);
             audit_config.slo.min_events = audit_opts.min_events;
             obs::AuditHooks hooks;
             std::shared_ptr<core::ExactReexecutor> shared(
@@ -933,6 +933,8 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
 
     const uint32_t breaker_state =
         static_cast<uint32_t>(report.breaker_state);
+    const bool fault =
+        report.non_finite_outputs > 0 || report.queue_drops > 0;
     // Per-invocation quality SLO event: one verified error per batch.
     // Degraded invocations skip the verify pass, so they have no
     // proxy error to judge — their quality is protected by the
@@ -962,6 +964,19 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
     shard.queue_wait = {};
     obs::StageRecord* const engine_stages = profiling_ ? &stages : nullptr;
 
+    // What every request of the batch shares in its audit offer; each
+    // fills in its own views of the batch buffers below.
+    obs::AuditOffer offer;
+    offer.shard = static_cast<uint32_t>(shard_index);
+    offer.in_width = input_width_;
+    offer.out_width = output_width_;
+    offer.threshold_used = report.threshold_used;
+    offer.reported_error_pct = report.output_error_pct;
+    offer.estimated_error_pct = report.estimated_error_pct;
+    offer.breaker_state = breaker_state;
+    offer.degrade = static_cast<uint32_t>(report.degrade);
+    offer.fault = fault;
+
     const uint64_t done_ns = obs::NowNs();
     size_t offset = 0;
     for (Pending& pending : *batch) {
@@ -985,91 +1000,34 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         }
         served.merge_end_ns = obs::NowNs();
 
-        // Ground-truth audit sampling: a tail decision per request,
-        // made once the outcome is known. Breaker-degraded and
-        // fault-touched requests are always offered; recovered ones
-        // ride a boosted 1-in-M gate (recovery is routine here, not
-        // an anomaly); of the remainder one in N. The digest is
-        // computed before the sample steals the request's input
-        // buffer.
         served.inputs_digest =
             shard.flight == nullptr
                 ? 0
                 : Fnv1a64(pending.request.inputs.data(),
                           pending.request.inputs.size() * sizeof(double));
         served.audited = false;
-        if (capture != nullptr) {
-            // Sample-assembly cost lands on "audit" (the shadow
+        if (auditor_ != nullptr) {
+            // The auditor's sampling decision and its copy of the
+            // audited elements land on "audit" (the shadow
             // re-execution itself is tagged in the audit pool).
             const obs::StageScope audit_scope(
                 obs::ProfileStage::kAudit, engine_stages, /*cpu=*/true);
-            size_t req_fixes = 0;
-            size_t req_exact = 0;
-            for (size_t i = offset; i < offset + count; ++i) {
-                req_fixes += capture->fixed[i] != 0 ? 1 : 0;
-                req_exact += capture->exact_path[i] != 0 ? 1 : 0;
-            }
-            bool forced = false;
-            const char* reason = "sampled";
-            if (report.degrade != core::DegradeMode::kNone) {
-                // Degraded service is exactly the traffic whose
-                // quality nothing else measures (verify skipped,
-                // proxy SLO silent): audit every one.
-                forced = true;
-                reason = "degraded";
-            } else if (req_fixes > 0 &&
-                       auditor_->SampleForcedRecovered()) {
-                forced = true;
-                reason = "recovered";
-            } else if (breaker_state != 0 || req_exact > 0) {
-                forced = true;
-                reason = "breaker";
-            } else if (report.non_finite_outputs > 0 ||
-                       report.queue_drops > 0) {
-                forced = true;
-                reason = "fault";
-            }
-            if (forced || auditor_->SampleHealthy()) {
-                obs::AuditSample sample;
-                sample.trace_id = pending.trace_id;
-                sample.shard = static_cast<uint32_t>(shard_index);
-                sample.forced = forced;
-                sample.forced_reason = reason;
-                sample.count = count;
-                sample.in_width = input_width_;
-                sample.out_width = output_width_;
-                sample.served_outputs = result.outputs;
-                const ptrdiff_t out_lo =
-                    static_cast<ptrdiff_t>(offset * output_width_);
-                const ptrdiff_t out_hi = static_cast<ptrdiff_t>(
-                    (offset + count) * output_width_);
-                sample.approx_outputs.assign(
-                    capture->approx_outputs.begin() + out_lo,
-                    capture->approx_outputs.begin() + out_hi);
-                const ptrdiff_t lo = static_cast<ptrdiff_t>(offset);
-                const ptrdiff_t hi =
-                    static_cast<ptrdiff_t>(offset + count);
-                sample.predicted_error.assign(
-                    capture->predicted_error.begin() + lo,
-                    capture->predicted_error.begin() + hi);
-                sample.fired.assign(capture->fired.begin() + lo,
-                                    capture->fired.begin() + hi);
-                sample.fixed.assign(capture->fixed.begin() + lo,
-                                    capture->fixed.begin() + hi);
-                sample.exact_path.assign(
-                    capture->exact_path.begin() + lo,
-                    capture->exact_path.begin() + hi);
-                sample.threshold_used = report.threshold_used;
-                sample.reported_error_pct = report.output_error_pct;
-                sample.estimated_error_pct =
-                    report.estimated_error_pct;
-                sample.breaker_state = breaker_state;
-                sample.fixes = req_fixes;
-                // The invocation is done and the digest is taken;
-                // the request's input buffer moves into the sample.
-                sample.inputs = std::move(pending.request.inputs);
-                served.audited = auditor_->Enqueue(std::move(sample));
-            }
+            const auto request_part = [offset, count](const auto& whole,
+                                                      size_t width = 1) {
+                return std::span(whole).subspan(offset * width,
+                                                count * width);
+            };
+            offer.trace_id = pending.trace_id;
+            offer.count = count;
+            offer.inputs = pending.request.inputs;
+            offer.served_outputs = result.outputs;
+            offer.approx_outputs =
+                request_part(capture->approx_outputs, output_width_);
+            offer.predicted_error = request_part(capture->predicted_error);
+            offer.fired = request_part(capture->fired);
+            offer.fixed = request_part(capture->fixed);
+            offer.exact_path = request_part(capture->exact_path);
+            served.audited = auditor_->Offer(offer);
         }
         offset += count;
         const uint64_t latency_ns = done_ns - pending.enqueue_ns;
@@ -1104,8 +1062,6 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
             static_cast<uint32_t>(core::BreakerState::kOpen) &&
         shard.last_breaker_state != breaker_state;
     if (shard.flight != nullptr) {
-        const bool fault = report.non_finite_outputs > 0 ||
-                           report.queue_drops > 0;
         if (opened) {
             DumpFlight(shard_index, "breaker_open");
         } else if (fault && !shard.fault_dump_latched) {

@@ -89,8 +89,6 @@ struct ServeConfig {
         bool enabled = true;
         /** Head-sampling rate for unflagged (healthy) traces. */
         uint32_t sample_every = 16;
-        /** Always keep traces at least this slow (0 disables). */
-        uint64_t latency_keep_ns = 0;
     };
     TraceOptions trace;
 
@@ -105,20 +103,17 @@ struct ServeConfig {
     };
     FlightOptions flight;
 
-    /** SLO burn-rate monitoring (obs/slo.h). */
+    /** SLO burn-rate monitoring (obs/slo.h): objective 0.99, and the
+     *  engine's three SLOs share 10 s / 60 s burn windows. */
     struct SloOptions {
         bool enabled = true;
         /** Latency objective: enqueue-to-complete under this bound.
          *  0 disables the latency SLO. */
         uint64_t latency_bound_ns = 100ull * 1000 * 1000;
-        double latency_objective = 0.99;
         /** Quality objective: verified invocation error within
          *  tuner target + this margin (percentage points; negative
          *  disables the quality SLO). */
         double quality_margin_pct = 2.0;
-        double quality_objective = 0.99;
-        uint64_t fast_window_ns = 10ull * 1000 * 1000 * 1000;
-        uint64_t slow_window_ns = 60ull * 1000 * 1000 * 1000;
     };
     SloOptions slo;
 
@@ -135,30 +130,16 @@ struct ServeConfig {
     };
     ProfileOptions profile;
 
-    /** Ground-truth quality auditing (obs/audit.h): shadow exact
-     *  re-execution of sampled invocations on a background pool. */
+    /** Ground-truth quality auditing (obs/audit.h): every served
+     *  request is offered to the auditor, which owns the sampling
+     *  policy and re-executes its picks on a background pool. */
     struct AuditOptions {
         bool enabled = true;
-        /** Healthy invocations audited 1-in-N (0 = forced samples
+        /** Healthy requests audited 1-in-N (0 = forced samples
          *  only). The RUMBA_AUDIT_SAMPLE_N environment variable
          *  overrides this (ParseAuditSampleN); "0" there disables
          *  auditing entirely. */
         size_t sample_every = 16;
-        /** Recovered requests are routine under Rumba's 10-25% fix
-         *  rates, so forcing every one would audit nearly all
-         *  traffic; forced "recovered" candidates ride their own
-         *  1-in-M gate (1 = every one, 0 = never; losers still enter
-         *  the healthy draw). Breaker/fault forcing is unconditional.
-         *  The default holds auditing inside the <5%
-         *  instrumentation-overhead gate. */
-        size_t forced_sample_every = 4;
-        /** Element budget per audited invocation: larger invocations
-         *  are strided down to at most this many audited elements, so
-         *  one audit's exact re-execution cost is bounded no matter
-         *  what batch sizes clients submit (0 = audit every element).
-         *  Together with the forced gate this keeps default-rate
-         *  auditing inside the <5% instrumentation-overhead gate. */
-        size_t max_audit_elements = 128;
         /** Bounded sample queue (overflow drops and counts). */
         size_t queue_capacity = 64;
         /** Background audit threads. */
@@ -172,8 +153,6 @@ struct ServeConfig {
         size_t result_capacity = 256;
         /** Audited-truth SLO (slo.audited_quality.*). */
         double objective = 0.99;
-        uint64_t fast_window_ns = 10ull * 1000 * 1000 * 1000;
-        uint64_t slow_window_ns = 60ull * 1000 * 1000 * 1000;
         uint64_t min_events = 10;
     };
     AuditOptions audit;

@@ -130,12 +130,10 @@ LoadGenerator::LoadGenerator(ShardedEngine& engine,
         std::lock_guard<std::mutex> lock(g_loadgen_registry_mu);
         LoadgenRegistry().push_back(this);
     }
-    // A generator with a JSONL sink is itself a flush sink: arm the
-    // process-wide best-effort flush so a mid-run SIGINT/SIGTERM
-    // still writes the partial report.
-    obs::RegisterFlushHook(&LoadGenerator::FlushAll);
+    // A generator with a JSONL sink is itself a flush sink, so a
+    // mid-run SIGINT/SIGTERM still writes the partial report.
     if (!config_.jsonl_out.empty())
-        obs::InstallSignalFlush();
+        obs::RegisterFlushHook(&LoadGenerator::FlushAll);
 }
 
 LoadGenerator::~LoadGenerator()

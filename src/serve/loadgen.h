@@ -206,7 +206,8 @@ class LoadGenerator {
      * Best-effort flush of every live generator's partial report to
      * its jsonl_out (skipping any whose lock is held — called from a
      * signal handler, so it must never block). Registered with
-     * obs::RegisterFlushHook on first generator construction.
+     * obs::RegisterFlushHook by the first generator constructed with
+     * a jsonl_out.
      */
     static void FlushAll();
 

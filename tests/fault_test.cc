@@ -70,6 +70,14 @@ TEST(FaultPlanTest, SpecRoundTrips)
         EXPECT_EQ(replay.rules[i].fault, plan.rules[i].fault);
         EXPECT_DOUBLE_EQ(replay.rules[i].rate, plan.rules[i].rate);
     }
+    // Seeds past 2^53 keep every bit (they are not read as doubles).
+    for (const uint64_t seed :
+         {9007199254740993ull, 18446744073709551615ull}) {
+        const fault::FaultPlan big =
+            MustParse("seed=" + std::to_string(seed));
+        EXPECT_EQ(big.seed, seed);
+        EXPECT_EQ(MustParse(big.ToSpec()).seed, seed);
+    }
 }
 
 TEST(FaultPlanTest, RejectsMalformedSpecs)
@@ -86,6 +94,15 @@ TEST(FaultPlanTest, RejectsMalformedSpecs)
     EXPECT_FALSE(
         fault::FaultPlan::Parse("npu.output_nan", &plan, &error));
     EXPECT_FALSE(fault::FaultPlan::Parse("seed=abc", &plan, &error));
+    // Rates and params are finite; a seed is plain decimal digits
+    // that fit uint64_t (nan, inf and 1e30 used to cast out of range).
+    for (const char* spec :
+         {"npu.output_nan=nan", "npu.output_stuck=0.1:nan",
+          "npu.output_stuck=0.1:inf", "seed=nan", "seed=inf",
+          "seed=1e30", "seed=-1", "seed=1.5", "seed= 1", "seed=+1",
+          "seed=18446744073709551616"})
+        EXPECT_FALSE(fault::FaultPlan::Parse(spec, &plan, &error))
+            << spec;
     // A null error pointer is allowed.
     EXPECT_FALSE(fault::FaultPlan::Parse("junk", &plan, nullptr));
 }

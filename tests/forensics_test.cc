@@ -12,8 +12,12 @@
 // set, sharing the ticks (and the stream) with a forensics engine.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -575,6 +579,33 @@ TEST(ForensicsEngineTest, StreamingRuntimeAndEngineShareOneSampler)
     EXPECT_EQ(metas, 1u);
     EXPECT_GE(ticks, 1u);
     EXPECT_EQ(samples, ticks);
+}
+
+
+// The forensics dump is a sink that only registers a flush hook: no
+// RUMBA_*_OUT variable is set, yet SIGTERM must still write the
+// retained tsdb rings into RUMBA_INCIDENT_DIR before the process dies.
+TEST(ForensicsSignalFlushTest, SigtermFlushesTsdbIntoTheIncidentDir)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string dir = ::testing::TempDir() + "sigterm_flush";
+    mkdir(dir.c_str(), 0755);
+    const std::string flushed = dir + "/tsdb-flush.jsonl";
+    std::remove(flushed.c_str());
+    EXPECT_EXIT(
+        {
+            for (const char* var :
+                 {"RUMBA_METRICS_OUT", "RUMBA_TRACE_OUT",
+                  "RUMBA_REQTRACE_OUT", "RUMBA_AUDIT_OUT",
+                  "RUMBA_STREAM_OUT", "RUMBA_TSDB_PERIOD_MS"})
+                unsetenv(var);
+            setenv("RUMBA_INCIDENT_DIR", dir.c_str(), 1);
+            obs::TsdbSampler::Acquire();
+            std::raise(SIGTERM);
+        },
+        ::testing::KilledBySignal(SIGTERM), "");
+    EXPECT_EQ(access(flushed.c_str(), F_OK), 0) << flushed;
+    std::remove(flushed.c_str());
 }
 
 }  // namespace

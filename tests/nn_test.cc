@@ -46,6 +46,21 @@ TEST(TopologyTest, TwoLayerMinimum)
     EXPECT_EQ(t.MacsPerInvocation(), 2u * 4u);
 }
 
+TEST(TopologyTest, TryParseTakesOnlyWholeBoundedTokens)
+{
+    for (const char* bad :
+         {"", "4", "4x->8->1", "6->8->1junk", "2-> 3", " 2->3", "+2->3",
+          "-2->3", "2->0", "4->8->", "->4->8", "4-->8", "1->4097->1",
+          "1->4000000000->1", "1->99999999999999999999->1",
+          "1->1->1->1->1->1->1->1->1->1->1->1->1->1->1->1->1"})
+        EXPECT_FALSE(Topology::TryParse(bad).has_value()) << bad;
+    ASSERT_TRUE(Topology::TryParse("1->4096->1").has_value());
+    const std::optional<Topology> deep = Topology::TryParse(
+        "1->1->1->1->1->1->1->1->1->1->1->1->1->1->1->1");
+    ASSERT_TRUE(deep.has_value());
+    EXPECT_EQ(deep->layers.size(), Topology::kMaxLayers);
+}
+
 // ------------------------------------------------------------ Activation
 
 TEST(ActivationTest, SigmoidValues)

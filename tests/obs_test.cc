@@ -474,18 +474,24 @@ void
 UserSigtermHandler(int)
 {
 }
+
+void
+NoFlush()
+{
+}
 }  // namespace
 
 TEST(SignalFlushTest, NeverDisplacesAnApplicationHandler)
 {
     // An application that installed its own SIGTERM handler must keep
-    // it; the flush only ever claims SIG_DFL dispositions.
+    // it; the flush a registered hook arms only ever claims SIG_DFL
+    // dispositions.
     struct sigaction user {};
     user.sa_handler = UserSigtermHandler;
     sigemptyset(&user.sa_mask);
     ASSERT_EQ(sigaction(SIGTERM, &user, nullptr), 0);
 
-    InstallSignalFlush();
+    ASSERT_TRUE(RegisterFlushHook(&NoFlush));
 
     struct sigaction after {};
     ASSERT_EQ(sigaction(SIGTERM, nullptr, &after), 0);

@@ -1,12 +1,15 @@
 // Seeded mutation loop over the hand-written parsers outside
 // rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_TRACE_RING_CAPACITY,
-// RUMBA_PROFILE_HZ and RUMBA_AUDIT_SAMPLE_N parsers, and the route
-// query parser behind /tsdbz and /incidentz. Valid seeds are mutated
-// by truncation and bit flips (fault/corrupt.h), signs, exponents and
-// special values, leading spaces and trailing garbage; every result
-// must lie in its parser's documented range or be its documented
-// default or off value. The loop is deterministic, so a failure
-// replays; ci.sh also runs it under ASan/UBSan.
+// RUMBA_PROFILE_HZ and RUMBA_AUDIT_SAMPLE_N parsers, the route query
+// parser behind /tsdbz and /incidentz, and the external-input parsers
+// of fault plans, topologies, MLP blobs and deployment artifacts.
+// Valid seeds are mutated by truncation and bit flips
+// (fault/corrupt.h), signs, exponents and special values, leading
+// spaces and trailing garbage; every result must lie in its parser's
+// documented range or be its documented default or off value, and
+// the structured parsers must return a typed failure or a valid
+// object. The loop is deterministic, so a failure replays; ci.sh also
+// runs it under ASan/UBSan.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +22,15 @@
 #include <string>
 #include <vector>
 
+#include "apps/benchmark.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/artifact.h"
+#include "core/runtime.h"
 #include "fault/corrupt.h"
+#include "fault/plan.h"
+#include "nn/mlp.h"
+#include "nn/topology.h"
 #include "obs/http_exporter.h"
 #include "obs/incident.h"
 #include "obs/profiler.h"
@@ -228,6 +237,149 @@ TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
                 << query;
         }
     }
+}
+
+TEST_F(ParserFuzzTest, FaultPlanParseIsTypedOrValid)
+{
+    const std::vector<std::string> inputs = Mutants(
+        {"seed=42;npu.output_nan=0.01;npu.bitflip=0.002;"
+         "npu.output_stuck=0.5:1.25;queue.stall=1",
+         "seed=18446744073709551615;checker.mispredict=0.1",
+         "npu.lut=0.5;artifact.truncate=1:0.25", ""},
+        3);
+    size_t valid = 0;
+    for (const std::string& spec : inputs) {
+        fault::FaultPlan plan;
+        std::string error;
+        if (!fault::FaultPlan::Parse(spec, &plan, &error)) {
+            EXPECT_FALSE(error.empty()) << spec;
+            continue;
+        }
+        for (const fault::FaultRule& rule : plan.rules) {
+            EXPECT_TRUE(rule.rate >= 0.0 && rule.rate <= 1.0) << spec;
+            EXPECT_TRUE(std::isfinite(rule.param)) << spec;
+        }
+        // A valid plan renders to a spec that parses back to it.
+        fault::FaultPlan replay;
+        ASSERT_TRUE(fault::FaultPlan::Parse(plan.ToSpec(), &replay,
+                                            &error))
+            << spec << ": " << error;
+        EXPECT_EQ(replay.seed, plan.seed) << spec;
+        ASSERT_EQ(replay.rules.size(), plan.rules.size()) << spec;
+        for (size_t i = 0; i < plan.rules.size(); ++i) {
+            EXPECT_EQ(replay.rules[i].fault, plan.rules[i].fault) << spec;
+            EXPECT_EQ(replay.rules[i].rate, plan.rules[i].rate) << spec;
+            EXPECT_EQ(replay.rules[i].param, plan.rules[i].param) << spec;
+        }
+        ++valid;
+    }
+    EXPECT_GT(valid, 0u);  // the valid-object branch ran.
+}
+
+TEST_F(ParserFuzzTest, TopologyTryParseIsBoundedOrRefused)
+{
+    const std::vector<std::string> inputs = Mutants(
+        {"6->8->4->1", "64->16->64", "18->32->8->2", "1->4096->1"}, 4);
+    size_t valid = 0;
+    for (const std::string& text : inputs) {
+        const std::optional<nn::Topology> topo =
+            nn::Topology::TryParse(text);
+        if (!topo.has_value())
+            continue;
+        EXPECT_GE(topo->layers.size(), 2u) << text;
+        EXPECT_LE(topo->layers.size(), nn::Topology::kMaxLayers) << text;
+        for (const size_t width : topo->layers)
+            EXPECT_TRUE(width >= 1 && width <= nn::Topology::kMaxWidth)
+                << text;
+        EXPECT_EQ(nn::Topology::TryParse(topo->ToString()), topo) << text;
+        ++valid;
+    }
+    EXPECT_GT(valid, 0u);  // the valid-object branch ran.
+}
+
+TEST_F(ParserFuzzTest, MlpTryDeserializeIsTypedOrValid)
+{
+    Rng rng(7);
+    nn::Mlp mlp(nn::Topology::Parse("2->4->2"), nn::Activation::kTanh,
+                nn::Activation::kLinear);
+    mlp.RandomizeWeights(&rng);
+    size_t valid = 0;
+    // The second seed names 4096 x 4097 weights in a 40-byte blob: it
+    // and its mutants must be refused before the weights are
+    // allocated.
+    for (const std::string& blob :
+         Mutants({mlp.Serialize(), "mlp 1->4096->4096\nlayer sigmoid 1 2\n"},
+                 5)) {
+        const std::optional<nn::Mlp> parsed = nn::Mlp::TryDeserialize(blob);
+        if (!parsed.has_value())
+            continue;
+        EXPECT_EQ(parsed->NumParameters(),
+                  parsed->GetTopology().MacsPerInvocation());
+        EXPECT_LE(parsed->NumParameters(), blob.size() / 2);
+        // A valid network re-serializes to a blob that parses to it.
+        const std::string again = parsed->Serialize();
+        const std::optional<nn::Mlp> reparsed =
+            nn::Mlp::TryDeserialize(again);
+        ASSERT_TRUE(reparsed.has_value()) << again;
+        EXPECT_EQ(reparsed->Serialize(), again);
+        ++valid;
+    }
+    EXPECT_GT(valid, 0u);  // the valid-object branch ran.
+}
+
+/** A real deployment blob (v2, with the optional compensator
+ *  section): inversek2j trained briefly. */
+const std::string&
+ArtifactBlob()
+{
+    static const std::string blob = [] {
+        core::RumbaRuntime trained(
+            apps::MakeBenchmark("inversek2j"),
+            core::RuntimeConfig::Builder()
+                .WithTrainEpochs(5)
+                .WithElementCaps(200, 100)
+                .WithCompensation()
+                .Build());
+        return trained.ExportArtifact().ToString();
+    }();
+    return blob;
+}
+
+TEST_F(ParserFuzzTest, ArtifactTryFromStringIsTypedOrValid)
+{
+    const std::string& v2 = ArtifactBlob();
+    // The same payload under a v1 header, which carries no checksum:
+    // its mutants reach the record and section readers.
+    const size_t payload_at = v2.find('\n', v2.find('\n') + 1) + 1;
+    const std::string v1 = "rumba-artifact v1\n" + v2.substr(payload_at);
+    ASSERT_TRUE(core::Artifact::TryFromString(v2).ok());
+    ASSERT_TRUE(core::Artifact::TryFromString(v1).ok());
+    size_t valid = 0;
+    for (const std::string& text : Mutants({v2, v1}, 6)) {
+        const core::Result<core::Artifact> parsed =
+            core::Artifact::TryFromString(text);
+        if (!parsed.ok()) {
+            EXPECT_EQ(parsed.status().code(), core::StatusCode::kDataLoss);
+            continue;
+        }
+        // A valid artifact renders to a blob that parses back, and its
+        // networks load or are refused like any MLP blob.
+        const core::Result<core::Artifact> again =
+            core::Artifact::TryFromString(parsed->ToString());
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        EXPECT_EQ(again->benchmark, parsed->benchmark);
+        EXPECT_EQ(again->threshold, parsed->threshold);
+        for (const std::string* net :
+             {&parsed->rumba_mlp, &parsed->npu_mlp}) {
+            const std::optional<nn::Mlp> mlp =
+                nn::Mlp::TryDeserialize(*net);
+            if (mlp.has_value()) {
+                EXPECT_LE(mlp->NumParameters(), net->size() / 2);
+            }
+        }
+        ++valid;
+    }
+    EXPECT_GT(valid, 0u);  // the valid-object branch ran.
 }
 
 }  // namespace

@@ -514,6 +514,15 @@ TEST(RuntimePassTest, EachPassLeavesOneSpanInOrder)
         previous_end = pass->start_ns + pass->duration_ns;
         EXPECT_LE(previous_end, end) << name;
     }
+    // The passes bracket the per-element work: no element or fix opens
+    // a span of its own.
+    for (const obs::SpanRecord& span : spans) {
+        for (const char* name : {"npu.invoke", "detector.check",
+                                 "recovery.compensate",
+                                 "recovery.reexecute"})
+            EXPECT_NE(span.name, name);
+    }
+    EXPECT_LT(spans.size(), 256u);
 }
 
 TEST(RuntimePassTest, StageRecordClocksEachPassOnlyWhenAsked)

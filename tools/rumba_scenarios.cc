@@ -752,10 +752,8 @@ main(int argc, char** argv)
         std::lock_guard<std::mutex> lock(Sink().mu);
         Sink().path = out_path;
     }
-    if (!out_path.empty()) {
+    if (!out_path.empty())
         rumba::obs::RegisterFlushHook(&FlushScenarioResults);
-        rumba::obs::InstallSignalFlush();
-    }
 
     const char* fault_env = std::getenv("RUMBA_FAULT_PLAN");
     const bool external_plan =
