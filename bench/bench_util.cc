@@ -110,16 +110,10 @@ EmitMetrics(const std::string& csv_dir, const std::string& name)
     if (!csv_dir.empty()) {
         const std::string path =
             csv_dir + "/" + name + ".metrics.csv";
-        const std::string body =
-            "# " + obs::MetadataJsonLine() + "\n" + obs::ToCsv(snap);
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
-            Warn("could not write %s", path.c_str());
-        } else {
-            std::fwrite(body.data(), 1, body.size(), f);
-            std::fclose(f);
+        if (obs::WriteMetricsFile(path))
             Inform("wrote %s", path.c_str());
-        }
+        else
+            Warn("could not write %s", path.c_str());
     }
 }
 

@@ -63,14 +63,14 @@ deploy_pid=$!
 # The server comes up at main(); wait for it, then for the serving
 # engine's /statusz provider (live during the obs drill + linger).
 for _ in $(seq 1 150); do
-    if curl -sf "http://127.0.0.1:$obs_port/healthz" \
+    if curl -sf --max-time 10 "http://127.0.0.1:$obs_port/healthz" \
         > /dev/null 2>&1; then break; fi
     sleep 0.2
 done
-curl -sf "http://127.0.0.1:$obs_port/healthz" | grep -q '^ok$'
+curl -sf --max-time 10 "http://127.0.0.1:$obs_port/healthz" | grep -q '^ok$'
 statusz=""
 for _ in $(seq 1 300); do
-    statusz=$(curl -sf "http://127.0.0.1:$obs_port/statusz" \
+    statusz=$(curl -sf --max-time 10 "http://127.0.0.1:$obs_port/statusz" \
         2>/dev/null || true)
     if [[ "$statusz" == *'"shards"'* ]]; then break; fi
     sleep 0.2
@@ -79,7 +79,7 @@ done
     { echo "statusz never showed the serving engine"; exit 1; }
 # Live exposition: valid Prometheus text carrying the serve.* and
 # slo.* series, both straight off the socket and from a saved copy.
-curl -sf "http://127.0.0.1:$obs_port/metrics" > build/deploy_scrape.prom
+curl -sf --max-time 10 "http://127.0.0.1:$obs_port/metrics" > build/deploy_scrape.prom
 grep -q '^rumba_serve_submitted_total' build/deploy_scrape.prom
 grep -q '^rumba_slo_serve_quality_fast_burn_rate' build/deploy_scrape.prom
 grep -q '^rumba_serve_shard0_threshold' build/deploy_scrape.prom
@@ -97,7 +97,7 @@ awk '/^rumba_recovery_tier_compensate_total/ { if ($NF + 0 > 0) f = 1 }
 awk '/^rumba_recovery_tier_reexecute_total/ { if ($NF + 0 > 0) f = 1 }
      END { exit !f }' build/deploy_scrape.prom
 # Build identity must be scrapeable next to the metrics.
-curl -sf "http://127.0.0.1:$obs_port/buildz" | grep -q '"git_describe"'
+curl -sf --max-time 10 "http://127.0.0.1:$obs_port/buildz" | grep -q '"git_describe"'
 # Cost profiler: the engine must have attributed real CPU to the
 # device and predict-check stages, and the online efficiency
 # estimator must publish a finite, positive speedup.
@@ -111,7 +111,7 @@ awk '/^rumba_efficiency_speedup_estimate/ \
 # /profilez: live stage shares + efficiency estimate, gated against
 # the checked-in baseline (speedup lower-is-worse, energy ratio
 # higher-is-worse; the tolerance absorbs drill-phase timing).
-curl -sf "http://127.0.0.1:$obs_port/profilez" \
+curl -sf --max-time 10 "http://127.0.0.1:$obs_port/profilez" \
     > build/deploy_profilez.json
 grep -q '"schema_version":1' build/deploy_profilez.json
 ./build/tools/rumba-stat profile build/deploy_profilez.json \
@@ -121,7 +121,7 @@ grep -q '"schema_version":1' build/deploy_profilez.json
 # the serve-latency p99 series with at least two retained points (the
 # sampler has been ticking since the engine came up).
 for _ in $(seq 1 100); do
-    curl -sf "http://127.0.0.1:$obs_port/tsdbz?prefix=serve.enqueue_to_complete_ns.p99&range_ms=600000" \
+    curl -sf --max-time 10 "http://127.0.0.1:$obs_port/tsdbz?prefix=serve.enqueue_to_complete_ns.p99&range_ms=600000" \
         > build/deploy_tsdbz.json || true
     if awk 'match($0, /"points":[0-9]+/) \
             { if (substr($0, RSTART + 9, RLENGTH - 9) + 0 >= 2) f = 1 }
@@ -140,7 +140,7 @@ awk 'match($0, /"points":[0-9]+/) \
 # phases into the deploy, so poll until the manager lists one rather
 # than racing it with a single scrape.
 for _ in $(seq 1 300); do
-    curl -sf "http://127.0.0.1:$obs_port/incidentz" \
+    curl -sf --max-time 10 "http://127.0.0.1:$obs_port/incidentz" \
         > build/deploy_incidentz.json || true
     if awk 'match($0, /"count":[0-9]+/) \
             { if (substr($0, RSTART + 8, RLENGTH - 8) + 0 >= 1) f = 1 }

@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <thread>
 
@@ -192,12 +191,9 @@ main()
     const char* kCorruptPath = "inversek2j.corrupt.rumba";
     std::string corrupt_blob = artifact.ToString();
     fault::TruncateBlob(&corrupt_blob, /*keep_fraction=*/0.6);
-    {
-        std::ofstream out(kCorruptPath);
-        out << corrupt_blob;
-    }
+    const bool corrupt_written = obs::WriteFile(kCorruptPath, corrupt_blob);
     const auto damaged = core::Artifact::TryLoad(kCorruptPath);
-    const bool corrupt_rejected = !damaged.ok();
+    const bool corrupt_rejected = corrupt_written && !damaged.ok();
     std::remove(kCorruptPath);
     if (corrupt_rejected) {
         std::printf("\n[fault] warning: artifact rejected (%s); "
@@ -211,6 +207,8 @@ main()
                                       exact_out.data());
         std::printf("[fault] served %zu elements exactly from the "
                     "fallback path\n", kServeBatch);
+    } else if (!corrupt_written) {
+        std::printf("\n[fault] ERROR: could not write %s\n", kCorruptPath);
     } else {
         std::printf("\n[fault] ERROR: truncated artifact was accepted "
                     "— checksum verification failed to catch it\n");

@@ -123,25 +123,25 @@ Normalizer::Serialize() const
     return out.str();
 }
 
-Normalizer
-Normalizer::Deserialize(const std::string& blob)
+std::optional<Normalizer>
+Normalizer::TryDeserialize(const std::string& blob)
 {
     std::istringstream in(blob);
     std::string tag;
     size_t arity = 0;
     in >> tag >> arity;
-    if (tag != "norm")
-        Fatal("normalizer blob missing 'norm' header");
+    // Every bound takes at least two characters (" v"), two per
+    // feature.
+    if (tag != "norm" || in.fail() || arity > blob.size() / 4)
+        return std::nullopt;
     Normalizer n;
     n.lo_.resize(arity);
     n.hi_.resize(arity);
-    for (auto& v : n.lo_) {
-        if (!(in >> v))
-            Fatal("normalizer blob truncated");
-    }
-    for (auto& v : n.hi_) {
-        if (!(in >> v))
-            Fatal("normalizer blob truncated");
+    for (std::vector<double>* bounds : {&n.lo_, &n.hi_}) {
+        for (double& v : *bounds) {
+            if (!(in >> v))
+                return std::nullopt;
+        }
     }
     return n;
 }

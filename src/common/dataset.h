@@ -9,6 +9,7 @@
  */
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,8 +104,11 @@ class Normalizer {
     /** Serialize ranges to a one-line text record. */
     std::string Serialize() const;
 
-    /** Rebuild from Serialize() output; fatal on malformed input. */
-    static Normalizer Deserialize(const std::string& blob);
+    /** Rebuild from Serialize() output; nullopt when malformed. A
+     *  blob too short for the arity it declares is refused before the
+     *  bounds are allocated. */
+    static std::optional<Normalizer> TryDeserialize(
+        const std::string& blob);
 
   private:
     void Fit(const std::vector<std::vector<double>>& rows);

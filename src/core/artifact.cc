@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/fnv.h"
+#include "obs/export.h"
 
 namespace rumba::core {
 
@@ -156,11 +157,7 @@ Artifact::TryFromString(const std::string& text)
 bool
 Artifact::Save(const std::string& path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << ToString();
-    return static_cast<bool>(out);
+    return obs::WriteFile(path, ToString());
 }
 
 Result<Artifact>

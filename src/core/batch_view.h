@@ -7,8 +7,8 @@
  * point takes a BatchView — `count` elements of `width` doubles laid
  * out contiguously — so a host application (or the serving engine's
  * request buffers) can stream work through the runtime without
- * building a vector<vector<double>> per batch. The legacy
- * vector-of-vectors overload packs into this form and forwards.
+ * building a vector<vector<double>> per batch; FlattenBatch packs a
+ * vector-of-vectors batch into this form for callers that hold one.
  */
 
 #include <cstddef>

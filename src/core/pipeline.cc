@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "core/artifact.h"
@@ -33,6 +34,17 @@ Ready(nn::Mlp mlp)
     std::promise<nn::Mlp> promise;
     promise.set_value(std::move(mlp));
     return promise.get_future().share();
+}
+
+/** @p parsed, or death on a malformed artifact section (which
+ *  RumbaRuntime::FromArtifact refuses first). */
+template <typename T>
+T
+Parsed(std::optional<T> parsed)
+{
+    if (!parsed.has_value())
+        Fatal("malformed artifact section");
+    return *std::move(parsed);
 }
 
 }  // namespace
@@ -130,10 +142,10 @@ Pipeline::Pipeline(std::unique_ptr<apps::Benchmark> bench,
     Cap(&train_inputs_, config_.max_train_elements);
     Cap(&test_inputs_, config_.max_test_elements);
 
-    in_norm_ = Normalizer::Deserialize(artifact.in_norm);
-    out_norm_ = Normalizer::Deserialize(artifact.out_norm);
-    rumba_mlp_ = nn::Mlp::Deserialize(artifact.rumba_mlp);
-    npu_mlp_ = Ready(nn::Mlp::Deserialize(artifact.npu_mlp));
+    in_norm_ = Parsed(Normalizer::TryDeserialize(artifact.in_norm));
+    out_norm_ = Parsed(Normalizer::TryDeserialize(artifact.out_norm));
+    rumba_mlp_ = Parsed(nn::Mlp::TryDeserialize(artifact.rumba_mlp));
+    npu_mlp_ = Ready(Parsed(nn::Mlp::TryDeserialize(artifact.npu_mlp)));
     RUMBA_CHECK(rumba_mlp_->GetTopology().NumInputs() ==
                 bench_->NumInputs());
     RUMBA_CHECK(rumba_mlp_->GetTopology().NumOutputs() ==

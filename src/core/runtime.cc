@@ -4,6 +4,7 @@
 #include <cmath>
 #include <future>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "fault/injector.h"
@@ -242,6 +243,67 @@ RumbaRuntime::CalibrateThreshold(double target_error_pct)
     return std::max(scores[order[hi - 1]], config_.tuner.min_threshold);
 }
 
+namespace {
+
+/**
+ * Parse every section of @p artifact and check it against @p bench,
+ * so the artifact constructors' dying parsers only ever see sections
+ * that passed here: kDataLoss when one does not parse,
+ * kFailedPrecondition when its arity does not fit the kernel.
+ */
+Status
+ValidateSections(const Artifact& artifact, const apps::Benchmark& bench)
+{
+    const size_t in = bench.NumInputs();
+    const size_t out = bench.NumOutputs();
+    const auto check = [&](const char* section, bool parsed, bool fits) {
+        if (!parsed)
+            return Status(StatusCode::kDataLoss,
+                          std::string("artifact ") + section +
+                              " section is malformed");
+        if (!fits)
+            return Status(StatusCode::kFailedPrecondition,
+                          std::string("artifact ") + section +
+                              " arity does not match kernel '" +
+                              artifact.benchmark + "'");
+        return Status::Ok();
+    };
+    const auto mlp = [&](const char* section, const std::string& blob) {
+        const std::optional<nn::Mlp> net = nn::Mlp::TryDeserialize(blob);
+        return check(section, net.has_value(),
+                     net && net->GetTopology().NumInputs() == in &&
+                         net->GetTopology().NumOutputs() == out);
+    };
+    const auto norm = [&](const char* section, const std::string& blob,
+                          size_t arity) {
+        const std::optional<Normalizer> n = Normalizer::TryDeserialize(blob);
+        return check(section, n.has_value(), n && n->Arity() == arity);
+    };
+    const std::unique_ptr<predict::ErrorPredictor> predictor =
+        predict::TryDeserializePredictor(artifact.predictor);
+    for (Status status :
+         {mlp("rumba_mlp", artifact.rumba_mlp),
+          mlp("npu_mlp", artifact.npu_mlp),
+          norm("in_norm", artifact.in_norm, in),
+          norm("out_norm", artifact.out_norm, out),
+          check("predictor", predictor != nullptr,
+                predictor && predictor->FitsKernel(in, out))}) {
+        if (!status.ok())
+            return status;
+    }
+    if (artifact.compensator.empty())
+        return Status::Ok();
+    const Result<predict::Compensator> compensator =
+        predict::Compensator::TryDeserialize(artifact.compensator);
+    if (!compensator.ok())
+        return compensator.status();
+    return check("compensator", true,
+                 compensator->InputArity() == in + out &&
+                     compensator->OutputArity() == out);
+}
+
+}  // namespace
+
 Result<std::unique_ptr<RumbaRuntime>>
 RumbaRuntime::FromArtifact(const Artifact& artifact,
                            const RuntimeConfig& config)
@@ -252,19 +314,8 @@ RumbaRuntime::FromArtifact(const Artifact& artifact,
                       "artifact names unknown benchmark '" +
                           artifact.benchmark + "'");
     }
-    if (predict::TryDeserializePredictor(artifact.predictor) ==
-        nullptr) {
-        return Status(StatusCode::kDataLoss,
-                      "artifact carries an unrecognized checker blob");
-    }
-    const nn::Mlp probe = nn::Mlp::Deserialize(artifact.rumba_mlp);
-    if (probe.GetTopology().NumInputs() != bench->NumInputs() ||
-        probe.GetTopology().NumOutputs() != bench->NumOutputs()) {
-        return Status(
-            StatusCode::kFailedPrecondition,
-            "artifact network arity does not match kernel '" +
-                artifact.benchmark + "'");
-    }
+    if (Status status = ValidateSections(artifact, *bench); !status.ok())
+        return status;
     if (!std::isfinite(artifact.threshold)) {
         return Status(StatusCode::kFailedPrecondition,
                       "artifact threshold is not finite");
@@ -277,20 +328,6 @@ RumbaRuntime::FromArtifact(const Artifact& artifact,
             ValidateRecoveryPolicyConfig(config.recovery_policy);
         !status.ok()) {
         return status;
-    }
-    if (!artifact.compensator.empty()) {
-        const Result<predict::Compensator> compensator =
-            predict::Compensator::TryDeserialize(artifact.compensator);
-        if (!compensator.ok())
-            return compensator.status();
-        if (compensator->InputArity() !=
-                bench->NumInputs() + bench->NumOutputs() ||
-            compensator->OutputArity() != bench->NumOutputs()) {
-            return Status(
-                StatusCode::kFailedPrecondition,
-                "artifact compensator arity does not match kernel '" +
-                    artifact.benchmark + "'");
-        }
     }
     return std::unique_ptr<RumbaRuntime>(
         new RumbaRuntime(artifact, config));

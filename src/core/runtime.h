@@ -345,19 +345,21 @@ class RumbaRuntime {
      * the networks, normalizers, checker and threshold all come from
      * @p artifact. config.checker and config.initial_threshold are
      * ignored. Checked-fatal on an artifact that names an unknown
-     * kernel or carries an unrecognized checker blob — use
-     * FromArtifact() where the artifact is external input.
+     * kernel or carries a malformed section — use FromArtifact()
+     * where the artifact is external input.
      */
     RumbaRuntime(const struct Artifact& artifact,
                  const RuntimeConfig& config);
 
     /**
-     * Fallible artifact construction: validates that the artifact
-     * names a known kernel (kNotFound), carries a recognizable
-     * checker blob (kDataLoss) and a network matching the kernel's
-     * arity (kFailedPrecondition) before bringing the system up. The
-     * artifact is only read — a serving engine instantiates every
-     * shard's replica from one shared Artifact.
+     * Fallible artifact construction: before constructing anything it
+     * validates that the artifact names a known kernel (kNotFound),
+     * that each of its six sections (both networks, both normalizers,
+     * the checker and the optional compensator) parses (kDataLoss)
+     * and matches the kernel's arity (kFailedPrecondition), and that
+     * the threshold and @p config are sane. The artifact is only read
+     * — a serving engine instantiates every shard's replica from one
+     * shared Artifact.
      */
     static Result<std::unique_ptr<RumbaRuntime>> FromArtifact(
         const struct Artifact& artifact, const RuntimeConfig& config);

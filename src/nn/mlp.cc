@@ -75,15 +75,6 @@ Mlp::Serialize() const
     return out.str();
 }
 
-Mlp
-Mlp::Deserialize(const std::string& blob)
-{
-    std::optional<Mlp> mlp = TryDeserialize(blob);
-    if (!mlp.has_value())
-        Fatal("malformed MLP blob");
-    return *std::move(mlp);
-}
-
 std::optional<Mlp>
 Mlp::TryDeserialize(const std::string& blob)
 {

@@ -75,16 +75,9 @@ class Mlp {
     /** Serialize topology + weights to a line-oriented text blob. */
     std::string Serialize() const;
 
-    /**
-     * Recreate an MLP from Serialize() output. Fatal on malformed
-     * input (serialized models ship inside the binary, so corruption
-     * is a build bug, not user error).
-     */
-    static Mlp Deserialize(const std::string& blob);
-
-    /** Deserialize() that reports a malformed blob instead of dying —
-     *  for model text that arrives as external data (deployment
-     *  artifacts), where corruption is an input error. */
+    /** Recreate an MLP from Serialize() output; nullopt when the blob
+     *  is malformed (model text arrives as external data in
+     *  deployment artifacts, where corruption is an input error). */
     static std::optional<Mlp> TryDeserialize(const std::string& blob);
 
   private:

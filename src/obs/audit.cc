@@ -1,11 +1,8 @@
 #include "obs/audit.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/export.h"
@@ -33,6 +30,31 @@ WithDefaultName(SloConfig slo)
     if (slo.name.empty() || slo.name == "objective")
         slo.name = "audited_quality";
     return slo;
+}
+
+/** Write @p auditor's labeled export to RUMBA_AUDIT_OUT. The path
+ *  written, or "" when the variable is unset or the write failed
+ *  (after a warning). */
+std::string
+WriteAuditOut(const QualityAuditor& auditor)
+{
+    const char* path = std::getenv("RUMBA_AUDIT_OUT");
+    if (path == nullptr || path[0] == '\0')
+        return "";
+    if (!WriteFile(path, auditor.ExportJsonl())) {
+        Warn("RUMBA_AUDIT_OUT: could not write %s", path);
+        return "";
+    }
+    return path;
+}
+
+/** The RUMBA_AUDIT_OUT flush hook: the live auditor's export. */
+void
+FlushLiveAuditor()
+{
+    std::lock_guard<std::mutex> lock(g_live_mu);
+    if (g_live != nullptr)
+        WriteAuditOut(*g_live);
 }
 
 /** One 1-in-@p every draw on @p seen (never when @p every is 0). */
@@ -116,6 +138,9 @@ QualityAuditor::QualityAuditor(const AuditConfig& config,
         std::lock_guard<std::mutex> lock(g_live_mu);
         g_live = this;
     }
+    if (const char* path = std::getenv("RUMBA_AUDIT_OUT");
+        path != nullptr && path[0] != '\0')
+        RegisterFlushHook(&FlushLiveAuditor);
 }
 
 QualityAuditor::~QualityAuditor()
@@ -596,52 +621,12 @@ QualityAuditor::Shutdown()
             g_live = nullptr;
     }
     // Final labeled-data export while the results are still alive;
-    // the at-exit hook finds no live auditor afterwards and leaves
+    // the flush hook finds no live auditor afterwards and leaves
     // this file untouched.
-    const char* path = std::getenv("RUMBA_AUDIT_OUT");
-    if (path != nullptr && path[0] != '\0') {
-        const std::string body = ExportJsonl();
-        std::FILE* f = std::fopen(path, "w");
-        if (f == nullptr) {
-            Warn("RUMBA_AUDIT_OUT: cannot open %s: %s", path,
-                 std::strerror(errno));
-            return;
-        }
-        const size_t written =
-            std::fwrite(body.data(), 1, body.size(), f);
-        if (std::fclose(f) != 0 || written != body.size())
-            Warn("RUMBA_AUDIT_OUT: short write to %s", path);
-        else
-            Inform("RUMBA_AUDIT_OUT: wrote labeled audits to %s",
-                   path);
-    }
-}
-
-std::string
-ExportAuditIfConfigured()
-{
-    const char* path = std::getenv("RUMBA_AUDIT_OUT");
-    if (path == nullptr || path[0] == '\0')
-        return "";
-    std::string body;
-    {
-        std::lock_guard<std::mutex> lock(g_live_mu);
-        if (g_live == nullptr)
-            return "";
-        body = g_live->ExportJsonl();
-    }
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        Warn("RUMBA_AUDIT_OUT: cannot open %s: %s", path,
-             std::strerror(errno));
-        return "";
-    }
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    if (std::fclose(f) != 0 || written != body.size()) {
-        Warn("RUMBA_AUDIT_OUT: short write to %s", path);
-        return "";
-    }
-    return path;
+    const std::string path = WriteAuditOut(*this);
+    if (!path.empty())
+        Inform("RUMBA_AUDIT_OUT: wrote labeled audits to %s",
+               path.c_str());
 }
 
 }  // namespace rumba::obs

@@ -230,9 +230,10 @@ struct AuditorStats {
  * Background ground-truth auditor and the one owner of the audit
  * sampling policy. Thread-safe: serving workers call Offer()
  * concurrently with the audit pool and with Shutdown(). Construction
- * registers the instance as the process's live auditor (consulted by
- * the RUMBA_AUDIT_OUT at-exit/signal export); Shutdown() deregisters
- * it and writes the export itself.
+ * registers the instance as the process's live auditor and, when
+ * RUMBA_AUDIT_OUT is set, the flush hook (obs/export.h) that writes
+ * the live auditor's export at exit and on SIGINT/SIGTERM; Shutdown()
+ * deregisters it and writes the export itself.
  */
 class QualityAuditor {
   public:
@@ -375,14 +376,6 @@ class QualityAuditor {
     std::vector<Gauge*> obs_shard_precision_;
     std::vector<Gauge*> obs_shard_recall_;
 };
-
-/**
- * Honor RUMBA_AUDIT_OUT: when the variable names a file and a live
- * auditor exists, write its labeled JSONL export there and return the
- * path; otherwise return "". Wired into the at-exit/signal telemetry
- * flush (obs/export.h) and called by QualityAuditor::Shutdown().
- */
-std::string ExportAuditIfConfigured();
 
 }  // namespace rumba::obs
 

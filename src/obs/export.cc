@@ -1,10 +1,12 @@
 #include "obs/export.h"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,7 +15,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/reqtrace.h"
@@ -286,6 +287,27 @@ ToTable(const RegistrySnapshot& snapshot)
 }
 
 bool
+WriteFile(const std::string& path, std::string_view body)
+{
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0666);
+    if (fd < 0)
+        return false;
+    size_t written = 0;
+    while (written < body.size()) {
+        const ssize_t n = ::write(fd, body.data() + written,
+                                  body.size() - written);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        written += static_cast<size_t>(n);
+    }
+    return ::close(fd) == 0 && written == body.size();
+}
+
+bool
 WriteMetricsFile(const std::string& path)
 {
     const RegistrySnapshot snapshot = Registry::Default().Snapshot();
@@ -293,16 +315,10 @@ WriteMetricsFile(const std::string& path)
         path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
     // The metadata header leads either format; CSV carries it as a
     // "# " comment so the column grid stays rectangular.
-    const std::string body =
-        csv ? "# " + MetadataJsonLine() + "\n" + ToCsv(snapshot)
-            : MetadataJsonLine() + "\n" +
-                  ToJsonl(snapshot, TraceRing::Default().Dump());
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    const bool ok = std::fclose(f) == 0 && written == body.size();
-    return ok;
+    return WriteFile(
+        path, csv ? "# " + MetadataJsonLine() + "\n" + ToCsv(snapshot)
+                  : MetadataJsonLine() + "\n" +
+                        ToJsonl(snapshot, TraceRing::Default().Dump()));
 }
 
 std::string
@@ -321,26 +337,21 @@ ExportIfConfigured()
 
 namespace {
 
-/** Registered flush hooks (serve/loadgen.h, tools/rumba_scenarios):
- *  a fixed lock-free slot array so the signal path can walk it
- *  without taking a mutex or allocating. */
-constexpr size_t kMaxFlushHooks = 8;
+/** Registered flush hooks: a fixed lock-free slot array so the signal
+ *  path can walk it without taking a mutex or allocating. Seven
+ *  modules register at most one each. */
+constexpr size_t kMaxFlushHooks = 16;
 std::atomic<void (*)()> g_flush_hooks[kMaxFlushHooks]{};
 std::atomic<size_t> g_flush_hook_count{0};
 
 /**
- * Rewrite every configured JSONL sink with the current state. Shared
- * by the orderly at-exit hook and the signal path; does not join the
- * sampler threads (unsafe from a handler) — callers that can, stop
- * them first.
+ * Run every registered flush hook. Shared by the orderly at-exit hook
+ * and the signal path; does not join the sampler threads (unsafe from
+ * a handler) — callers that can, stop them first.
  */
 void
 FlushFilesBestEffort()
 {
-    ExportIfConfigured();
-    ExportTraceIfConfigured();
-    ExportRequestTracesIfConfigured();
-    ExportAuditIfConfigured();
     const size_t hooks =
         std::min(g_flush_hook_count.load(std::memory_order_acquire),
                  kMaxFlushHooks);
@@ -357,7 +368,7 @@ ExportAtExit()
     // Stop the registry sampler first so its final sample (and
     // RUMBA_STREAM_OUT line) lands before the registry is frozen into
     // the metrics/trace dumps. Runs even if a signal flush already
-    // fired: the exporters are idempotent rewrites, and the at-exit
+    // fired: the hooks are idempotent rewrites, and the at-exit
     // state is strictly fresher. The profiling sampler gets the same
     // treatment so RUMBA_PROFILE_OUT is written even when an engine
     // never released its ref.
@@ -383,18 +394,37 @@ SignalFlushHandler(int signo)
     raise(signo);
 }
 
-void InstallSignalFlush();
-
-bool
-AnySinkConfigured()
+/**
+ * Best-effort flush of the configured sinks on SIGINT/SIGTERM, so a
+ * killed run does not lose the tail of its dumps. Installed only over
+ * SIG_DFL dispositions (an application's own handlers are never
+ * displaced); after flushing, the default disposition is restored and
+ * the signal re-raised so the process still dies with the right
+ * status. The hooks allocate and take collector locks from a signal
+ * handler — async-signal-unsafe, accepted here as best-effort (the
+ * alternative is certain data loss). Idempotent.
+ */
+void
+InstallSignalFlush()
 {
-    for (const char* var : {"RUMBA_METRICS_OUT", "RUMBA_TRACE_OUT",
-                            "RUMBA_REQTRACE_OUT", "RUMBA_AUDIT_OUT"}) {
-        const char* value = std::getenv(var);
-        if (value != nullptr && value[0] != '\0')
-            return true;
-    }
-    return false;
+    static const bool installed = [] {
+        for (int signo : {SIGINT, SIGTERM}) {
+            struct sigaction current {};
+            if (sigaction(signo, nullptr, &current) != 0)
+                continue;
+            // Never displace an application's own handler (or an
+            // explicit SIG_IGN, e.g. a nohup'd deploy).
+            if (current.sa_handler != SIG_DFL)
+                continue;
+            struct sigaction flush {};
+            flush.sa_handler = SignalFlushHandler;
+            sigemptyset(&flush.sa_mask);
+            flush.sa_flags = 0;
+            sigaction(signo, &flush, nullptr);
+        }
+        return true;
+    }();
+    (void)installed;
 }
 
 }  // namespace
@@ -425,56 +455,20 @@ RegisterFlushHook(void (*hook)())
     return true;
 }
 
-namespace {
-
-/**
- * Best-effort flush of the configured sinks on SIGINT/SIGTERM, so a
- * killed run does not lose the tail of its dumps. Installed only over
- * SIG_DFL dispositions (an application's own handlers are never
- * displaced); after flushing, the default disposition is restored and
- * the signal re-raised so the process still dies with the right
- * status. The flush calls stdio from a signal handler — technically
- * async-signal-unsafe, accepted here as best-effort (the alternative
- * is certain data loss). Idempotent.
- */
-void
-InstallSignalFlush()
-{
-    static const bool installed = [] {
-        for (int signo : {SIGINT, SIGTERM}) {
-            struct sigaction current {};
-            if (sigaction(signo, nullptr, &current) != 0)
-                continue;
-            // Never displace an application's own handler (or an
-            // explicit SIG_IGN, e.g. a nohup'd deploy).
-            if (current.sa_handler != SIG_DFL)
-                continue;
-            struct sigaction flush {};
-            flush.sa_handler = SignalFlushHandler;
-            sigemptyset(&flush.sa_mask);
-            flush.sa_flags = 0;
-            sigaction(signo, &flush, nullptr);
-        }
-        return true;
-    }();
-    (void)installed;
-}
-
-}  // namespace
-
 void
 InstallAtExitExport()
 {
     static const bool armed = [] {
+        if (const char* path = std::getenv("RUMBA_METRICS_OUT");
+            path != nullptr && path[0] != '\0')
+            RegisterFlushHook([] { ExportIfConfigured(); });
         // Touch the singletons so their destructors are registered
         // before this exit hook (hooks run LIFO: export sees live
-        // instruments).
+        // instruments), and so the trace sinks register theirs.
         TraceRing::Default();
         SpanCollector::Default();
         RequestTraceCollector::Default();
         std::atexit(ExportAtExit);
-        if (AnySinkConfigured())
-            InstallSignalFlush();
         return true;
     }();
     (void)armed;

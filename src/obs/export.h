@@ -4,14 +4,14 @@
 /**
  * @file
  * Metric and trace exporters: JSONL (one JSON object per line), CSV,
- * and a human-readable table built on common/table. The
- * RUMBA_METRICS_OUT environment variable names a sink file that is
- * written automatically at process exit (armed on first use of
- * Registry::Default()), so every bench and example emits telemetry
- * without code changes; the extension picks the format (.csv writes
- * CSV, anything else JSONL). The same at-exit hook flushes the
- * RUMBA_TRACE_OUT span trace (obs/span.h) and stops the registry
- * sampler that writes the RUMBA_STREAM_OUT stream (obs/tsdb.h).
+ * and a human-readable table built on common/table; WriteFile, the
+ * one whole-file writer; and the flush-hook table, the one list of
+ * sinks written at exit and on SIGINT/SIGTERM. Each sink registers its
+ * hook when its module first comes up with the sink configured:
+ * RUMBA_METRICS_OUT here (armed on first use of Registry::Default();
+ * .csv writes CSV, anything else JSONL), RUMBA_TRACE_OUT,
+ * RUMBA_REQTRACE_OUT and RUMBA_AUDIT_OUT in their own modules, so a
+ * variable set only after its module came up is not flushed.
  *
  * Every file export opens with a run-metadata header — schema
  * version, ISO-8601 wall time, hostname, build type, sanitizer flags,
@@ -20,6 +20,7 @@
  */
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.h"
@@ -87,6 +88,14 @@ std::string ToCsv(const RegistrySnapshot& snapshot);
 Table ToTable(const RegistrySnapshot& snapshot);
 
 /**
+ * Create or truncate @p path and write @p body: the one whole-file
+ * writer behind every dump. False when the open fails, the write is
+ * short, or the close fails. Uses plain system calls, so the signal
+ * flush may call it.
+ */
+bool WriteFile(const std::string& path, std::string_view body);
+
+/**
  * Snapshot the default registry and trace ring and write them to
  * @p path (format by extension: .csv selects CSV, otherwise JSONL),
  * preceded by the run-metadata header (a "# "-prefixed comment line
@@ -99,7 +108,7 @@ bool WriteMetricsFile(const std::string& path);
  * current default-registry snapshot there and return the path; when
  * unset (or on I/O failure, after a warning) return "". Idempotent —
  * each call rewrites the file with the latest snapshot, and the
- * at-exit hook makes the final call.
+ * flush hook InstallAtExitExport registers makes the final call.
  */
 std::string ExportIfConfigured();
 
@@ -114,27 +123,23 @@ std::string BuildInfoJson();
 /**
  * Arm the at-exit telemetry flush (once per process): stop the
  * registry sampler (its final RUMBA_STREAM_OUT line included) and the
- * profiling sampler, then export RUMBA_METRICS_OUT,
- * RUMBA_TRACE_OUT, RUMBA_REQTRACE_OUT and RUMBA_AUDIT_OUT. Called
- * automatically by Registry::Default(). When any of those sinks is
- * configured this also arms a best-effort SIGINT/SIGTERM flush of
- * them, which never displaces an application's own handler and
- * re-raises the signal so the process dies with the right status.
+ * profiling sampler, then run every registered flush hook. Called
+ * automatically by Registry::Default(); registers the
+ * RUMBA_METRICS_OUT hook when that variable is set.
  */
 void InstallAtExitExport();
 
 /**
  * Register a best-effort flush hook, invoked (in registration order)
- * alongside the env-configured JSONL sink rewrites by both the
- * at-exit export and the SIGINT/SIGTERM flush, and arm that signal
- * flush. For sinks other than the four above —
- * the forensics dump into RUMBA_INCIDENT_DIR, the load generator's
- * and scenario runner's JSONL reports — so a killed run still writes
- * its partial results. A module registers its hook only when its
- * sink is configured. Hooks run in signal context: they must only
- * try-lock, never block or allocate unboundedly. Re-registering the
- * same function is a no-op; the table holds 8 slots (false, with a
- * warning, when full or @p hook is null).
+ * by both the at-exit export and the SIGINT/SIGTERM flush, and arm
+ * that signal flush. The table is the one list of sinks: a module
+ * registers its hook only when its sink is configured, so a killed
+ * run still writes its partial results. Hooks run in signal context,
+ * on the thread the signal interrupted: they must not allocate
+ * unboundedly, and the forensics and report hooks only try-lock (the
+ * four env dumps take their collectors' short locks, best effort).
+ * Re-registering the same function is a no-op; the table holds 16
+ * slots (false, with a warning, when full or @p hook is null).
  */
 bool RegisterFlushHook(void (*hook)());
 

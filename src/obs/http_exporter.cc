@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
@@ -23,6 +25,17 @@
 namespace rumba::obs {
 
 namespace {
+
+/** Fail a receive or send on @p fd that stalls for
+ *  kScrapeTimeoutSeconds. */
+void
+SetScrapeTimeouts(int fd)
+{
+    timeval limit{};
+    limit.tv_sec = kScrapeTimeoutSeconds;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &limit, sizeof(limit));
+}
 
 /** "serve.submitted" -> "rumba_serve_submitted". */
 std::string
@@ -259,6 +272,7 @@ ObservabilityServer::ServeLoop(int listen_fd)
                 continue;
             break;  // Stop() shut the listener down.
         }
+        SetScrapeTimeouts(fd);
         HandleConnection(fd);
         ::close(fd);
     }
@@ -362,13 +376,25 @@ ObservabilityServer::StartFromEnv()
     const char* env = std::getenv("RUMBA_METRICS_PORT");
     if (env == nullptr || env[0] == '\0')
         return false;
-    char* end = nullptr;
-    const long port = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || port < 0 || port > 65535) {
+    const std::optional<uint16_t> port = ParseMetricsPort(env);
+    if (!port.has_value()) {
         Warn("RUMBA_METRICS_PORT: invalid port '%s'", env);
         return false;
     }
-    return server.Start(static_cast<uint16_t>(port));
+    return server.Start(*port);
+}
+
+std::optional<uint16_t>
+ParseMetricsPort(const char* value)
+{
+    if (value == nullptr)
+        return std::nullopt;
+    const char* end = value + std::strlen(value);
+    unsigned port = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, port);
+    if (ec != std::errc() || ptr != end || port > 65535)
+        return std::nullopt;
+    return static_cast<uint16_t>(port);
 }
 
 std::optional<std::string>
@@ -407,6 +433,7 @@ HttpGet(uint16_t port, const std::string& path, std::string* body,
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return false;
+    SetScrapeTimeouts(fd);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -436,7 +463,7 @@ HttpGet(uint16_t port, const std::string& path, std::string* body,
     while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
         response.append(buf, static_cast<size_t>(n));
     ::close(fd);
-    if (response.compare(0, 5, "HTTP/") != 0)
+    if (n < 0 || response.compare(0, 5, "HTTP/") != 0)
         return false;
     const size_t sp = response.find(' ');
     if (sp == std::string::npos)

@@ -34,7 +34,9 @@
  * a public API — and serves one connection at a time with
  * Connection: close; scrape handlers only read atomics and take the
  * short registry snapshot lock, so scraping a saturated engine is
- * safe and cheap.
+ * safe and cheap. Every accepted socket, and HttpGet's, gives up on a
+ * receive or send that stalls for kScrapeTimeoutSeconds, so a silent
+ * client can delay the next scrape and Stop() by that long at most.
  */
 
 #include <atomic>
@@ -48,6 +50,9 @@
 #include "obs/metrics.h"
 
 namespace rumba::obs {
+
+/** Seconds a scrape socket may wait for one receive or send. */
+inline constexpr int kScrapeTimeoutSeconds = 3;
 
 /**
  * Render @p snapshot in Prometheus text exposition format 0.0.4.
@@ -133,7 +138,8 @@ class ObservabilityServer {
     /**
      * Honor RUMBA_METRICS_PORT: when set, start Default() on that
      * port (first call wins; later calls and unset/invalid values are
-     * no-ops). Returns true if the server is running on return.
+     * no-ops; an invalid value warns). Returns true if the server is
+     * running on return.
      */
     static bool StartFromEnv();
 
@@ -170,10 +176,18 @@ double QueryParamNum(const std::string& query, const std::string& key,
                      double fallback);
 
 /**
+ * RUMBA_METRICS_PORT's value as a port: plain decimal digits spelling
+ * 0-65535 (0 binds an ephemeral port); nullopt for anything else,
+ * including a sign, leading spaces, hex or trailing characters.
+ */
+std::optional<uint16_t> ParseMetricsPort(const char* value);
+
+/**
  * Minimal blocking HTTP GET against 127.0.0.1:@p port (test helper
  * and the alert-free half of rumba-stat's scrape client). Fills
  * @p body with the response payload and @p status with the HTTP
- * status code. False on connect/transport failure.
+ * status code. False on connect/transport failure, including a
+ * receive or send that stalls for kScrapeTimeoutSeconds.
  */
 bool HttpGet(uint16_t port, const std::string& path, std::string* body,
              int* status);

@@ -433,10 +433,7 @@ IncidentManager::Assemble(OpenIncident incident)
         const std::string path =
             config.dir + "/incident-" + std::to_string(incident.id) +
             ".json";
-        if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-            std::fwrite(body.data(), 1, body.size(), f);
-            std::fwrite("\n", 1, 1, f);
-            std::fclose(f);
+        if (WriteFile(path, body + "\n")) {
             summary.path = path;
             dumped_counter_->Increment();
         } else {

@@ -3,9 +3,10 @@
 #include <time.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/export.h"
@@ -255,11 +256,12 @@ BindThreadShard(int shard)
 int64_t
 ParseProfilePeriodNs(const char* value)
 {
-    if (value == nullptr || value[0] == '\0')
+    if (value == nullptr)
         return kDefaultProfilePeriodNs;
-    char* end = nullptr;
-    const double hz = std::strtod(value, &end);
-    if (end == value || !std::isfinite(hz))
+    const char* end = value + std::strlen(value);
+    double hz = 0.0;
+    const auto [ptr, ec] = std::from_chars(value, end, hz);
+    if (ptr != end || ec != std::errc() || !std::isfinite(hz))
         return kDefaultProfilePeriodNs;
     if (hz <= 0.0)
         return 0;  // explicit opt-out.
@@ -329,15 +331,11 @@ SamplingProfiler::Tick(bool final)
     }
     if (path.empty())
         return;
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        Warn("profiler: cannot write %s", path.c_str());
-        return;
-    }
+    std::string body;
     for (const FoldedStack& folded : Folded())
-        std::fprintf(f, "%s %llu\n", folded.stack.c_str(),
-                     static_cast<unsigned long long>(folded.count));
-    std::fclose(f);
+        body += folded.stack + " " + std::to_string(folded.count) + "\n";
+    if (!WriteFile(path, body))
+        Warn("profiler: could not write %s", path.c_str());
 }
 
 uint64_t

@@ -226,9 +226,11 @@ inline constexpr int64_t kDefaultProfilePeriodNs = 1'000'000'000 / 101;
 
 /**
  * Parse a RUMBA_PROFILE_HZ value into a sampling period in ns, the
- * way ParseTsdbPeriodMs parses its period: unset, empty, unparseable
- * or non-finite values select kDefaultProfilePeriodNs (101 Hz); a
- * rate <= 0 returns 0, meaning off; anything else becomes the period
+ * way ParseTsdbPeriodMs parses its period: the whole value must be a
+ * decimal number ("0.2", "1e3"); unset, empty, anything else
+ * (trailing characters, hex, leading spaces or a '+'), out of range or
+ * non-finite values select kDefaultProfilePeriodNs (101 Hz); a rate
+ * <= 0 returns 0, meaning off; anything else becomes the period
  * 1e9 / hz clamped to [kMinTickNs, kMaxTickNs] (1000 Hz down to one
  * sample a minute).
  */

@@ -1,9 +1,6 @@
 #include "obs/reqtrace.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/export.h"
@@ -24,23 +21,17 @@ RequestOutcomeName(RequestOutcome outcome)
     return "unknown";
 }
 
-RequestTraceCollector::RequestTraceCollector(size_t capacity)
-    : ring_(capacity)
+RequestTraceCollector::RequestTraceCollector(size_t capacity,
+                                             uint32_t sample_every)
+    : sample_every_(sample_every), ring_(capacity)
 {
 }
 
 void
-RequestTraceCollector::Configure(const TailSamplingPolicy& policy)
+RequestTraceCollector::SetSampleEvery(uint32_t sample_every)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    policy_ = policy;
-}
-
-TailSamplingPolicy
-RequestTraceCollector::Policy() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return policy_;
+    sample_every_ = sample_every;
 }
 
 uint64_t
@@ -70,23 +61,14 @@ RequestTraceCollector::Enabled() const
 bool
 RequestTraceCollector::KeepLocked(const RequestTrace& trace)
 {
-    // Tail decision: the outcome is known, so flag the interesting
-    // traces first, then head-sample the healthy remainder.
-    if (policy_.keep_errors &&
-        trace.outcome != RequestOutcome::kCompleted)
+    // Tail decision: the outcome is known, so keep the flagged traces
+    // first, then head-sample the healthy remainder.
+    if (trace.outcome != RequestOutcome::kCompleted || trace.fixes > 0 ||
+        trace.breaker_state != 0 || trace.audited)
         return true;
-    if (policy_.keep_recovered && trace.fixes > 0)
-        return true;
-    if (policy_.keep_breaker && trace.breaker_state != 0)
-        return true;
-    if (policy_.latency_keep_ns > 0 &&
-        trace.total_ns >= policy_.latency_keep_ns)
-        return true;
-    if (policy_.keep_audited && trace.audited)
-        return true;
-    if (policy_.sample_every == 0)
+    if (sample_every_ == 0)
         return false;
-    return ++unflagged_seen_ % policy_.sample_every == 0;
+    return ++unflagged_seen_ % sample_every_ == 0;
 }
 
 void
@@ -148,14 +130,35 @@ RequestTraceCollector::Clear()
     unflagged_seen_ = 0;
 }
 
+namespace {
+
+/** The RUMBA_REQTRACE_OUT flush hook: the default collector's kept
+ *  traces as JSONL. */
+void
+FlushRequestTraces()
+{
+    const char* path = std::getenv("RUMBA_REQTRACE_OUT");
+    if (path == nullptr || path[0] == '\0')
+        return;
+    if (!WriteFile(path, RequestTracesToJsonl(
+                             RequestTraceCollector::Default().Dump())))
+        Warn("RUMBA_REQTRACE_OUT: could not write %s", path);
+}
+
+}  // namespace
+
 RequestTraceCollector&
 RequestTraceCollector::Default()
 {
     // Leaked on purpose (see TimeSeriesStore::Default()): incident
     // bundles join reqtraces inside the atexit flush hook, after
     // late-constructed by-value statics have been destroyed.
-    static RequestTraceCollector* collector =
-        new RequestTraceCollector();
+    static RequestTraceCollector* collector = [] {
+        if (const char* path = std::getenv("RUMBA_REQTRACE_OUT");
+            path != nullptr && path[0] != '\0')
+            RegisterFlushHook(&FlushRequestTraces);
+        return new RequestTraceCollector();
+    }();
     return *collector;
 }
 
@@ -260,16 +263,8 @@ WriteFlightDump(const std::string& dir, uint32_t shard, uint32_t seq,
     for (const RequestTrace& r : records)
         body += FlightRecordJson(r) + "\n";
 
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        Warn("flight recorder: cannot open %s: %s", path.c_str(),
-             std::strerror(errno));
-        return "";
-    }
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    const bool ok = std::fclose(f) == 0 && written == body.size();
-    if (!ok) {
-        Warn("flight recorder: short write to %s", path.c_str());
+    if (!WriteFile(path, body)) {
+        Warn("flight recorder: could not write %s", path.c_str());
         return "";
     }
     Registry::Default().GetCounter("serve.flight_dumps")->Increment();
@@ -286,33 +281,6 @@ RequestTracesToJsonl(const std::vector<RequestTrace>& traces)
     for (const RequestTrace& trace : traces)
         out += RequestTraceJson(trace) + "\n";
     return out;
-}
-
-bool
-WriteRequestTraceFile(const std::string& path)
-{
-    const std::string body =
-        RequestTracesToJsonl(RequestTraceCollector::Default().Dump());
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    return std::fclose(f) == 0 && written == body.size();
-}
-
-std::string
-ExportRequestTracesIfConfigured()
-{
-    const char* path = std::getenv("RUMBA_REQTRACE_OUT");
-    if (path == nullptr || path[0] == '\0')
-        return "";
-    Debug("RUMBA_REQTRACE_OUT: exporting %zu kept request traces to %s",
-          RequestTraceCollector::Default().Size(), path);
-    if (!WriteRequestTraceFile(path)) {
-        Warn("RUMBA_REQTRACE_OUT: could not write %s", path);
-        return "";
-    }
-    return path;
 }
 
 }  // namespace rumba::obs

@@ -21,12 +21,12 @@
  * when its breaker opens, a fault first fires, or an operator asks.
  * The process keeps the *interesting* ones: the default collector
  * applies tail-based sampling at record time, when the outcome is
- * known — traces that recovered elements, ran under a non-closed
- * breaker, were refused or cancelled, or exceeded a latency bound are
- * always kept; of the healthy remainder one in `sample_every`
- * survives. Both rings evict the oldest record; RUMBA_REQTRACE_OUT
- * arms an at-exit JSONL dump of the default collector
- * (obs/export.h).
+ * known — traces that were refused, cancelled, shed or expired,
+ * recovered elements, ran under a non-closed breaker, or were audited
+ * are always kept; of the healthy remainder one in `sample_every`
+ * survives. Both rings evict the oldest record. When RUMBA_REQTRACE_OUT
+ * is set, the default collector registers its JSONL dump as a flush
+ * hook (obs/export.h), written at exit and on SIGINT/SIGTERM.
  */
 
 #include <atomic>
@@ -99,40 +99,25 @@ SpanCount(const RequestTrace& trace)
     return trace.outcome == RequestOutcome::kCompleted ? 5 : 0;
 }
 
-/** Tail-based sampling policy: which finished traces to keep. */
-struct TailSamplingPolicy {
-    /** Always keep rejected / cancelled outcomes. */
-    bool keep_errors = true;
-    /** Always keep traces whose invocation recovered elements. */
-    bool keep_recovered = true;
-    /** Always keep traces served under a non-closed breaker. */
-    bool keep_breaker = true;
-    /** Always keep traces with total_ns >= this bound (0 disables). */
-    uint64_t latency_keep_ns = 0;
-    /** Always keep audited traces, so every audit verdict can join
-     *  back to a kept span tree. */
-    bool keep_audited = true;
-    /** Of the unflagged remainder keep one in N; 0 drops them all,
-     *  1 keeps everything. */
-    uint32_t sample_every = 16;
-};
-
 /**
- * Bounded ring of kept request traces. Record() applies the tail
- * policy; eviction drops the oldest kept trace. All methods are
- * thread-safe (shard workers record concurrently).
+ * Bounded ring of kept request traces. Record() applies the tail-based
+ * sampling policy: a trace that was not served (rejected, cancelled,
+ * shed, expired), recovered elements, ran under a non-closed breaker,
+ * or was audited (so every audit verdict joins back to a kept span
+ * tree) is always kept; of the unflagged remainder one in
+ * `sample_every` is (0 keeps none, 1 keeps everything). Eviction
+ * drops the oldest kept trace. All methods are thread-safe (shard
+ * workers record concurrently).
  */
 class RequestTraceCollector {
   public:
     static constexpr size_t kDefaultCapacity = 4096;
 
-    explicit RequestTraceCollector(size_t capacity = kDefaultCapacity);
+    explicit RequestTraceCollector(size_t capacity = kDefaultCapacity,
+                                   uint32_t sample_every = 16);
 
-    /** Replace the sampling policy (applies to future Record calls). */
-    void Configure(const TailSamplingPolicy& policy);
-
-    /** The active sampling policy. */
-    TailSamplingPolicy Policy() const;
+    /** Replace sample_every (applies to future Record calls). */
+    void SetSampleEvery(uint32_t sample_every);
 
     /** Next process-unique trace id (monotonic from 1; 0 is "no
      *  trace"). Ids stay unique even while recording is disabled so
@@ -172,7 +157,9 @@ class RequestTraceCollector {
      *  sequence keeps advancing — ids are never reused). */
     void Clear();
 
-    /** The process-wide collector the serving engine records into. */
+    /** The process-wide collector the serving engine records into.
+     *  Construction registers its RUMBA_REQTRACE_OUT flush hook iff
+     *  that variable names a file. */
     static RequestTraceCollector& Default();
 
   private:
@@ -181,7 +168,7 @@ class RequestTraceCollector {
     std::atomic<uint64_t> next_trace_id_{1};
     std::atomic<bool> enabled_{true};
     mutable std::mutex mu_;
-    TailSamplingPolicy policy_;
+    uint32_t sample_every_;
     Ring<RequestTrace> ring_;
     uint64_t total_recorded_ = 0;
     uint64_t sampled_out_ = 0;
@@ -212,17 +199,6 @@ std::string FlightRecordJson(const RequestTrace& trace);
 std::string WriteFlightDump(const std::string& dir, uint32_t shard,
                             uint32_t seq, const std::string& reason,
                             const std::vector<RequestTrace>& records);
-
-/** Dump the default collector to @p path. False on I/O error. */
-bool WriteRequestTraceFile(const std::string& path);
-
-/**
- * Honor RUMBA_REQTRACE_OUT: when set, write the default collector's
- * kept traces there and return the path; otherwise (or on I/O
- * failure, after a warning) return "". The at-exit hook of
- * obs/export.h makes the final call.
- */
-std::string ExportRequestTracesIfConfigured();
 
 }  // namespace rumba::obs
 

@@ -1,7 +1,6 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -131,14 +130,35 @@ SpanCollector::Clear()
     }
 }
 
+namespace {
+
+/** The RUMBA_TRACE_OUT flush hook: the default collector as Chrome
+ *  trace JSON. */
+void
+FlushTrace()
+{
+    const char* path = std::getenv("RUMBA_TRACE_OUT");
+    if (path == nullptr || path[0] == '\0')
+        return;
+    SpanCollector& collector = SpanCollector::Default();
+    if (!WriteFile(path, ToChromeTrace(collector.Dump(),
+                                       collector.Dropped(),
+                                       collector.PerThreadCapacity())))
+        Warn("RUMBA_TRACE_OUT: could not write %s", path);
+}
+
+}  // namespace
+
 SpanCollector&
 SpanCollector::Default()
 {
     static SpanCollector* collector = [] {
         auto* c = new SpanCollector();
         const char* path = std::getenv("RUMBA_TRACE_OUT");
-        if (path != nullptr && path[0] != '\0')
+        if (path != nullptr && path[0] != '\0') {
             c->Enable();
+            RegisterFlushHook(&FlushTrace);
+        }
         return c;
     }();
     return *collector;
@@ -210,36 +230,6 @@ ToChromeTrace(const std::vector<SpanRecord>& spans, uint64_t dropped,
     }
     out += "\n]}\n";
     return out;
-}
-
-bool
-WriteChromeTraceFile(const std::string& path)
-{
-    SpanCollector& collector = SpanCollector::Default();
-    const std::string body =
-        ToChromeTrace(collector.Dump(), collector.Dropped(),
-                      collector.PerThreadCapacity());
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    return std::fclose(f) == 0 && written == body.size();
-}
-
-std::string
-ExportTraceIfConfigured()
-{
-    const char* path = std::getenv("RUMBA_TRACE_OUT");
-    if (path == nullptr || path[0] == '\0')
-        return "";
-    Debug("RUMBA_TRACE_OUT: exporting %zu spans to %s",
-          static_cast<size_t>(SpanCollector::Default().TotalRecorded()),
-          path);
-    if (!WriteChromeTraceFile(path)) {
-        Warn("RUMBA_TRACE_OUT: could not write %s", path);
-        return "";
-    }
-    return path;
 }
 
 }  // namespace rumba::obs

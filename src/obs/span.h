@@ -14,8 +14,8 @@
  * directly visible as two lanes.
  *
  * Recording is off by default; setting RUMBA_TRACE_OUT=<file> enables
- * the default collector and arms an at-exit Chrome-trace dump (see
- * obs/export.h for the shared at-exit plumbing).
+ * the default collector and registers its Chrome-trace dump as a
+ * flush hook (obs/export.h), written at exit and on SIGINT/SIGTERM.
  */
 
 #include <atomic>
@@ -87,7 +87,8 @@ class SpanCollector {
 
     /**
      * The process-wide collector the runtime's spans record into.
-     * Construction enables it iff RUMBA_TRACE_OUT names a file.
+     * Construction enables it, and registers its RUMBA_TRACE_OUT
+     * flush hook, iff RUMBA_TRACE_OUT names a file.
      */
     static SpanCollector& Default();
 
@@ -136,20 +137,6 @@ class Span {
  */
 std::string ToChromeTrace(const std::vector<SpanRecord>& spans,
                           uint64_t dropped, size_t per_thread_capacity);
-
-/**
- * Dump the default collector to @p path as Chrome trace JSON.
- * Returns false on I/O error.
- */
-bool WriteChromeTraceFile(const std::string& path);
-
-/**
- * Honor RUMBA_TRACE_OUT: when set, write the default collector's
- * spans there and return the path; otherwise (or on I/O failure,
- * after a warning) return "". The at-exit hook of obs/export.h makes
- * the final call.
- */
-std::string ExportTraceIfConfigured();
 
 }  // namespace rumba::obs
 

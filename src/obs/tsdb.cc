@@ -1,9 +1,11 @@
 #include "obs/tsdb.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/anomaly.h"
@@ -19,17 +21,20 @@ namespace rumba::obs {
 int
 ParseTsdbPeriodMs(const char* value)
 {
-    if (value == nullptr || value[0] == '\0')
+    if (value == nullptr)
         return kDefaultTsdbPeriodMs;
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value)
+    const char* end = value + std::strlen(value);
+    long long parsed = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, parsed);
+    if (ptr != end || ec == std::errc::invalid_argument)
         return kDefaultTsdbPeriodMs;
+    if (ec == std::errc::result_out_of_range)
+        parsed = value[0] == '-' ? 0 : kMaxTsdbPeriodMs;
     if (parsed <= 0)
         return 0;  // explicit opt-out.
-    // Clamp before narrowing: a long past INT_MAX must not wrap.
-    return static_cast<int>(std::clamp<long>(parsed, kMinTsdbPeriodMs,
-                                             kMaxTsdbPeriodMs));
+    // Clamp before narrowing: a value past INT_MAX must not wrap.
+    return static_cast<int>(std::clamp<long long>(
+        parsed, kMinTsdbPeriodMs, kMaxTsdbPeriodMs));
 }
 
 // ---------------------------------------------------------------------------
@@ -252,38 +257,39 @@ TimeSeriesStore::Clear()
 bool
 TimeSeriesStore::DumpBestEffort(const std::string& path) const
 {
-    // Signal-flush path: never block on a sampler mid-append.
-    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-    if (!lock.owns_lock())
-        return false;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    for (const auto* entry : SortedLocked()) {
-        const std::string& name = entry->first;
-        const Series& series = entry->second;
+    std::string body;
+    {
+        // Signal-flush path: never block on a sampler mid-append. The
+        // body is bounded by the store (max_series x ring_capacity).
+        std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+        if (!lock.owns_lock())
+            return false;
         std::vector<TsPoint> points;
-        CollectRangeLocked(series, -1.0e300, 1.0e300, &points);
-        std::string line =
-            "{\"type\":\"tsdb_series\",\"name\":" + JsonQuote(name) +
-            ",\"kind\":" +
-            JsonQuote(series.kind == SeriesKind::kCounter ? "counter"
-                                                          : "gauge") +
-            ",\"total_appended\":" +
-            std::to_string(series.points.Pushed()) +
-            ",\"points\":{";
-        for (size_t i = 0; i < points.size(); ++i) {
-            if (i != 0)
-                line += ",";
-            line += "\"" + std::to_string(i) +
-                    "\":{\"t_ms\":" + JsonNum(points[i].t_ms) +
-                    ",\"v\":" + JsonNum(points[i].value) + "}";
+        for (const auto* entry : SortedLocked()) {
+            const std::string& name = entry->first;
+            const Series& series = entry->second;
+            points.clear();
+            CollectRangeLocked(series, -1.0e300, 1.0e300, &points);
+            body += "{\"type\":\"tsdb_series\",\"name\":" +
+                    JsonQuote(name) + ",\"kind\":" +
+                    JsonQuote(series.kind == SeriesKind::kCounter
+                                  ? "counter"
+                                  : "gauge") +
+                    ",\"total_appended\":" +
+                    std::to_string(series.points.Pushed()) +
+                    ",\"points\":{";
+            for (size_t i = 0; i < points.size(); ++i) {
+                if (i != 0)
+                    body += ",";
+                body += "\"" + std::to_string(i) +
+                        "\":{\"t_ms\":" + JsonNum(points[i].t_ms) +
+                        ",\"v\":" + JsonNum(points[i].value) + "}";
+            }
+            body +=
+                ",\"count\":" + std::to_string(points.size()) + "}}\n";
         }
-        line += ",\"count\":" + std::to_string(points.size()) + "}}\n";
-        std::fwrite(line.data(), 1, line.size(), f);
     }
-    std::fclose(f);
-    return true;
+    return WriteFile(path, body);
 }
 
 TimeSeriesStore&

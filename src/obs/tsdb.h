@@ -58,9 +58,10 @@ inline constexpr size_t kDefaultTsdbRingCapacity = 256;
 inline constexpr size_t kDefaultTsdbMaxSeries = 1024;
 
 /**
- * Parse a RUMBA_TSDB_PERIOD_MS value. Unset/empty/unparseable values
- * select the default; "0" (or negative) returns 0, meaning the
- * sampler stays off; anything else clamps to
+ * Parse a RUMBA_TSDB_PERIOD_MS value, which must be a whole decimal
+ * integer. Unset, empty or anything else (trailing characters, hex,
+ * leading spaces or a '+') selects the default; "0" (or negative)
+ * returns 0, meaning the sampler stays off; any other value clamps to
  * [kMinTsdbPeriodMs, kMaxTsdbPeriodMs].
  */
 int ParseTsdbPeriodMs(const char* value);

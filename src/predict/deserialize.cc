@@ -1,5 +1,6 @@
 #include "predict/predictor.h"
 
+#include <optional>
 #include <sstream>
 
 #include "common/logging.h"
@@ -10,16 +11,25 @@
 
 namespace rumba::predict {
 
+namespace {
+
+template <typename T>
+std::unique_ptr<ErrorPredictor>
+Boxed(std::optional<T> parsed)
+{
+    if (!parsed.has_value())
+        return nullptr;
+    return std::make_unique<T>(*std::move(parsed));
+}
+
+}  // namespace
+
 std::unique_ptr<ErrorPredictor>
 DeserializePredictor(const std::string& blob)
 {
     auto predictor = TryDeserializePredictor(blob);
-    if (predictor == nullptr) {
-        std::istringstream in(blob);
-        std::string tag;
-        in >> tag;
-        Fatal("unknown predictor blob tag '%s'", tag.c_str());
-    }
+    if (predictor == nullptr)
+        Fatal("malformed or unknown predictor blob");
     return predictor;
 }
 
@@ -29,22 +39,14 @@ TryDeserializePredictor(const std::string& blob)
     std::istringstream in(blob);
     std::string tag;
     in >> tag;
-    if (tag == "linear") {
-        return std::make_unique<LinearErrorPredictor>(
-            LinearErrorPredictor::Deserialize(blob));
-    }
-    if (tag == "tree") {
-        return std::make_unique<TreeErrorPredictor>(
-            TreeErrorPredictor::Deserialize(blob));
-    }
-    if (tag == "ema") {
-        return std::make_unique<EmaDetector>(
-            EmaDetector::Deserialize(blob));
-    }
-    if (tag == "evp") {
-        return std::make_unique<ValuePredictionError>(
-            ValuePredictionError::Deserialize(blob));
-    }
+    if (tag == "linear")
+        return Boxed(LinearErrorPredictor::TryDeserialize(blob));
+    if (tag == "tree")
+        return Boxed(TreeErrorPredictor::TryDeserialize(blob));
+    if (tag == "ema")
+        return Boxed(EmaDetector::TryDeserialize(blob));
+    if (tag == "evp")
+        return Boxed(ValuePredictionError::TryDeserialize(blob));
     return nullptr;
 }
 

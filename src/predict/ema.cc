@@ -69,15 +69,15 @@ EmaDetector::Serialize() const
     return out.str();
 }
 
-EmaDetector
-EmaDetector::Deserialize(const std::string& blob)
+std::optional<EmaDetector>
+EmaDetector::TryDeserialize(const std::string& blob)
 {
     std::istringstream in(blob);
     std::string tag;
     double alpha = 0.0;
     in >> tag >> alpha;
-    if (tag != "ema" || alpha <= 0.0 || alpha > 1.0)
-        Fatal("malformed EMA blob");
+    if (tag != "ema" || in.fail() || !(alpha > 0.0 && alpha <= 1.0))
+        return std::nullopt;
     EmaDetector d(1);
     d.alpha_ = alpha;
     return d;

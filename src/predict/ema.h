@@ -10,6 +10,8 @@
  * outputs are correlated.
  */
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "predict/predictor.h"
@@ -42,7 +44,8 @@ class EmaDetector : public ErrorPredictor {
     std::string Serialize() const override;
 
     /** Rebuild from Serialize() output. */
-    static EmaDetector Deserialize(const std::string& blob);
+    static std::optional<EmaDetector> TryDeserialize(
+        const std::string& blob);
 
     /** Smoothing factor alpha = 2/(1+N). */
     double Alpha() const { return alpha_; }

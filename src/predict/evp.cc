@@ -99,23 +99,34 @@ ValuePredictionError::Serialize() const
     return out.str();
 }
 
-ValuePredictionError
-ValuePredictionError::Deserialize(const std::string& blob)
+bool
+ValuePredictionError::FitsKernel(size_t num_inputs,
+                                 size_t num_outputs) const
+{
+    return num_outputs_ == num_outputs && !weights_.empty() &&
+           weights_[0].size() == num_inputs + 1;
+}
+
+std::optional<ValuePredictionError>
+ValuePredictionError::TryDeserialize(const std::string& blob)
 {
     std::istringstream in(blob);
     std::string tag;
     double ridge = 0.0;
     size_t outputs = 0, dim = 0;
     in >> tag >> ridge >> outputs >> dim;
-    if (tag != "evp")
-        Fatal("EVP blob missing 'evp' header");
+    // Every weight takes at least two characters (" w"); divide
+    // rather than multiply so the count cannot wrap.
+    if (tag != "evp" || in.fail() || outputs == 0 || dim == 0 ||
+        dim > blob.size() / 2 / outputs)
+        return std::nullopt;
     ValuePredictionError p(ridge);
     p.num_outputs_ = outputs;
     p.weights_.assign(outputs, std::vector<double>(dim, 0.0));
     for (auto& row : p.weights_) {
         for (auto& w : row) {
             if (!(in >> w))
-                Fatal("EVP blob truncated");
+                return std::nullopt;
         }
     }
     return p;

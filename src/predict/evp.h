@@ -11,6 +11,8 @@
  * implementation exists to reproduce that comparison (fig05 bench).
  */
 
+#include <optional>
+
 #include "predict/predictor.h"
 
 namespace rumba::predict {
@@ -38,8 +40,13 @@ class ValuePredictionError : public ErrorPredictor {
 
     std::string Serialize() const override;
 
-    /** Rebuild from Serialize() output. */
-    static ValuePredictionError Deserialize(const std::string& blob);
+    /** True when the value model reads @p num_inputs inputs (plus
+     *  bias) and predicts @p num_outputs outputs. */
+    bool FitsKernel(size_t num_inputs, size_t num_outputs) const override;
+
+    /** Rebuild from Serialize() output; nullopt when malformed. */
+    static std::optional<ValuePredictionError> TryDeserialize(
+        const std::string& blob);
 
   private:
     double ridge_;

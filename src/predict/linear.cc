@@ -91,21 +91,31 @@ rumba::predict::LinearErrorPredictor::Serialize() const
     return out.str();
 }
 
-rumba::predict::LinearErrorPredictor
-rumba::predict::LinearErrorPredictor::Deserialize(const std::string& blob)
+bool
+rumba::predict::LinearErrorPredictor::FitsKernel(
+    size_t num_inputs, size_t /*num_outputs*/) const
+{
+    return weights_.size() == num_inputs + 1;
+}
+
+std::optional<rumba::predict::LinearErrorPredictor>
+rumba::predict::LinearErrorPredictor::TryDeserialize(
+    const std::string& blob)
 {
     std::istringstream in(blob);
     std::string tag;
     double ridge = 0.0;
     size_t count = 0;
     in >> tag >> ridge >> count;
-    if (tag != "linear")
-        Fatal("linear blob missing 'linear' header");
+    // Every weight takes at least two characters (" w").
+    if (tag != "linear" || in.fail() || !(ridge >= 0.0) || count == 0 ||
+        count > blob.size() / 2)
+        return std::nullopt;
     LinearErrorPredictor p(ridge);
     p.weights_.resize(count);
     for (auto& w : p.weights_) {
         if (!(in >> w))
-            Fatal("linear blob truncated");
+            return std::nullopt;
     }
     return p;
 }

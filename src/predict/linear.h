@@ -9,6 +9,8 @@
  * Figure 7(a).
  */
 
+#include <optional>
+
 #include "predict/predictor.h"
 
 namespace rumba::predict {
@@ -33,8 +35,12 @@ class LinearErrorPredictor : public ErrorPredictor {
 
     std::string Serialize() const override;
 
-    /** Rebuild from Serialize() output. */
-    static LinearErrorPredictor Deserialize(const std::string& blob);
+    /** True when the weights cover @p num_inputs inputs plus bias. */
+    bool FitsKernel(size_t num_inputs, size_t num_outputs) const override;
+
+    /** Rebuild from Serialize() output; nullopt when malformed. */
+    static std::optional<LinearErrorPredictor> TryDeserialize(
+        const std::string& blob);
 
     /** Trained weights, bias last; empty before Train(). */
     const std::vector<double>& Weights() const { return weights_; }

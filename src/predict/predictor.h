@@ -16,6 +16,7 @@
  * is also implemented for the comparison study).
  */
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,17 @@ class ErrorPredictor {
      * Figure 4. Rebuild with DeserializePredictor().
      */
     virtual std::string Serialize() const = 0;
+
+    /**
+     * True when this checker can score a kernel with @p num_inputs
+     * inputs and @p num_outputs outputs; a rebuilt checker must fit
+     * the kernel it is deployed on. Output-stream checkers fit any.
+     */
+    virtual bool
+    FitsKernel(size_t /*num_inputs*/, size_t /*num_outputs*/) const
+    {
+        return true;
+    }
 };
 
 /**
@@ -80,9 +92,10 @@ std::unique_ptr<ErrorPredictor> DeserializePredictor(
 
 /**
  * Rebuild a trained checker without dying: nullptr when the blob's
- * leading tag names no known scheme (fallible artifact loaders check
- * this before committing to a runtime). The blob is read through a
- * const reference only — shards of a serving engine deserialize their
+ * leading tag names no known scheme or the blob is malformed
+ * (fallible artifact loaders check this, and FitsKernel(), before
+ * committing to a runtime). The blob is read through a const
+ * reference only — shards of a serving engine deserialize their
  * replicas from one shared artifact.
  */
 std::unique_ptr<ErrorPredictor> TryDeserializePredictor(

@@ -256,28 +256,49 @@ TreeErrorPredictor::Serialize() const
     return out.str();
 }
 
-TreeErrorPredictor
-TreeErrorPredictor::Deserialize(const std::string& blob)
+bool
+TreeErrorPredictor::FitsKernel(size_t num_inputs,
+                               size_t /*num_outputs*/) const
+{
+    for (const Node& n : nodes_) {
+        if (n.feature != Node::kLeaf &&
+            static_cast<size_t>(n.feature) >= num_inputs)
+            return false;
+    }
+    return true;
+}
+
+std::optional<TreeErrorPredictor>
+TreeErrorPredictor::TryDeserialize(const std::string& blob)
 {
     std::istringstream in(blob);
     std::string tag;
     size_t max_depth = 0, depth = 0, count = 0;
     in >> tag >> max_depth >> depth >> count;
-    if (tag != "tree")
-        Fatal("tree blob missing 'tree' header");
+    // A node line takes at least ten characters ("-1 0 0 0 0\n"), and
+    // a tree of count nodes is less than count deep.
+    if (tag != "tree" || in.fail() || count == 0 ||
+        count > blob.size() / 10 || depth >= count)
+        return std::nullopt;
     Options opt;
     opt.max_depth = std::max<size_t>(1, max_depth);
     TreeErrorPredictor p(opt);
     p.trained_depth_ = depth;
     p.nodes_.resize(count);
-    for (Node& n : p.nodes_) {
+    for (size_t i = 0; i < count; ++i) {
+        Node& n = p.nodes_[i];
         if (!(in >> n.feature >> n.threshold >> n.value >> n.left >>
-              n.right)) {
-            Fatal("tree blob truncated");
-        }
+              n.right))
+            return std::nullopt;
+        if (n.feature == Node::kLeaf)
+            continue;
+        const auto child_ok = [&](int child) {
+            return child > static_cast<int>(i) &&
+                   static_cast<size_t>(child) < count;
+        };
+        if (n.feature < 0 || !child_ok(n.left) || !child_ok(n.right))
+            return std::nullopt;
     }
-    if (p.nodes_.empty())
-        Fatal("tree blob has no nodes");
     return p;
 }
 

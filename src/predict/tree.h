@@ -12,6 +12,8 @@
  */
 
 #include <cstddef>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "predict/predictor.h"
@@ -45,8 +47,17 @@ class TreeErrorPredictor : public ErrorPredictor {
 
     std::string Serialize() const override;
 
-    /** Rebuild from Serialize() output. */
-    static TreeErrorPredictor Deserialize(const std::string& blob);
+    /** True when every decision node tests one of @p num_inputs
+     *  inputs. */
+    bool FitsKernel(size_t num_inputs, size_t num_outputs) const override;
+
+    /**
+     * Rebuild from Serialize() output; nullopt when malformed. Every
+     * decision node's children must lie after it and inside the tree
+     * (the pre-order Grow() builds), so a walk always ends at a leaf.
+     */
+    static std::optional<TreeErrorPredictor> TryDeserialize(
+        const std::string& blob);
 
     /** Nodes in the trained tree (tests/inspection). */
     size_t NumNodes() const { return nodes_.size(); }

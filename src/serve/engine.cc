@@ -172,11 +172,8 @@ ShardedEngine::Create(const core::Artifact& artifact,
         if (serve_config.flight.capacity > 0) {
             // The flight view keeps every record, so the lead-in to
             // an incident is never sampled away.
-            obs::TailSamplingPolicy keep_all;
-            keep_all.sample_every = 1;
             shard->flight = std::make_unique<obs::RequestTraceCollector>(
-                serve_config.flight.capacity);
-            shard->flight->Configure(keep_all);
+                serve_config.flight.capacity, /*sample_every=*/1);
         }
         engine->shards_.push_back(std::move(shard));
     }
@@ -193,9 +190,8 @@ ShardedEngine::Create(const core::Artifact& artifact,
 
     engine->tuner_mode_ = TuningModeName(runtime_config.tuner.mode);
     if (serve_config.trace.enabled) {
-        obs::TailSamplingPolicy policy;
-        policy.sample_every = serve_config.trace.sample_every;
-        obs::RequestTraceCollector::Default().Configure(policy);
+        obs::RequestTraceCollector::Default().SetSampleEvery(
+            serve_config.trace.sample_every);
     }
     if (serve_config.slo.enabled) {
         if (serve_config.slo.latency_bound_ns > 0) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <thread>
 
@@ -357,7 +356,8 @@ LoadGenerator::Run()
     }
 
     if (!config_.jsonl_out.empty() &&
-        !WriteLoadReportFile(config_.jsonl_out, Snapshot(), config_))
+        !obs::WriteFile(config_.jsonl_out,
+                        LoadReportToJsonl(Snapshot(), config_)))
         Warn("loadgen: could not write %s", config_.jsonl_out.c_str());
     return Snapshot();
 }
@@ -382,8 +382,8 @@ LoadGenerator::FlushAll()
             continue;
         const LoadReport report = generator->report_;
         generator->mu_.unlock();
-        WriteLoadReportFile(generator->config_.jsonl_out, report,
-                            generator->config_);
+        obs::WriteFile(generator->config_.jsonl_out,
+                       LoadReportToJsonl(report, generator->config_));
     }
     g_loadgen_registry_mu.unlock();
 }
@@ -412,18 +412,6 @@ LoadReportToJsonl(const LoadReport& report, const LoadGenConfig& config)
             ",\"seed\":" + std::to_string(config.seed) + "}";
     out += line + "\n";
     return out;
-}
-
-bool
-WriteLoadReportFile(const std::string& path, const LoadReport& report,
-                    const LoadGenConfig& config)
-{
-    const std::string body = LoadReportToJsonl(report, config);
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    return std::fclose(f) == 0 && written == body.size();
 }
 
 }  // namespace rumba::serve

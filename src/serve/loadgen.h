@@ -236,11 +236,6 @@ class LoadGenerator {
 std::string LoadReportToJsonl(const LoadReport& report,
                               const LoadGenConfig& config);
 
-/** Write the JSONL rendering to @p path. False on I/O error. */
-bool WriteLoadReportFile(const std::string& path,
-                         const LoadReport& report,
-                         const LoadGenConfig& config);
-
 }  // namespace rumba::serve
 
 #endif  // RUMBA_SERVE_LOADGEN_H_

@@ -2,13 +2,15 @@
 // shadow exact re-execution sampler, checker-calibration labeling
 // (TP / FP / FN / TN over accelerator-served elements), the audited
 // TOQ-violation SLO, queue overflow/drop accounting, the labeled
-// JSONL export, and the serving engine's end-to-end wiring
-// (sampling, trace joins, /statusz quality section).
+// JSONL export, the serving engine's end-to-end wiring (sampling,
+// trace joins, /statusz quality section), and the at-exit and signal
+// flush of the four env-configured dumps.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +22,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmark.h"
@@ -32,6 +35,7 @@
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
+#include "obs/span.h"
 #include "serve/engine.h"
 
 namespace rumba {
@@ -1190,6 +1194,125 @@ TEST(EngineAuditTest, SampleNParserAcceptsOnlyPlainDigits)
     for (const char* garbage :
          {"abc", "-1", "+4", " 4", "4x", "1e3", "99999999999999999999999"})
         EXPECT_EQ(serve::ParseAuditSampleN(garbage), Parsed()) << garbage;
+}
+
+// ------------------------------------------------ Env sinks at exit
+
+/** The four env-configured dumps: metrics, Chrome trace, request
+ *  traces and labeled audits. */
+struct EnvSinks {
+    std::string metrics;
+    std::string trace;
+    std::string reqtrace;
+    std::string audit;
+
+    explicit EnvSinks(const std::string& tag)
+        : metrics(::testing::TempDir() + tag + ".metrics.jsonl"),
+          trace(::testing::TempDir() + tag + ".trace.json"),
+          reqtrace(::testing::TempDir() + tag + ".reqtrace.jsonl"),
+          audit(::testing::TempDir() + tag + ".audit.jsonl")
+    {
+    }
+
+    /** Set the four variables (the re-executed death-test child sees
+     *  them from its first registry use) and clear old dumps. */
+    void Export() const
+    {
+        for (const auto& [var, path] : Vars()) {
+            std::remove(path->c_str());
+            setenv(var, path->c_str(), 1);
+        }
+    }
+
+    void Restore() const
+    {
+        for (const auto& [var, path] : Vars()) {
+            unsetenv(var);
+            std::remove(path->c_str());
+        }
+    }
+
+    std::vector<std::pair<const char*, const std::string*>> Vars() const
+    {
+        return {{"RUMBA_METRICS_OUT", &metrics},
+                {"RUMBA_TRACE_OUT", &trace},
+                {"RUMBA_REQTRACE_OUT", &reqtrace},
+                {"RUMBA_AUDIT_OUT", &audit}};
+    }
+};
+
+/** The death-test child's work: one span, one (always kept) request
+ *  trace, and one offer to an auditor that stays live, so only the
+ *  exit path can write its dump. */
+void
+RecordOneOfEach()
+{
+    {
+        const obs::Span span("pin.span");
+    }
+    obs::RequestTrace trace;
+    trace.trace_id = obs::RequestTraceCollector::Default().NextTraceId();
+    trace.outcome = obs::RequestOutcome::kRejected;
+    obs::RequestTraceCollector::Default().Record(trace);
+    auto* auditor = new QualityAuditor(UnitConfig(), IdentityHooks());
+    auditor->Offer(Healthy(1).Offer());
+    auditor->Flush();
+}
+
+/** First line of @p path ("" when the file is missing or empty). */
+std::string
+FirstLine(const std::string& path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+}
+
+void
+ExpectDumpsLeadWithMetadata(const EnvSinks& sinks)
+{
+    const std::string meta = "{\"type\":\"meta\",";
+    EXPECT_EQ(FirstLine(sinks.metrics).find(meta), 0u) << sinks.metrics;
+    EXPECT_EQ(FirstLine(sinks.reqtrace).find(meta), 0u) << sinks.reqtrace;
+    EXPECT_EQ(FirstLine(sinks.audit).find(meta), 0u) << sinks.audit;
+    // The Chrome trace is one JSON object carrying the metadata under
+    // "otherData".
+    EXPECT_EQ(FirstLine(sinks.trace).find("{\"displayTimeUnit\":\"ms\","
+                                          "\"otherData\":" +
+                                          meta),
+              0u)
+        << sinks.trace;
+}
+
+TEST(EnvSinkFlushTest, SigtermWritesAllFourDumps)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const EnvSinks sinks("sigterm_sinks");
+    sinks.Export();
+    EXPECT_EXIT(
+        {
+            RecordOneOfEach();
+            std::raise(SIGTERM);
+        },
+        ::testing::KilledBySignal(SIGTERM), "");
+    ExpectDumpsLeadWithMetadata(sinks);
+    sinks.Restore();
+}
+
+TEST(EnvSinkFlushTest, ExitWritesAllFourDumps)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const EnvSinks sinks("exit_sinks");
+    sinks.Export();
+    EXPECT_EXIT(
+        {
+            RecordOneOfEach();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    ExpectDumpsLeadWithMetadata(sinks);
+    sinks.Restore();
 }
 
 }  // namespace

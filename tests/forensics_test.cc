@@ -56,9 +56,33 @@ TEST(TsdbPeriodTest, ParseHonorsDefaultDisableAndClamp)
     // Past INT_MAX: clamps, where a narrowing cast would wrap to 1.
     EXPECT_EQ(obs::ParseTsdbPeriodMs("4294967297"),
               obs::kMaxTsdbPeriodMs);
+    EXPECT_EQ(obs::ParseTsdbPeriodMs("99999999999999999999999"),
+              obs::kMaxTsdbPeriodMs);
+    EXPECT_EQ(obs::ParseTsdbPeriodMs("-99999999999999999999999"), 0);
+    // Only the whole value counts: a numeric prefix is not a period.
+    for (const char* garbage : {"0x10", "-5x", "25abc", " 25", "+25"})
+        EXPECT_EQ(obs::ParseTsdbPeriodMs(garbage),
+                  obs::kDefaultTsdbPeriodMs)
+            << garbage;
 }
 
 // ------------------------------------------------- retention store
+
+TEST(TimeSeriesStoreTest, DumpReportsAFailedWrite)
+{
+    obs::TimeSeriesStore store(/*ring_capacity=*/4, /*max_series=*/4);
+    store.Append("dump", obs::SeriesKind::kGauge, 1.0, 2.0);
+    // /dev/full opens, then refuses every byte.
+    EXPECT_FALSE(store.DumpBestEffort("/dev/full"));
+    const std::string path = ::testing::TempDir() + "tsdb_dump.jsonl";
+    ASSERT_TRUE(store.DumpBestEffort(path));
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    std::remove(path.c_str());
+    EXPECT_EQ(line.find("{\"type\":\"tsdb_series\",\"name\":\"dump\""),
+              0u);
+}
 
 TEST(TimeSeriesStoreTest, RingWrapRetainsNewestPoints)
 {
@@ -316,6 +340,33 @@ TEST(IncidentManagerTest, DistinctSourcesWithinWindowOpenOneIncident)
     const std::string detail = manager.Detail(list[0].id);
     EXPECT_NE(detail.find("\"type\":\"incident\""), std::string::npos);
     EXPECT_NE(detail.find("\"schema_version\":1"), std::string::npos);
+}
+
+TEST(IncidentManagerTest, UnwrittenBundleIsNotCountedAsDumped)
+{
+    // The first bundle's file resolves to /dev/full: it opens, then
+    // refuses every byte.
+    const std::string dir = ::testing::TempDir() + "incident_full";
+    mkdir(dir.c_str(), 0755);
+    const std::string link = dir + "/incident-1.json";
+    std::remove(link.c_str());
+    ASSERT_EQ(symlink("/dev/full", link.c_str()), 0);
+    obs::IncidentManager manager;
+    obs::IncidentConfig config = CorrelatorConfig();
+    config.dir = dir;
+    manager.Configure(config);
+    const uint64_t dumped = manager.Dumped();
+
+    manager.OnSignal(Signal("breaker", "serve.shard0"));
+    manager.OnSignal(Signal("fault", "fault.injected.output_nan"));
+    manager.FinalizeOpenNow();
+    std::remove(link.c_str());
+
+    const auto list = manager.List();
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].id, 1u);
+    EXPECT_TRUE(list[0].path.empty());
+    EXPECT_EQ(manager.Dumped(), dumped);
 }
 
 TEST(IncidentManagerTest, OneSourceAloneNeverOpens)

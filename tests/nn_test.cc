@@ -121,7 +121,7 @@ TEST(MlpTest, SerializeRoundTrip)
     Mlp mlp(Topology::Parse("4->6->2"), Activation::kTanh,
             Activation::kLinear);
     mlp.RandomizeWeights(&rng);
-    const Mlp copy = Mlp::Deserialize(mlp.Serialize());
+    const Mlp copy = Mlp::TryDeserialize(mlp.Serialize()).value();
     const std::vector<double> in{0.2, 0.4, 0.6, 0.8};
     const auto a = mlp.Forward(in);
     const auto b = copy.Forward(in);

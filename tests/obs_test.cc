@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -503,6 +508,21 @@ TEST(SignalFlushTest, NeverDisplacesAnApplicationHandler)
     sigaction(SIGTERM, &dfl, nullptr);
 }
 
+TEST(ExportTest, WriteFileReportsAFailedWrite)
+{
+    // /dev/full opens, then refuses every byte: a short write must
+    // read as failure, not success.
+    EXPECT_FALSE(WriteFile("/dev/full", "x"));
+    EXPECT_FALSE(WriteFile(::testing::TempDir() + "no/such/dir/f", "x"));
+    const std::string path = ::testing::TempDir() + "obs_write_file.txt";
+    ASSERT_TRUE(WriteFile(path, "body\n"));
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "body");
+    std::remove(path.c_str());
+}
+
 TEST(RunMetadataTest, MetricsFileLeadsWithMetaHeader)
 {
     const std::string path = ::testing::TempDir() + "obs_meta.jsonl";
@@ -966,6 +986,56 @@ TEST(ObservabilityServerTest, StopDoesNotDeadlockWithInFlightStatusz)
     scraper.join();
 }
 
+/** A client connected to 127.0.0.1:@p port that never sends. */
+int
+SilentClient(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    // Let the serve thread accept it and block reading it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    return fd;
+}
+
+TEST(ObservabilityServerTest, SilentClientHoldsTheServerOneTimeLimitAtMost)
+{
+    // The server takes one connection at a time, so a client that
+    // connects and says nothing delays the next scrape and Stop() by
+    // one scrape time limit, never forever. The silent socket closes
+    // before either future is joined, so a server without the limit
+    // fails here instead of hanging the suite.
+    ObservabilityServer server;
+    ASSERT_TRUE(server.Start(0));
+    const uint16_t port = server.Port();
+    const auto bound = std::chrono::seconds(3 * kScrapeTimeoutSeconds);
+
+    int silent = SilentClient(port);
+    std::future<int> scrape = std::async(std::launch::async, [port] {
+        std::string body;
+        int status = 0;
+        return HttpGet(port, "/healthz", &body, &status) ? status : -1;
+    });
+    const bool scraped =
+        scrape.wait_for(bound) == std::future_status::ready;
+    ::close(silent);
+    EXPECT_TRUE(scraped);
+    EXPECT_EQ(scrape.get(), 200);
+
+    silent = SilentClient(port);
+    std::future<void> stop =
+        std::async(std::launch::async, [&server] { server.Stop(); });
+    const bool stopped = stop.wait_for(bound) == std::future_status::ready;
+    ::close(silent);
+    EXPECT_TRUE(stopped);
+    stop.get();
+}
+
 TEST(ObservabilityServerTest, StatusProviderClearIsOwnerChecked)
 {
     ObservabilityServer server;
@@ -1107,11 +1177,8 @@ HealthyTrace(uint64_t id)
 
 TEST(RequestTraceCollectorTest, TailPolicyKeepsFlaggedOutcomes)
 {
-    RequestTraceCollector collector(16);
-    TailSamplingPolicy policy;
-    policy.sample_every = 0;  // drop every unflagged trace.
-    policy.latency_keep_ns = 1000;
-    collector.Configure(policy);
+    // sample_every 0: drop every unflagged trace.
+    RequestTraceCollector collector(16, /*sample_every=*/0);
 
     collector.Record(HealthyTrace(1));  // unflagged: sampled out.
 
@@ -1128,25 +1195,22 @@ TEST(RequestTraceCollectorTest, TailPolicyKeepsFlaggedOutcomes)
     collector.Record(rejected);
 
     RequestTrace slow = HealthyTrace(5);
-    slow.total_ns = 5000;  // >= latency_keep_ns.
+    slow.total_ns = 5000;  // latency alone flags nothing.
     collector.Record(slow);
 
     const auto kept = collector.Dump();
-    ASSERT_EQ(kept.size(), 4u);
+    ASSERT_EQ(kept.size(), 3u);
     EXPECT_EQ(kept[0].trace_id, 2u);
     EXPECT_EQ(kept[1].trace_id, 3u);
     EXPECT_EQ(kept[2].trace_id, 4u);
-    EXPECT_EQ(kept[3].trace_id, 5u);
     EXPECT_EQ(collector.TotalRecorded(), 5u);
-    EXPECT_EQ(collector.Sampled(), 1u);
+    EXPECT_EQ(collector.Sampled(), 2u);
 }
 
 TEST(RequestTraceCollectorTest, SamplesOneInNAndEvictsOldest)
 {
-    RequestTraceCollector collector(3);
-    TailSamplingPolicy policy;
-    policy.sample_every = 2;  // keep every second unflagged trace.
-    collector.Configure(policy);
+    // Keep every second unflagged trace.
+    RequestTraceCollector collector(3, /*sample_every=*/2);
 
     for (uint64_t id = 1; id <= 10; ++id)
         collector.Record(HealthyTrace(id));
@@ -1166,10 +1230,7 @@ TEST(RequestTraceCollectorTest, SamplesOneInNAndEvictsOldest)
 
 TEST(RequestTraceCollectorTest, DisableCountsButKeepsNothing)
 {
-    RequestTraceCollector collector(4);
-    TailSamplingPolicy keep_all;
-    keep_all.sample_every = 1;
-    collector.Configure(keep_all);
+    RequestTraceCollector collector(4, /*sample_every=*/1);
     collector.Disable();
     collector.Record(HealthyTrace(1));
     EXPECT_EQ(collector.Size(), 0u);
@@ -1181,10 +1242,7 @@ TEST(RequestTraceCollectorTest, DisableCountsButKeepsNothing)
 
 TEST(RequestTraceCollectorTest, ExactCapacityFillsWithoutEviction)
 {
-    RequestTraceCollector collector(4);
-    TailSamplingPolicy keep_all;
-    keep_all.sample_every = 1;
-    collector.Configure(keep_all);
+    RequestTraceCollector collector(4, /*sample_every=*/1);
     for (uint64_t id = 1; id <= 4; ++id)
         collector.Record(HealthyTrace(id));
     // Exactly full: everything retained, nothing evicted yet.
@@ -1203,10 +1261,7 @@ TEST(RequestTraceCollectorTest, ExactCapacityFillsWithoutEviction)
 
 TEST(RequestTraceCollectorTest, ForcedKeepEvictsHealthyWhenFull)
 {
-    RequestTraceCollector collector(3);
-    TailSamplingPolicy keep_all;
-    keep_all.sample_every = 1;
-    collector.Configure(keep_all);
+    RequestTraceCollector collector(3, /*sample_every=*/1);
     for (uint64_t id = 1; id <= 3; ++id)
         collector.Record(HealthyTrace(id));  // ring now full.
 
@@ -1223,10 +1278,7 @@ TEST(RequestTraceCollectorTest, ForcedKeepEvictsHealthyWhenFull)
 
 TEST(RequestTraceCollectorTest, WrappedRingExportsEachTraceOnce)
 {
-    RequestTraceCollector collector(4);
-    TailSamplingPolicy keep_all;
-    keep_all.sample_every = 1;
-    collector.Configure(keep_all);
+    RequestTraceCollector collector(4, /*sample_every=*/1);
     for (uint64_t id = 1; id <= 10; ++id)
         collector.Record(HealthyTrace(id));  // wraps twice.
 
@@ -1248,12 +1300,10 @@ TEST(RequestTraceCollectorTest, WrappedRingExportsEachTraceOnce)
     EXPECT_EQ(lines, 5u);  // meta header + four traces.
 }
 
-TEST(RequestTraceCollectorTest, KeepsAuditedTracesUnlessDisabled)
+TEST(RequestTraceCollectorTest, KeepsAuditedTraces)
 {
-    RequestTraceCollector collector(8);
-    TailSamplingPolicy policy;
-    policy.sample_every = 0;  // drop every unflagged trace.
-    collector.Configure(policy);
+    // sample_every 0: drop every unflagged trace.
+    RequestTraceCollector collector(8, /*sample_every=*/0);
 
     RequestTrace audited = HealthyTrace(1);
     audited.audited = true;
@@ -1264,13 +1314,6 @@ TEST(RequestTraceCollectorTest, KeepsAuditedTracesUnlessDisabled)
     EXPECT_NE(RequestTraceJson(collector.Dump()[0])
                   .find("\"audited\":true"),
               std::string::npos);
-
-    policy.keep_audited = false;
-    collector.Configure(policy);
-    RequestTrace dropped = HealthyTrace(3);
-    dropped.audited = true;
-    collector.Record(dropped);
-    EXPECT_EQ(collector.Size(), 1u);  // rule off: sampled away.
 }
 
 TEST(RequestTraceCollectorTest, TraceIdsAreUniqueAcrossClear)

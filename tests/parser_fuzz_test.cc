@@ -1,8 +1,9 @@
 // Seeded mutation loop over the hand-written parsers outside
 // rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_TRACE_RING_CAPACITY,
-// RUMBA_PROFILE_HZ and RUMBA_AUDIT_SAMPLE_N parsers, the route query
-// parser behind /tsdbz and /incidentz, and the external-input parsers
-// of fault plans, topologies, MLP blobs and deployment artifacts.
+// RUMBA_PROFILE_HZ, RUMBA_AUDIT_SAMPLE_N and RUMBA_METRICS_PORT
+// parsers, the route query parser behind /tsdbz and /incidentz, and
+// the external-input parsers of fault plans, topologies, MLP blobs,
+// deployment artifacts and the sections a runtime loads from them.
 // Valid seeds are mutated by truncation and bit flips
 // (fault/corrupt.h), signs, exponents and special values, leading
 // spaces and trailing garbage; every result must lie in its parser's
@@ -26,6 +27,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/artifact.h"
+#include "core/batch_view.h"
 #include "core/runtime.h"
 #include "fault/corrupt.h"
 #include "fault/plan.h"
@@ -127,9 +129,10 @@ class ParserFuzzTest : public ::testing::Test {
 
 TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
 {
-    const std::vector<std::string> inputs = Mutants(
-        {"100", "25", "0", "60000", "4096", "101", "0.2", "499", "16"},
-        1);
+    const std::vector<std::string> inputs =
+        Mutants({"100", "25", "0", "60000", "4096", "101", "0.2", "499",
+                 "16", "65535"},
+                1);
     for (const std::string& input : inputs) {
         const char* value = input.c_str();
 
@@ -144,6 +147,22 @@ TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
                     capacity <= obs::TraceRing::kMaxRingCapacity)
             << "RUMBA_TRACE_RING_CAPACITY='" << input << "' -> "
             << capacity;
+
+        // Only a whole decimal integer sets the period or turns the
+        // sampler off; anything else keeps the default.
+        if (!AllDigits(input) &&
+            !(input[0] == '-' && AllDigits(input.substr(1)))) {
+            EXPECT_EQ(period_ms, obs::kDefaultTsdbPeriodMs) << input;
+        }
+
+        // A port is plain digits that spell exactly it.
+        const std::optional<uint16_t> port = obs::ParseMetricsPort(value);
+        if (port.has_value()) {
+            EXPECT_TRUE(AllDigits(input)) << input;
+            EXPECT_EQ(*port, std::strtoull(value, nullptr, 10)) << input;
+        } else if (AllDigits(input)) {
+            EXPECT_GT(std::strtod(value, nullptr), 65535.0) << input;
+        }
 
         if (AllDigits(input)) {
             // Plain digits clamp into range; they never wrap.
@@ -380,6 +399,66 @@ TEST_F(ParserFuzzTest, ArtifactTryFromStringIsTypedOrValid)
         ++valid;
     }
     EXPECT_GT(valid, 0u);  // the valid-object branch ran.
+}
+
+TEST_F(ParserFuzzTest, DamagedArtifactSectionsAreRefusedOrServeFinite)
+{
+    const core::Result<core::Artifact> seed =
+        core::Artifact::TryFromString(ArtifactBlob());
+    ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+    const core::Artifact& good = *seed;
+    const core::RuntimeConfig config = core::RuntimeConfig::Builder()
+                                           .WithElementCaps(200, 100)
+                                           .WithCompensation()
+                                           .Build();
+    const auto bench = apps::MakeBenchmark(good.benchmark);
+    const auto inputs = bench->TestInputs();
+    constexpr size_t kElements = 8;
+    const std::vector<double> flat =
+        core::FlattenBatch({inputs.begin(), inputs.begin() + kElements});
+    const core::BatchView view(flat.data(), kElements, bench->NumInputs());
+    std::vector<double> outputs(kElements * bench->NumOutputs());
+
+    // Each section's mutants (truncations, bit flips, spliced tokens)
+    // plus a splice of another section into it, loaded through the
+    // runtime: a typed refusal, or a runtime that serves finite
+    // outputs. No mutant may kill, hang or corrupt the process.
+    std::string core::Artifact::*const sections[] = {
+        &core::Artifact::rumba_mlp, &core::Artifact::npu_mlp,
+        &core::Artifact::in_norm,   &core::Artifact::out_norm,
+        &core::Artifact::predictor, &core::Artifact::compensator};
+    size_t refused = 0;
+    size_t served = 0;
+    uint64_t stream = 7;
+    for (std::string core::Artifact::*section : sections) {
+        const std::string& clean = good.*section;
+        std::vector<std::string> blobs = Mutants({clean}, stream++);
+        for (std::string core::Artifact::*other : sections) {
+            const std::string& donor = good.*other;
+            blobs.push_back(clean.substr(0, clean.size() / 2) +
+                            donor.substr(donor.size() / 2));
+        }
+        for (const std::string& blob : blobs) {
+            core::Artifact damaged = good;
+            damaged.*section = blob;
+            auto runtime = core::RumbaRuntime::FromArtifact(damaged, config);
+            if (!runtime.ok()) {
+                const core::StatusCode code = runtime.status().code();
+                EXPECT_TRUE(code == core::StatusCode::kDataLoss ||
+                            code == core::StatusCode::kFailedPrecondition)
+                    << runtime.status().ToString();
+                ++refused;
+                continue;
+            }
+            (*runtime)->ProcessInvocation(view, outputs.data());
+            for (const double v : outputs)
+                EXPECT_TRUE(std::isfinite(v)) << blob;
+            ++served;
+        }
+    }
+    // Both branches ran.
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(served, 0u);
 }
 
 }  // namespace

@@ -344,7 +344,9 @@ TEST(SamplingProfilerTest, ProfileHzParsesLikeTheTsdbPeriod)
 {
     EXPECT_EQ(obs::ParseProfilePeriodNs(nullptr),
               obs::kDefaultProfilePeriodNs);
-    for (const char* fallback : {"", "abc", "inf", "-inf", "nan"})
+    for (const char* fallback :
+         {"", "abc", "inf", "-inf", "nan", "100hz", " 100", "+100", "0x10",
+          "1e999"})
         EXPECT_EQ(obs::ParseProfilePeriodNs(fallback),
                   obs::kDefaultProfilePeriodNs)
             << fallback;

@@ -467,4 +467,37 @@ for i in $(seq 0 197); do
         fail "mutant $i ($how at byte $off of $f) exited $rc: ${args[*]}"
 done
 
+# 30. A live target that accepts and never answers fails within the
+#     scrape time limit with exit 2, as one that refuses the
+#     connection does, instead of hanging.
+if command -v python3 > /dev/null; then
+    python3 - "$DIR/port" <<'PY' &
+import os, socket, sys
+listener = socket.socket()
+listener.bind(("127.0.0.1", 0))
+listener.listen(4)
+with open(sys.argv[1] + ".tmp", "w") as f:
+    f.write(str(listener.getsockname()[1]))
+os.rename(sys.argv[1] + ".tmp", sys.argv[1])
+held = []
+while True:
+    held.append(listener.accept()[0])
+PY
+    silent=$!
+    for _ in $(seq 100); do [[ -s "$DIR/port" ]] && break; sleep 0.1; done
+    if [[ ! -s "$DIR/port" ]]; then
+        kill "$silent"
+        fail "the silent listener did not start"
+    fi
+    timeout 30 "$STAT" scrape "http://127.0.0.1:$(cat "$DIR/port")/metrics" \
+        --check > /dev/null 2>&1
+    rc=$?
+    kill "$silent"
+    wait "$silent" 2> /dev/null
+    [[ $rc -eq 2 ]] ||
+        fail "a listener that never answers should exit 2 (got $rc)"
+else
+    echo "skip: python3 missing; the silent-listener scrape is unchecked"
+fi
+
 echo "PASS: rumba-stat behaves"

@@ -18,6 +18,7 @@
 #include "fault/corrupt.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "nn/mlp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "predict/ema.h"
@@ -50,7 +51,7 @@ TEST(SerializationTest, NormalizerRoundTrip)
     d.Add({3.0, 5.0, 400.0}, {1.0});
     Normalizer n;
     n.FitInputs(d);
-    const Normalizer copy = Normalizer::Deserialize(n.Serialize());
+    const Normalizer copy = Normalizer::TryDeserialize(n.Serialize()).value();
     const std::vector<double> probe{2.0, 0.0, 250.0};
     const auto a = n.Apply(probe);
     const auto b = copy.Apply(probe);
@@ -58,9 +59,10 @@ TEST(SerializationTest, NormalizerRoundTrip)
         EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
-TEST(SerializationTest, NormalizerBadBlobFatal)
+TEST(SerializationTest, NormalizerBadBlobRefused)
 {
-    EXPECT_DEATH(Normalizer::Deserialize("bogus 3 1 2 3"), "");
+    EXPECT_FALSE(Normalizer::TryDeserialize("bogus 3 1 2 3").has_value());
+    EXPECT_FALSE(Normalizer::TryDeserialize("norm 3 1 2 3").has_value());
 }
 
 // ------------------------------------------------------------ Predictors
@@ -70,7 +72,7 @@ TEST(SerializationTest, LinearRoundTripPredictsIdentically)
     predict::LinearErrorPredictor p;
     p.Train(SampleErrorData(500, 3));
     const auto copy =
-        predict::LinearErrorPredictor::Deserialize(p.Serialize());
+        predict::LinearErrorPredictor::TryDeserialize(p.Serialize()).value();
     Rng rng(5);
     for (int i = 0; i < 100; ++i) {
         std::vector<double> x{rng.Uniform(), rng.Uniform()};
@@ -84,7 +86,8 @@ TEST(SerializationTest, TreeRoundTripPredictsIdentically)
 {
     predict::TreeErrorPredictor p;
     p.Train(SampleErrorData(2000, 7));
-    auto copy = predict::TreeErrorPredictor::Deserialize(p.Serialize());
+    auto copy =
+        predict::TreeErrorPredictor::TryDeserialize(p.Serialize()).value();
     EXPECT_EQ(copy.NumNodes(), p.NumNodes());
     EXPECT_EQ(copy.Depth(), p.Depth());
     Rng rng(9);
@@ -98,7 +101,7 @@ TEST(SerializationTest, TreeRoundTripPredictsIdentically)
 TEST(SerializationTest, EmaRoundTripKeepsAlpha)
 {
     predict::EmaDetector ema(12);
-    auto copy = predict::EmaDetector::Deserialize(ema.Serialize());
+    auto copy = predict::EmaDetector::TryDeserialize(ema.Serialize()).value();
     EXPECT_DOUBLE_EQ(copy.Alpha(), ema.Alpha());
 }
 
@@ -113,7 +116,7 @@ TEST(SerializationTest, EvpRoundTrip)
     predict::ValuePredictionError p;
     p.Train(d);
     auto copy =
-        predict::ValuePredictionError::Deserialize(p.Serialize());
+        predict::ValuePredictionError::TryDeserialize(p.Serialize()).value();
     EXPECT_DOUBLE_EQ(p.PredictError({0.3}, {0.4, 0.6}),
                      copy.PredictError({0.3}, {0.4, 0.6}));
 }
@@ -452,6 +455,70 @@ TEST(ArtifactTest, FromArtifactReportsEveryRejection)
         core::RumbaRuntime::FromArtifact(good, FastConfig());
     ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
     EXPECT_EQ((*deployed)->Bench().Info().name, "fft");
+}
+
+TEST(ArtifactTest, FromArtifactRefusesDamagedSections)
+{
+    core::RumbaRuntime trained(apps::MakeBenchmark("inversek2j"),
+                               FastConfig());
+    const core::Artifact good = trained.ExportArtifact();
+    ASSERT_EQ(good.predictor.rfind("tree ", 0), 0u);
+    const auto status_of = [](const core::Artifact& artifact) {
+        const auto runtime =
+            core::RumbaRuntime::FromArtifact(artifact, FastConfig());
+        return runtime.ok() ? core::StatusCode::kOk
+                            : runtime.status().code();
+    };
+
+    // A truncated section re-renders into a blob whose checksum is
+    // valid, so only the section parse can refuse it.
+    for (std::string core::Artifact::*section :
+         {&core::Artifact::in_norm, &core::Artifact::npu_mlp,
+          &core::Artifact::predictor}) {
+        core::Artifact damaged = good;
+        fault::TruncateBlob(&(damaged.*section), 0.5);
+        const auto reloaded =
+            core::Artifact::TryFromString(damaged.ToString());
+        ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+        EXPECT_EQ(status_of(*reloaded), core::StatusCode::kDataLoss);
+    }
+
+    // Tree nodes must point forward and inside the tree: a node that
+    // is its own child would loop a serving worker forever, one past
+    // the end would read out of bounds.
+    core::Artifact tree = good;
+    for (const char* blob :
+         {"tree 7 1 3\n0 0.5 0 0 2\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n",
+          "tree 7 1 3\n0 0.5 0 1 9\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n",
+          "tree 7 1 99999999999\n-1 0 1 -1 -1\n",
+          "linear 0 99999999999 1\n", "evp 0 99999999999 2 1\n",
+          "ema 2\n"}) {
+        tree.predictor = blob;
+        EXPECT_EQ(status_of(tree), core::StatusCode::kDataLoss) << blob;
+    }
+
+    // Well-formed sections shaped for another kernel (inversek2j has
+    // two inputs and two outputs).
+    for (const char* blob :
+         {"tree 7 1 3\n5 0.5 0 1 2\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n",
+          "linear 0 4 1 2 3 4\n", "evp 0 1 3 1 2 3\n"}) {
+        tree.predictor = blob;
+        EXPECT_EQ(status_of(tree), core::StatusCode::kFailedPrecondition)
+            << blob;
+    }
+    core::Artifact norm = good;
+    norm.out_norm = "norm 3 0 0 0 1 1 1\n";
+    EXPECT_EQ(status_of(norm), core::StatusCode::kFailedPrecondition);
+    norm.out_norm = "norm 99999999999 0\n";
+    EXPECT_EQ(status_of(norm), core::StatusCode::kDataLoss);
+    core::Artifact npu = good;
+    npu.npu_mlp = nn::Mlp(nn::Topology::Parse("3->4->2"),
+                          nn::Activation::kSigmoid,
+                          nn::Activation::kLinear)
+                      .Serialize();
+    EXPECT_EQ(status_of(npu), core::StatusCode::kFailedPrecondition);
+
+    EXPECT_EQ(status_of(good), core::StatusCode::kOk);
 }
 
 // ------------------------------------------------ Runtime behaviour pin

@@ -622,10 +622,7 @@ ReadWholeFile(const std::string& path)
 
 TEST(FlightRecorderTest, RingEvictsOldestAndDumpsJsonl)
 {
-    obs::TailSamplingPolicy keep_all;
-    keep_all.sample_every = 1;
-    obs::RequestTraceCollector ring(4);
-    ring.Configure(keep_all);
+    obs::RequestTraceCollector ring(4, /*sample_every=*/1);
     for (uint64_t id = 1; id <= 6; ++id) {
         obs::RequestTrace record;
         record.trace_id = id;

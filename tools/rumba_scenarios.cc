@@ -157,21 +157,16 @@ Sink()
     return sink;
 }
 
-void
+/** Rewrite the sink file; false when it could not be written. */
+bool
 WriteSinkLocked(const ResultSink& sink)
 {
     if (sink.path.empty())
-        return;
-    std::FILE* f = std::fopen(sink.path.c_str(), "w");
-    if (f == nullptr)
-        return;
-    const std::string meta = rumba::obs::MetadataJsonLine() + "\n";
-    std::fwrite(meta.data(), 1, meta.size(), f);
-    for (const std::string& line : sink.lines) {
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
-    }
-    std::fclose(f);
+        return true;
+    std::string body = rumba::obs::MetadataJsonLine() + "\n";
+    for (const std::string& line : sink.lines)
+        body += line + "\n";
+    return rumba::obs::WriteFile(sink.path, body);
 }
 
 /** Flush hook: best-effort, signal context — try-lock only. */
@@ -804,6 +799,7 @@ main(int argc, char** argv)
 
     std::vector<ScenarioResult> results;
     size_t failures = 0;
+    bool sink_written = true;
     for (size_t i = 0; i < specs.size(); ++i) {
         const ScenarioSpec& spec = specs[i];
         std::printf("[%zu/%zu] %s...\n", i + 1, specs.size(),
@@ -838,7 +834,9 @@ main(int argc, char** argv)
         {
             std::lock_guard<std::mutex> lock(Sink().mu);
             Sink().lines.push_back(ResultJsonLine(result));
-            WriteSinkLocked(Sink());  // partial results survive kills.
+            // Partial results survive kills; each write replaces the
+            // file, so the last one decides what it holds.
+            sink_written = WriteSinkLocked(Sink());
         }
         results.push_back(std::move(result));
     }
@@ -879,6 +877,11 @@ main(int argc, char** argv)
     }
     std::printf("%zu scenarios: %zu pass, %zu fail/error, %zu skip\n",
                 results.size(), passed, failures, skipped);
+    if (!sink_written) {
+        std::fprintf(stderr, "rumba_scenarios: could not write %s\n",
+                     out_path.c_str());
+        return 2;
+    }
     if (!out_path.empty())
         std::printf("results: %s\n", out_path.c_str());
     return failures == 0 ? 0 : 1;

@@ -49,6 +49,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -314,8 +315,13 @@ ParseTarget(const std::string& text, const char* default_path,
     return true;
 }
 
+/** Seconds one receive or send of a scrape may stall (the server's
+ *  obs::kScrapeTimeoutSeconds; rumba-stat links nothing from src/). */
+constexpr int kScrapeTimeoutSeconds = 3;
+
 /** Blocking HTTP GET (own tiny client — rumba-stat links nothing from
- *  src/). Supports dotted-quad hosts and "localhost". */
+ *  src/). Supports dotted-quad hosts and "localhost". A receive or
+ *  send that stalls for kScrapeTimeoutSeconds fails the fetch. */
 bool
 FetchHttp(const Target& target, std::string* body)
 {
@@ -334,6 +340,10 @@ FetchHttp(const Target& target, std::string* body)
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return false;
+    timeval limit{};
+    limit.tv_sec = kScrapeTimeoutSeconds;
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &limit, sizeof(limit));
     if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
         std::fprintf(stderr, "rumba-stat: cannot connect to %s:%d\n",
@@ -360,6 +370,11 @@ FetchHttp(const Target& target, std::string* body)
     while ((n = recv(fd, buf, sizeof(buf), 0)) > 0)
         response.append(buf, static_cast<size_t>(n));
     close(fd);
+    if (n < 0) {
+        std::fprintf(stderr, "rumba-stat: no response from %s:%d\n",
+                     target.host.c_str(), target.port);
+        return false;
+    }
     const size_t sp = response.find(' ');
     if (response.compare(0, 5, "HTTP/") != 0 ||
         sp == std::string::npos) {
