@@ -13,27 +13,31 @@
  * accelerators behind one host core would.
  *
  * Modes:
- *   (default)   shard sweep + exit-code invariant: >= 2.5x
- *               throughput at 4 shards vs 1.
+ *   (default)   shard sweep: throughput at 4 shards vs 1, and the
+ *               observability tax below. It reports both figures and
+ *               asserts neither: one run times the host as much as
+ *               the engine, so ci.sh's perf tier gates the median of
+ *               five runs (ratio >= 2.5x, overhead < 5%).
  *   --smoke     quick concurrent submit/drain/shutdown pass (for the
  *               sanitizer suites); no timing assertions.
  *   --gate      deterministic synchronous pass for the telemetry
- *               baseline (ci.sh diffs the RUMBA_METRICS_OUT snapshot
- *               against bench/baselines with rumba-stat). Submission
- *               waits for each future, so every counter is
- *               reproducible; concurrency (and with it last-writer
- *               gauge races) is deliberately absent.
+ *               baseline (the bench_serve_speedup ctest entry diffs
+ *               its RUMBA_METRICS_OUT snapshot against bench/baselines
+ *               with rumba-stat). Submission waits for each future,
+ *               so every counter is reproducible; concurrency (and
+ *               with it last-writer gauge races) is deliberately
+ *               absent. Exits nonzero unless every request is served
+ *               and every element accounted for.
  *
- * The default mode also measures the observability tax: the same
- * 1-shard stream with request tracing, flight recording, SLO
- * monitoring, the cost profiler (per-stage CPU attribution + the
- * efficiency estimator), the forensics tsdb sampler + anomaly
- * detectors, and a live scrape server against the same stream with
- * all of it off, asserting the instrumented run costs < 5% of the
- * serving wall time in extra CPU.
+ * The observability tax is the same 1-shard stream with request
+ * tracing, flight recording, SLO monitoring, the cost profiler
+ * (per-stage CPU attribution + the efficiency estimator), the
+ * forensics tsdb sampler + anomaly detectors, and a live scrape
+ * server against the same stream with all of it off: the extra CPU
+ * as a share of the serving wall time.
  *
- * Both the gate and the default sweep append one perf-trajectory
- * record to BENCH_serve_throughput.json (override the path with
+ * The default sweep appends one perf-trajectory record to
+ * BENCH_serve_throughput.json (override the path with
  * RUMBA_BENCH_TRAJECTORY; empty disables), so the repo carries a
  * commit-over-commit throughput trend next to the metric baselines.
  */
@@ -153,8 +157,7 @@ TimedRun(const core::Artifact& artifact, size_t shards,
     if (!instrumented) {
         config.trace.enabled = false;
         config.flight.capacity = 0;
-        config.slo.latency_bound_ns = 0;
-        config.slo.quality_margin_pct = -1.0;
+        config.slo.enabled = false;
         config.audit.enabled = false;
         config.profile.enabled = false;
         config.forensics.enabled = false;
@@ -232,16 +235,15 @@ RunSmoke(const core::Artifact& artifact,
 }
 
 /**
- * Append one perf-trajectory record to the BENCH_serve_throughput.json
- * JSONL trend file: commit, date, shard count, throughput, and (when
- * measured) the instrumentation overhead. Sanitized builds are
- * stamped but not performance-representative; consumers filter on
- * the "sanitizers" field.
+ * Append one perf-trajectory record of the default sweep to the
+ * BENCH_serve_throughput.json JSONL trend file: commit, date, shard
+ * count, throughput and the instrumentation overhead. Sanitized
+ * builds are stamped but not performance-representative; consumers
+ * filter on the "sanitizers" field.
  */
 void
-AppendBenchTrajectory(const char* mode, size_t shards, size_t requests,
-                      size_t elements, double throughput_eps,
-                      bool have_overhead, double overhead_pct)
+AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
+                      double throughput_eps, double overhead_pct)
 {
     const char* path = std::getenv("RUMBA_BENCH_TRAJECTORY");
     if (path == nullptr)
@@ -257,7 +259,7 @@ AppendBenchTrajectory(const char* mode, size_t shards, size_t requests,
     const obs::RunMetadata meta = obs::CollectRunMetadata();
     std::string line =
         "{\"bench\":\"serve_throughput\",\"schema_version\":1";
-    line += ",\"mode\":" + obs::JsonQuote(mode);
+    line += ",\"mode\":\"sweep\"";
     line += ",\"commit\":" + obs::JsonQuote(meta.git_describe);
     line += ",\"date\":" + obs::JsonQuote(meta.wall_time_iso8601);
     line += ",\"build_type\":" + obs::JsonQuote(meta.build_type);
@@ -266,8 +268,7 @@ AppendBenchTrajectory(const char* mode, size_t shards, size_t requests,
     line += ",\"requests\":" + std::to_string(requests);
     line += ",\"elements\":" + std::to_string(elements);
     line += ",\"throughput_eps\":" + obs::JsonNum(throughput_eps);
-    if (have_overhead)
-        line += ",\"overhead_pct\":" + obs::JsonNum(overhead_pct);
+    line += ",\"overhead_pct\":" + obs::JsonNum(overhead_pct);
     line += "}\n";
     std::fwrite(line.data(), 1, line.size(), f);
     std::fclose(f);
@@ -290,7 +291,6 @@ RunGate(const core::Artifact& artifact,
     // Strictly synchronous: one request in flight at a time, so every
     // serve/runtime counter lands in a reproducible order.
     size_t served = 0;
-    const uint64_t gate_start_ns = obs::NowNs();
     for (size_t r = 0; r < kRequests; ++r) {
         const auto result =
             (*engine)->Submit(NthRequest(stream, r, in_w)).get();
@@ -301,17 +301,14 @@ RunGate(const core::Artifact& artifact,
         }
         served += result.report.elements;
     }
-    const double gate_seconds =
-        static_cast<double>(obs::NowNs() - gate_start_ns) * 1e-9;
     (*engine)->Shutdown();
     std::printf("serve gate: %zu elements over %zu requests\n", served,
                 kRequests);
-    AppendBenchTrajectory("gate", config.shards, kRequests, served,
-                          gate_seconds > 0.0
-                              ? static_cast<double>(served) /
-                                    gate_seconds
-                              : 0.0,
-                          /*have_overhead=*/false, 0.0);
+    if (served != kRequests * kBatch) {
+        std::fprintf(stderr, "gate: %zu of %zu elements accounted for\n",
+                     served, kRequests * kBatch);
+        return 1;
+    }
     return 0;
 }
 
@@ -386,10 +383,7 @@ main(int argc, char** argv)
                     "accelerator occupancy (inversek2j)",
                     csv_dir, "serve_throughput");
 
-    constexpr double kRequiredSpeedup = 2.5;
-    std::printf("\n4-shard speedup %.2fx (required >= %.1fx): %s\n",
-                ratio, kRequiredSpeedup,
-                ratio >= kRequiredSpeedup ? "ok" : "FAILED");
+    std::printf("\n4-shard speedup %.2fx\n", ratio);
 
     // ---- Instrumentation overhead ----------------------------------
     // The observability tax: the same 1-shard stream with the full
@@ -455,37 +449,22 @@ main(int argc, char** argv)
     poller.join();
     server.Stop();
 
-    // Gate on the median round, not the aggregate: a single
-    // scheduler burst (a parallel ctest neighbor, a CI builder)
-    // landing in one round poisons a sum but cannot move the median
-    // of 11 interleaved off/on pairs. A *systematic* cost shifts
-    // every round and is still caught.
-    constexpr double kMaxOverheadPct = 5.0;
+    // Report the median round, not the aggregate: a single
+    // scheduler burst (a CI neighbor, a builder) landing in one round
+    // poisons a sum but cannot move the median of 15 interleaved
+    // off/on pairs. A *systematic* cost shifts every round.
     std::sort(round_pct.begin(), round_pct.end());
     const double overhead_pct = round_pct[round_pct.size() / 2];
     std::printf("\n== Instrumentation overhead: tracing + SLOs + "
                 "scrape server ==\n"
                 "cpu off %.1f ms, cpu on %.1f ms over %.0f ms "
                 "serving -> %+.1f%% median extra CPU "
-                "(aggregate %+.1f%%, required < %.0f%%): %s\n",
+                "(aggregate %+.1f%%)\n",
                 cpu_off * 1e3, cpu_on * 1e3, wall_off * 1e3,
                 overhead_pct,
-                (cpu_on - cpu_off) / wall_off * 100.0,
-                kMaxOverheadPct,
-                overhead_pct < kMaxOverheadPct ? "ok" : "FAILED");
+                (cpu_on - cpu_off) / wall_off * 100.0);
 
-    AppendBenchTrajectory("sweep", 4, kRequests, kRequests * kBatch,
-                          sharded_eps, /*have_overhead=*/true,
+    AppendBenchTrajectory(4, kRequests, kRequests * kBatch, sharded_eps,
                           overhead_pct);
-
-    // Sanitized builds run the same workloads for the memory/race
-    // coverage but are not performance-representative — don't let
-    // instrumented slowdowns fail the perf gates there.
-    if (!obs::CollectRunMetadata().sanitizers.empty()) {
-        std::printf("sanitized build: perf gates informational only\n");
-        return 0;
-    }
-    return ratio >= kRequiredSpeedup && overhead_pct < kMaxOverheadPct
-               ? 0
-               : 1;
+    return 0;
 }

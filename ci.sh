@@ -3,7 +3,8 @@
 # and a TSan build of the threaded paths (RUMBA_SANITIZE wires any
 # -fsanitize= spelling through the whole tree). The plain build also
 # gates telemetry against the checked-in baselines with rumba-stat.
-# Usage: ./ci.sh [--skip-sanitize]
+# A perf tier comes last, so a timing verdict never hides a functional
+# one. Usage: ./ci.sh [--skip-sanitize]
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,13 +27,8 @@ RUMBA_METRICS_OUT=build/quickstart.metrics.jsonl \
 ./build/tools/rumba-stat diff \
     bench/baselines/quickstart.metrics.jsonl \
     build/quickstart.metrics.jsonl --tol 0.02
-# Serving-layer gate: the bench's --gate mode submits synchronously
-# (one request in flight), so the serve.* counters are reproducible.
-RUMBA_METRICS_OUT=build/serve_throughput.metrics.jsonl \
-    ./build/bench/serve_throughput --gate > /dev/null
-./build/tools/rumba-stat diff \
-    bench/baselines/serve_throughput.metrics.jsonl \
-    build/serve_throughput.metrics.jsonl --tol 0.02
+# (The serving-layer counter gate is the bench_serve_speedup ctest
+# entry above.)
 # Tiered-recovery gate: the three-tier example streams and serves
 # with compensation on; the baseline pins the recovery.tier.* split,
 # the boundary-tuner feedback counters, and the audited-quality
@@ -265,5 +261,37 @@ if [[ "${1:-}" != "--skip-sanitize" ]]; then
         -R '^(obs_test|extensions_test|fault_test|serialization_test|core_test|serve_test|audit_test|profiler_test|forensics_test)$' \
         -j
 fi
+
+echo "==> perf tier (serve_throughput, median of 5 runs)"
+# The 4-shard throughput ratio and the observability overhead time the
+# host as much as the engine: one run reads 1.85-3.78x on a 4-vCPU
+# guest. So they are gated here, on the median of five runs of the
+# plain build, never in ctest. Each run appends its trajectory record
+# to BENCH_serve_throughput.json at the repo root.
+perf_runs=5
+ratios=()
+overheads=()
+for run in $(seq 1 "$perf_runs"); do
+    out=$(./build/bench/serve_throughput 2> /dev/null)
+    ratio=$(awk '/^4-shard speedup/ { print $3 + 0 }' <<< "$out")
+    overhead=$(awk '/median extra CPU/ {
+        for (i = 1; i < NF; ++i) if ($i == "->") print $(i + 1) + 0 }' \
+        <<< "$out")
+    echo "   run $run: ratio ${ratio}x, overhead ${overhead}%"
+    ratios+=("$ratio")
+    overheads+=("$overhead")
+done
+# Median and quartiles (the middle value of each half) of the runs.
+spread() {
+    printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 }
+        END { h = int((NR + 1) / 2); q = int((h + 1) / 2)
+              printf "%s %s %s\n", v[h], v[q], v[NR + 1 - q] }'
+}
+read -r ratio_med ratio_q1 ratio_q3 <<< "$(spread "${ratios[@]}")"
+read -r over_med over_q1 over_q3 <<< "$(spread "${overheads[@]}")"
+echo "   ratio median ${ratio_med}x (IQR ${ratio_q1}-${ratio_q3}), required >= 2.5x"
+echo "   overhead median ${over_med}% (IQR ${over_q1}-${over_q3}), required < 5%"
+awk -v r="$ratio_med" -v o="$over_med" 'BEGIN { exit !(r >= 2.5 && o < 5) }' ||
+    { echo "perf tier FAILED"; exit 1; }
 
 echo "==> ci.sh: all suites passed"

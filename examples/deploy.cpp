@@ -40,6 +40,7 @@
 #include <set>
 #include <thread>
 
+#include "common/file.h"
 #include "core/runtime.h"
 #include "fault/corrupt.h"
 #include "fault/injector.h"
@@ -191,7 +192,7 @@ main()
     const char* kCorruptPath = "inversek2j.corrupt.rumba";
     std::string corrupt_blob = artifact.ToString();
     fault::TruncateBlob(&corrupt_blob, /*keep_fraction=*/0.6);
-    const bool corrupt_written = obs::WriteFile(kCorruptPath, corrupt_blob);
+    const bool corrupt_written = WriteFile(kCorruptPath, corrupt_blob);
     const auto damaged = core::Artifact::TryLoad(kCorruptPath);
     const bool corrupt_rejected = corrupt_written && !damaged.ok();
     std::remove(kCorruptPath);
@@ -308,7 +309,6 @@ main()
     audit_config.audit.queue_capacity = 512;
     audit_config.audit.threads = 2;
     audit_config.audit.margin_pct = 0.0;  // audited bound = target.
-    audit_config.audit.min_events = 10;
 
     auto audit_engine_or = serve::ShardedEngine::Create(
         artifact, config, audit_config);

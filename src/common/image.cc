@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
+#include "common/file.h"
 #include "common/logging.h"
 
 namespace rumba {
@@ -70,18 +72,14 @@ GrayImage::MeanAbsDiff(const GrayImage& other) const
 bool
 GrayImage::WritePgm(const std::string& path) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << "P5\n" << width_ << " " << height_ << "\n255\n";
-    std::vector<unsigned char> bytes(data_.size());
-    for (size_t i = 0; i < data_.size(); ++i) {
-        const double v = std::clamp(data_[i], 0.0, 1.0);
-        bytes[i] = static_cast<unsigned char>(std::lround(v * 255.0));
+    std::string body = "P5\n" + std::to_string(width_) + " " +
+                       std::to_string(height_) + "\n255\n";
+    body.reserve(body.size() + data_.size());
+    for (const double pixel : data_) {
+        const double v = std::clamp(pixel, 0.0, 1.0);
+        body += static_cast<char>(std::lround(v * 255.0));
     }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out);
+    return WriteFile(path, body);
 }
 
 bool

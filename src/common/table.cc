@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
+#include "common/file.h"
 #include "common/logging.h"
 
 namespace rumba {
@@ -107,11 +107,7 @@ Table::Print(const std::string& title) const
 bool
 Table::WriteCsv(const std::string& path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << ToCsv();
-    return static_cast<bool>(out);
+    return WriteFile(path, ToCsv());
 }
 
 }  // namespace rumba

@@ -5,8 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file.h"
 #include "common/fnv.h"
-#include "obs/export.h"
 
 namespace rumba::core {
 
@@ -157,7 +157,7 @@ Artifact::TryFromString(const std::string& text)
 bool
 Artifact::Save(const std::string& path) const
 {
-    return obs::WriteFile(path, ToString());
+    return WriteFile(path, ToString());
 }
 
 Result<Artifact>

@@ -27,7 +27,6 @@ CircuitBreaker::CircuitBreaker(const BreakerConfig& config)
 {
     RUMBA_CHECK(config.trip_after > 0);
     RUMBA_CHECK(config.close_after > 0);
-    RUMBA_CHECK(config.canary_elements > 0);
     obs_state_->Set(0.0);
 }
 
@@ -42,7 +41,7 @@ CircuitBreaker::ApproxBudget(size_t batch_elements) const
       case BreakerState::kOpen:
         return 0;
       case BreakerState::kHalfOpen:
-        return std::min(config_.canary_elements, batch_elements);
+        return std::min(kCanaryElements, batch_elements);
     }
     return batch_elements;
 }
@@ -50,20 +49,17 @@ CircuitBreaker::ApproxBudget(size_t batch_elements) const
 bool
 CircuitBreaker::Unhealthy(const BreakerHealth& health) const
 {
-    if (config_.non_finite_trip > 0 &&
-        health.non_finite >= config_.non_finite_trip)
-        return true;
-    if (config_.trip_on_queue_drops && health.queue_drops > 0)
+    if (health.non_finite > 0 || health.queue_drops > 0)
         return true;
     if (health.drift && health.approx_elements > 0) {
         const double fire_rate =
             static_cast<double>(health.fires) /
             static_cast<double>(health.approx_elements);
-        if (fire_rate > config_.fire_rate_trip)
+        if (fire_rate > kFireRateTrip)
             return true;
     }
     return health.output_error_pct >
-           config_.error_trip_factor * health.target_error_pct;
+           kErrorTripFactor * health.target_error_pct;
 }
 
 void
@@ -109,7 +105,7 @@ CircuitBreaker::OnInvocation(const BreakerHealth& health)
             SetState(BreakerState::kHalfOpen);
             Inform("circuit breaker HALF-OPEN: probing the accelerator "
                    "with %zu-element canaries",
-                   config_.canary_elements);
+                   kCanaryElements);
         }
         break;
       }

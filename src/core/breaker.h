@@ -43,28 +43,14 @@ enum class BreakerState {
 /** Human-readable state name ("closed" / "open" / "half-open"). */
 const char* BreakerStateName(BreakerState state);
 
-/** Trip/recovery policy. */
+/** Trip/recovery policy: how fast the breaker trips and recovers.
+ *  What counts as unhealthy is fixed (CircuitBreaker::Unhealthy). */
 struct BreakerConfig {
     bool enabled = true;
-    /** An invocation is unhealthy when its delivered output error
-     *  exceeds `error_trip_factor x` the tuner's target. */
-    double error_trip_factor = 3.0;
-    /** ... or its detector fire rate exceeds this fraction *while the
-     *  drift alarm is raised*. A bare fire-rate spike is the online
-     *  tuner's job (it walks the threshold); fire-rate blowout
-     *  corroborated by drift means the calibration no longer fits. */
-    double fire_rate_trip = 0.6;
-    /** ... or it saw at least this many non-finite accelerator
-     *  outputs (0 disables the non-finite criterion). */
-    size_t non_finite_trip = 1;
-    /** ... or any recovery-queue entries were dropped. */
-    bool trip_on_queue_drops = true;
     /** Consecutive unhealthy invocations before the breaker opens. */
     size_t trip_after = 3;
     /** Invocations served exact-only before probing (hold-off). */
     size_t open_invocations = 4;
-    /** Elements routed through the accelerator per half-open probe. */
-    size_t canary_elements = 32;
     /** Consecutive clean probes before the breaker closes again. */
     size_t close_after = 2;
 };
@@ -88,6 +74,15 @@ struct BreakerHealth {
 /** The closed -> open -> half-open state machine. */
 class CircuitBreaker {
   public:
+    /** Delivered output error, as a multiple of the tuner's target,
+     *  past which an invocation is unhealthy. */
+    static constexpr double kErrorTripFactor = 3.0;
+    /** Detector fire rate past which an invocation is unhealthy
+     *  while the drift alarm is raised. */
+    static constexpr double kFireRateTrip = 0.6;
+    /** Elements routed through the accelerator per half-open probe. */
+    static constexpr size_t kCanaryElements = 32;
+
     CircuitBreaker() : CircuitBreaker(BreakerConfig()) {}
     explicit CircuitBreaker(const BreakerConfig& config);
 
@@ -110,7 +105,15 @@ class CircuitBreaker {
      */
     void OnInvocation(const BreakerHealth& health);
 
-    /** True when @p health alone would count as unhealthy. */
+    /**
+     * True when @p health alone would count as unhealthy: any
+     * non-finite accelerator output, any dropped recovery-queue
+     * entry, a fire rate above kFireRateTrip *while the drift alarm
+     * is raised*, or output error above kErrorTripFactor x the
+     * target. A bare fire-rate spike is the online tuner's job (it
+     * walks the threshold); fire-rate blowout corroborated by drift
+     * means the calibration no longer fits.
+     */
     bool Unhealthy(const BreakerHealth& health) const;
 
     /** closed -> open transitions (half-open reopens included). */

@@ -8,20 +8,15 @@
 
 namespace rumba::core {
 
-DriftMonitor::DriftMonitor() : DriftMonitor(Options()) {}
-
-DriftMonitor::DriftMonitor(const Options& options)
-    : options_(options),
+DriftMonitor::DriftMonitor(double expected_fire_rate)
+    : expected_(expected_fire_rate),
+      smoothed_(expected_fire_rate),
       obs_observations_(
           obs::Registry::Default().GetCounter("drift.observations")),
       obs_fire_rate_(
           obs::Registry::Default().GetGauge("drift.smoothed_fire_rate"))
 {
-    RUMBA_CHECK(options.expected_fire_rate >= 0.0 &&
-                options.expected_fire_rate <= 1.0);
-    RUMBA_CHECK(options.alpha > 0.0 && options.alpha <= 1.0);
-    RUMBA_CHECK(options.tolerance > 1.0);
-    smoothed_ = options.expected_fire_rate;
+    RUMBA_CHECK(expected_ >= 0.0 && expected_ <= 1.0);
 }
 
 void
@@ -32,8 +27,7 @@ DriftMonitor::Observe(size_t fired, size_t elements)
     RUMBA_CHECK(fired <= elements);
     const double rate =
         static_cast<double>(fired) / static_cast<double>(elements);
-    smoothed_ = options_.alpha * rate +
-                (1.0 - options_.alpha) * smoothed_;
+    smoothed_ = kAlpha * rate + (1.0 - kAlpha) * smoothed_;
     ++observations_;
     obs_observations_->Increment();
     obs_fire_rate_->Set(smoothed_);
@@ -42,7 +36,7 @@ DriftMonitor::Observe(size_t fired, size_t elements)
 void
 DriftMonitor::ReArm()
 {
-    smoothed_ = options_.expected_fire_rate;
+    smoothed_ = expected_;
     observations_ = 0;
     obs_fire_rate_->Set(smoothed_);
 }
@@ -50,13 +44,12 @@ DriftMonitor::ReArm()
 bool
 DriftMonitor::DriftDetected() const
 {
-    if (!Enabled() || observations_ < options_.warmup)
+    if (!Enabled() || observations_ < kWarmup)
         return false;
-    const double expected = options_.expected_fire_rate;
-    if (std::fabs(smoothed_ - expected) < options_.min_delta)
+    if (std::fabs(smoothed_ - expected_) < kMinDelta)
         return false;
-    return smoothed_ > expected * options_.tolerance ||
-           smoothed_ < expected / options_.tolerance;
+    return smoothed_ > expected_ * kTolerance ||
+           smoothed_ < expected_ / kTolerance;
 }
 
 }  // namespace rumba::core

@@ -25,25 +25,21 @@ namespace rumba::core {
 /** Flags persistent fire-rate departures from the calibrated rate. */
 class DriftMonitor {
   public:
-    /** Detection policy. */
-    struct Options {
-        /** Fire rate observed during offline calibration, in [0, 1].
-         *  Zero disables the monitor (nothing to compare against). */
-        double expected_fire_rate = 0.0;
-        /** EMA smoothing factor over invocations. */
-        double alpha = 0.2;
-        /** Drift fires when the smoothed rate leaves
-         *  [expected / tolerance, expected * tolerance]. */
-        double tolerance = 2.0;
-        /** Invocations observed before drift may fire (EMA warmup). */
-        size_t warmup = 3;
-        /** Absolute rate slack: departures smaller than this never
-         *  count as drift (guards tiny expected rates). */
-        double min_delta = 0.02;
-    };
+    /** EMA smoothing factor over invocations. */
+    static constexpr double kAlpha = 0.2;
+    /** Drift fires when the smoothed rate leaves
+     *  [expected / kTolerance, expected * kTolerance]. */
+    static constexpr double kTolerance = 2.0;
+    /** Invocations observed before drift may fire (EMA warmup). */
+    static constexpr size_t kWarmup = 3;
+    /** Absolute rate slack: departures smaller than this never count
+     *  as drift (guards tiny expected rates). */
+    static constexpr double kMinDelta = 0.02;
 
-    DriftMonitor();
-    explicit DriftMonitor(const Options& options);
+    /** @p expected_fire_rate is the fire rate observed during offline
+     *  calibration, in [0, 1]; zero disables the monitor (nothing to
+     *  compare against). */
+    explicit DriftMonitor(double expected_fire_rate = 0.0);
 
     /**
      * Record one invocation's outcome. A zero-element invocation
@@ -66,16 +62,16 @@ class DriftMonitor {
     bool DriftDetected() const;
 
     /** Monitoring enabled (an expected rate was provided). */
-    bool Enabled() const { return options_.expected_fire_rate > 0.0; }
+    bool Enabled() const { return expected_ > 0.0; }
 
     /** Invocations observed since construction/ReArm(). */
     size_t Observations() const { return observations_; }
 
-    /** The active policy. */
-    const Options& Config() const { return options_; }
+    /** The calibrated fire rate departures are judged against. */
+    double ExpectedFireRate() const { return expected_; }
 
   private:
-    Options options_;
+    double expected_;
     double smoothed_ = 0.0;
     size_t observations_ = 0;
     /** Process-wide telemetry: observation count and smoothed rate. */

@@ -76,12 +76,9 @@ RumbaRuntime::RumbaRuntime(std::unique_ptr<apps::Benchmark> bench,
         size_t fired = 0;
         for (double e : calibration_scores_)
             fired += e >= calibrated ? 1 : 0;
-        DriftMonitor::Options drift_options;
-        drift_options.expected_fire_rate =
-            static_cast<double>(fired) /
-            static_cast<double>(std::max<size_t>(
-                1, calibration_scores_.size()));
-        drift_ = DriftMonitor(drift_options);
+        drift_ = DriftMonitor(static_cast<double>(fired) /
+                              static_cast<double>(std::max<size_t>(
+                                  1, calibration_scores_.size())));
     }
     if (compensator.valid())
         InstallCompensator(compensator.get());

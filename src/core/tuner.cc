@@ -24,8 +24,6 @@ ValidateTunerConfig(const TunerConfig& config)
             "tuner: max_threshold must be > min_threshold");
     if (!(config.target_error_pct > 0.0))
         return invalid("tuner: target_error_pct must be > 0");
-    if (!(config.dead_band >= 0.0 && config.dead_band < 1.0))
-        return invalid("tuner: dead_band must be in [0, 1)");
     return Status::Ok();
 }
 
@@ -73,15 +71,14 @@ void
 OnlineTuner::EndInvocation(const InvocationFeedback& feedback)
 {
     const obs::Span span("tuner.adjust");
-    const double band = config_.dead_band;
     switch (config_.mode) {
       case TuningMode::kToq: {
         // Too much residual error -> check more aggressively;
         // comfortably under target -> back off to save energy.
         const double target = config_.target_error_pct;
-        if (feedback.estimated_error_pct > target * (1.0 + band))
+        if (feedback.estimated_error_pct > target * (1.0 + kDeadBand))
             Lower();
-        else if (feedback.estimated_error_pct < target * (1.0 - band))
+        else if (feedback.estimated_error_pct < target * (1.0 - kDeadBand))
             Raise();
         break;
       }
@@ -91,7 +88,7 @@ OnlineTuner::EndInvocation(const InvocationFeedback& feedback)
         const double fixes = static_cast<double>(feedback.fixes);
         if (fixes > budget)
             Raise();
-        else if (fixes < budget * (1.0 - band))
+        else if (fixes < budget * (1.0 - kDeadBand))
             Lower();
         break;
       }
@@ -99,7 +96,7 @@ OnlineTuner::EndInvocation(const InvocationFeedback& feedback)
         // CPU saturated -> fix fewer; CPU idle headroom -> fix more.
         if (feedback.cpu_busy_ratio > 1.0)
             Raise();
-        else if (feedback.cpu_busy_ratio < 1.0 - band)
+        else if (feedback.cpu_busy_ratio < 1.0 - kDeadBand)
             Lower();
         break;
       }

@@ -40,14 +40,12 @@ struct TunerConfig {
     /** Threshold clamp range (predictor-scale units). */
     double min_threshold = 1e-5;
     double max_threshold = 1e3;
-    /** Dead band: no adjustment while within this relative margin. */
-    double dead_band = 0.1;
 };
 
 /**
  * kInvalidArgument when @p config cannot drive a tuner (adjust factor
- * <= 1, non-positive or inverted threshold clamp range, negative
- * target/dead band). Entry points taking external configuration
+ * <= 1, non-positive or inverted threshold clamp range, non-positive
+ * target). Entry points taking external configuration
  * (RumbaRuntime::FromArtifact, the serving engine) validate with this
  * and return the Status instead of dying; the OnlineTuner constructor
  * keeps its checked-fatal contract for in-process programmer error.
@@ -69,6 +67,10 @@ struct InvocationFeedback {
 /** Adjusts the detection threshold between invocations. */
 class OnlineTuner {
   public:
+    /** Dead band: no adjustment while within this relative margin of
+     *  the goal. */
+    static constexpr double kDeadBand = 0.1;
+
     OnlineTuner(const TunerConfig& config, double initial_threshold);
 
     /** The threshold the detector should use for the next invocation. */

@@ -31,20 +31,15 @@ FindByName(const Vec& entries, const std::string& name)
 
 }  // namespace
 
-AnomalyDetector::AnomalyDetector(const AnomalyConfig& config,
+AnomalyDetector::AnomalyDetector(const std::string& name,
                                  std::string series)
-    : config_(config),
-      zscore_gauge_(Registry::Default().GetGauge(
-          MetricName(config.name, "zscore"))),
-      mean_gauge_(Registry::Default().GetGauge(
-          MetricName(config.name, "mean"))),
-      latch_("anomaly", config.name, std::move(series),
-             Registry::Default().GetGauge(
-                 MetricName(config.name, "firing")),
-             Registry::Default().GetCounter(
-                 MetricName(config.name, "edges")),
-             Registry::Default().GetCounter(
-                 MetricName(config.name, "edges")))
+    : zscore_gauge_(
+          Registry::Default().GetGauge(MetricName(name, "zscore"))),
+      mean_gauge_(Registry::Default().GetGauge(MetricName(name, "mean"))),
+      latch_("anomaly", name, std::move(series),
+             Registry::Default().GetGauge(MetricName(name, "firing")),
+             Registry::Default().GetCounter(MetricName(name, "edges")),
+             Registry::Default().GetCounter(MetricName(name, "edges")))
 {
 }
 
@@ -55,7 +50,7 @@ AnomalyDetector::Observe(double value, uint64_t now_ns)
     {
         std::lock_guard<std::mutex> lock(mu_);
         const bool warm =
-            samples_ >= static_cast<uint64_t>(config_.warmup_samples);
+            samples_ >= static_cast<uint64_t>(kWarmupSamples);
         ++samples_;
 
         double zscore = 0.0;
@@ -63,9 +58,9 @@ AnomalyDetector::Observe(double value, uint64_t now_ns)
         if (warm) {
             const double stddev =
                 std::max(std::sqrt(std::max(0.0, var_)),
-                         config_.min_stddev);
+                         kMinStddev);
             zscore = (value - mean_) / stddev;
-            anomalous = std::fabs(zscore) >= config_.z_threshold;
+            anomalous = std::fabs(zscore) >= kZThreshold;
         }
         if (anomalous) {
             ++consecutive_anomalous_;
@@ -75,9 +70,9 @@ AnomalyDetector::Observe(double value, uint64_t now_ns)
             // do not, so a fault burst cannot absorb itself into
             // "normal".
             const double delta = value - mean_;
-            mean_ += config_.alpha * delta;
-            var_ = (1.0 - config_.alpha) *
-                   (var_ + config_.alpha * delta * delta);
+            mean_ += kAlpha * delta;
+            var_ = (1.0 - kAlpha) *
+                   (var_ + kAlpha * delta * delta);
             ++consecutive_normal_;
             consecutive_anomalous_ = 0;
         }
@@ -85,8 +80,8 @@ AnomalyDetector::Observe(double value, uint64_t now_ns)
         zscore_gauge_->Set(zscore);
         mean_gauge_->Set(mean_);
         step = latch_.Update(
-            anomalous && consecutive_anomalous_ >= config_.fire_count,
-            !anomalous && consecutive_normal_ >= config_.clear_count,
+            anomalous && consecutive_anomalous_ >= kFireCount,
+            !anomalous && consecutive_normal_ >= kClearCount,
             now_ns, "value=%.6g z=%.3g mean=%.6g", value, zscore, mean_);
     }
     latch_.Deliver(step);
@@ -127,17 +122,17 @@ AnomalyDetector::Mean() const
 
 AnomalyDetector*
 AnomalySet::Add(Probe probe, const std::string& series,
-                AnomalyConfig config)
+                const std::string& name)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(config.name);
+    auto it = entries_.find(name);
     if (it != entries_.end())
         return it->second.detector.get();
     Entry entry;
     entry.probe = probe;
     entry.series = series;
-    entry.detector = std::make_unique<AnomalyDetector>(config, series);
-    it = entries_.emplace(config.name, std::move(entry)).first;
+    entry.detector = std::make_unique<AnomalyDetector>(name, series);
+    it = entries_.emplace(name, std::move(entry)).first;
     return it->second.detector.get();
 }
 
@@ -226,30 +221,20 @@ AnomalySet::InstallServeProbes(size_t shards)
 {
     // The load-bearing serving series: when any of these steps out of
     // its learned envelope, the incident manager wants to know.
-    AnomalyConfig config;
-
-    config.name = "checker_fire_rate";
-    Add(Probe::kCounterRate, "detector.fires", config);
-
-    config.name = "serve_latency_p99";
-    Add(Probe::kHistogramP99, "serve.enqueue_to_complete_ns", config);
-
-    config.name = "audited_toq_violation_rate";
-    Add(Probe::kGauge, "audit.true_toq_violation_rate", config);
-
-    config.name = "recovery_compensate_rate";
-    Add(Probe::kCounterRate, "recovery.tier.compensate", config);
-
-    config.name = "recovery_reexecute_rate";
-    Add(Probe::kCounterRate, "recovery.tier.reexecute", config);
-
-    config.name = "speedup_estimate";
-    Add(Probe::kGauge, "efficiency.speedup_estimate", config);
-
+    Add(Probe::kCounterRate, "detector.fires", "checker_fire_rate");
+    Add(Probe::kHistogramP99, "serve.enqueue_to_complete_ns",
+        "serve_latency_p99");
+    Add(Probe::kGauge, "audit.true_toq_violation_rate",
+        "audited_toq_violation_rate");
+    Add(Probe::kCounterRate, "recovery.tier.compensate",
+        "recovery_compensate_rate");
+    Add(Probe::kCounterRate, "recovery.tier.reexecute",
+        "recovery_reexecute_rate");
+    Add(Probe::kGauge, "efficiency.speedup_estimate", "speedup_estimate");
     for (size_t i = 0; i < shards; ++i) {
         const std::string shard = "shard" + std::to_string(i);
-        config.name = shard + "_queue_depth";
-        Add(Probe::kGauge, "serve." + shard + ".queue_depth", config);
+        Add(Probe::kGauge, "serve." + shard + ".queue_depth",
+            shard + "_queue_depth");
     }
 }
 

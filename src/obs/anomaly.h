@@ -10,15 +10,15 @@
  * EdgeLatch (obs/incident.h), the SLO monitors' path: logged, and
  * every fire becomes one "anomaly" incident signal.
  *
- * Detector math (DESIGN.md §14): after `warmup_samples`
+ * Detector math (DESIGN.md §14): after kWarmupSamples (20)
  * observations have seeded the EWMA statistics, each observation is
- * scored z = (x - mean) / max(stddev, min_stddev) against the
- * *pre-observation* statistics. Normal observations (|z| below the
- * threshold) update the EWMA (mean += α·δ; var = (1-α)·(var +
- * α·δ²)); anomalous ones do not, so a fault burst cannot absorb
- * itself into the baseline. `fire_count` consecutive anomalous
- * samples raise a fire edge; `clear_count` consecutive normal ones
- * raise a clear edge.
+ * scored z = (x - mean) / max(stddev, kMinStddev) against the
+ * *pre-observation* statistics. Normal observations (|z| below
+ * kZThreshold, 4) update the EWMA (mean += α·δ; var = (1-α)·(var +
+ * α·δ²), α = kAlpha = 0.05); anomalous ones do not, so a fault burst
+ * cannot absorb itself into the baseline. kFireCount (3) consecutive
+ * anomalous samples raise a fire edge; kClearCount (5) consecutive
+ * normal ones raise a clear edge.
  */
 
 #include <cstdint>
@@ -33,23 +33,27 @@
 
 namespace rumba::obs {
 
-/** Detector tuning; defaults suit 25 ms sampling. */
-struct AnomalyConfig {
-    std::string name;         ///< detector id → `anomaly.<name>.*`.
-    double alpha = 0.05;      ///< EWMA weight.
-    double z_threshold = 4.0; ///< |z| at or above ⇒ anomalous.
-    int warmup_samples = 20;  ///< stats-only observations before scoring.
-    int fire_count = 3;       ///< consecutive anomalous ⇒ fire edge.
-    int clear_count = 5;      ///< consecutive normal ⇒ clear edge.
-    double min_stddev = 1e-9; ///< variance floor (constant series).
-};
-
 /** One EWMA z-score detector. Observe() is thread-safe. */
 class AnomalyDetector {
   public:
-    /** @p series names the registry series the values come from (the
-     *  incident signal's onset extract; "" for none). */
-    explicit AnomalyDetector(const AnomalyConfig& config,
+    // Detector constants; they suit 25 ms sampling.
+    /** EWMA weight. */
+    static constexpr double kAlpha = 0.05;
+    /** |z| at or above ⇒ anomalous. */
+    static constexpr double kZThreshold = 4.0;
+    /** Stats-only observations before scoring. */
+    static constexpr int kWarmupSamples = 20;
+    /** Consecutive anomalous ⇒ fire edge. */
+    static constexpr int kFireCount = 3;
+    /** Consecutive normal ⇒ clear edge. */
+    static constexpr int kClearCount = 5;
+    /** Standard-deviation floor (constant series). */
+    static constexpr double kMinStddev = 1e-9;
+
+    /** @p name is the detector id (`anomaly.<name>.*`); @p series
+     *  names the registry series the values come from (the incident
+     *  signal's onset extract; "" for none). */
+    explicit AnomalyDetector(const std::string& name,
                              std::string series = "");
 
     /** Score and absorb one observation; returns true on a fire or
@@ -62,7 +66,6 @@ class AnomalyDetector {
     double Mean() const;
 
   private:
-    const AnomalyConfig config_;
     mutable std::mutex mu_;
     double mean_ = 0.0;
     double var_ = 0.0;
@@ -93,12 +96,12 @@ class AnomalySet {
     };
 
     /**
-     * Subscribe a detector to registry series @p series; no-op when a
-     * probe named @p config.name already exists. Returns the
+     * Subscribe detector @p name to registry series @p series; no-op
+     * when a probe named @p name already exists. Returns the
      * (possibly pre-existing) detector.
      */
     AnomalyDetector* Add(Probe probe, const std::string& series,
-                         AnomalyConfig config);
+                         const std::string& name);
 
     /** Feed every probe from @p snapshot (one sampler tick). */
     void Observe(const RegistrySnapshot& snapshot, double t_ms,

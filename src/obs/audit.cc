@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -22,14 +23,6 @@ std::vector<double>
 ErrorPctBounds()
 {
     return Histogram::ExponentialBuckets(0.05, 1.6, 24);
-}
-
-SloConfig
-WithDefaultName(SloConfig slo)
-{
-    if (slo.name.empty() || slo.name == "objective")
-        slo.name = "audited_quality";
-    return slo;
 }
 
 /** Write @p auditor's labeled export to RUMBA_AUDIT_OUT. The path
@@ -72,7 +65,7 @@ QualityAuditor::QualityAuditor(const AuditConfig& config,
     : config_(config),
       hooks_(std::move(hooks)),
       slo_enabled_(config.slo_enabled),
-      slo_(WithDefaultName(config.slo)),
+      slo_("audited_quality", config.slo_objective),
       results_(config.result_capacity)
 {
     RUMBA_CHECK(hooks_.run_exact != nullptr);

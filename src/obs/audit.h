@@ -24,9 +24,9 @@
  *     approximate output was fine), false-negative accepts (did not
  *     fire but the approximate output exceeded the threshold), and
  *     per-shard precision/recall gauges (`audit.shard<k>.precision`),
- *   - an audited-truth SLO (obs/slo.h, default name
- *     "audited_quality") whose burn rate runs on *measured* TOQ
- *     violations rather than the proxy predicted-error stream.
+ *   - an audited-truth SLO (obs/slo.h, named "audited_quality")
+ *     whose burn rate runs on *measured* TOQ violations rather than
+ *     the proxy predicted-error stream.
  *
  * Completed audits are retained in a bounded ring and exported as
  * labeled JSONL (`RUMBA_AUDIT_OUT`): one "audit" line per invocation
@@ -195,8 +195,9 @@ struct AuditConfig {
     size_t result_capacity = 256;
     uint32_t shards = 1;           ///< per-shard calibration gauges.
     bool slo_enabled = true;
-    /** Audited-truth SLO (burn rate over measured TOQ violations). */
-    SloConfig slo;
+    /** Objective of the audited-truth SLO "audited_quality" (burn
+     *  rate over measured TOQ violations). */
+    double slo_objective = 0.99;
 };
 
 /** Point-in-time auditor summary (the /statusz quality section). */

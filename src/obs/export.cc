@@ -1,12 +1,10 @@
 #include "obs/export.h"
 
-#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +12,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -140,8 +139,7 @@ BuildInfoJson()
         "RUMBA_OBS_LINGER_MS",    "RUMBA_PROFILE_HZ",
         "RUMBA_PROFILE_OUT",      "RUMBA_REQTRACE_OUT",
         "RUMBA_SCENARIO_OUT",     "RUMBA_STREAM_OUT",
-        "RUMBA_TRACE_OUT",        "RUMBA_TRACE_RING_CAPACITY",
-        "RUMBA_TSDB_PERIOD_MS",
+        "RUMBA_TRACE_OUT",        "RUMBA_TSDB_PERIOD_MS",
     };
     bool first = true;
     for (const char* knob : kKnobs) {
@@ -284,27 +282,6 @@ ToTable(const RegistrySnapshot& snapshot)
     for (auto& row : SnapshotRows(snapshot))
         table.AddRow(std::move(row));
     return table;
-}
-
-bool
-WriteFile(const std::string& path, std::string_view body)
-{
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-               0666);
-    if (fd < 0)
-        return false;
-    size_t written = 0;
-    while (written < body.size()) {
-        const ssize_t n = ::write(fd, body.data() + written,
-                                  body.size() - written);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        written += static_cast<size_t>(n);
-    }
-    return ::close(fd) == 0 && written == body.size();
 }
 
 bool

@@ -4,8 +4,8 @@
 /**
  * @file
  * Metric and trace exporters: JSONL (one JSON object per line), CSV,
- * and a human-readable table built on common/table; WriteFile, the
- * one whole-file writer; and the flush-hook table, the one list of
+ * and a human-readable table built on common/table, written through
+ * common/file's WriteFile; and the flush-hook table, the one list of
  * sinks written at exit and on SIGINT/SIGTERM. Each sink registers its
  * hook when its module first comes up with the sink configured:
  * RUMBA_METRICS_OUT here (armed on first use of Registry::Default();
@@ -20,7 +20,6 @@
  */
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/table.h"
@@ -86,14 +85,6 @@ std::string ToCsv(const RegistrySnapshot& snapshot);
 
 /** Render a snapshot as an aligned console table. */
 Table ToTable(const RegistrySnapshot& snapshot);
-
-/**
- * Create or truncate @p path and write @p body: the one whole-file
- * writer behind every dump. False when the open fails, the write is
- * short, or the close fails. Uses plain system calls, so the signal
- * flush may call it.
- */
-bool WriteFile(const std::string& path, std::string_view body);
 
 /**
  * Snapshot the default registry and trace ring and write them to

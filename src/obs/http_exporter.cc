@@ -293,23 +293,11 @@ ObservabilityServer::HandleConnection(int fd)
             break;
         request.append(buf, static_cast<size_t>(n));
     }
-    const size_t line_end = request.find('\n');
-    if (line_end == std::string::npos)
+    const std::optional<RequestTarget> target = ParseRequestLine(request);
+    if (!target.has_value())
         return;
-    // Request line: METHOD SP PATH SP VERSION.
-    const size_t sp1 = request.find(' ');
-    const size_t sp2 =
-        sp1 == std::string::npos ? sp1 : request.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos ||
-        sp2 > line_end)
-        return;
-    std::string path = request.substr(sp1 + 1, sp2 - sp1 - 1);
-    std::string query_string;
-    const size_t query = path.find('?');
-    if (query != std::string::npos) {
-        query_string = path.substr(query + 1);
-        path.resize(query);
-    }
+    const std::string& path = target->path;
+    const std::string& query_string = target->query;
 
     int status = 200;
     const char* status_text = "OK";
@@ -397,6 +385,25 @@ ParseMetricsPort(const char* value)
     return static_cast<uint16_t>(port);
 }
 
+std::optional<RequestTarget>
+ParseRequestLine(std::string_view head)
+{
+    if (head.find('\n') == std::string_view::npos)
+        return std::nullopt;
+    const std::string_view line = head.substr(0, head.find_first_of("\r\n"));
+    const size_t sp1 = line.find(' ');
+    const size_t sp2 =
+        sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos)
+        return std::nullopt;
+    const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    const size_t query = target.find('?');
+    if (query == std::string_view::npos)
+        return RequestTarget{std::string(target), ""};
+    return RequestTarget{std::string(target.substr(0, query)),
+                         std::string(target.substr(query + 1))};
+}
+
 std::optional<std::string>
 QueryParam(const std::string& query, const std::string& key)
 {
@@ -419,9 +426,10 @@ QueryParamNum(const std::string& query, const std::string& key,
               double fallback)
 {
     const std::string raw = QueryParam(query, key).value_or("");
-    char* end = nullptr;
-    const double parsed = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || !std::isfinite(parsed))
+    double parsed = 0.0;
+    const char* end = raw.data() + raw.size();
+    const auto [ptr, ec] = std::from_chars(raw.data(), end, parsed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(parsed))
         return fallback;
     return parsed;
 }

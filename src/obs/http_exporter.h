@@ -45,6 +45,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -161,6 +162,20 @@ class ObservabilityServer {
     const void* provider_owner_ = nullptr;
 };
 
+/** What a request line asks for: the target split at its first '?'. */
+struct RequestTarget {
+    std::string path;
+    std::string query;  ///< after the '?' ("" when there is none).
+};
+
+/**
+ * The target of @p head's request line (METHOD SP TARGET SP VERSION):
+ * the line runs to the first CR or LF, and nullopt when @p head holds
+ * no LF yet or the line lacks either space. The path and query never
+ * contain a space, CR or LF.
+ */
+std::optional<RequestTarget> ParseRequestLine(std::string_view head);
+
 /**
  * Value of the first @p key in an application/x-www-form-urlencoded
  * query string, the one query parser of the JSON routes: nullopt when
@@ -170,8 +185,9 @@ class ObservabilityServer {
 std::optional<std::string> QueryParam(const std::string& query,
                                       const std::string& key);
 
-/** QueryParam parsed as a finite number; @p fallback when absent,
- *  empty, unparseable or non-finite. */
+/** QueryParam parsed as a finite number; @p fallback unless the whole
+ *  value is one decimal number (no sign but '-', no spaces, no hex,
+ *  no trailing characters) that is finite. */
 double QueryParamNum(const std::string& query, const std::string& key,
                      double fallback);
 

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/http_exporter.h"
@@ -137,8 +138,9 @@ EdgeLatch::Deliver(const Step& step) const
     IncidentManager::Default().OnSignal(std::move(signal));
 }
 
-IncidentManager::IncidentManager()
-    : opened_counter_(Registry::Default().GetCounter("incident.opened")),
+IncidentManager::IncidentManager(std::string dir)
+    : dir_(std::move(dir)),
+      opened_counter_(Registry::Default().GetCounter("incident.opened")),
       dumped_counter_(Registry::Default().GetCounter("incident.dumped")),
       suppressed_counter_(
           Registry::Default().GetCounter("incident.suppressed")),
@@ -146,29 +148,6 @@ IncidentManager::IncidentManager()
           Registry::Default().GetCounter("incident.signals")),
       last_id_gauge_(Registry::Default().GetGauge("incident.last_id"))
 {
-    if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
-        dir != nullptr && dir[0] != '\0')
-        config_.dir = dir;
-}
-
-void
-IncidentManager::Configure(const IncidentConfig& config)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    config_ = config;
-    kept_ = Ring<Bundle>(config_.max_kept);
-    if (config_.dir.empty()) {
-        if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
-            dir != nullptr && dir[0] != '\0')
-            config_.dir = dir;
-    }
-}
-
-IncidentConfig
-IncidentManager::Config() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return config_;
 }
 
 bool
@@ -199,22 +178,21 @@ IncidentManager::OnSignal(IncidentSignal signal)
         const double now_ms = signal.t_ms;
         finalize = TakeDueLocked(now_ms, /*force=*/false, &due);
         while (!recent_.empty() &&
-               recent_.front().t_ms < now_ms - config_.window_ms)
+               recent_.front().t_ms < now_ms - kWindowMs)
             recent_.pop_front();
         recent_.push_back(signal);
-        if (recent_.size() > config_.max_signals)
+        if (recent_.size() > kMaxSignals)
             recent_.pop_front();
         if (has_open_) {
             if (signal.t_ms <= open_.deadline_ms &&
-                open_.signals.size() < config_.max_signals)
+                open_.signals.size() < kMaxSignals)
                 open_.signals.push_back(std::move(signal));
         } else if (!finalize) {
             std::string kinds;
             std::vector<IncidentSignal> window(recent_.begin(),
                                                recent_.end());
-            if (DistinctSources(window, &kinds) >=
-                config_.min_sources) {
-                if (now_ms - last_open_ms_ < config_.rate_limit_ms) {
+            if (DistinctSources(window, &kinds) >= kMinSources) {
+                if (now_ms - last_open_ms_ < kRateLimitMs) {
                     suppressed_counter_->Increment();
                     // One suppression per correlated burst: drop the
                     // window so every follow-on signal doesn't count
@@ -223,7 +201,7 @@ IncidentManager::OnSignal(IncidentSignal signal)
                 } else {
                     open_.id = next_id_++;
                     open_.onset_ms = now_ms;
-                    open_.deadline_ms = now_ms + config_.window_ms;
+                    open_.deadline_ms = now_ms + kWindowMs;
                     open_.signals = std::move(window);
                     has_open_ = true;
                     last_open_ms_ = now_ms;
@@ -327,8 +305,6 @@ IncidentManager::ClearFlightProvider(const void* owner)
 void
 IncidentManager::Assemble(OpenIncident incident)
 {
-    IncidentConfig config = Config();
-
     Summary summary;
     summary.id = incident.id;
     summary.onset_ms = incident.onset_ms;
@@ -339,7 +315,7 @@ IncidentManager::Assemble(OpenIncident incident)
     std::string body = "{\"type\":\"incident\",\"schema_version\":1";
     body += ",\"id\":" + std::to_string(incident.id);
     body += ",\"onset_ms\":" + JsonNum(incident.onset_ms);
-    body += ",\"window_ms\":" + JsonNum(config.window_ms);
+    body += ",\"window_ms\":" + JsonNum(kWindowMs);
     body += ",\"sources\":" + std::to_string(summary.sources);
     body += ",\"source_kinds\":" + JsonQuote(summary.kinds);
 
@@ -353,8 +329,8 @@ IncidentManager::Assemble(OpenIncident incident)
             "}";
 
     // tsdb extracts around onset for each signal's series.
-    const double t0 = incident.onset_ms - config.extract_ms;
-    const double t1 = incident.onset_ms + config.extract_ms;
+    const double t0 = incident.onset_ms - kExtractMs;
+    const double t1 = incident.onset_ms + kExtractMs;
     std::set<std::string> extract_names;
     for (const IncidentSignal& signal : incident.signals)
         if (!signal.series.empty())
@@ -429,10 +405,9 @@ IncidentManager::Assemble(OpenIncident incident)
     body += "}";
 
     // Dump before publishing so the listing's path is already valid.
-    if (!config.dir.empty()) {
-        const std::string path =
-            config.dir + "/incident-" + std::to_string(incident.id) +
-            ".json";
+    if (!dir_.empty()) {
+        const std::string path = dir_ + "/incident-" +
+                                 std::to_string(incident.id) + ".json";
         if (WriteFile(path, body + "\n")) {
             summary.path = path;
             dumped_counter_->Increment();
@@ -524,7 +499,10 @@ IncidentManager&
 IncidentManager::Default()
 {
     // Leaked on purpose (see TimeSeriesStore::Default()).
-    static IncidentManager* manager = new IncidentManager();
+    static IncidentManager* manager = [] {
+        const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
+        return new IncidentManager(dir != nullptr ? dir : "");
+    }();
     return *manager;
 }
 
@@ -555,7 +533,7 @@ IncidentzJson(const std::string& query_string)
     body += ",\"opened\":" + std::to_string(manager.Opened());
     body += ",\"dumped\":" + std::to_string(manager.Dumped());
     body += ",\"suppressed\":" + std::to_string(manager.Suppressed());
-    body += ",\"dir\":" + JsonQuote(manager.Config().dir);
+    body += ",\"dir\":" + JsonQuote(manager.Dir());
     body += ",\"incidents\":{";
     for (size_t i = 0; i < list.size(); ++i) {
         const IncidentManager::Summary& summary = list[i];

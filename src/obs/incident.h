@@ -14,8 +14,8 @@
  * under RUMBA_INCIDENT_DIR and served live via `/incidentz`.
  *
  * Correlation semantics (DESIGN.md §14): signals accumulate in a
- * sliding window; when signals from at least `min_sources` distinct
- * sources coexist in the window (and the rate limiter allows), an
+ * sliding 2 s window; when signals from at least two distinct sources
+ * coexist in the window (and the 5 s rate limiter allows), an
  * incident opens at that moment and keeps collecting signals until
  * the window past onset closes, then finalizes: context is gathered
  * and the bundle dumped. The tsdb sampler's tick polls for due
@@ -48,7 +48,7 @@ struct IncidentSignal {
 
 /** One fire/clear edge of an alarm, as EdgeLatch hands it to a sink. */
 struct AlarmEdge {
-    std::string name;     ///< SloConfig::name / AnomalyConfig::name.
+    std::string name;     ///< the SLO's or anomaly detector's name.
     bool firing = false;  ///< true = fired, false = cleared.
     std::string detail;   ///< readings at the edge, "fast_burn=12 ...".
     uint64_t now_ns = 0;  ///< event time (steady clock).
@@ -109,17 +109,6 @@ class EdgeLatch {
     std::function<void(const AlarmEdge&)> sink_;
 };
 
-/** Correlation tuning. */
-struct IncidentConfig {
-    double window_ms = 2000.0;     ///< sliding correlation window.
-    size_t min_sources = 2;        ///< distinct sources to open.
-    double rate_limit_ms = 5000.0; ///< min spacing between incidents.
-    size_t max_kept = 8;           ///< bundles retained (at least 1).
-    size_t max_signals = 64;       ///< timeline cap per incident.
-    double extract_ms = 2000.0;    ///< tsdb extract half-window.
-    std::string dir;               ///< dump dir ("" = memory only).
-};
-
 /** What the serving engine contributes at finalize time. */
 struct IncidentFlightExtract {
     std::string json;  ///< array-free `{"0":{...},...,"count":N}`.
@@ -134,15 +123,29 @@ struct IncidentFlightExtract {
  */
 class IncidentManager {
   public:
-    IncidentManager();
+    /** Sliding correlation window, and how long an incident keeps
+     *  collecting signals past onset. */
+    static constexpr double kWindowMs = 2000.0;
+    /** Distinct sources in the window that open an incident. */
+    static constexpr size_t kMinSources = 2;
+    /** Minimum spacing between incident onsets. */
+    static constexpr double kRateLimitMs = 5000.0;
+    /** Finalized bundles retained for /incidentz. */
+    static constexpr size_t kMaxKept = 8;
+    /** Timeline cap per incident (and on the pending window). */
+    static constexpr size_t kMaxSignals = 64;
+    /** Half-window of the tsdb extracts around onset. */
+    static constexpr double kExtractMs = 2000.0;
+
+    /** Bundles are dumped as `incident-<n>.json` under @p dir ("" =
+     *  memory only). */
+    explicit IncidentManager(std::string dir = "");
 
     IncidentManager(const IncidentManager&) = delete;
     IncidentManager& operator=(const IncidentManager&) = delete;
 
-    /** Replace tuning (dir defaults to RUMBA_INCIDENT_DIR); rebuilds
-     *  the kept-bundle ring, dropping retained bundles. */
-    void Configure(const IncidentConfig& config);
-    IncidentConfig Config() const;
+    /** The dump directory ("" = memory only). */
+    const std::string& Dir() const { return dir_; }
 
     /** Record one signal; may open and/or finalize an incident. */
     void OnSignal(IncidentSignal signal);
@@ -197,9 +200,11 @@ class IncidentManager {
     /** Full bundle JSON by id ("" when unknown / evicted). */
     std::string Detail(uint64_t id) const;
 
-    /** Drop retained bundles and pending signals (tests). */
+    /** Drop retained bundles and pending signals and lift the rate
+     *  limit (tests). */
     void Clear();
 
+    /** The process-wide manager; it dumps under RUMBA_INCIDENT_DIR. */
     static IncidentManager& Default();
 
   private:
@@ -220,14 +225,14 @@ class IncidentManager {
     bool TakeDueLocked(double now_ms, bool force, OpenIncident* out);
     void Assemble(OpenIncident incident);
 
+    const std::string dir_;
     mutable std::mutex mu_;
-    IncidentConfig config_;
     std::deque<IncidentSignal> recent_;
     bool has_open_ = false;
     OpenIncident open_;
     double last_open_ms_ = -1.0e300;
     uint64_t next_id_ = 1;
-    Ring<Bundle> kept_{IncidentConfig{}.max_kept};
+    Ring<Bundle> kept_{kMaxKept};
 
     mutable std::mutex provider_mu_;
     std::function<IncidentFlightExtract()> flight_provider_;

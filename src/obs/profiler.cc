@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/timer.h"

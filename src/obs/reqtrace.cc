@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/metrics.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/timer.h"

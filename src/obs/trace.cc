@@ -1,30 +1,8 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
-
 #include "common/logging.h"
 
 namespace rumba::obs {
-
-size_t
-ParseTraceRingCapacity(const char* value)
-{
-    // Plain decimal digits only: strtoull alone would read "-1" as
-    // 2^64-1 (the largest ring) and "64abc" as 64. Digits past the
-    // range saturate at ULLONG_MAX and clamp to the largest ring.
-    if (value == nullptr ||
-        !std::isdigit(static_cast<unsigned char>(value[0])))
-        return TraceRing::kDefaultRingCapacity;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (*end != '\0')
-        return TraceRing::kDefaultRingCapacity;
-    return std::clamp(static_cast<size_t>(parsed),
-                      TraceRing::kMinRingCapacity,
-                      TraceRing::kMaxRingCapacity);
-}
 
 TraceRing::TraceRing(size_t capacity) : ring_(capacity)
 {
@@ -112,8 +90,7 @@ TraceRing::Clear()
 TraceRing&
 TraceRing::Default()
 {
-    static TraceRing ring(
-        ParseTraceRingCapacity(std::getenv("RUMBA_TRACE_RING_CAPACITY")));
+    static TraceRing ring(kDefaultRingCapacity);
     return ring;
 }
 

@@ -83,33 +83,20 @@ class TraceRing {
     void Clear();
 
     /**
-     * The process-wide ring the Rumba runtime records into. Its
-     * capacity comes from RUMBA_TRACE_RING_CAPACITY (parsed once via
-     * ParseTraceRingCapacity); exports report the effective value in
-     * the run-metadata header.
+     * The process-wide ring the Rumba runtime records into, holding
+     * kDefaultRingCapacity events; exports report its capacity in the
+     * run-metadata header.
      */
     static TraceRing& Default();
 
-    /** Capacity the default ring is built with when the env is unset. */
+    /** Capacity of the default ring. */
     static constexpr size_t kDefaultRingCapacity = 4096;
-
-    /** Clamp range for RUMBA_TRACE_RING_CAPACITY. */
-    static constexpr size_t kMinRingCapacity = 16;
-    static constexpr size_t kMaxRingCapacity = 1u << 20;
 
   private:
     mutable std::mutex mu_;
     Ring<TraceEvent> ring_;  ///< Pushed() is the next sequence.
     bool enabled_ = true;
 };
-
-/**
- * Parse a RUMBA_TRACE_RING_CAPACITY value: plain decimal digits are
- * clamped to [kMinRingCapacity, kMaxRingCapacity]; anything else
- * (nullptr, empty, a sign, spaces, trailing garbage) selects
- * TraceRing::kDefaultRingCapacity.
- */
-size_t ParseTraceRingCapacity(const char* value);
 
 }  // namespace rumba::obs
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/anomaly.h"
 #include "obs/export.h"

@@ -66,9 +66,9 @@ AdmissionController::Observe(double fill, bool slo_alerting)
     // (burn is about served latency, not just depth); emergency needs
     // the queues themselves to be nearly full.
     AdmissionState level = AdmissionState::kClosed;
-    if (fill >= config_.emergency_fill)
+    if (fill >= kEmergencyFill)
         level = AdmissionState::kEmergency;
-    else if (fill >= config_.shedding_fill || slo_alerting)
+    else if (fill >= kSheddingFill || slo_alerting)
         level = AdmissionState::kShedding;
 
     if (level > state_) {
@@ -83,7 +83,7 @@ AdmissionController::Observe(double fill, bool slo_alerting)
     if (level < state_) {
         // De-escalate one level only after a full calm run: a single
         // lucky dequeue must not flap shedding -> closed -> shedding.
-        if (++calm_run_ >= config_.calm_steps) {
+        if (++calm_run_ >= kCalmSteps) {
             state_ = static_cast<AdmissionState>(
                 static_cast<uint32_t>(state_) - 1);
             calm_run_ = 0;
@@ -117,7 +117,7 @@ AdmissionController::Decide(QualityClass quality, double fill,
             // in-place compensator, drop only exact re-execution.
             return AdmissionAction::kCompensateOnly;
           case QualityClass::kBestEffort:
-            return fill >= config_.best_effort_shed_fill
+            return fill >= kBestEffortShedFill
                        ? AdmissionAction::kShed
                        : AdmissionAction::kDegrade;
         }
@@ -132,11 +132,11 @@ AdmissionController::Decide(QualityClass quality, double fill,
             // that can refuse gold).
             return AdmissionAction::kCompensateOnly;
           case QualityClass::kSilver:
-            return fill >= config_.emergency_shed_fill
+            return fill >= kEmergencyShedFill
                        ? AdmissionAction::kShed
                        : AdmissionAction::kDegrade;
           case QualityClass::kBestEffort:
-            return fill >= config_.emergency_shed_fill
+            return fill >= kEmergencyShedFill
                        ? AdmissionAction::kShed
                        : AdmissionAction::kBypassCheck;
         }

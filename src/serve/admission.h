@@ -86,26 +86,11 @@ enum class AdmissionAction : uint32_t {
 /** Stable lowercase name ("admit", "degrade", ...). */
 const char* AdmissionActionName(AdmissionAction action);
 
-/** Admission state-machine knobs (fills are fractions of queue
- *  capacity in [0, 1]). */
+/** The admission switch. */
 struct AdmissionConfig {
     /** Master switch: disabled, every Decide() answers kAdmit and the
      *  state stays closed (pure reject-on-full backpressure). */
     bool enabled = true;
-    /** Fill at/above which closed escalates to shedding. A firing
-     *  latency SLO escalates to shedding at any fill. */
-    double shedding_fill = 0.75;
-    /** Fill at/above which any state escalates to emergency. */
-    double emergency_fill = 0.95;
-    /** Consecutive calm observations (fill below shedding_fill and
-     *  SLO quiet) required to de-escalate one level. */
-    uint32_t calm_steps = 16;
-    /** While shedding: best-effort requests shed at/above this fill
-     *  (below it they ride the degrade rung instead). */
-    double best_effort_shed_fill = 0.50;
-    /** While in emergency: silver sheds and best-effort sheds (even
-     *  past the bypass rung) at/above this fill. Gold never sheds. */
-    double emergency_shed_fill = 0.90;
 };
 
 /**
@@ -115,6 +100,22 @@ struct AdmissionConfig {
  */
 class AdmissionController {
   public:
+    /** Fills are fractions of queue capacity in [0, 1]. Fill at/above
+     *  which closed escalates to shedding; a firing latency SLO
+     *  escalates to shedding at any fill. */
+    static constexpr double kSheddingFill = 0.75;
+    /** Fill at/above which any state escalates to emergency. */
+    static constexpr double kEmergencyFill = 0.95;
+    /** Consecutive calm observations (fill below kSheddingFill and
+     *  SLO quiet) required to de-escalate one level. */
+    static constexpr uint32_t kCalmSteps = 16;
+    /** While shedding: best-effort requests shed at/above this fill
+     *  (below it they ride the degrade rung instead). */
+    static constexpr double kBestEffortShedFill = 0.50;
+    /** While in emergency: silver sheds and best-effort sheds (even
+     *  past the bypass rung) at/above this fill. Gold never sheds. */
+    static constexpr double kEmergencyShedFill = 0.90;
+
     explicit AdmissionController(const AdmissionConfig& config);
 
     /**
@@ -122,7 +123,7 @@ class AdmissionController {
      * the target shard's queue fill fraction (depth / capacity) and
      * @p slo_alerting the latency SLO's burn-rate alert state. The
      * observation first steps the state machine (escalate
-     * immediately, de-escalate after calm_steps calm observations),
+     * immediately, de-escalate after kCalmSteps calm observations),
      * then the ladder maps (state, class, fill) to an action.
      */
     AdmissionAction Decide(QualityClass quality, double fill,

@@ -37,22 +37,8 @@ Resolved(InvocationResult result)
     return future;
 }
 
-/** Burn-rate windows shared by the engine's three SLOs. */
-constexpr uint64_t kSloFastWindowNs = 10ull * 1000 * 1000 * 1000;
-constexpr uint64_t kSloSlowWindowNs = 60ull * 1000 * 1000 * 1000;
 /** Objective of the latency and quality SLOs. */
 constexpr double kServeSloObjective = 0.99;
-
-obs::SloConfig
-EngineSlo(const char* name, double objective)
-{
-    obs::SloConfig slo;
-    slo.name = name;
-    slo.objective = objective;
-    slo.fast_window_ns = kSloFastWindowNs;
-    slo.slow_window_ns = kSloSlowWindowNs;
-    return slo;
-}
 
 const char*
 TuningModeName(core::TuningMode mode)
@@ -127,6 +113,10 @@ ShardedEngine::Create(const core::Artifact& artifact,
             core::StatusCode::kInvalidArgument,
             "queue_capacity 0 would reject every submission");
     }
+    if (!(serve_config.slo.quality_margin_pct >= 0.0)) {
+        return core::Status(core::StatusCode::kInvalidArgument,
+                            "slo.quality_margin_pct must be >= 0");
+    }
 
     // Request tracing needs per-stage wall clock from every replica;
     // everything else in the runtime config passes through untouched.
@@ -194,17 +184,13 @@ ShardedEngine::Create(const core::Artifact& artifact,
             serve_config.trace.sample_every);
     }
     if (serve_config.slo.enabled) {
-        if (serve_config.slo.latency_bound_ns > 0) {
-            engine->latency_slo_ = std::make_unique<obs::SloMonitor>(
-                EngineSlo("serve_latency", kServeSloObjective));
-        }
-        if (serve_config.slo.quality_margin_pct >= 0.0) {
-            engine->quality_slo_ = std::make_unique<obs::SloMonitor>(
-                EngineSlo("serve_quality", kServeSloObjective));
-            engine->quality_bound_pct_ =
-                runtime_config.tuner.target_error_pct +
-                serve_config.slo.quality_margin_pct;
-        }
+        engine->latency_slo_ = std::make_unique<obs::SloMonitor>(
+            "serve_latency", kServeSloObjective);
+        engine->quality_slo_ = std::make_unique<obs::SloMonitor>(
+            "serve_quality", kServeSloObjective);
+        engine->quality_bound_pct_ =
+            runtime_config.tuner.target_error_pct +
+            serve_config.slo.quality_margin_pct;
     }
 
     // Ground-truth auditor: background exact re-execution of sampled
@@ -230,19 +216,15 @@ ShardedEngine::Create(const core::Artifact& artifact,
             audit_config.sample_every = audit_opts.sample_every;
             audit_config.queue_capacity = audit_opts.queue_capacity;
             audit_config.threads = audit_opts.threads;
-            const double margin =
-                audit_opts.margin_pct >= 0.0
-                    ? audit_opts.margin_pct
-                    : std::max(0.0,
-                               serve_config.slo.quality_margin_pct);
+            const double margin = audit_opts.margin_pct >= 0.0
+                                      ? audit_opts.margin_pct
+                                      : serve_config.slo.quality_margin_pct;
             audit_config.toq_bound_pct =
                 runtime_config.tuner.target_error_pct + margin;
             audit_config.result_capacity = audit_opts.result_capacity;
             audit_config.shards =
                 static_cast<uint32_t>(serve_config.shards);
-            audit_config.slo =
-                EngineSlo("audited_quality", audit_opts.objective);
-            audit_config.slo.min_events = audit_opts.min_events;
+            audit_config.slo_objective = audit_opts.objective;
             obs::AuditHooks hooks;
             std::shared_ptr<core::ExactReexecutor> shared(
                 std::move(exact));
@@ -1032,7 +1014,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         obs_completed_->Increment();
         if (latency_slo_ != nullptr) {
             latency_slo_->Record(latency_ns <=
-                                 config_.slo.latency_bound_ns);
+                                 ServeConfig::SloOptions::kLatencyBoundNs);
         }
         RecordRequest(shard_index, true, pending.trace_id,
                       pending.enqueue_ns, count,

@@ -103,16 +103,17 @@ struct ServeConfig {
     };
     FlightOptions flight;
 
-    /** SLO burn-rate monitoring (obs/slo.h): objective 0.99, and the
-     *  engine's three SLOs share 10 s / 60 s burn windows. */
+    /** SLO burn-rate monitoring (obs/slo.h): the latency and quality
+     *  SLOs, objective 0.99 each, on the monitor's 10 s / 60 s burn
+     *  windows like the auditor's audited-quality SLO. */
     struct SloOptions {
+        /** The one off switch for the latency and quality SLOs. */
         bool enabled = true;
-        /** Latency objective: enqueue-to-complete under this bound.
-         *  0 disables the latency SLO. */
-        uint64_t latency_bound_ns = 100ull * 1000 * 1000;
+        /** Latency objective: enqueue-to-complete under this bound. */
+        static constexpr uint64_t kLatencyBoundNs = 100ull * 1000 * 1000;
         /** Quality objective: verified invocation error within
-         *  tuner target + this margin (percentage points; negative
-         *  disables the quality SLO). */
+         *  tuner target + this margin (percentage points, >= 0;
+         *  Create() refuses a negative margin). */
         double quality_margin_pct = 2.0;
     };
     SloOptions slo;
@@ -151,9 +152,9 @@ struct ServeConfig {
         double margin_pct = -1.0;
         /** Completed audits retained for /statusz + RUMBA_AUDIT_OUT. */
         size_t result_capacity = 256;
-        /** Audited-truth SLO (slo.audited_quality.*). */
+        /** Objective of the audited-truth SLO
+         *  (slo.audited_quality.*). */
         double objective = 0.99;
-        uint64_t min_events = 10;
     };
     AuditOptions audit;
 

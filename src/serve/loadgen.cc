@@ -6,6 +6,7 @@
 #include <deque>
 #include <thread>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "obs/export.h"
 #include "obs/timer.h"
@@ -356,8 +357,8 @@ LoadGenerator::Run()
     }
 
     if (!config_.jsonl_out.empty() &&
-        !obs::WriteFile(config_.jsonl_out,
-                        LoadReportToJsonl(Snapshot(), config_)))
+        !WriteFile(config_.jsonl_out,
+                   LoadReportToJsonl(Snapshot(), config_)))
         Warn("loadgen: could not write %s", config_.jsonl_out.c_str());
     return Snapshot();
 }
@@ -382,8 +383,8 @@ LoadGenerator::FlushAll()
             continue;
         const LoadReport report = generator->report_;
         generator->mu_.unlock();
-        obs::WriteFile(generator->config_.jsonl_out,
-                       LoadReportToJsonl(report, generator->config_));
+        WriteFile(generator->config_.jsonl_out,
+                  LoadReportToJsonl(report, generator->config_));
     }
     g_loadgen_registry_mu.unlock();
 }

@@ -538,10 +538,11 @@ TEST(QualityAuditorTest, TrueToqViolationsDriveRateAndSlo)
     AuditConfig config = UnitConfig();
     config.toq_bound_pct = 1.0;
     config.slo_enabled = true;
-    config.slo.objective = 0.99;
-    config.slo.min_events = 10;
+    config.slo_objective = 0.99;
     QualityAuditor auditor(config, IdentityHooks());
-    // Every request's served error is 20 > bound 1: all violations.
+    // Every request's served error is 20 > bound 1: all violations,
+    // twice the SLO's kMinEvents.
+    static_assert(2 * obs::SloMonitor::kMinEvents == 20);
     for (uint64_t id = 1; id <= 20; ++id) {
         auditor.Offer(
             MakeServed(id, {20.0}, {0}, {0}, /*threshold=*/100.0)
@@ -556,7 +557,7 @@ TEST(QualityAuditorTest, TrueToqViolationsDriveRateAndSlo)
     // An all-bad stream must trip the audited-truth burn-rate SLO.
     EXPECT_TRUE(stats.slo_alerting);
     ASSERT_NE(auditor.Slo(), nullptr);
-    EXPECT_EQ(auditor.Slo()->Config().name, "audited_quality");
+    EXPECT_EQ(auditor.Slo()->Name(), "audited_quality");
 }
 
 // --------------------------------------------- Unit: queue mechanics

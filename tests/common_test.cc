@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/dataset.h"
+#include "common/file.h"
 #include "common/logging.h"
 #include "common/image.h"
 #include "common/imagegen.h"
@@ -483,6 +484,8 @@ TEST(ImageTest, PgmRoundTrip)
     // 8-bit quantization bounds the round-trip error.
     EXPECT_LT(loaded.MeanAbsDiff(img), 1.0 / 255.0);
     std::remove(path.c_str());
+    // A write the disk refuses is a failure, not a silent success.
+    EXPECT_FALSE(img.WritePgm("/dev/full"));
 }
 
 TEST(ImageTest, ReadMissingFileFails)
@@ -598,6 +601,25 @@ TEST(TableTest, WriteCsvFailsOnBadPath)
 {
     Table t({"a"});
     EXPECT_FALSE(t.WriteCsv("/nonexistent_dir_xyz/table.csv"));
+    // /dev/full opens, then refuses every byte.
+    EXPECT_FALSE(t.WriteCsv("/dev/full"));
+}
+
+// ------------------------------------------------------ Whole-file writer
+
+TEST(FileTest, WriteFileReportsAFailedWrite)
+{
+    // /dev/full opens, then refuses every byte: a short write must
+    // read as failure, not success.
+    EXPECT_FALSE(WriteFile("/dev/full", "x"));
+    EXPECT_FALSE(WriteFile(::testing::TempDir() + "no/such/dir/f", "x"));
+    const std::string path = ::testing::TempDir() + "common_write_file.txt";
+    ASSERT_TRUE(WriteFile(path, "body\n"));
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "body");
+    std::remove(path.c_str());
 }
 
 TEST(TableTest, CsvQuotesEmbeddedQuotes)

@@ -320,9 +320,7 @@ TEST(DriftMonitorTest, DisabledWithoutExpectedRate)
 
 TEST(DriftMonitorTest, QuietWhileOnCalibration)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.2;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.2);
     for (int i = 0; i < 20; ++i)
         monitor.Observe(20, 100);
     EXPECT_FALSE(monitor.DriftDetected());
@@ -331,9 +329,7 @@ TEST(DriftMonitorTest, QuietWhileOnCalibration)
 
 TEST(DriftMonitorTest, FiresOnPersistentRateJump)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.1;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.1);
     for (int i = 0; i < 30; ++i)
         monitor.Observe(60, 100);  // 6x the calibrated rate.
     EXPECT_TRUE(monitor.DriftDetected());
@@ -341,9 +337,7 @@ TEST(DriftMonitorTest, FiresOnPersistentRateJump)
 
 TEST(DriftMonitorTest, FiresOnPersistentRateCollapse)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.4;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.4);
     for (int i = 0; i < 30; ++i)
         monitor.Observe(2, 100);
     EXPECT_TRUE(monitor.DriftDetected());
@@ -351,25 +345,24 @@ TEST(DriftMonitorTest, FiresOnPersistentRateCollapse)
 
 TEST(DriftMonitorTest, SingleSpikeIsAbsorbed)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.2;
-    opt.alpha = 0.1;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.2);
     for (int i = 0; i < 10; ++i)
         monitor.Observe(20, 100);
     monitor.Observe(90, 100);  // one bad batch.
+    EXPECT_LT(monitor.SmoothedFireRate(),
+              0.2 * core::DriftMonitor::kTolerance);
     EXPECT_FALSE(monitor.DriftDetected());
 }
 
 TEST(DriftMonitorTest, WarmupSuppressesEarlyAlarms)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.1;
-    opt.warmup = 5;
-    opt.alpha = 1.0;  // no smoothing: the alarm condition is instant.
-    core::DriftMonitor monitor(opt);
-    for (int i = 0; i < 4; ++i) {
+    // The first 90% batch already lifts the smoothed rate out of the
+    // tolerance band; only the warmup keeps the alarm down.
+    core::DriftMonitor monitor(0.1);
+    for (size_t i = 0; i + 1 < core::DriftMonitor::kWarmup; ++i) {
         monitor.Observe(90, 100);
+        EXPECT_GT(monitor.SmoothedFireRate(),
+                  0.1 * core::DriftMonitor::kTolerance);
         EXPECT_FALSE(monitor.DriftDetected()) << i;
     }
     monitor.Observe(90, 100);
@@ -380,9 +373,7 @@ TEST(DriftMonitorTest, ZeroElementInvocationsIgnored)
 {
     // A breaker-degraded invocation serves zero elements on the
     // accelerator: no fire-rate information, no state change.
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.2;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.2);
     for (int i = 0; i < 10; ++i)
         monitor.Observe(20, 100);
     const double before = monitor.SmoothedFireRate();
@@ -395,9 +386,7 @@ TEST(DriftMonitorTest, ZeroElementInvocationsIgnored)
 
 TEST(DriftMonitorTest, ZeroExpectedRateDisablesEvenWithObservations)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.0;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.0);
     EXPECT_FALSE(monitor.Enabled());
     for (int i = 0; i < 50; ++i)
         monitor.Observe(100, 100);
@@ -406,16 +395,16 @@ TEST(DriftMonitorTest, ZeroExpectedRateDisablesEvenWithObservations)
 
 TEST(DriftMonitorTest, MinDeltaGuardsTinyExpectedRates)
 {
-    // expected 1%, observed 2.5%: a 2.5x ratio (over tolerance) but
-    // only a 1.5-point absolute departure — inside min_delta, never
-    // drift.
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.01;
-    opt.min_delta = 0.02;
-    opt.alpha = 1.0;
-    core::DriftMonitor monitor(opt);
+    // expected 1%, observed 2.5%: a 2.5x ratio (over kTolerance) but
+    // only a 1.5-point absolute departure — inside kMinDelta, never
+    // drift. 20 invocations settle the EMA.
+    static_assert(0.025 - 0.01 < core::DriftMonitor::kMinDelta &&
+                  0.025 > 0.01 * core::DriftMonitor::kTolerance);
+    core::DriftMonitor monitor(0.01);
     for (int i = 0; i < 20; ++i)
         monitor.Observe(25, 1000);
+    EXPECT_GT(monitor.SmoothedFireRate(),
+              0.01 * core::DriftMonitor::kTolerance);
     EXPECT_FALSE(monitor.DriftDetected());
     // Past the absolute slack the ratio test applies again.
     for (int i = 0; i < 20; ++i)
@@ -425,11 +414,7 @@ TEST(DriftMonitorTest, MinDeltaGuardsTinyExpectedRates)
 
 TEST(DriftMonitorTest, ReArmClearsAlarmUntilFreshEvidence)
 {
-    core::DriftMonitor::Options opt;
-    opt.expected_fire_rate = 0.1;
-    opt.warmup = 3;
-    opt.alpha = 1.0;
-    core::DriftMonitor monitor(opt);
+    core::DriftMonitor monitor(0.1);
     for (int i = 0; i < 10; ++i)
         monitor.Observe(90, 100);
     ASSERT_TRUE(monitor.DriftDetected());
@@ -467,7 +452,7 @@ TEST(DriftMonitorTest, RuntimeRaisesDriftOnShiftedInputs)
     cfg.initial_threshold = 0.0;  // calibration enables the monitor.
     core::RumbaRuntime runtime(apps::MakeBenchmark("inversek2j"), cfg);
     EXPECT_TRUE(runtime.Drift().Enabled());
-    ASSERT_LT(runtime.Drift().Config().expected_fire_rate, 0.4);
+    ASSERT_LT(runtime.Drift().ExpectedFireRate(), 0.4);
 
     // Out-of-distribution targets hugging the workspace boundary.
     std::vector<std::vector<double>> weird;

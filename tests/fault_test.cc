@@ -292,10 +292,10 @@ TEST(BreakerTest, FullCycleClosedOpenHalfOpenClosed)
     EXPECT_EQ(breaker.State(), core::BreakerState::kOpen);
     breaker.OnInvocation(idle);
     ASSERT_EQ(breaker.State(), core::BreakerState::kHalfOpen);
-    EXPECT_EQ(breaker.ApproxBudget(250), cfg.canary_elements);
+    EXPECT_EQ(breaker.ApproxBudget(250), core::CircuitBreaker::kCanaryElements);
 
     core::BreakerHealth canary = HealthyRound();
-    canary.approx_elements = cfg.canary_elements;
+    canary.approx_elements = core::CircuitBreaker::kCanaryElements;
     canary.fires = 1;
     breaker.OnInvocation(canary);
     EXPECT_EQ(breaker.State(), core::BreakerState::kHalfOpen);
@@ -317,7 +317,7 @@ TEST(BreakerTest, DirtyProbeReopens)
     breaker.OnInvocation(core::BreakerHealth{});
     ASSERT_EQ(breaker.State(), core::BreakerState::kHalfOpen);
     core::BreakerHealth dirty = NanRound();
-    dirty.approx_elements = cfg.canary_elements;
+    dirty.approx_elements = core::CircuitBreaker::kCanaryElements;
     breaker.OnInvocation(dirty);
     EXPECT_EQ(breaker.State(), core::BreakerState::kOpen);
     EXPECT_EQ(breaker.Trips(), 2u);
@@ -335,14 +335,18 @@ TEST(BreakerTest, UnhealthyCriteria)
     EXPECT_TRUE(breaker.Unhealthy(drops));
 
     core::BreakerHealth storm = HealthyRound();
-    storm.fires = 70;  // 70% > fire_rate_trip (0.6)...
+    storm.fires = 70;  // 70% > kFireRateTrip (0.6)...
+    static_assert(core::CircuitBreaker::kFireRateTrip < 0.7);
     EXPECT_FALSE(breaker.Unhealthy(storm));  // ...but no drift: the
                                              // tuner owns bare spikes.
     storm.drift = true;  // corroborated by the drift monitor: trip.
     EXPECT_TRUE(breaker.Unhealthy(storm));
 
     core::BreakerHealth blowout = HealthyRound();
-    blowout.output_error_pct = 31.0;  // > 3x the 10% target.
+    blowout.output_error_pct =
+        core::CircuitBreaker::kErrorTripFactor * blowout.target_error_pct;
+    EXPECT_FALSE(breaker.Unhealthy(blowout));  // at the bound: healthy.
+    blowout.output_error_pct += 1.0;  // past it.
     EXPECT_TRUE(breaker.Unhealthy(blowout));
 }
 

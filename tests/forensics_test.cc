@@ -184,40 +184,26 @@ TEST(TimeSeriesStoreTest, TsdbzJsonServesDefaultStoreSeries)
 
 // ------------------------------------------------- anomaly detector
 
-obs::AnomalyConfig
-DetectorConfig(const std::string& name)
-{
-    obs::AnomalyConfig config;
-    config.name = name;
-    config.warmup_samples = 10;
-    config.fire_count = 3;
-    config.clear_count = 5;
-    // The EWMA variance of a constant series decays toward the floor;
-    // a unit floor keeps tiny convergence residue (mean approaches
-    // 100 from the 0-initialized EWMA) scoring as normal while the
-    // 100-unit spikes below stay far beyond z_threshold.
-    config.min_stddev = 1.0;
-    return config;
-}
-
-/** Converge the detector's EWMA onto a flat baseline of @p value. */
+/** Converge the detector's EWMA onto a baseline of @p value ± 1: a
+ *  baseline with real variance, so a unit residue scores as normal
+ *  while the 100-unit spikes below stay far beyond kZThreshold. */
 void
 Settle(obs::AnomalyDetector* detector, double value, int samples = 200)
 {
     for (int i = 0; i < samples; ++i)
-        detector->Observe(value, 1);
+        detector->Observe(value + (i % 2 == 0 ? 1.0 : -1.0), 1);
 }
 
 TEST(AnomalyDetectorTest, WarmupSamplesNeverFire)
 {
-    obs::AnomalyDetector detector(
-        DetectorConfig("forensics_test.warmup"));
+    obs::AnomalyDetector detector("forensics_test.warmup");
     // Wild swings inside the warmup window only seed the statistics.
-    for (int i = 0; i < 10; ++i)
+    for (int i = 0; i < obs::AnomalyDetector::kWarmupSamples; ++i)
         EXPECT_FALSE(detector.Observe(i % 2 == 0 ? 1e6 : -1e6, 1));
     EXPECT_FALSE(detector.Firing());
     EXPECT_EQ(detector.Edges(), 0u);
-    EXPECT_EQ(detector.SamplesSeen(), 10u);
+    EXPECT_EQ(detector.SamplesSeen(),
+              static_cast<uint64_t>(obs::AnomalyDetector::kWarmupSamples));
 }
 
 /** Signals the default incident manager has accepted so far. */
@@ -231,24 +217,23 @@ IncidentSignals()
 
 TEST(AnomalyDetectorTest, HysteresisEdgesAreCountDeterministic)
 {
-    obs::AnomalyDetector detector(
-        DetectorConfig("forensics_test.hysteresis"));
+    obs::AnomalyDetector detector("forensics_test.hysteresis");
 
     Settle(&detector, 100.0);
     EXPECT_FALSE(detector.Firing());
     EXPECT_EQ(detector.Edges(), 0u);
     const uint64_t signals = IncidentSignals();
 
-    // Fire on exactly the fire_count-th consecutive anomalous sample.
-    EXPECT_FALSE(detector.Observe(200.0, 1));
-    EXPECT_FALSE(detector.Observe(200.0, 1));
+    // Fire on exactly the kFireCount-th consecutive anomalous sample.
+    for (int i = 0; i + 1 < obs::AnomalyDetector::kFireCount; ++i)
+        EXPECT_FALSE(detector.Observe(200.0, 1));
     EXPECT_TRUE(detector.Observe(200.0, 1));
     EXPECT_TRUE(detector.Firing());
     EXPECT_EQ(detector.Edges(), 1u);
     EXPECT_EQ(IncidentSignals(), signals + 1);
 
-    // Clear on exactly the clear_count-th consecutive normal sample.
-    for (int i = 0; i < 4; ++i)
+    // Clear on exactly the kClearCount-th consecutive normal sample.
+    for (int i = 0; i + 1 < obs::AnomalyDetector::kClearCount; ++i)
         EXPECT_FALSE(detector.Observe(100.0, 1));
     EXPECT_TRUE(detector.Observe(100.0, 1));
     EXPECT_FALSE(detector.Firing());
@@ -258,8 +243,7 @@ TEST(AnomalyDetectorTest, HysteresisEdgesAreCountDeterministic)
 
 TEST(AnomalyDetectorTest, AnomalousSamplesDoNotShiftBaseline)
 {
-    obs::AnomalyDetector detector(
-        DetectorConfig("forensics_test.frozen"));
+    obs::AnomalyDetector detector("forensics_test.frozen");
     Settle(&detector, 100.0);
     const double mean_before = detector.Mean();
     // A sustained storm of outliers must not absorb into the EWMA —
@@ -273,14 +257,13 @@ TEST(AnomalyDetectorTest, AnomalousSamplesDoNotShiftBaseline)
 TEST(AnomalySetTest, CounterRateProbeFeedsDetectorBetweenTicks)
 {
     obs::AnomalySet set;
-    obs::AnomalyConfig config = DetectorConfig("forensics_test.rate");
-    config.warmup_samples = 1;
-    obs::AnomalyDetector* detector = set.Add(
-        obs::AnomalySet::Probe::kCounterRate, "ticks", config);
+    obs::AnomalyDetector* detector =
+        set.Add(obs::AnomalySet::Probe::kCounterRate, "ticks",
+                "forensics_test.rate");
     ASSERT_NE(detector, nullptr);
     // Idempotent by name: re-adding returns the same detector.
     EXPECT_EQ(set.Add(obs::AnomalySet::Probe::kCounterRate, "ticks",
-                      config),
+                      "forensics_test.rate"),
               detector);
     EXPECT_EQ(set.Detectors(), 1u);
 
@@ -294,36 +277,31 @@ TEST(AnomalySetTest, CounterRateProbeFeedsDetectorBetweenTicks)
     set.Observe(snap, 1000.0, 1);
     EXPECT_EQ(detector->SamplesSeen(), 1u);
     // One EWMA step from the 0-initialized mean with a 50/s reading.
-    EXPECT_DOUBLE_EQ(detector->Mean(), config.alpha * 50.0);
+    EXPECT_DOUBLE_EQ(detector->Mean(), obs::AnomalyDetector::kAlpha * 50.0);
 }
 
 // ------------------------------------------------- incident manager
 
-obs::IncidentConfig
-CorrelatorConfig()
-{
-    obs::IncidentConfig config;
-    config.window_ms = 1.0e6;  // everything this test emits coexists.
-    config.min_sources = 2;
-    config.rate_limit_ms = 0.0;
-    config.dir = "";  // memory-only: no RUMBA_INCIDENT_DIR leakage.
-    return config;
-}
-
+/** A signal stamped @p t_ms (0 stamps it on entry: signals a test
+ *  emits back to back share one correlation window). */
 obs::IncidentSignal
-Signal(const std::string& source, const std::string& name)
+Signal(const std::string& source, const std::string& name,
+       double t_ms = 0.0)
 {
     obs::IncidentSignal signal;
     signal.source = source;
     signal.name = name;
     signal.detail = "test";
+    signal.t_ms = t_ms;
     return signal;
 }
+
+// The default manager's tests each start from Clear(), which also
+// lifts the rate limit, so no test waits out another's incident.
 
 TEST(IncidentManagerTest, DistinctSourcesWithinWindowOpenOneIncident)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Configure(CorrelatorConfig());
     manager.Clear();
 
     manager.OnSignal(Signal("breaker", "serve.shard0"));
@@ -351,10 +329,7 @@ TEST(IncidentManagerTest, UnwrittenBundleIsNotCountedAsDumped)
     const std::string link = dir + "/incident-1.json";
     std::remove(link.c_str());
     ASSERT_EQ(symlink("/dev/full", link.c_str()), 0);
-    obs::IncidentManager manager;
-    obs::IncidentConfig config = CorrelatorConfig();
-    config.dir = dir;
-    manager.Configure(config);
+    obs::IncidentManager manager(dir);
     const uint64_t dumped = manager.Dumped();
 
     manager.OnSignal(Signal("breaker", "serve.shard0"));
@@ -372,7 +347,6 @@ TEST(IncidentManagerTest, UnwrittenBundleIsNotCountedAsDumped)
 TEST(IncidentManagerTest, OneSourceAloneNeverOpens)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Configure(CorrelatorConfig());
     manager.Clear();
 
     manager.OnSignal(Signal("breaker", "serve.shard0"));
@@ -386,26 +360,52 @@ TEST(IncidentManagerTest, OneSourceAloneNeverOpens)
 TEST(IncidentManagerTest, RateLimitSuppressesTheSecondBurst)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    obs::IncidentConfig config = CorrelatorConfig();
-    config.rate_limit_ms = 1.0e9;  // nothing re-opens in this test.
-    manager.Configure(config);
     manager.Clear();
+    const uint64_t suppressed = manager.Suppressed();
+    const double t0 = 1.0e6;  // explicit tsdb-epoch stamps.
+    const double limit = obs::IncidentManager::kRateLimitMs;
 
-    manager.OnSignal(Signal("breaker", "serve.shard0"));
-    manager.OnSignal(Signal("fault", "fault.injected.output_nan"));
+    manager.OnSignal(Signal("breaker", "serve.shard0", t0));
+    manager.OnSignal(Signal("fault", "fault.injected.output_nan", t0));
     manager.FinalizeOpenNow();
     ASSERT_EQ(manager.List().size(), 1u);
 
-    manager.OnSignal(Signal("breaker", "serve.shard1"));
-    manager.OnSignal(Signal("slo", "slo.serve_latency"));
+    // A second correlated burst inside the limit is suppressed.
+    manager.OnSignal(Signal("breaker", "serve.shard1", t0 + limit - 1.0));
+    manager.OnSignal(Signal("slo", "slo.serve_latency", t0 + limit - 1.0));
     manager.FinalizeOpenNow();
     EXPECT_EQ(manager.List().size(), 1u);  // suppressed, not opened.
+    EXPECT_EQ(manager.Suppressed(), suppressed + 1);
+
+    // One past it opens again.
+    manager.OnSignal(Signal("breaker", "serve.shard1", t0 + limit));
+    manager.OnSignal(Signal("slo", "slo.serve_latency", t0 + limit));
+    manager.FinalizeOpenNow();
+    EXPECT_EQ(manager.List().size(), 2u);
+}
+
+TEST(IncidentManagerTest, SignalsOutsideTheWindowDoNotCorrelate)
+{
+    obs::IncidentManager& manager = obs::IncidentManager::Default();
+    manager.Clear();
+    const double t0 = 1.0e6;
+    const double window = obs::IncidentManager::kWindowMs;
+
+    manager.OnSignal(Signal("breaker", "serve.shard0", t0));
+    manager.OnSignal(Signal("fault", "fault.injected.output_nan",
+                            t0 + window + 1.0));
+    manager.FinalizeOpenNow();
+    EXPECT_TRUE(manager.List().empty());
+
+    manager.OnSignal(Signal("slo", "slo.serve_latency", t0 + 2 * window));
+    manager.FinalizeOpenNow();
+    ASSERT_EQ(manager.List().size(), 1u);
+    EXPECT_EQ(manager.List()[0].kinds, "fault+slo");
 }
 
 TEST(IncidentzJsonTest, IdParameterUsesTheSharedQueryParser)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Configure(CorrelatorConfig());
     manager.Clear();
     manager.OnSignal(Signal("breaker", "serve.shard0"));
     manager.OnSignal(Signal("fault", "fault.injected.output_nan"));
@@ -432,21 +432,20 @@ TEST(IncidentzJsonTest, IdParameterUsesTheSharedQueryParser)
 TEST(EdgeLatchTest, StandaloneAnomalyFireIsOneIncidentSignal)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Configure(CorrelatorConfig());
     manager.Clear();
     // No AnomalySet and no engine: the detector's own latch is the
     // path into the default incident manager.
-    obs::AnomalyDetector detector(DetectorConfig("forensics_test.latch"),
+    obs::AnomalyDetector detector("forensics_test.latch",
                                   "forensics_test.latch_series");
     Settle(&detector, 100.0);
     manager.OnSignal(Signal("breaker", "serve.shard0"));
     const uint64_t signals = IncidentSignals();
 
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < obs::AnomalyDetector::kFireCount; ++i)
         detector.Observe(200.0, 1);
     ASSERT_TRUE(detector.Firing());
     EXPECT_EQ(IncidentSignals(), signals + 1);
-    for (int i = 0; i < 5; ++i)
+    for (int i = 0; i < obs::AnomalyDetector::kClearCount; ++i)
         detector.Observe(100.0, 1);
     ASSERT_FALSE(detector.Firing());
     EXPECT_EQ(IncidentSignals(), signals + 1);
@@ -467,27 +466,22 @@ TEST(EdgeLatchTest, StandaloneAnomalyFireIsOneIncidentSignal)
 TEST(EdgeLatchTest, SloFireIsOneIncidentSignalBesideAUserSink)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Configure(CorrelatorConfig());
     manager.Clear();
-    obs::SloConfig config;
-    config.name = "forensics_test_slo";
-    config.objective = 0.9;
-    config.fast_window_ns = 1000;
-    config.slow_window_ns = 10000;
-    config.buckets = 10;
-    config.fast_burn_alert = 5.0;  // all-bad burns at 10x.
-    config.min_events = 5;
-    obs::SloMonitor monitor(config);
+    // Objective 0.9: an all-bad stream burns at 10x, the alert level.
+    obs::SloMonitor monitor("forensics_test_slo", 0.9);
     std::vector<obs::AlarmEdge> edges;
     monitor.SetAlertSink(
         [&edges](const obs::AlarmEdge& edge) { edges.push_back(edge); });
     manager.OnSignal(Signal("breaker", "serve.shard0"));
     const uint64_t signals = IncidentSignals();
 
-    for (int i = 0; i < 10; ++i)
-        monitor.Record(false, 10000 + i * 100);
+    const uint64_t second = 1000ull * 1000 * 1000;
+    for (uint64_t i = 0; i < obs::SloMonitor::kMinEvents; ++i)
+        monitor.Record(false, 10 * second + i * second / 20);
     ASSERT_TRUE(monitor.Alerting());
-    monitor.Record(true, 12500);  // a healthy fast window clears.
+    // A healthy fast window clears.
+    monitor.Record(true, 10 * second + obs::SloMonitor::kFastWindowNs +
+                             second / 2);
     ASSERT_FALSE(monitor.Alerting());
 
     ASSERT_EQ(edges.size(), 2u);

@@ -404,29 +404,6 @@ TEST(EscapeJsonTest, HostileMetricNameSurvivesJsonlExport)
               std::string::npos);
 }
 
-// ---------------------------------------------------- Env-knob parsing
-
-TEST(ParseTraceRingCapacityTest, DefaultsAndClamps)
-{
-    EXPECT_EQ(ParseTraceRingCapacity(nullptr),
-              TraceRing::kDefaultRingCapacity);
-    EXPECT_EQ(ParseTraceRingCapacity(""),
-              TraceRing::kDefaultRingCapacity);
-    EXPECT_EQ(ParseTraceRingCapacity("bogus"),
-              TraceRing::kDefaultRingCapacity);
-    EXPECT_EQ(ParseTraceRingCapacity("1024"), 1024u);
-    EXPECT_EQ(ParseTraceRingCapacity("1"), TraceRing::kMinRingCapacity);
-    EXPECT_EQ(ParseTraceRingCapacity("999999999"),
-              TraceRing::kMaxRingCapacity);
-    // Plain digits only: a sign, a space or trailing garbage is not a
-    // count (strtoull alone reads "-1" as the largest ring).
-    for (const char* value : {"-1", "-4096", "+64", " 64", "64abc"}) {
-        EXPECT_EQ(ParseTraceRingCapacity(value),
-                  TraceRing::kDefaultRingCapacity)
-            << value;
-    }
-}
-
 // ------------------------------------------------------- Run metadata
 
 TEST(RunMetadataTest, LineCarriesVersionedIdentity)
@@ -442,6 +419,9 @@ TEST(RunMetadataTest, LineCarriesVersionedIdentity)
     EXPECT_NE(line.find("\"hostname\":"), std::string::npos);
     EXPECT_NE(line.find("\"build_type\":"), std::string::npos);
     EXPECT_NE(line.find("\"sanitizers\":"), std::string::npos);
+    EXPECT_NE(line.find("\"trace_ring_capacity\":" +
+                        std::to_string(TraceRing::kDefaultRingCapacity)),
+              std::string::npos);
 
     const RunMetadata meta = CollectRunMetadata();
     EXPECT_EQ(meta.schema_version, kMetricsSchemaVersion);
@@ -508,20 +488,6 @@ TEST(SignalFlushTest, NeverDisplacesAnApplicationHandler)
     sigaction(SIGTERM, &dfl, nullptr);
 }
 
-TEST(ExportTest, WriteFileReportsAFailedWrite)
-{
-    // /dev/full opens, then refuses every byte: a short write must
-    // read as failure, not success.
-    EXPECT_FALSE(WriteFile("/dev/full", "x"));
-    EXPECT_FALSE(WriteFile(::testing::TempDir() + "no/such/dir/f", "x"));
-    const std::string path = ::testing::TempDir() + "obs_write_file.txt";
-    ASSERT_TRUE(WriteFile(path, "body\n"));
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "body");
-    std::remove(path.c_str());
-}
 
 TEST(RunMetadataTest, MetricsFileLeadsWithMetaHeader)
 {
@@ -956,6 +922,44 @@ TEST(ObservabilityServerTest, ServesMetricsHealthzAndStatusz)
     server.Stop();  // idempotent.
 }
 
+TEST(RequestLineTest, TargetComesFromACompleteFirstLine)
+{
+    const std::optional<RequestTarget> target =
+        ParseRequestLine("GET /tsdbz?range_ms=5 HTTP/1.0\r\n\r\n");
+    ASSERT_TRUE(target.has_value());
+    EXPECT_EQ(target->path, "/tsdbz");
+    EXPECT_EQ(target->query, "range_ms=5");
+
+    const std::optional<RequestTarget> plain =
+        ParseRequestLine("GET /nope HTTP/1.1\nHost: x\n\n");
+    ASSERT_TRUE(plain.has_value());
+    EXPECT_EQ(plain->path, "/nope");  // an unknown path still 404s.
+    EXPECT_EQ(plain->query, "");
+
+    // No complete request line: no response at all.
+    EXPECT_FALSE(ParseRequestLine("GET\r\n").has_value());
+    EXPECT_FALSE(ParseRequestLine("GET /x HTTP/1.0").has_value());
+    // The spaces must be on the first line, not the second.
+    EXPECT_FALSE(
+        ParseRequestLine("GET\r\nHost: a b c\r\n\r\n").has_value());
+}
+
+TEST(QueryParamTest, NumReadsTheWholeValue)
+{
+    EXPECT_EQ(QueryParamNum("range_ms=25", "range_ms", 60000.0), 25.0);
+    EXPECT_EQ(QueryParamNum("q=-0.5e1", "q", 1.0), -5.0);
+    EXPECT_EQ(QueryParamNum("", "range_ms", 60000.0), 60000.0);
+    // A numeric prefix, a leading space or plus, hex and non-finite
+    // values are not numbers: the fallback holds.
+    for (const char* value :
+         {"25abc", " 25", "+25", "0x10", "nan", "inf", "1e999", ""}) {
+        EXPECT_EQ(QueryParamNum(std::string("range_ms=") + value,
+                                "range_ms", 60000.0),
+                  60000.0)
+            << value;
+    }
+}
+
 TEST(ObservabilityServerTest, StopDoesNotDeadlockWithInFlightStatusz)
 {
     // Regression: Stop() used to hold the server mutex across
@@ -1066,37 +1070,41 @@ TEST(ObservabilityServerTest, StatusProviderClearIsOwnerChecked)
 
 // --------------------------------------------------- SLO burn rates
 
+/** @p s seconds on the monitor's clock. */
+constexpr uint64_t
+Sec(double s)
+{
+    return static_cast<uint64_t>(s * 1e9);
+}
+
 TEST(SloMonitorTest, MultiWindowAlertFiresAndClearsWithHysteresis)
 {
-    SloConfig cfg;
-    cfg.name = "slo_test";
-    cfg.objective = 0.9;  // error budget 0.1: all-bad burns at 10x.
-    cfg.fast_window_ns = 1000;
-    cfg.slow_window_ns = 10000;
-    cfg.buckets = 10;  // one bucket per fast window.
-    cfg.fast_burn_alert = 5.0;
-    cfg.slow_burn_alert = 2.0;
-    cfg.min_events = 5;
-    SloMonitor monitor(cfg);
+    // Error budget 0.1: an all-bad stream burns at 10x, the fast-window
+    // alert level, and far past the slow one.
+    SloMonitor monitor("slo_test", 0.9);
+    static_assert(SloMonitor::kFastBurnAlert <= 10.0 &&
+                  SloMonitor::kSlowBurnAlert <= 10.0);
 
     std::vector<AlarmEdge> edges;
     monitor.SetAlertSink(
         [&edges](const AlarmEdge& a) { edges.push_back(a); });
 
-    // Below min_events nothing fires, however bad the stream.
-    for (int i = 0; i < 4; ++i)
-        monitor.Record(false, 10000 + i * 100);
+    // Below kMinEvents nothing fires, however bad the stream. Every
+    // event lands in the bucket of second 10.
+    const int min_events = static_cast<int>(SloMonitor::kMinEvents);
+    for (int i = 0; i + 1 < min_events; ++i)
+        monitor.Record(false, Sec(10.0 + i * 0.05));
     EXPECT_FALSE(monitor.Alerting());
     EXPECT_TRUE(edges.empty());
 
-    // Crossing min_events with both windows saturated fires once.
-    for (int i = 4; i < 10; ++i)
-        monitor.Record(false, 10000 + i * 100);
+    // Reaching kMinEvents with both windows saturated fires once.
+    for (int i = min_events - 1; i < min_events + 5; ++i)
+        monitor.Record(false, Sec(10.0 + i * 0.05));
     EXPECT_TRUE(monitor.Alerting());
     Counter* alerts = Registry::Default().GetCounter("slo.slo_test.alerts");
     EXPECT_EQ(alerts->Value(), 1u);
-    EXPECT_NEAR(monitor.FastBurnRate(10900), 10.0, 1e-9);
-    EXPECT_NEAR(monitor.SlowBurnRate(10900), 10.0, 1e-9);
+    EXPECT_NEAR(monitor.FastBurnRate(Sec(10.9)), 10.0, 1e-9);
+    EXPECT_NEAR(monitor.SlowBurnRate(Sec(10.9)), 10.0, 1e-9);
     ASSERT_EQ(edges.size(), 1u);
     EXPECT_TRUE(edges[0].firing);
     EXPECT_EQ(edges[0].name, "slo_test");
@@ -1104,13 +1112,14 @@ TEST(SloMonitorTest, MultiWindowAlertFiresAndClearsWithHysteresis)
 
     // A healthy fast window clears the alert (hysteresis: the slow
     // window still carries the bad events).
-    monitor.Record(true, 12500);
+    const uint64_t later = Sec(10.5) + SloMonitor::kFastWindowNs;
+    monitor.Record(true, later);
     EXPECT_FALSE(monitor.Alerting());
     EXPECT_EQ(alerts->Value(), 1u);  // fires counted, not clears.
     ASSERT_EQ(edges.size(), 2u);
     EXPECT_FALSE(edges[1].firing);
-    EXPECT_GT(monitor.SlowBurnRate(12500), 2.0);
-    EXPECT_DOUBLE_EQ(monitor.FastBurnRate(12500), 0.0);
+    EXPECT_GT(monitor.SlowBurnRate(later), SloMonitor::kSlowBurnAlert);
+    EXPECT_DOUBLE_EQ(monitor.FastBurnRate(later), 0.0);
 }
 
 TEST(SloMonitorTest, AlertSinkMayReenterTheMonitor)
@@ -1118,16 +1127,7 @@ TEST(SloMonitorTest, AlertSinkMayReenterTheMonitor)
     // Regression: edges used to be delivered under the monitor's
     // non-recursive mutex, so a sink touching any accessor
     // self-deadlocked. Edges now arrive post-unlock.
-    SloConfig cfg;
-    cfg.name = "slo_reenter";
-    cfg.objective = 0.9;
-    cfg.fast_window_ns = 1000;
-    cfg.slow_window_ns = 10000;
-    cfg.buckets = 10;
-    cfg.fast_burn_alert = 5.0;
-    cfg.slow_burn_alert = 2.0;
-    cfg.min_events = 5;
-    SloMonitor monitor(cfg);
+    SloMonitor monitor("slo_reenter", 0.9);
 
     bool alerting_inside_sink = false;
     double fast_inside_sink = 0.0;
@@ -1135,8 +1135,8 @@ TEST(SloMonitorTest, AlertSinkMayReenterTheMonitor)
         alerting_inside_sink = monitor.Alerting();
         fast_inside_sink = monitor.FastBurnRate(a.now_ns);
     });
-    for (int i = 0; i < 6; ++i)
-        monitor.Record(false, 10000 + i * 100);
+    for (uint64_t i = 0; i < SloMonitor::kMinEvents; ++i)
+        monitor.Record(false, Sec(10.0 + static_cast<double>(i) * 0.05));
     EXPECT_TRUE(monitor.Alerting());
     EXPECT_TRUE(alerting_inside_sink);
     EXPECT_NEAR(fast_inside_sink, 10.0, 1e-9);
@@ -1144,22 +1144,20 @@ TEST(SloMonitorTest, AlertSinkMayReenterTheMonitor)
 
 TEST(SloMonitorTest, BurnRateTracksBadFraction)
 {
-    SloConfig cfg;
-    cfg.name = "slo_frac";
-    cfg.objective = 0.99;  // budget 0.01.
-    cfg.fast_window_ns = 1000;
-    cfg.slow_window_ns = 10000;
-    cfg.buckets = 10;
-    SloMonitor monitor(cfg);
+    SloMonitor monitor("slo_frac", 0.99);  // budget 0.01.
 
     // 1 bad in 100 == exactly the provisioned budget: burn == 1.
     for (int i = 0; i < 99; ++i)
-        monitor.Record(true, 5000);
-    monitor.Record(false, 5000);
-    EXPECT_NEAR(monitor.FastBurnRate(5000), 1.0, 1e-9);
-    EXPECT_NEAR(monitor.SlowBurnRate(5000), 1.0, 1e-9);
-    // Events outside the slow window stop counting.
-    EXPECT_DOUBLE_EQ(monitor.SlowBurnRate(50000), 0.0);
+        monitor.Record(true, Sec(5.0));
+    monitor.Record(false, Sec(5.0));
+    EXPECT_NEAR(monitor.FastBurnRate(Sec(5.0)), 1.0, 1e-9);
+    EXPECT_NEAR(monitor.SlowBurnRate(Sec(5.0)), 1.0, 1e-9);
+    // Events leave the fast window first, then the slow one.
+    const uint64_t after_fast = Sec(6.0) + SloMonitor::kFastWindowNs;
+    EXPECT_DOUBLE_EQ(monitor.FastBurnRate(after_fast), 0.0);
+    EXPECT_NEAR(monitor.SlowBurnRate(after_fast), 1.0, 1e-9);
+    EXPECT_DOUBLE_EQ(
+        monitor.SlowBurnRate(Sec(6.0) + SloMonitor::kSlowWindowNs), 0.0);
 }
 
 // ------------------------------------------- Request-trace collector

@@ -1,9 +1,10 @@
 // Seeded mutation loop over the hand-written parsers outside
-// rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_TRACE_RING_CAPACITY,
-// RUMBA_PROFILE_HZ, RUMBA_AUDIT_SAMPLE_N and RUMBA_METRICS_PORT
-// parsers, the route query parser behind /tsdbz and /incidentz, and
-// the external-input parsers of fault plans, topologies, MLP blobs,
-// deployment artifacts and the sections a runtime loads from them.
+// rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_PROFILE_HZ,
+// RUMBA_AUDIT_SAMPLE_N and RUMBA_METRICS_PORT parsers, the HTTP
+// request line, the route query parsers behind /tsdbz and /incidentz,
+// and the external-input parsers of fault plans, topologies, MLP
+// blobs, deployment artifacts and the sections a runtime loads from
+// them.
 // Valid seeds are mutated by truncation and bit flips
 // (fault/corrupt.h), signs, exponents and special values, leading
 // spaces and trailing garbage; every result must lie in its parser's
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -36,7 +38,6 @@
 #include "obs/http_exporter.h"
 #include "obs/incident.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "obs/tsdb.h"
 #include "serve/engine.h"
 
@@ -142,12 +143,6 @@ TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
                      period_ms <= obs::kMaxTsdbPeriodMs))
             << "RUMBA_TSDB_PERIOD_MS='" << input << "' -> " << period_ms;
 
-        const size_t capacity = obs::ParseTraceRingCapacity(value);
-        EXPECT_TRUE(capacity >= obs::TraceRing::kMinRingCapacity &&
-                    capacity <= obs::TraceRing::kMaxRingCapacity)
-            << "RUMBA_TRACE_RING_CAPACITY='" << input << "' -> "
-            << capacity;
-
         // Only a whole decimal integer sets the period or turns the
         // sampler off; anything else keeps the default.
         if (!AllDigits(input) &&
@@ -173,11 +168,6 @@ TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
                                      n, obs::kMinTsdbPeriodMs,
                                      obs::kMaxTsdbPeriodMs))
                 << input;
-            EXPECT_EQ(capacity,
-                      std::clamp<double>(
-                          n, obs::TraceRing::kMinRingCapacity,
-                          obs::TraceRing::kMaxRingCapacity))
-                << input;
         }
 
         const int64_t period_ns = obs::ParseProfilePeriodNs(value);
@@ -202,11 +192,7 @@ TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
     for (const char* name : {"fuzz.a", "fuzz.b", "fuzz.c"})
         store.Append(name, obs::SeriesKind::kGauge, store.NowMs(), 1.0);
     obs::IncidentManager& manager = obs::IncidentManager::Default();
-    obs::IncidentConfig config;
-    config.rate_limit_ms = 0.0;
-    config.dir = "";
-    manager.Configure(config);
-    manager.Clear();
+    manager.Clear();  // also lifts the rate limit.
     for (const char* source : {"breaker", "fault"}) {
         obs::IncidentSignal signal;
         signal.source = source;
@@ -255,6 +241,61 @@ TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
                           std::to_string(want) + "}")
                 << query;
         }
+    }
+}
+
+/** True when @p s is one whole decimal number from_chars accepts. */
+bool
+WholeNumber(const std::string& s)
+{
+    double value = 0.0;
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    return ec == std::errc() && ptr == end;
+}
+
+TEST_F(ParserFuzzTest, QueryParamNumIsFiniteAndWholeOrFallback)
+{
+    constexpr double kFallback = 60000.0;
+    const std::vector<std::string> queries = Mutants(
+        {"range_ms=25", "range_ms=0.5", "range_ms=-3e2&x=1",
+         "x=1&range_ms=1e-3", "range_ms=60000"},
+        100);
+    for (const std::string& query : queries) {
+        const double got = obs::QueryParamNum(query, "range_ms", kFallback);
+        EXPECT_TRUE(std::isfinite(got)) << query;
+        const std::optional<std::string> raw =
+            obs::QueryParam(query, "range_ms");
+        if (!raw.has_value() || !WholeNumber(*raw)) {
+            EXPECT_EQ(got, kFallback) << query;
+            continue;
+        }
+        double want = 0.0;
+        std::from_chars(raw->data(), raw->data() + raw->size(), want);
+        EXPECT_EQ(got, std::isfinite(want) ? want : kFallback) << query;
+    }
+}
+
+TEST_F(ParserFuzzTest, RequestLineIsRefusedOrTakenFromTheFirstLine)
+{
+    const std::vector<std::string> heads = Mutants(
+        {"GET /tsdbz?range_ms=5 HTTP/1.0\r\n\r\n",
+         "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+         "GET /incidentz?id=3&x=1 HTTP/1.1\nAccept: */*\n\n",
+         "GET\r\nHost: a b\r\n\r\n"},
+        101);
+    for (const std::string& head : heads) {
+        const std::optional<obs::RequestTarget> target =
+            obs::ParseRequestLine(head);
+        if (!target.has_value())
+            continue;
+        const std::string line = head.substr(0, head.find_first_of("\r\n"));
+        for (const std::string* part : {&target->path, &target->query}) {
+            EXPECT_EQ(part->find_first_of(" \r\n"), std::string::npos)
+                << head;
+            EXPECT_NE(line.find(*part), std::string::npos) << head;
+        }
+        EXPECT_NE(head.find('\n'), std::string::npos) << head;
     }
 }
 

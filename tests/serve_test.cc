@@ -241,6 +241,17 @@ TEST(ShardedEngineTest, CreateRejectsDegenerateShapes)
                   .code(),
               core::StatusCode::kInvalidArgument);
 
+    // slo.enabled is the one off switch: a negative margin is refused,
+    // not read as "no quality SLO".
+    serve::ServeConfig negative_margin;
+    negative_margin.slo.quality_margin_pct = -1.0;
+    EXPECT_EQ(serve::ShardedEngine::Create(SharedArtifact(),
+                                           ServeRuntimeConfig(),
+                                           negative_margin)
+                  .status()
+                  .code(),
+              core::StatusCode::kInvalidArgument);
+
     core::Artifact unknown = SharedArtifact();
     unknown.benchmark = "martian";
     EXPECT_EQ(serve::ShardedEngine::Create(unknown,
@@ -977,6 +988,20 @@ TEST(RecordFormatTest, FlightDumpBodyMatchesGolden)
 
 // ------------------------------------------- Admission state machine
 
+// The fills these tests feed, against the controller's constants:
+// 0.80 is shedding pressure at/above the best-effort shed fill but
+// under the emergency shed fill, 0.30 is under the best-effort shed
+// fill, 0.96 is emergency pressure, and 0.10 is calm.
+using Admission = serve::AdmissionController;
+static_assert(0.80 >= Admission::kSheddingFill &&
+              0.80 < Admission::kEmergencyFill &&
+              0.80 >= Admission::kBestEffortShedFill &&
+              0.80 < Admission::kEmergencyShedFill);
+static_assert(0.30 < Admission::kBestEffortShedFill);
+static_assert(0.96 >= Admission::kEmergencyFill &&
+              0.96 >= Admission::kEmergencyShedFill);
+static_assert(0.10 < Admission::kSheddingFill);
+
 TEST(AdmissionControllerTest, SheddingLadderOrdersByClass)
 {
     serve::AdmissionController adm(serve::AdmissionConfig{});
@@ -986,7 +1011,7 @@ TEST(AdmissionControllerTest, SheddingLadderOrdersByClass)
     EXPECT_EQ(adm.state(), serve::AdmissionState::kShedding);
     // While shedding: gold untouched, silver keeps its checker but
     // drops to compensate-only recovery, best-effort sheds at/above
-    // best_effort_shed_fill and degrades below it.
+    // kBestEffortShedFill and degrades below it.
     EXPECT_EQ(adm.Decide(serve::QualityClass::kSilver, 0.80, false),
               serve::AdmissionAction::kCompensateOnly);
     EXPECT_EQ(
@@ -1032,14 +1057,14 @@ TEST(AdmissionControllerTest, LatencySloEscalatesAtAnyFill)
 
 TEST(AdmissionControllerTest, HysteresisRequiresUnbrokenCalmRun)
 {
-    serve::AdmissionConfig config;
-    serve::AdmissionController adm(config);
+    constexpr uint32_t calm_steps = Admission::kCalmSteps;
+    serve::AdmissionController adm(serve::AdmissionConfig{});
     ASSERT_EQ(adm.Decide(serve::QualityClass::kGold, 0.80, false),
               serve::AdmissionAction::kAdmit);
     ASSERT_EQ(adm.state(), serve::AdmissionState::kShedding);
 
-    // calm_steps - 1 calm observations are not enough...
-    for (uint32_t i = 0; i + 1 < config.calm_steps; ++i) {
+    // kCalmSteps - 1 calm observations are not enough...
+    for (uint32_t i = 0; i + 1 < calm_steps; ++i) {
         adm.Decide(serve::QualityClass::kGold, 0.10, false);
         EXPECT_EQ(adm.state(), serve::AdmissionState::kShedding);
     }
@@ -1051,10 +1076,10 @@ TEST(AdmissionControllerTest, HysteresisRequiresUnbrokenCalmRun)
     // the full run must be consecutive.
     adm.Decide(serve::QualityClass::kGold, 0.80, false);
     ASSERT_EQ(adm.state(), serve::AdmissionState::kShedding);
-    for (uint32_t i = 0; i + 1 < config.calm_steps; ++i)
+    for (uint32_t i = 0; i + 1 < calm_steps; ++i)
         adm.Decide(serve::QualityClass::kGold, 0.10, false);
     adm.Decide(serve::QualityClass::kGold, 0.80, false);  // reset.
-    for (uint32_t i = 0; i + 1 < config.calm_steps; ++i) {
+    for (uint32_t i = 0; i + 1 < calm_steps; ++i) {
         adm.Decide(serve::QualityClass::kGold, 0.10, false);
         EXPECT_EQ(adm.state(), serve::AdmissionState::kShedding);
     }

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "apps/benchmark.h"
+#include "common/file.h"
 #include "common/random.h"
 #include "common/table.h"
 #include "core/artifact.h"
@@ -166,7 +167,7 @@ WriteSinkLocked(const ResultSink& sink)
     std::string body = rumba::obs::MetadataJsonLine() + "\n";
     for (const std::string& line : sink.lines)
         body += line + "\n";
-    return rumba::obs::WriteFile(sink.path, body);
+    return rumba::WriteFile(sink.path, body);
 }
 
 /** Flush hook: best-effort, signal context — try-lock only. */
