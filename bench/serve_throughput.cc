@@ -32,7 +32,7 @@
  * The observability tax is the same 1-shard stream with request
  * tracing, flight recording, SLO monitoring, the cost profiler
  * (per-stage CPU attribution + the efficiency estimator), the
- * forensics tsdb sampler + anomaly detectors, and a live scrape
+ * forensics tsdb sampler + incident correlator, and a live scrape
  * server against the same stream with all of it off: the extra CPU
  * as a share of the serving wall time.
  *
@@ -40,6 +40,8 @@
  * BENCH_serve_throughput.json (override the path with
  * RUMBA_BENCH_TRAJECTORY; empty disables), so the repo carries a
  * commit-over-commit throughput trend next to the metric baselines.
+ * A record that cannot be appended (a failed open, a short write, a
+ * failed close) is reported and the sweep exits nonzero.
  */
 
 #include <ctime>
@@ -239,9 +241,10 @@ RunSmoke(const core::Artifact& artifact,
  * BENCH_serve_throughput.json JSONL trend file: commit, date, shard
  * count, throughput and the instrumentation overhead. Sanitized
  * builds are stamped but not performance-representative; consumers
- * filter on the "sanitizers" field.
+ * filter on the "sanitizers" field. False, after a message, when the
+ * open fails, the write is short or the close fails (as WriteFile).
  */
-void
+bool
 AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
                       double throughput_eps, double overhead_pct)
 {
@@ -249,12 +252,12 @@ AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
     if (path == nullptr)
         path = "BENCH_serve_throughput.json";
     if (path[0] == '\0')
-        return;  // explicit opt-out.
+        return true;  // explicit opt-out.
     std::FILE* f = std::fopen(path, "a");
     if (f == nullptr) {
         std::fprintf(stderr, "[serve_throughput] cannot append %s\n",
                      path);
-        return;
+        return false;
     }
     const obs::RunMetadata meta = obs::CollectRunMetadata();
     std::string line =
@@ -270,8 +273,14 @@ AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
     line += ",\"throughput_eps\":" + obs::JsonNum(throughput_eps);
     line += ",\"overhead_pct\":" + obs::JsonNum(overhead_pct);
     line += "}\n";
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fclose(f);
+    const bool written =
+        std::fwrite(line.data(), 1, line.size(), f) == line.size();
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "[serve_throughput] could not write %s\n",
+                     path);
+        return false;
+    }
+    return true;
 }
 
 int
@@ -464,7 +473,8 @@ main(int argc, char** argv)
                 overhead_pct,
                 (cpu_on - cpu_off) / wall_off * 100.0);
 
-    AppendBenchTrajectory(4, kRequests, kRequests * kBatch, sharded_eps,
-                          overhead_pct);
-    return 0;
+    return AppendBenchTrajectory(4, kRequests, kRequests * kBatch,
+                                 sharded_eps, overhead_pct)
+               ? 0
+               : 1;
 }

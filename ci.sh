@@ -174,20 +174,17 @@ grep -q '"trace_id"' "$flight_dir"/flight-shard*.jsonl
 grep -q '"type":"audit"' build/deploy_audit.jsonl
 grep -q '"type":"audit_element"' build/deploy_audit.jsonl
 ./build/tools/rumba-stat audit build/deploy_audit.jsonl > /dev/null
-# The incident bundle on disk must correlate >=2 distinct signal
-# sources and join flight records to reqtraces by trace id.
+# The incident bundle on disk must correlate exactly the NaN storm's
+# three fixed-contract sources (breaker trips, injected-fault deltas,
+# the serve-quality SLO fire), so losing any one of them fails here,
+# and join flight records to reqtraces by trace id.
 ls "$incident_dir"/incident-*.json > /dev/null
 grep -q '"type":"incident"' "$incident_dir"/incident-*.json
-awk 'match($0, /"sources":[0-9]+/) \
-     { if (substr($0, RSTART + 10, RLENGTH - 10) + 0 >= 2) f = 1 }
-     END { exit !f }' "$incident_dir"/incident-*.json
+grep -qF '"source_kinds":"breaker+fault+slo"' "$incident_dir"/incident-*.json
 awk 'match($0, /"joins":[0-9]+/) \
      { if (substr($0, RSTART + 8, RLENGTH - 8) + 0 >= 1) f = 1 }
      END { exit !f }' "$incident_dir"/incident-*.json
 grep -q '"trace_id"' "$incident_dir"/incident-*.json
-# The SLO burn monitors reach the correlator through the shared edge
-# latch: the NaN storm's serve-quality fire must be among the sources.
-grep -q '"source_kinds":"[a-z+]*slo' "$incident_dir"/incident-*.json
 
 echo "==> threshold-convergence stream (RUMBA_STREAM_OUT)"
 # The stream is a sink of the registry sampler's tick: deploy alone,

@@ -1,8 +1,7 @@
 #include "obs/incident.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -79,64 +78,6 @@ DistinctSources(const std::vector<IncidentSignal>& signals,
 }
 
 }  // namespace
-
-EdgeLatch::EdgeLatch(std::string source, std::string name,
-                     std::string series, Gauge* firing, Counter* fires,
-                     Counter* clears)
-    : source_(std::move(source)), name_(std::move(name)),
-      series_(std::move(series)), firing_gauge_(firing),
-      fire_counter_(fires), clear_counter_(clears)
-{
-}
-
-EdgeLatch::Step
-EdgeLatch::Update(bool fire, bool clear, uint64_t now_ns, const char* fmt,
-                  ...)
-{
-    Step step;
-    step.edge = firing_ ? clear : fire;
-    if (step.edge) {
-        firing_ = !firing_;
-        ++edges_;
-        if (Counter* counter = firing_ ? fire_counter_ : clear_counter_)
-            counter->Increment();
-        char detail[128];
-        va_list args;
-        va_start(args, fmt);
-        std::vsnprintf(detail, sizeof detail, fmt, args);
-        va_end(args);
-        step.alarm = AlarmEdge{name_, firing_, detail, now_ns};
-        step.sink = sink_;
-    }
-    firing_gauge_->Set(firing_ ? 1.0 : 0.0);
-    return step;
-}
-
-void
-EdgeLatch::Deliver(const Step& step) const
-{
-    if (!step.edge)
-        return;
-    const AlarmEdge& alarm = step.alarm;
-    if (alarm.firing)
-        Warn("%s.%s: FIRING (%s)", source_.c_str(), name_.c_str(),
-             alarm.detail.c_str());
-    else
-        Inform("%s.%s: cleared (%s)", source_.c_str(), name_.c_str(),
-               alarm.detail.c_str());
-    if (step.sink)
-        step.sink(alarm);
-    // Fires are incident-correlation signals whoever owns the sink
-    // (examples routinely replace it); clears end the story.
-    if (!alarm.firing)
-        return;
-    IncidentSignal signal;
-    signal.source = source_;
-    signal.name = source_ + "." + name_;
-    signal.detail = alarm.detail;
-    signal.series = series_;
-    IncidentManager::Default().OnSignal(std::move(signal));
-}
 
 IncidentManager::IncidentManager(std::string dir)
     : dir_(std::move(dir)),
@@ -518,7 +459,13 @@ IncidentzJson(const std::string& query_string)
     // ?id=<n> serves one bundle verbatim.
     if (const std::optional<std::string> raw =
             QueryParam(query_string, "id")) {
-        const uint64_t id = std::strtoull(raw->c_str(), nullptr, 10);
+        // Plain decimal digits only, the whole value: a sign, a space,
+        // a hex prefix or trailing text names no bundle (id 0).
+        uint64_t id = 0;
+        const char* end = raw->data() + raw->size();
+        const auto [ptr, ec] = std::from_chars(raw->data(), end, id);
+        if (ec != std::errc() || ptr != end)
+            id = 0;
         const std::string detail = manager.Detail(id);
         if (!detail.empty())
             return detail;

@@ -3,15 +3,15 @@
 
 /**
  * @file
- * Incident correlation: joins anomaly and SLO fires (obs/anomaly.h,
- * obs/slo.h; both reach it through the one EdgeLatch below), breaker
- * state transitions (serve engine), and
- * `fault.injected.*` counter deltas inside a correlation window into
- * a single rate-limited incident bundle — a timeline of contributing
- * signals, tsdb extracts around onset (obs/tsdb.h), the per-shard
- * flight records and tail-sampled reqtraces joined by trace id, and
- * a /profilez snapshot. Bundles are dumped as `incident-<n>.json`
- * under RUMBA_INCIDENT_DIR and served live via `/incidentz`.
+ * Incident correlation: joins the three sources that judge against a
+ * fixed contract (SLO burn-rate fires, obs/slo.h; breaker open
+ * transitions, serve engine; `fault.injected.*` counter deltas)
+ * inside a correlation window into a single rate-limited incident
+ * bundle — a timeline of contributing signals, tsdb extracts around
+ * onset (obs/tsdb.h), the per-shard flight records and tail-sampled
+ * reqtraces joined by trace id, and a /profilez snapshot. Bundles are
+ * dumped as `incident-<n>.json` under RUMBA_INCIDENT_DIR and served
+ * live via `/incidentz`.
  *
  * Correlation semantics (DESIGN.md §14): signals accumulate in a
  * sliding 2 s window; when signals from at least two distinct sources
@@ -28,7 +28,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/ring.h"
@@ -38,75 +37,12 @@ namespace rumba::obs {
 
 /** One contributing signal. */
 struct IncidentSignal {
-    std::string source;  ///< "anomaly" | "slo" | "breaker" | "fault".
-    std::string name;    ///< detector / monitor / shard / fault id.
+    std::string source;  ///< "slo" | "breaker" | "fault".
+    std::string name;    ///< monitor / shard / fault id.
     std::string detail;  ///< human-readable edge description.
     std::string series;  ///< registry series to extract around onset.
     uint64_t trace_id = 0;  ///< originating request (0 = none).
     double t_ms = 0.0;      ///< tsdb-epoch ms (0 ⇒ stamped on entry).
-};
-
-/** One fire/clear edge of an alarm, as EdgeLatch hands it to a sink. */
-struct AlarmEdge {
-    std::string name;     ///< the SLO's or anomaly detector's name.
-    bool firing = false;  ///< true = fired, false = cleared.
-    std::string detail;   ///< readings at the edge, "fast_burn=12 ...".
-    uint64_t now_ns = 0;  ///< event time (steady clock).
-};
-
-/**
- * The one fire/clear edge latch of the alarm detectors (SLO burn
- * monitors, obs/slo.h; anomaly detectors, obs/anomaly.h), guarded by
- * its owner's lock. Update() takes the owner's two conditions: fire
- * when not firing and @p fire holds, clear when firing and @p clear
- * holds. It keeps the firing gauge and edge counters and returns the
- * step; after releasing its lock the owner hands the step to
- * Deliver(), which logs an edge, calls the sink, and turns a fire
- * into one IncidentSignal. So the sink may call back into the owner.
- * Concurrent deliveries may interleave out of order: AlarmEdge::firing
- * is the state at the edge, not the current state.
- */
-class EdgeLatch {
-  public:
-    /** What Update() carries out of the owner's lock. */
-    struct Step {
-        bool edge = false;  ///< false: the state held; nothing to do.
-        AlarmEdge alarm;
-        std::function<void(const AlarmEdge&)> sink;
-    };
-
-    /** Edges log and signal as `<source>.<name>`, extracting onset
-     *  series @p series. @p fires / @p clears count fires / clears
-     *  (null skips; both may be one counter). */
-    EdgeLatch(std::string source, std::string name, std::string series,
-              Gauge* firing, Counter* fires, Counter* clears);
-
-    /** On an edge, printf-style @p fmt formats AlarmEdge::detail. */
-    Step Update(bool fire, bool clear, uint64_t now_ns, const char* fmt,
-                ...) __attribute__((format(printf, 5, 6)));
-
-    /** Post-unlock half of a step; a no-edge step is a no-op. */
-    void Deliver(const Step& step) const;
-
-    /** Replace the alert sink (nullptr clears). */
-    void SetSink(std::function<void(const AlarmEdge&)> sink)
-    {
-        sink_ = std::move(sink);
-    }
-
-    bool Firing() const { return firing_; }
-    uint64_t Edges() const { return edges_; }  ///< fires + clears.
-
-  private:
-    const std::string source_;
-    const std::string name_;
-    const std::string series_;
-    Gauge* const firing_gauge_;
-    Counter* const fire_counter_;
-    Counter* const clear_counter_;
-    bool firing_ = false;
-    uint64_t edges_ = 0;
-    std::function<void(const AlarmEdge&)> sink_;
 };
 
 /** What the serving engine contributes at finalize time. */
@@ -117,9 +53,9 @@ struct IncidentFlightExtract {
 
 /**
  * Process-wide incident correlator. OnSignal() may be called from any
- * thread (workers, EdgeLatch::Deliver, the tsdb sampler);
- * bundle assembly happens outside the signal lock on whichever thread
- * trips the finalize.
+ * thread (workers, SLO monitors, the tsdb sampler); bundle assembly
+ * happens outside the signal lock on whichever thread trips the
+ * finalize.
  */
 class IncidentManager {
   public:

@@ -1,10 +1,11 @@
 #include "obs/slo.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "obs/incident.h"
 #include "obs/timer.h"
 
 namespace rumba::obs {
@@ -24,10 +25,10 @@ SloMonitor::SloMonitor(std::string name, double objective)
           "slo." + name_ + ".fast_burn_rate")),
       slow_gauge_(Registry::Default().GetGauge(
           "slo." + name_ + ".slow_burn_rate")),
-      latch_("slo", name_, "slo." + name_ + ".fast_burn_rate",
-             Registry::Default().GetGauge("slo." + name_ + ".alerting"),
-             Registry::Default().GetCounter("slo." + name_ + ".alerts"),
-             nullptr)
+      alerting_gauge_(
+          Registry::Default().GetGauge("slo." + name_ + ".alerting")),
+      alerts_counter_(
+          Registry::Default().GetCounter("slo." + name_ + ".alerts"))
 {
     RUMBA_CHECK(objective_ > 0.0 && objective_ < 1.0);
 }
@@ -51,7 +52,9 @@ SloMonitor::Record(bool good, uint64_t now_ns)
 {
     if (now_ns == 0)
         now_ns = NowNs();
-    EdgeLatch::Step step;
+    bool edge = false;
+    AlarmEdge alarm;
+    std::function<void(const AlarmEdge&)> sink;
     {
         std::lock_guard<std::mutex> lock(mu_);
         AdvanceLocked(now_ns);
@@ -71,13 +74,43 @@ SloMonitor::Record(bool good, uint64_t now_ns)
         // Fire on the multi-window rule; clear with hysteresis on the
         // fast window alone — the slow window can stay hot long after
         // the incident ends.
-        step = latch_.Update(fast_good + fast_bad >= kMinEvents &&
-                                 fast >= kFastBurnAlert &&
-                                 slow >= kSlowBurnAlert,
-                             fast < kFastBurnAlert, now_ns,
-                             "fast_burn=%.3g slow_burn=%.3g", fast, slow);
+        edge = alerting_ ? fast < kFastBurnAlert
+                         : fast_good + fast_bad >= kMinEvents &&
+                               fast >= kFastBurnAlert &&
+                               slow >= kSlowBurnAlert;
+        if (edge) {
+            alerting_ = !alerting_;
+            if (alerting_)
+                alerts_counter_->Increment();
+            char detail[64];
+            std::snprintf(detail, sizeof detail,
+                          "fast_burn=%.3g slow_burn=%.3g", fast, slow);
+            alarm = AlarmEdge{name_, alerting_, detail, now_ns};
+            sink = sink_;
+        }
+        alerting_gauge_->Set(alerting_ ? 1.0 : 0.0);
     }
-    latch_.Deliver(step);
+    if (!edge)
+        return;
+    // Delivered unlocked: a slow sink never stalls other recorders,
+    // and the sink may call back into the monitor.
+    if (alarm.firing)
+        Warn("slo.%s: FIRING (%s)", name_.c_str(), alarm.detail.c_str());
+    else
+        Inform("slo.%s: cleared (%s)", name_.c_str(),
+               alarm.detail.c_str());
+    if (sink)
+        sink(alarm);
+    // Fires are incident-correlation signals whoever owns the sink
+    // (examples routinely replace it); clears end the story.
+    if (!alarm.firing)
+        return;
+    IncidentSignal signal;
+    signal.source = "slo";
+    signal.name = "slo." + name_;
+    signal.detail = std::move(alarm.detail);
+    signal.series = "slo." + name_ + ".fast_burn_rate";
+    IncidentManager::Default().OnSignal(std::move(signal));
 }
 
 void
@@ -136,14 +169,14 @@ bool
 SloMonitor::Alerting() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return latch_.Firing();
+    return alerting_;
 }
 
 void
 SloMonitor::SetAlertSink(std::function<void(const AlarmEdge&)> sink)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    latch_.SetSink(std::move(sink));
+    sink_ = std::move(sink);
 }
 
 }  // namespace rumba::obs

@@ -27,10 +27,11 @@
  * `slo.<name>.fast_burn_rate`, `slo.<name>.slow_burn_rate`,
  * `slo.<name>.alerting` — and firing increments the
  * `slo.<name>.alerts` counter, so the scrape endpoint
- * (obs/http_exporter.h) exposes burn rates live. Fire/clear edges go
- * through the shared EdgeLatch (obs/incident.h): logged, handed to an
- * optional alert sink (the deploy example narrates them), and every
- * fire becomes one "slo" incident signal.
+ * (obs/http_exporter.h) exposes burn rates live. The monitor owns its
+ * fire/clear edge: after its lock is released, an edge is logged,
+ * handed to an optional alert sink (the deploy example narrates
+ * them), and every fire becomes one "slo" incident signal
+ * (obs/incident.h).
  *
  * Thread-safe; time is injectable for tests (pass now_ns to Record).
  */
@@ -41,9 +42,18 @@
 #include <mutex>
 #include <string>
 
-#include "obs/incident.h"
+#include "obs/metrics.h"
 
 namespace rumba::obs {
+
+/** One fire/clear edge of an SLO alert, as SloMonitor hands it to its
+ *  alert sink. */
+struct AlarmEdge {
+    std::string name;     ///< the SLO's name.
+    bool firing = false;  ///< true = fired, false = cleared.
+    std::string detail;   ///< burn rates at the edge, "fast_burn=12 ...".
+    uint64_t now_ns = 0;  ///< event time (steady clock).
+};
 
 /**
  * Multi-window burn-rate evaluator for one objective. Events land in
@@ -85,10 +95,12 @@ class SloMonitor {
     bool Alerting() const;
 
     /** Install the fire/clear edge sink (nullptr clears). It runs
-     *  after the monitor's lock is released (EdgeLatch::Deliver), so
-     *  it may call back into the monitor (Alerting(), burn-rate
-     *  accessors, even Record()); AlarmEdge::detail carries the burn
-     *  rates at the edge. */
+     *  after the monitor's lock is released, so it may call back into
+     *  the monitor (Alerting(), burn-rate accessors, even Record());
+     *  AlarmEdge::detail carries the burn rates at the edge.
+     *  Concurrent deliveries may interleave out of order:
+     *  AlarmEdge::firing is the state at the edge, not the current
+     *  state. */
     void SetAlertSink(std::function<void(const AlarmEdge&)> sink);
 
     const std::string& Name() const { return name_; }
@@ -108,10 +120,12 @@ class SloMonitor {
     const double objective_;
     mutable std::mutex mu_;
     std::array<Bucket, kBuckets> ring_{};
-    Gauge* fast_gauge_;   ///< slo.<name>.fast_burn_rate
-    Gauge* slow_gauge_;   ///< slo.<name>.slow_burn_rate
-    /** slo.<name>.alerting (0/1) and slo.<name>.alerts (fires). */
-    EdgeLatch latch_;
+    Gauge* fast_gauge_;        ///< slo.<name>.fast_burn_rate
+    Gauge* slow_gauge_;        ///< slo.<name>.slow_burn_rate
+    Gauge* alerting_gauge_;    ///< slo.<name>.alerting (0/1)
+    Counter* alerts_counter_;  ///< slo.<name>.alerts (fires)
+    bool alerting_ = false;
+    std::function<void(const AlarmEdge&)> sink_;
 };
 
 }  // namespace rumba::obs

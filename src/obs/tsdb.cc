@@ -9,12 +9,10 @@
 
 #include "common/file.h"
 #include "common/logging.h"
-#include "obs/anomaly.h"
 #include "obs/export.h"
 #include "obs/http_exporter.h"
 #include "obs/incident.h"
 #include "obs/span.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 
 namespace rumba::obs {
@@ -334,13 +332,11 @@ TsdbSampler::Tick(bool final)
     const Span span("tsdb.sample");
     TimeSeriesStore& store = TimeSeriesStore::Default();
     const double t_ms = store.NowMs();
-    const uint64_t now_ns = NowNs();
     const RegistrySnapshot snapshot = Registry::Default().Snapshot();
     store.Ingest(snapshot, t_ms);
-    // One thread drives the whole forensics pipeline: detectors see
-    // the snapshot just retained, the incident manager scans fault
-    // deltas and finalizes due incidents.
-    AnomalySet::Default().Observe(snapshot, t_ms, now_ns);
+    // One thread drives the whole forensics pipeline: the incident
+    // manager scans the snapshot just retained for fault deltas and
+    // finalizes due incidents.
     IncidentManager::Default().ObserveSnapshot(snapshot, t_ms);
     if (stream_ != nullptr)
         WriteStreamSample(snapshot, t_ms);

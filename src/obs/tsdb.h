@@ -10,8 +10,8 @@
  * query API serves raw range reads, rate() over counters, and
  * quantile-over-time, selectable by name prefix. `/tsdbz` on the
  * scrape server (obs/http_exporter.h) exposes the same queries over
- * HTTP, and the incident-forensics subsystem (obs/anomaly.h,
- * obs/incident.h) reads from the store on the same tick.
+ * HTTP, and the incident correlator (obs/incident.h) reads from the
+ * store on the same tick.
  *
  * The same tick is the live metric stream: when RUMBA_STREAM_OUT
  * names a file, each sample is also appended there as one JSONL line
@@ -201,9 +201,8 @@ class TimeSeriesStore {
  * a runtime while RUMBA_STREAM_OUT is set) calls Acquire()/Release();
  * the first acquirer starts the thread and the last release stops it.
  * Each tick takes one registry snapshot and hands it to every
- * consumer: the store, the anomaly detectors (obs/anomaly.h), the
- * incident manager's fault-delta scan + poll (obs/incident.h), and the
- * JSONL stream sink when one is open.
+ * consumer: the store, the incident manager's fault-delta scan + poll
+ * (obs/incident.h), and the JSONL stream sink when one is open.
  */
 class TsdbSampler {
   public:

@@ -11,7 +11,6 @@
 #include "common/fnv.h"
 #include "common/logging.h"
 #include "core/batch_view.h"
-#include "obs/anomaly.h"
 #include "obs/audit.h"
 #include "obs/export.h"
 #include "obs/http_exporter.h"
@@ -282,15 +281,12 @@ ShardedEngine::Create(const core::Artifact& artifact,
     if (engine->profiling_)
         obs::SamplingProfiler::AcquireFromEnv();
 
-    // Incident forensics: subscribe the standard anomaly probes, hand
-    // the incident manager this engine's flight records (engine
-    // pointer as owner token, cleared in Shutdown after the workers
-    // join), and hold one ref on the background tsdb sampler that
-    // drives the whole pipeline.
+    // Incident forensics: hand the incident manager this engine's
+    // flight records (engine pointer as owner token, cleared in
+    // Shutdown after the workers join), and hold one ref on the
+    // background tsdb sampler that drives the whole pipeline.
     engine->forensics_ = serve_config.forensics.enabled;
     if (engine->forensics_) {
-        obs::AnomalySet::Default().InstallServeProbes(
-            serve_config.shards);
         obs::IncidentManager::Default().SetFlightProvider(
             [raw = engine.get()] {
                 return raw->IncidentFlightRecords();

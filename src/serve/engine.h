@@ -164,13 +164,13 @@ struct ServeConfig {
      *  admission.enabled = false reverts to pure reject-on-full. */
     AdmissionConfig admission;
 
-    /** Incident forensics (obs/tsdb.h, obs/anomaly.h,
-     *  obs/incident.h): the refcounted registry sampler feeding the
-     *  retention store + anomaly detectors, the standard serving
-     *  anomaly probes, and the engine's flight-record contribution to
-     *  incident bundles. Rides the <5% instrumentation-overhead gate
-     *  in bench/serve_throughput. The RUMBA_TSDB_PERIOD_MS environment
-     *  variable sets the sampler period ("0" keeps it off). */
+    /** Incident forensics (obs/tsdb.h, obs/incident.h): the
+     *  refcounted registry sampler feeding the retention store and
+     *  the incident manager's fault-delta scan, and the engine's
+     *  flight-record contribution to incident bundles. Rides the <5%
+     *  instrumentation-overhead gate in bench/serve_throughput. The
+     *  RUMBA_TSDB_PERIOD_MS environment variable sets the sampler
+     *  period ("0" keeps it off). */
     struct ForensicsOptions {
         bool enabled = true;
     };
@@ -475,8 +475,8 @@ class ShardedEngine {
      *  engine holds a ref on the env-configured sampling profiler. */
     bool profiling_ = false;
     /** Forensics on (ServeConfig::forensics): the engine holds a ref
-     *  on the tsdb sampler, feeds the standard anomaly probes, and
-     *  contributes flight records to incident bundles. */
+     *  on the tsdb sampler and contributes flight records to incident
+     *  bundles. */
     bool forensics_ = false;
 };
 

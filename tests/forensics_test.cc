@@ -1,11 +1,9 @@
 // Tests for the incident-forensics subsystem: the embedded time-series
 // store's ring retention and range queries (obs/tsdb.h) against
-// hand-computed fixtures, the EWMA z-score detector's warmup and
-// count-based hysteresis (obs/anomaly.h), probe plumbing from registry
-// snapshots, incident correlation semantics (obs/incident.h: distinct
-// sources open, same source does not, the rate limiter suppresses),
-// the one edge latch that carries anomaly and SLO fires (never
-// clears) into the default incident manager,
+// hand-computed fixtures, incident correlation semantics
+// (obs/incident.h: distinct sources open, same source does not, the
+// rate limiter suppresses), the SLO monitor's own alert edge carrying
+// each fire (never a clear) into the default incident manager,
 // an engine-level race of the tsdb sampler against
 // ShardedEngine::Shutdown (exercised under TSan in ci.sh), and who
 // holds that one sampler: a runtime only while RUMBA_STREAM_OUT is
@@ -29,7 +27,6 @@
 #include "core/artifact.h"
 #include "core/batch_view.h"
 #include "core/runtime.h"
-#include "obs/anomaly.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -182,29 +179,7 @@ TEST(TimeSeriesStoreTest, TsdbzJsonServesDefaultStoreSeries)
     EXPECT_NE(body.find("\"points\":2"), std::string::npos);
 }
 
-// ------------------------------------------------- anomaly detector
-
-/** Converge the detector's EWMA onto a baseline of @p value ± 1: a
- *  baseline with real variance, so a unit residue scores as normal
- *  while the 100-unit spikes below stay far beyond kZThreshold. */
-void
-Settle(obs::AnomalyDetector* detector, double value, int samples = 200)
-{
-    for (int i = 0; i < samples; ++i)
-        detector->Observe(value + (i % 2 == 0 ? 1.0 : -1.0), 1);
-}
-
-TEST(AnomalyDetectorTest, WarmupSamplesNeverFire)
-{
-    obs::AnomalyDetector detector("forensics_test.warmup");
-    // Wild swings inside the warmup window only seed the statistics.
-    for (int i = 0; i < obs::AnomalyDetector::kWarmupSamples; ++i)
-        EXPECT_FALSE(detector.Observe(i % 2 == 0 ? 1e6 : -1e6, 1));
-    EXPECT_FALSE(detector.Firing());
-    EXPECT_EQ(detector.Edges(), 0u);
-    EXPECT_EQ(detector.SamplesSeen(),
-              static_cast<uint64_t>(obs::AnomalyDetector::kWarmupSamples));
-}
+// ------------------------------------------------- incident manager
 
 /** Signals the default incident manager has accepted so far. */
 uint64_t
@@ -214,73 +189,6 @@ IncidentSignals()
         .GetCounter("incident.signals")
         ->Value();
 }
-
-TEST(AnomalyDetectorTest, HysteresisEdgesAreCountDeterministic)
-{
-    obs::AnomalyDetector detector("forensics_test.hysteresis");
-
-    Settle(&detector, 100.0);
-    EXPECT_FALSE(detector.Firing());
-    EXPECT_EQ(detector.Edges(), 0u);
-    const uint64_t signals = IncidentSignals();
-
-    // Fire on exactly the kFireCount-th consecutive anomalous sample.
-    for (int i = 0; i + 1 < obs::AnomalyDetector::kFireCount; ++i)
-        EXPECT_FALSE(detector.Observe(200.0, 1));
-    EXPECT_TRUE(detector.Observe(200.0, 1));
-    EXPECT_TRUE(detector.Firing());
-    EXPECT_EQ(detector.Edges(), 1u);
-    EXPECT_EQ(IncidentSignals(), signals + 1);
-
-    // Clear on exactly the kClearCount-th consecutive normal sample.
-    for (int i = 0; i + 1 < obs::AnomalyDetector::kClearCount; ++i)
-        EXPECT_FALSE(detector.Observe(100.0, 1));
-    EXPECT_TRUE(detector.Observe(100.0, 1));
-    EXPECT_FALSE(detector.Firing());
-    EXPECT_EQ(detector.Edges(), 2u);
-    EXPECT_EQ(IncidentSignals(), signals + 1);  // clears signal nothing.
-}
-
-TEST(AnomalyDetectorTest, AnomalousSamplesDoNotShiftBaseline)
-{
-    obs::AnomalyDetector detector("forensics_test.frozen");
-    Settle(&detector, 100.0);
-    const double mean_before = detector.Mean();
-    // A sustained storm of outliers must not absorb into the EWMA —
-    // otherwise the fault becomes the new normal and clears itself.
-    for (int i = 0; i < 50; ++i)
-        detector.Observe(5000.0, 1);
-    EXPECT_DOUBLE_EQ(detector.Mean(), mean_before);
-    EXPECT_TRUE(detector.Firing());
-}
-
-TEST(AnomalySetTest, CounterRateProbeFeedsDetectorBetweenTicks)
-{
-    obs::AnomalySet set;
-    obs::AnomalyDetector* detector =
-        set.Add(obs::AnomalySet::Probe::kCounterRate, "ticks",
-                "forensics_test.rate");
-    ASSERT_NE(detector, nullptr);
-    // Idempotent by name: re-adding returns the same detector.
-    EXPECT_EQ(set.Add(obs::AnomalySet::Probe::kCounterRate, "ticks",
-                      "forensics_test.rate"),
-              detector);
-    EXPECT_EQ(set.Detectors(), 1u);
-
-    obs::RegistrySnapshot snap;
-    snap.counters.push_back({"ticks", 0});
-    set.Observe(snap, 0.0, 1);
-    // First sighting only records the baseline — no rate yet.
-    EXPECT_EQ(detector->SamplesSeen(), 0u);
-
-    snap.counters[0].value = 50;
-    set.Observe(snap, 1000.0, 1);
-    EXPECT_EQ(detector->SamplesSeen(), 1u);
-    // One EWMA step from the 0-initialized mean with a 50/s reading.
-    EXPECT_DOUBLE_EQ(detector->Mean(), obs::AnomalyDetector::kAlpha * 50.0);
-}
-
-// ------------------------------------------------- incident manager
 
 /** A signal stamped @p t_ms (0 stamps it on entry: signals a test
  *  emits back to back share one correlation window). */
@@ -425,45 +333,19 @@ TEST(IncidentzJsonTest, IdParameterUsesTheSharedQueryParser)
     EXPECT_EQ(obs::IncidentzJson("xid=" + n), listing);  // not "id".
     EXPECT_EQ(obs::IncidentzJson("id=abc"), unknown_zero);
     EXPECT_EQ(obs::IncidentzJson("id="), unknown_zero);  // present.
+    // The whole value must be plain decimal digits: no numeric prefix,
+    // sign, space or hex, and no wrap past 2^64.
+    for (const std::string& value :
+         {std::string("1abc"), std::string("-1"), std::string(" 1"),
+          std::string("+1"), std::string("0x1"), n + "abc", "+" + n,
+          " " + n, "-" + n, std::string("18446744073709551616")})
+        EXPECT_EQ(obs::IncidentzJson("id=" + value), unknown_zero)
+            << value;
 }
 
-// ------------------------------------------------- edge latch
+// ------------------------------------------------- SLO alert edge
 
-TEST(EdgeLatchTest, StandaloneAnomalyFireIsOneIncidentSignal)
-{
-    obs::IncidentManager& manager = obs::IncidentManager::Default();
-    manager.Clear();
-    // No AnomalySet and no engine: the detector's own latch is the
-    // path into the default incident manager.
-    obs::AnomalyDetector detector("forensics_test.latch",
-                                  "forensics_test.latch_series");
-    Settle(&detector, 100.0);
-    manager.OnSignal(Signal("breaker", "serve.shard0"));
-    const uint64_t signals = IncidentSignals();
-
-    for (int i = 0; i < obs::AnomalyDetector::kFireCount; ++i)
-        detector.Observe(200.0, 1);
-    ASSERT_TRUE(detector.Firing());
-    EXPECT_EQ(IncidentSignals(), signals + 1);
-    for (int i = 0; i < obs::AnomalyDetector::kClearCount; ++i)
-        detector.Observe(100.0, 1);
-    ASSERT_FALSE(detector.Firing());
-    EXPECT_EQ(IncidentSignals(), signals + 1);
-
-    manager.FinalizeOpenNow();
-    const auto list = manager.List();
-    ASSERT_EQ(list.size(), 1u);
-    EXPECT_EQ(list[0].kinds, "anomaly+breaker");
-    EXPECT_EQ(list[0].signals, 2u);
-    const std::string detail = manager.Detail(list[0].id);
-    EXPECT_NE(detail.find("\"name\":\"anomaly.forensics_test.latch\""),
-              std::string::npos);
-    EXPECT_NE(detail.find("\"detail\":\"value=200 "), std::string::npos);
-    EXPECT_NE(detail.find("\"series\":\"forensics_test.latch_series\""),
-              std::string::npos);
-}
-
-TEST(EdgeLatchTest, SloFireIsOneIncidentSignalBesideAUserSink)
+TEST(SloMonitorTest, SloFireIsOneIncidentSignalBesideAUserSink)
 {
     obs::IncidentManager& manager = obs::IncidentManager::Default();
     manager.Clear();
@@ -479,20 +361,28 @@ TEST(EdgeLatchTest, SloFireIsOneIncidentSignalBesideAUserSink)
     for (uint64_t i = 0; i < obs::SloMonitor::kMinEvents; ++i)
         monitor.Record(false, 10 * second + i * second / 20);
     ASSERT_TRUE(monitor.Alerting());
-    // A healthy fast window clears.
+    EXPECT_EQ(IncidentSignals(), signals + 1);
+    // A healthy fast window clears, and a clear signals nothing.
     monitor.Record(true, 10 * second + obs::SloMonitor::kFastWindowNs +
                              second / 2);
     ASSERT_FALSE(monitor.Alerting());
+    EXPECT_EQ(IncidentSignals(), signals + 1);
 
     ASSERT_EQ(edges.size(), 2u);
     EXPECT_TRUE(edges[0].firing);
     EXPECT_FALSE(edges[1].firing);
-    EXPECT_EQ(IncidentSignals(), signals + 1);
     manager.FinalizeOpenNow();
     const auto list = manager.List();
     ASSERT_EQ(list.size(), 1u);
     EXPECT_EQ(list[0].kinds, "breaker+slo");
     EXPECT_EQ(list[0].signals, 2u);
+    const std::string detail = manager.Detail(list[0].id);
+    EXPECT_NE(detail.find("\"name\":\"slo.forensics_test_slo\""),
+              std::string::npos);
+    EXPECT_NE(detail.find("\"detail\":\"fast_burn=10 "), std::string::npos);
+    EXPECT_NE(
+        detail.find("\"series\":\"slo.forensics_test_slo.fast_burn_rate\""),
+        std::string::npos);
 }
 
 // ------------------------------------------------- engine race

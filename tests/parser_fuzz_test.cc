@@ -219,7 +219,8 @@ TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
         EXPECT_TRUE(selected >= 0.0 && selected <= 512.0) << query;
 
         // No id parameter lists; any id value names one bundle or is
-        // an unknown-incident error echoing the parsed id.
+        // an unknown-incident error echoing the parsed id. Only a whole
+        // value of plain decimal digits parses; anything else is id 0.
         const std::string incidentz = obs::IncidentzJson(query);
         const std::optional<std::string> raw =
             obs::QueryParam(query, "id");
@@ -229,7 +230,11 @@ TEST_F(ParserFuzzTest, RouteQueriesStayInTheirDocumentedRanges)
                 << query;
             continue;
         }
-        const uint64_t want = std::strtoull(raw->c_str(), nullptr, 10);
+        uint64_t want = 0;
+        const char* end = raw->data() + raw->size();
+        const auto [ptr, ec] = std::from_chars(raw->data(), end, want);
+        if (ec != std::errc() || ptr != end)
+            want = 0;
         if (incidentz.find("\"type\":\"incident\"") != std::string::npos) {
             EXPECT_EQ(JsonField(incidentz, "id"),
                       static_cast<double>(want))
