@@ -37,11 +37,12 @@
  * as a share of the serving wall time.
  *
  * The default sweep appends one perf-trajectory record to
- * BENCH_serve_throughput.json (override the path with
- * RUMBA_BENCH_TRAJECTORY; empty disables), so the repo carries a
- * commit-over-commit throughput trend next to the metric baselines.
- * A record that cannot be appended (a failed open, a short write, a
- * failed close) is reported and the sweep exits nonzero.
+ * BENCH_serve_throughput.json at the source root, whatever the working
+ * directory (override the path with RUMBA_BENCH_TRAJECTORY; empty
+ * disables), so the repo carries a commit-over-commit throughput trend
+ * next to the metric baselines. A record that cannot be appended (a
+ * failed open, a short write, a failed close) is reported and the
+ * sweep exits nonzero.
  */
 
 #include <ctime>
@@ -238,11 +239,14 @@ RunSmoke(const core::Artifact& artifact,
 
 /**
  * Append one perf-trajectory record of the default sweep to the
- * BENCH_serve_throughput.json JSONL trend file: commit, date, shard
- * count, throughput and the instrumentation overhead. Sanitized
- * builds are stamped but not performance-representative; consumers
- * filter on the "sanitizers" field. False, after a message, when the
- * open fails, the write is short or the close fails (as WriteFile).
+ * BENCH_serve_throughput.json JSONL trend file: commit, source sha,
+ * date, shard count, throughput and the instrumentation overhead. The
+ * source sha (RUMBA_SOURCE_SHA, stamped by bench/CMakeLists.txt)
+ * digests src/ and bench/, so records of two uncommitted trees that
+ * git describe stamps alike read apart. Sanitized builds are stamped
+ * but not performance-representative; consumers filter on the
+ * "sanitizers" field. False, after a message, when the open fails,
+ * the write is short or the close fails (as WriteFile).
  */
 bool
 AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
@@ -250,7 +254,7 @@ AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
 {
     const char* path = std::getenv("RUMBA_BENCH_TRAJECTORY");
     if (path == nullptr)
-        path = "BENCH_serve_throughput.json";
+        path = RUMBA_SOURCE_ROOT "/BENCH_serve_throughput.json";
     if (path[0] == '\0')
         return true;  // explicit opt-out.
     std::FILE* f = std::fopen(path, "a");
@@ -264,6 +268,7 @@ AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
         "{\"bench\":\"serve_throughput\",\"schema_version\":1";
     line += ",\"mode\":\"sweep\"";
     line += ",\"commit\":" + obs::JsonQuote(meta.git_describe);
+    line += ",\"source_sha\":" + obs::JsonQuote(RUMBA_SOURCE_SHA);
     line += ",\"date\":" + obs::JsonQuote(meta.wall_time_iso8601);
     line += ",\"build_type\":" + obs::JsonQuote(meta.build_type);
     line += ",\"sanitizers\":" + obs::JsonQuote(meta.sanitizers);
@@ -280,6 +285,8 @@ AppendBenchTrajectory(size_t shards, size_t requests, size_t elements,
                      path);
         return false;
     }
+    std::printf("trajectory record appended to %s, source_sha %s\n",
+                path, RUMBA_SOURCE_SHA);
     return true;
 }
 

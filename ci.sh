@@ -52,7 +52,7 @@ rm -f build/deploy_audit.jsonl build/deploy_profile.folded
 RUMBA_METRICS_PORT=$obs_port RUMBA_FLIGHT_DIR="$flight_dir" \
     RUMBA_OBS_LINGER_MS=8000 \
     RUMBA_AUDIT_SAMPLE_N=1 RUMBA_AUDIT_OUT=build/deploy_audit.jsonl \
-    RUMBA_PROFILE_HZ=499 RUMBA_PROFILE_OUT=build/deploy_profile.folded \
+    RUMBA_PROFILE_OUT=build/deploy_profile.folded \
     RUMBA_TSDB_PERIOD_MS=25 RUMBA_INCIDENT_DIR="$incident_dir" \
     ./build/examples/deploy > build/deploy_obs.log 2>&1 &
 deploy_pid=$!
@@ -156,13 +156,14 @@ awk 'match($0, /"count":[0-9]+/) \
     --check > /dev/null
 ./build/tools/rumba-stat scrape build/deploy_scrape.prom --check
 wait "$deploy_pid"
-# The sampling profiler must have written a parseable folded-stacks
-# dump ("stack count" lines) carrying per-shard stage frames. (The
-# deploy's device bursts are microseconds long, so the sampler lands
-# in the workers' queue_wait frames, not the device ones.)
+# The cost profiler's flush hook must have written the measured
+# per-shard stage split as a parseable folded-stacks dump ("stack
+# count" lines, count in µs of thread CPU) with per-shard frames and
+# a nonzero device row for shard 0.
 awk 'NF < 2 || $NF + 0 <= 0 { bad = 1 } END { exit bad }' \
     build/deploy_profile.folded
 grep -q '^shard0;' build/deploy_profile.folded
+grep -q '^shard0;device [1-9]' build/deploy_profile.folded
 # The NaN storm must have tripped breakers and dumped flight records
 # carrying request trace ids.
 ls "$flight_dir"/flight-shard*.jsonl > /dev/null
@@ -242,7 +243,8 @@ if [[ "${1:-}" != "--skip-sanitize" ]]; then
     # TSan: the threaded paths — span collector, the two-thread
     # recovery replay, the queue/breaker paths the fault suite drives,
     # the sharded serving engine, the background ground-truth audit
-    # pool, the sampling profiler racing engine shutdown, the one
+    # pool, the profiler's folded dump and /profilez racing the
+    # workers' stage records and engine shutdown, the one
     # registry sampler (tsdb, forensics and stream sink) racing the
     # same and shared with a streaming runtime, and the
     # offline flow's trainer threads (the training constructor in
@@ -263,8 +265,9 @@ echo "==> perf tier (serve_throughput, median of 5 runs)"
 # The 4-shard throughput ratio and the observability overhead time the
 # host as much as the engine: one run reads 1.85-3.78x on a 4-vCPU
 # guest. So they are gated here, on the median of five runs of the
-# plain build, never in ctest. Each run appends its trajectory record
-# to BENCH_serve_throughput.json at the repo root.
+# plain build, never in ctest. Each run appends its trajectory record,
+# stamped with the source sha of src/ and bench/, to
+# BENCH_serve_throughput.json at the repo root.
 perf_runs=5
 ratios=()
 overheads=()
@@ -273,6 +276,8 @@ for run in $(seq 1 "$perf_runs"); do
     ratio=$(awk '/^4-shard speedup/ { print $3 + 0 }' <<< "$out")
     overhead=$(awk '/median extra CPU/ {
         for (i = 1; i < NF; ++i) if ($i == "->") print $(i + 1) + 0 }' \
+        <<< "$out")
+    source_sha=$(awk '/^trajectory record appended/ { print $NF }' \
         <<< "$out")
     echo "   run $run: ratio ${ratio}x, overhead ${overhead}%"
     ratios+=("$ratio")
@@ -286,6 +291,7 @@ spread() {
 }
 read -r ratio_med ratio_q1 ratio_q3 <<< "$(spread "${ratios[@]}")"
 read -r over_med over_q1 over_q3 <<< "$(spread "${overheads[@]}")"
+echo "   medians of source_sha ${source_sha}:"
 echo "   ratio median ${ratio_med}x (IQR ${ratio_q1}-${ratio_q3}), required >= 2.5x"
 echo "   overhead median ${over_med}% (IQR ${over_q1}-${over_q3}), required < 5%"
 awk -v r="$ratio_med" -v o="$over_med" 'BEGIN { exit !(r >= 2.5 && o < 5) }' ||

@@ -34,13 +34,16 @@
  */
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <thread>
 
 #include "common/file.h"
+#include "common/logging.h"
 #include "core/runtime.h"
 #include "fault/corrupt.h"
 #include "fault/injector.h"
@@ -677,11 +680,18 @@ main()
                 obs_engine.StatuszJson().c_str());
 
     // Keep the engine (and its /statusz provider) up long enough for
-    // an external scraper to look around, when asked to.
+    // an external scraper to look around, when asked to. The value is
+    // plain decimal milliseconds, read whole ("8s" is not 8 ms).
     if (const char* linger_env = std::getenv("RUMBA_OBS_LINGER_MS")) {
-        const long linger_ms = std::strtol(linger_env, nullptr, 10);
-        if (linger_ms > 0) {
-            std::printf("[obs] lingering %ld ms for scrapers...\n",
+        const char* end = linger_env + std::strlen(linger_env);
+        unsigned linger_ms = 0;
+        const auto [ptr, ec] = std::from_chars(linger_env, end, linger_ms);
+        if (ec != std::errc() || ptr != end) {
+            Warn("RUMBA_OBS_LINGER_MS: '%s' is not a whole number of "
+                 "milliseconds; not lingering",
+                 linger_env);
+        } else if (linger_ms > 0) {
+            std::printf("[obs] lingering %u ms for scrapers...\n",
                         linger_ms);
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(linger_ms));

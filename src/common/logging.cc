@@ -1,12 +1,12 @@
 #include "common/logging.h"
 
+#include <strings.h>
+
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
-#include <string>
+#include <optional>
 
 namespace rumba {
 
@@ -15,37 +15,42 @@ namespace {
 /** Serializes emission so concurrent logs do not interleave lines. */
 std::mutex g_emit_mu;
 
-/** RUMBA_LOG value -> threshold; unknown values keep the default. */
-LogLevel
-ParseEnvThreshold()
+/** ParseLogLevel's words; any other value is not a level. */
+constexpr struct {
+    const char* word;
+    LogLevel level;
+} kLevelWords[] = {
+    {"debug", LogLevel::kDebug}, {"inform", LogLevel::kInform},
+    {"info", LogLevel::kInform}, {"warn", LogLevel::kWarn},
+    {"warning", LogLevel::kWarn}, {"fatal", LogLevel::kFatal},
+    {"quiet", LogLevel::kFatal},
+};
+
+std::optional<LogLevel>
+MatchLevelWord(const char* value)
 {
-    const char* env = std::getenv("RUMBA_LOG");
-    if (env == nullptr || env[0] == '\0')
-        return LogLevel::kInform;
-    std::string value;
-    for (const char* p = env; *p != '\0'; ++p)
-        value += static_cast<char>(
-            std::tolower(static_cast<unsigned char>(*p)));
-    if (value == "debug")
-        return LogLevel::kDebug;
-    if (value == "inform" || value == "info")
-        return LogLevel::kInform;
-    if (value == "warn" || value == "warning")
-        return LogLevel::kWarn;
-    if (value == "fatal" || value == "quiet")
-        return LogLevel::kFatal;
-    std::fprintf(stderr,
-                 "warn: RUMBA_LOG=%s not recognized (want debug, "
-                 "inform, warn, or fatal); keeping inform\n",
-                 env);
-    return LogLevel::kInform;
+    if (value == nullptr)
+        return std::nullopt;
+    for (const auto& [word, level] : kLevelWords)
+        if (strcasecmp(value, word) == 0)
+            return level;
+    return std::nullopt;
 }
 
 /** Threshold storage, initialized from RUMBA_LOG at first use. */
 std::atomic<LogLevel>&
 Threshold()
 {
-    static std::atomic<LogLevel> threshold{ParseEnvThreshold()};
+    static std::atomic<LogLevel> threshold{[] {
+        const char* env = std::getenv("RUMBA_LOG");
+        const std::optional<LogLevel> level = MatchLevelWord(env);
+        if (!level.has_value() && env != nullptr && env[0] != '\0')
+            std::fprintf(stderr,
+                         "warn: RUMBA_LOG=%s not recognized (want debug, "
+                         "inform, warn, or fatal); keeping inform\n",
+                         env);
+        return level.value_or(LogLevel::kInform);
+    }()};
     return threshold;
 }
 
@@ -58,6 +63,12 @@ void VPrint(const char* tag, const char* fmt, va_list args)
 }
 
 }  // namespace
+
+LogLevel
+ParseLogLevel(const char* value)
+{
+    return MatchLevelWord(value).value_or(LogLevel::kInform);
+}
 
 void
 SetLogThreshold(LogLevel level)

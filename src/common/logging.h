@@ -27,12 +27,20 @@ enum class LogLevel {
  * suppressed; fatal/panic are never suppressed.
  *
  * The initial threshold comes from the RUMBA_LOG environment variable
- * (debug / inform / warn / fatal, case-insensitive), parsed on first
- * use; it defaults to inform. SetLogThreshold() overrides it.
- * Emission is serialized by a mutex so concurrent threads (or benches
- * sharing a terminal) do not interleave lines.
+ * (see ParseLogLevel), read on first use; a value it does not list
+ * warns and keeps inform. SetLogThreshold() overrides it. Emission is
+ * serialized by a mutex so concurrent threads (or benches sharing a
+ * terminal) do not interleave lines.
  */
 void SetLogThreshold(LogLevel level);
+
+/**
+ * A RUMBA_LOG value as a threshold: "debug"; "inform" or "info";
+ * "warn" or "warning"; "fatal" or "quiet" (only fatal and panic
+ * print), each in any case. nullptr, empty and anything else give
+ * kInform.
+ */
+LogLevel ParseLogLevel(const char* value);
 
 /** Current verbosity threshold. */
 LogLevel LogThreshold();

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/timer.h"
 
 namespace rumba::npu {
@@ -98,11 +97,6 @@ Npu::Invoke(const std::vector<double>& input,
     RUMBA_CHECK(input.size() == topology_.NumInputs());
     RUMBA_CHECK(output != nullptr);
     const obs::ScopedTimer timer(obs_invoke_ns_);
-    // Sampling-profiler tag (obs/profiler.h): any caller — the
-    // runtime's stream loop, calibration replay, the trainer — shows
-    // as "device" in folded stacks. Elided when the caller already
-    // tagged device, so no "device;device" frames.
-    const obs::StageScope device_tag(obs::ProfileStage::kDevice);
     obs_invocations_->Increment();
 
     // Stream inputs in through the input queue, quantizing at the

@@ -266,9 +266,8 @@ QualityAuditor::WorkerLoop()
         }
         {
             // The shadow exact re-execution is the "audit" stage in
-            // the cost profiler: tagged for the sampling profiler and
-            // accounted into the global stage counters (shard known
-            // per sample).
+            // the cost profiler, accounted into the global and
+            // per-shard stage counters (shard known per sample).
             StageRecord stages;
             {
                 const StageScope audit_scope(ProfileStage::kAudit,

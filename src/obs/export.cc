@@ -15,7 +15,6 @@
 #include "common/file.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/reqtrace.h"
 #include "obs/span.h"
 #include "obs/tsdb.h"
@@ -136,10 +135,10 @@ BuildInfoJson()
         "RUMBA_FLIGHT_DIR",       "RUMBA_INCIDENT_DIR",
         "RUMBA_LOADGEN_OUT",      "RUMBA_LOG",
         "RUMBA_METRICS_OUT",      "RUMBA_METRICS_PORT",
-        "RUMBA_OBS_LINGER_MS",    "RUMBA_PROFILE_HZ",
-        "RUMBA_PROFILE_OUT",      "RUMBA_REQTRACE_OUT",
-        "RUMBA_SCENARIO_OUT",     "RUMBA_STREAM_OUT",
-        "RUMBA_TRACE_OUT",        "RUMBA_TSDB_PERIOD_MS",
+        "RUMBA_OBS_LINGER_MS",    "RUMBA_PROFILE_OUT",
+        "RUMBA_REQTRACE_OUT",     "RUMBA_SCENARIO_OUT",
+        "RUMBA_STREAM_OUT",       "RUMBA_TRACE_OUT",
+        "RUMBA_TSDB_PERIOD_MS",
     };
     bool first = true;
     for (const char* knob : kKnobs) {
@@ -315,7 +314,7 @@ ExportIfConfigured()
 namespace {
 
 /** Registered flush hooks: a fixed lock-free slot array so the signal
- *  path can walk it without taking a mutex or allocating. Seven
+ *  path can walk it without taking a mutex or allocating. Eight
  *  modules register at most one each. */
 constexpr size_t kMaxFlushHooks = 16;
 std::atomic<void (*)()> g_flush_hooks[kMaxFlushHooks]{};
@@ -346,11 +345,8 @@ ExportAtExit()
     // RUMBA_STREAM_OUT line) lands before the registry is frozen into
     // the metrics/trace dumps. Runs even if a signal flush already
     // fired: the hooks are idempotent rewrites, and the at-exit
-    // state is strictly fresher. The profiling sampler gets the same
-    // treatment so RUMBA_PROFILE_OUT is written even when an engine
-    // never released its ref.
+    // state is strictly fresher.
     TsdbSampler::Default().Stop();
-    SamplingProfiler::Default().Stop();
     FlushFilesBestEffort();
 }
 

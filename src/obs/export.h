@@ -10,8 +10,9 @@
  * hook when its module first comes up with the sink configured:
  * RUMBA_METRICS_OUT here (armed on first use of Registry::Default();
  * .csv writes CSV, anything else JSONL), RUMBA_TRACE_OUT,
- * RUMBA_REQTRACE_OUT and RUMBA_AUDIT_OUT in their own modules, so a
- * variable set only after its module came up is not flushed.
+ * RUMBA_REQTRACE_OUT, RUMBA_AUDIT_OUT and RUMBA_PROFILE_OUT in their
+ * own modules, so a variable set only after its module came up is not
+ * flushed.
  *
  * Every file export opens with a run-metadata header — schema
  * version, ISO-8601 wall time, hostname, build type, sanitizer flags,
@@ -113,10 +114,10 @@ std::string BuildInfoJson();
 
 /**
  * Arm the at-exit telemetry flush (once per process): stop the
- * registry sampler (its final RUMBA_STREAM_OUT line included) and the
- * profiling sampler, then run every registered flush hook. Called
- * automatically by Registry::Default(); registers the
- * RUMBA_METRICS_OUT hook when that variable is set.
+ * registry sampler (its final RUMBA_STREAM_OUT line included), then
+ * run every registered flush hook. Called automatically by
+ * Registry::Default(); registers the RUMBA_METRICS_OUT hook when that
+ * variable is set.
  */
 void InstallAtExitExport();
 
@@ -127,8 +128,9 @@ void InstallAtExitExport();
  * registers its hook only when its sink is configured, so a killed
  * run still writes its partial results. Hooks run in signal context,
  * on the thread the signal interrupted: they must not allocate
- * unboundedly, and the forensics and report hooks only try-lock (the
- * four env dumps take their collectors' short locks, best effort).
+ * unboundedly, and the forensics, profile and report hooks only
+ * try-lock (the four other env dumps take their collectors' short
+ * locks, best effort).
  * Re-registering the same function is a no-op; the table holds 16
  * slots (false, with a warning, when full or @p hook is null).
  */

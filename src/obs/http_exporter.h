@@ -22,9 +22,8 @@
  *             version, git describe, build type, sanitizers, and the
  *             RUMBA_* env knobs set for this process.
  *   /profilez live cost-profiler JSON (ProfilezJson in
- *             obs/profiler.h): per-stage CPU seconds and shares,
- *             sampling-profiler state, and the rolling
- *             speedup/energy-ratio estimate.
+ *             obs/profiler.h): per-stage CPU seconds and shares and
+ *             the rolling speedup/energy-ratio estimate.
  *   anything else: 404.
  *
  * The server is opt-in: programmatically via Start(port) (port 0

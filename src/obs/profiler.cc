@@ -3,10 +3,8 @@
 #include <time.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/file.h"
 #include "common/logging.h"
@@ -19,8 +17,8 @@ namespace {
 
 /** Indexable stage names; order must match ProfileStage. */
 constexpr const char* kStageNames[] = {
-    "idle",       "queue_wait", "device", "predict_check", "recover",
-    "compensate", "merge",      "audit",  "verify",        "other",
+    "queue_wait", "device", "predict_check", "recover", "compensate",
+    "merge",      "audit",  "verify",        "other",
 };
 static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
                   kProfileStageCount,
@@ -33,49 +31,14 @@ ShareBounds()
     return Histogram::LinearBuckets(0.05, 0.05, 20);
 }
 
-// ---------------------------------------------------------------------------
-// Thread slot registry: every thread that enters a StageScope (or
-// binds a shard) registers a shared_ptr slot; the sampler walks the
-// registry under a mutex. Slots outlive their threads (shared_ptr),
-// so the sampler can never read freed memory; dead slots are pruned
-// on the sampler's walk.
-// ---------------------------------------------------------------------------
-
-std::mutex&
-SlotMutex()
+/** Flush hook (obs/export.h) for RUMBA_PROFILE_OUT. */
+void
+WriteProfileOut()
 {
-    static std::mutex mu;
-    return mu;
-}
-
-std::vector<std::shared_ptr<ThreadSlot>>&
-SlotList()
-{
-    static std::vector<std::shared_ptr<ThreadSlot>> slots;
-    return slots;
-}
-
-/** Marks the slot dead when its thread exits. */
-struct SlotRegistration {
-    std::shared_ptr<ThreadSlot> slot;
-
-    SlotRegistration() : slot(std::make_shared<ThreadSlot>())
-    {
-        std::lock_guard<std::mutex> lock(SlotMutex());
-        SlotList().push_back(slot);
-    }
-
-    ~SlotRegistration()
-    {
-        slot->alive.store(false, std::memory_order_relaxed);
-    }
-};
-
-ThreadSlot*
-LocalSlot()
-{
-    thread_local SlotRegistration registration;
-    return registration.slot.get();
+    const char* path = std::getenv("RUMBA_PROFILE_OUT");
+    if (path != nullptr && path[0] != '\0' &&
+        !CpuProfiler::Default().WriteFoldedBestEffort(path))
+        Warn("RUMBA_PROFILE_OUT: could not write %s", path);
 }
 
 }  // namespace
@@ -192,6 +155,31 @@ CpuProfiler::Invocations() const
     return invocations_->Value();
 }
 
+bool
+CpuProfiler::WriteFoldedBestEffort(const std::string& path)
+{
+    std::string body;
+    {
+        // Signal-flush path: never block on a worker registering its
+        // shard's counters.
+        std::unique_lock<std::mutex> lock(shard_mu_, std::try_to_lock);
+        if (!lock.owns_lock())
+            return false;
+        for (size_t shard = 0; shard < shard_seconds_.size(); ++shard) {
+            for (size_t s = 0; s < kProfileStageCount; ++s) {
+                const long long us = std::llround(
+                    shard_seconds_[shard][s]->Value() * 1e6);
+                if (us > 0) {
+                    body += "shard" + std::to_string(shard) + ";" +
+                            kStageNames[s] + " " + std::to_string(us) +
+                            "\n";
+                }
+            }
+        }
+    }
+    return WriteFile(path, body);
+}
+
 CpuProfiler&
 CpuProfiler::Default()
 {
@@ -199,7 +187,13 @@ CpuProfiler::Default()
     // incident flush hook reads Efficiency() via ProfilezJson from an
     // atexit handler, which runs after a by-value static constructed
     // this late would already have been destroyed.
-    static CpuProfiler* profiler = new CpuProfiler(&Registry::Default());
+    static CpuProfiler* profiler = [] {
+        auto* created = new CpuProfiler(&Registry::Default());
+        if (const char* out = std::getenv("RUMBA_PROFILE_OUT");
+            out != nullptr && out[0] != '\0')
+            RegisterFlushHook(&WriteProfileOut);
+        return created;
+    }();
     return *profiler;
 }
 
@@ -209,20 +203,6 @@ StageScope::StageScope(ProfileStage stage, StageRecord* record,
                        bool cpu)
     : stage_(stage), record_(record), cpu_(record != nullptr && cpu)
 {
-    ThreadSlot* slot = LocalSlot();
-    const uint32_t depth =
-        slot->depth.load(std::memory_order_relaxed);
-    if (depth > 0 && depth <= ThreadSlot::kMaxDepth &&
-        slot->stack[depth - 1].load(std::memory_order_relaxed) ==
-            static_cast<uint8_t>(stage)) {
-        pushed_ = false;  // parent frame already carries this tag.
-    } else {
-        if (depth < ThreadSlot::kMaxDepth) {
-            slot->stack[depth].store(static_cast<uint8_t>(stage),
-                                     std::memory_order_relaxed);
-        }
-        slot->depth.store(depth + 1, std::memory_order_relaxed);
-    }
     if (record_ != nullptr)
         wall_start_ns_ = NowNs();
     if (cpu_)
@@ -237,167 +217,6 @@ StageScope::~StageScope()
         record_->Wall(stage_) +=
             static_cast<int64_t>(NowNs() - wall_start_ns_);
     }
-    if (pushed_) {
-        ThreadSlot* slot = LocalSlot();
-        const uint32_t depth =
-            slot->depth.load(std::memory_order_relaxed);
-        if (depth > 0)
-            slot->depth.store(depth - 1, std::memory_order_relaxed);
-    }
-}
-
-void
-BindThreadShard(int shard)
-{
-    LocalSlot()->shard.store(shard, std::memory_order_relaxed);
-}
-
-// --------------------------------------------------- SamplingProfiler
-
-int64_t
-ParseProfilePeriodNs(const char* value)
-{
-    if (value == nullptr)
-        return kDefaultProfilePeriodNs;
-    const char* end = value + std::strlen(value);
-    double hz = 0.0;
-    const auto [ptr, ec] = std::from_chars(value, end, hz);
-    if (ptr != end || ec != std::errc() || !std::isfinite(hz))
-        return kDefaultProfilePeriodNs;
-    if (hz <= 0.0)
-        return 0;  // explicit opt-out.
-    // Clamp in double before narrowing: 1e9 / 1e-300 overflows int64.
-    return static_cast<int64_t>(
-        std::clamp(1e9 / hz, static_cast<double>(kMinTickNs),
-                   static_cast<double>(kMaxTickNs)));
-}
-
-void
-SamplingProfiler::Start(int64_t period_ns, const std::string& out_path)
-{
-    ticker_.Start(period_ns, [&] {
-        std::lock_guard<std::mutex> lock(mu_);
-        out_path_ = out_path;
-        folded_.clear();
-        samples_ = 0;
-    });
-}
-
-void
-SamplingProfiler::Tick(bool final)
-{
-    // Walk the slot registry: fold one stack per live thread, prune
-    // slots whose threads exited.
-    std::vector<std::shared_ptr<ThreadSlot>> slots;
-    {
-        std::lock_guard<std::mutex> lock(SlotMutex());
-        auto& list = SlotList();
-        list.erase(std::remove_if(
-                       list.begin(), list.end(),
-                       [](const std::shared_ptr<ThreadSlot>& s) {
-                           return !s->alive.load(
-                               std::memory_order_relaxed);
-                       }),
-                   list.end());
-        slots = list;
-    }
-    for (const auto& slot : slots) {
-        const uint32_t depth = std::min<uint32_t>(
-            slot->depth.load(std::memory_order_relaxed),
-            ThreadSlot::kMaxDepth);
-        const int32_t shard =
-            slot->shard.load(std::memory_order_relaxed);
-        std::string stack =
-            shard >= 0 ? "shard" + std::to_string(shard) : "thread";
-        if (depth == 0) {
-            stack += ";idle";
-        } else {
-            for (uint32_t d = 0; d < depth; ++d) {
-                const auto tag = static_cast<ProfileStage>(
-                    slot->stack[d].load(std::memory_order_relaxed));
-                stack += ";";
-                stack += ProfileStageName(tag);
-            }
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        ++folded_[stack];
-        ++samples_;
-    }
-    if (!final)
-        return;
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        path = out_path_;
-    }
-    if (path.empty())
-        return;
-    std::string body;
-    for (const FoldedStack& folded : Folded())
-        body += folded.stack + " " + std::to_string(folded.count) + "\n";
-    if (!WriteFile(path, body))
-        Warn("profiler: could not write %s", path.c_str());
-}
-
-uint64_t
-SamplingProfiler::Samples() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_;
-}
-
-double
-SamplingProfiler::Hz() const
-{
-    const int64_t period_ns = ticker_.PeriodNs();
-    return period_ns > 0 ? 1e9 / static_cast<double>(period_ns) : 0.0;
-}
-
-std::vector<FoldedStack>
-SamplingProfiler::Folded() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<FoldedStack> out;
-    out.reserve(folded_.size());
-    for (const auto& [stack, count] : folded_)
-        out.push_back({stack, count});
-    return out;
-}
-
-SamplingProfiler&
-SamplingProfiler::Default()
-{
-    // Leaked on purpose (see TimeSeriesStore::Default()): the at-exit
-    // exporter stops it while the slot registry is still alive.
-    static SamplingProfiler* sampler = new SamplingProfiler();
-    return *sampler;
-}
-
-SamplingProfiler*
-SamplingProfiler::AcquireFromEnv()
-{
-    SamplingProfiler& sampler = Default();
-    sampler.ticker_.Acquire([&sampler] {
-        // Opt-in, like RUMBA_STREAM_OUT / RUMBA_AUDIT_OUT: either
-        // knob arms the sampler; neither set means no thread at all.
-        // Thread wakeups are not free (tens of µs of scheduler CPU
-        // per tick on a small virtualized box), so an unrequested
-        // sampler would burn the whole <5% instrumentation budget
-        // folding stacks nobody dumps.
-        const char* hz = std::getenv("RUMBA_PROFILE_HZ");
-        const char* out = std::getenv("RUMBA_PROFILE_OUT");
-        if ((hz != nullptr && hz[0] != '\0') ||
-            (out != nullptr && out[0] != '\0'))
-            sampler.Start(ParseProfilePeriodNs(hz),
-                          out != nullptr ? out : "");
-    });
-    return &sampler;
-}
-
-void
-SamplingProfiler::Release()
-{
-    Default().ticker_.Release();
 }
 
 // ----------------------------------------------------------- profilez
@@ -407,48 +226,33 @@ ProfilezJson()
 {
     CpuProfiler& prof = CpuProfiler::Default();
     const sim::EfficiencyEstimate est = prof.Efficiency();
-    SamplingProfiler& sampler = SamplingProfiler::Default();
 
     double total = 0.0;
     double seconds[kProfileStageCount] = {};
-    for (size_t s = 1; s < kProfileStageCount; ++s) {  // skip idle.
+    for (size_t s = 0; s < kProfileStageCount; ++s) {
         seconds[s] =
             prof.StageSeconds(static_cast<ProfileStage>(s));
         total += seconds[s];
     }
 
-    size_t sampled_threads;
-    {
-        std::lock_guard<std::mutex> lock(SlotMutex());
-        sampled_threads = SlotList().size();
-    }
-
     std::string out = "{";
     out += "\"schema_version\":1";
     out += ",\"cpu_seconds\":{";
-    for (size_t s = 1; s < kProfileStageCount; ++s) {
+    for (size_t s = 0; s < kProfileStageCount; ++s) {
         out += "\"";
         out += kStageNames[s];
         out += "\":" + JsonNum(seconds[s]) + ",";
     }
     out += "\"total\":" + JsonNum(total) + "}";
     out += ",\"stage_share\":{";
-    for (size_t s = 1; s < kProfileStageCount; ++s) {
-        if (s > 1)
+    for (size_t s = 0; s < kProfileStageCount; ++s) {
+        if (s > 0)
             out += ",";
         out += "\"";
         out += kStageNames[s];
         out += "\":" +
                JsonNum(total > 0.0 ? seconds[s] / total : 0.0);
     }
-    out += "}";
-    out += ",\"sampler\":{";
-    out += "\"running\":" +
-           std::string(sampler.Running() ? "true" : "false");
-    out += ",\"hz\":" + JsonNum(sampler.Hz());
-    out += ",\"samples\":" +
-           std::to_string(sampler.Samples());
-    out += ",\"threads\":" + std::to_string(sampled_threads);
     out += "}";
     out += ",\"efficiency\":{";
     out += "\"speedup_estimate\":" + JsonNum(est.speedup);

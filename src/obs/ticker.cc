@@ -78,13 +78,6 @@ Ticker::Ticks() const
     return ticks_;
 }
 
-int64_t
-Ticker::PeriodNs() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return period_ns_;
-}
-
 void
 Ticker::Loop()
 {

@@ -3,11 +3,11 @@
 
 /**
  * @file
- * The one background-thread lifecycle under the process's periodic
- * samplers: the registry sampler (obs/tsdb.h) and the stack sampler
- * (obs/profiler.h). A Ticker runs its tick function once per period
- * on its own thread, waiting first (an acquire shorter than one
- * period costs exactly one tick) and ticking a final time on stop.
+ * The background-thread lifecycle under the process's periodic
+ * sampler; the registry sampler (obs/tsdb.h) is its one client. A
+ * Ticker runs its tick function once per period on its own thread,
+ * waiting first (an acquire shorter than one period costs exactly one
+ * tick) and ticking a final time on stop.
  * Periods are held in nanoseconds and clamped to
  * [kMinTickNs, kMaxTickNs]; a period <= 0 means off: no thread.
  * Acquire()/Release() refcount the thread across the engines and
@@ -52,7 +52,6 @@ class Ticker {
 
     bool Running() const;
     uint64_t Ticks() const;  ///< ticks since Start(), final included.
-    int64_t PeriodNs() const;  ///< last started period (0 = never).
 
   private:
     void Loop();

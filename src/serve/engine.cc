@@ -274,12 +274,11 @@ ShardedEngine::Create(const core::Artifact& artifact,
     engine->statusz_installed_ = true;
 
     // Cost profiling: this engine's shards feed the process-wide
-    // CpuProfiler, and the engine holds one ref on the env-configured
-    // sampling profiler (released in Shutdown, which writes the
-    // folded dump on the last release).
+    // CpuProfiler, whose first use registers the RUMBA_PROFILE_OUT
+    // flush hook.
     engine->profiling_ = serve_config.profile.enabled;
     if (engine->profiling_)
-        obs::SamplingProfiler::AcquireFromEnv();
+        obs::CpuProfiler::Default();
 
     // Incident forensics: hand the incident manager this engine's
     // flight records (engine pointer as owner token, cleared in
@@ -530,11 +529,6 @@ ShardedEngine::Shutdown()
     // the results are still alive.
     if (auditor_ != nullptr)
         auditor_->Shutdown();
-    // Drop our ref on the shared sampler after the workers are gone
-    // so their slots stop getting sampled mid-teardown; the last
-    // engine out writes RUMBA_PROFILE_OUT.
-    if (profiling_)
-        obs::SamplingProfiler::Release();
     // Forensics teardown mirrors /statusz: owner-checked and
     // blocking, so no incident finalizing on another thread can still
     // be inside this engine's flight rings once we return; then
@@ -779,14 +773,12 @@ void
 ShardedEngine::WorkerLoop(size_t shard_index)
 {
     Shard& shard = *shards_[shard_index];
-    obs::BindThreadShard(static_cast<int>(shard_index));
     Pending first;
     for (;;) {
         bool popped;
         {
-            // Blocked-on-queue time is a stage of its own: it shows
-            // as "queue_wait" in sampled stacks, and its (tiny) CPU
-            // cost folds into the next invocation's attribution.
+            // Blocked-on-queue time is a stage of its own: its (tiny)
+            // CPU cost folds into the next invocation's attribution.
             const obs::StageScope wait_scope(
                 obs::ProfileStage::kQueueWait,
                 profiling_ ? &shard.queue_wait : nullptr, /*cpu=*/true);

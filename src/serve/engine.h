@@ -121,12 +121,10 @@ struct ServeConfig {
     /** Live cost & efficiency profiling (obs/profiler.h). */
     struct ProfileOptions {
         /** Per-stage thread-CPU attribution on every shard (feeds the
-         *  rumba_cpu_stage_seconds_* counters and stage-share
-         *  histograms), the rolling speedup/energy estimator, and the
-         *  env-configured sampling profiler (RUMBA_PROFILE_HZ /
-         *  RUMBA_PROFILE_OUT — acquired on Create, released on
-         *  Shutdown). Rides the <5% instrumentation-overhead gate in
-         *  bench/serve_throughput. */
+         *  rumba_cpu_stage_seconds_* counters, stage-share histograms
+         *  and the RUMBA_PROFILE_OUT folded dump) and the rolling
+         *  speedup/energy estimator. Rides the <5%
+         *  instrumentation-overhead gate in bench/serve_throughput. */
         bool enabled = true;
     };
     ProfileOptions profile;
@@ -471,8 +469,7 @@ class ShardedEngine {
     /** True while this engine owns the /statusz provider. */
     bool statusz_installed_ = false;
     /** Cost profiling on (ServeConfig::profile): shards attribute
-     *  stage CPU, invocations feed the efficiency estimator, and the
-     *  engine holds a ref on the env-configured sampling profiler. */
+     *  stage CPU and invocations feed the efficiency estimator. */
     bool profiling_ = false;
     /** Forensics on (ServeConfig::forensics): the engine holds a ref
      *  on the tsdb sampler and contributes flight records to incident

@@ -4,7 +4,7 @@
 // TOQ-violation SLO, queue overflow/drop accounting, the labeled
 // JSONL export, the serving engine's end-to-end wiring (sampling,
 // trace joins, /statusz quality section), and the at-exit and signal
-// flush of the four env-configured dumps.
+// flush of the five env-configured dumps.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,7 @@
 #include "fault/plan.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/reqtrace.h"
 #include "obs/span.h"
 #include "serve/engine.h"
@@ -1199,23 +1200,25 @@ TEST(EngineAuditTest, SampleNParserAcceptsOnlyPlainDigits)
 
 // ------------------------------------------------ Env sinks at exit
 
-/** The four env-configured dumps: metrics, Chrome trace, request
- *  traces and labeled audits. */
+/** The five env-configured dumps: metrics, Chrome trace, request
+ *  traces, labeled audits and the folded stage-CPU profile. */
 struct EnvSinks {
     std::string metrics;
     std::string trace;
     std::string reqtrace;
     std::string audit;
+    std::string profile;
 
     explicit EnvSinks(const std::string& tag)
         : metrics(::testing::TempDir() + tag + ".metrics.jsonl"),
           trace(::testing::TempDir() + tag + ".trace.json"),
           reqtrace(::testing::TempDir() + tag + ".reqtrace.jsonl"),
-          audit(::testing::TempDir() + tag + ".audit.jsonl")
+          audit(::testing::TempDir() + tag + ".audit.jsonl"),
+          profile(::testing::TempDir() + tag + ".profile.folded")
     {
     }
 
-    /** Set the four variables (the re-executed death-test child sees
+    /** Set the five variables (the re-executed death-test child sees
      *  them from its first registry use) and clear old dumps. */
     void Export() const
     {
@@ -1238,13 +1241,15 @@ struct EnvSinks {
         return {{"RUMBA_METRICS_OUT", &metrics},
                 {"RUMBA_TRACE_OUT", &trace},
                 {"RUMBA_REQTRACE_OUT", &reqtrace},
-                {"RUMBA_AUDIT_OUT", &audit}};
+                {"RUMBA_AUDIT_OUT", &audit},
+                {"RUMBA_PROFILE_OUT", &profile}};
     }
 };
 
 /** The death-test child's work: one span, one (always kept) request
- *  trace, and one offer to an auditor that stays live, so only the
- *  exit path can write its dump. */
+ *  trace, one offer to an auditor that stays live, so only the exit
+ *  path can write its dump, and one shard-0 invocation with 2 ms of
+ *  device CPU. */
 void
 RecordOneOfEach()
 {
@@ -1258,6 +1263,9 @@ RecordOneOfEach()
     auto* auditor = new QualityAuditor(UnitConfig(), IdentityHooks());
     auditor->Offer(Healthy(1).Offer());
     auditor->Flush();
+    obs::StageRecord stages;
+    stages.Cpu(obs::ProfileStage::kDevice) = 2'000'000;
+    obs::CpuProfiler::Default().RecordInvocation(/*shard=*/0, stages);
 }
 
 /** First line of @p path ("" when the file is missing or empty). */
@@ -1270,8 +1278,11 @@ FirstLine(const std::string& path)
     return line;
 }
 
+/** The four JSON dumps lead with the run metadata; the folded
+ *  profile holds only "stack count" lines with count > 0, among them
+ *  the child's shard-0 device CPU. */
 void
-ExpectDumpsLeadWithMetadata(const EnvSinks& sinks)
+ExpectEveryDump(const EnvSinks& sinks)
 {
     const std::string meta = "{\"type\":\"meta\",";
     EXPECT_EQ(FirstLine(sinks.metrics).find(meta), 0u) << sinks.metrics;
@@ -1284,9 +1295,21 @@ ExpectDumpsLeadWithMetadata(const EnvSinks& sinks)
                                           meta),
               0u)
         << sinks.trace;
+
+    std::ifstream folded(sinks.profile);
+    ASSERT_TRUE(folded.good()) << sinks.profile;
+    std::map<std::string, long long> counts;
+    for (std::string line; std::getline(folded, line);) {
+        const size_t space = line.rfind(' ');
+        ASSERT_NE(space, std::string::npos) << line;
+        const long long count = std::atoll(line.c_str() + space + 1);
+        EXPECT_GT(count, 0) << line;
+        counts[line.substr(0, space)] = count;
+    }
+    EXPECT_GT(counts["shard0;device"], 0) << sinks.profile;
 }
 
-TEST(EnvSinkFlushTest, SigtermWritesAllFourDumps)
+TEST(EnvSinkFlushTest, SigtermWritesAllFiveDumps)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const EnvSinks sinks("sigterm_sinks");
@@ -1297,11 +1320,11 @@ TEST(EnvSinkFlushTest, SigtermWritesAllFourDumps)
             std::raise(SIGTERM);
         },
         ::testing::KilledBySignal(SIGTERM), "");
-    ExpectDumpsLeadWithMetadata(sinks);
+    ExpectEveryDump(sinks);
     sinks.Restore();
 }
 
-TEST(EnvSinkFlushTest, ExitWritesAllFourDumps)
+TEST(EnvSinkFlushTest, ExitWritesAllFiveDumps)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const EnvSinks sinks("exit_sinks");
@@ -1312,7 +1335,7 @@ TEST(EnvSinkFlushTest, ExitWritesAllFourDumps)
             std::exit(0);
         },
         ::testing::ExitedWithCode(0), "");
-    ExpectDumpsLeadWithMetadata(sinks);
+    ExpectEveryDump(sinks);
     sinks.Restore();
 }
 

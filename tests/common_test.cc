@@ -643,6 +643,26 @@ TEST(LoggingTest, ThresholdControlsVerbosity)
     EXPECT_EQ(LogThreshold(), original);
 }
 
+TEST(LoggingTest, ParseLogLevelTakesListedWordsInAnyCaseElseInform)
+{
+    const struct {
+        const char* value;
+        LogLevel level;
+    } cases[] = {
+        {"debug", LogLevel::kDebug},   {"DEBUG", LogLevel::kDebug},
+        {"inform", LogLevel::kInform}, {"Info", LogLevel::kInform},
+        {"warn", LogLevel::kWarn},     {"WARNING", LogLevel::kWarn},
+        {"fatal", LogLevel::kFatal},   {"Quiet", LogLevel::kFatal},
+        {nullptr, LogLevel::kInform},  {"", LogLevel::kInform},
+        {"verbose", LogLevel::kInform}, {" warn", LogLevel::kInform},
+        {"warn ", LogLevel::kInform},  {"debugx", LogLevel::kInform},
+        {"error", LogLevel::kInform},
+    };
+    for (const auto& c : cases)
+        EXPECT_EQ(ParseLogLevel(c.value), c.level)
+            << (c.value != nullptr ? c.value : "(null)");
+}
+
 TEST(LoggingTest, CheckMacroPassesOnTrue)
 {
     RUMBA_CHECK(1 + 1 == 2);  // must not abort.

@@ -1,5 +1,5 @@
 // Seeded mutation loop over the hand-written parsers outside
-// rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_PROFILE_HZ,
+// rumba-stat: the RUMBA_TSDB_PERIOD_MS, RUMBA_LOG,
 // RUMBA_AUDIT_SAMPLE_N and RUMBA_METRICS_PORT parsers, the HTTP
 // request line, the route query parsers behind /tsdbz and /incidentz,
 // and the external-input parsers of fault plans, topologies, MLP
@@ -37,7 +37,6 @@
 #include "nn/topology.h"
 #include "obs/http_exporter.h"
 #include "obs/incident.h"
-#include "obs/profiler.h"
 #include "obs/tsdb.h"
 #include "serve/engine.h"
 
@@ -132,7 +131,8 @@ TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
 {
     const std::vector<std::string> inputs =
         Mutants({"100", "25", "0", "60000", "4096", "101", "0.2", "499",
-                 "16", "65535"},
+                 "16", "65535", "debug", "Info", "WARN", "warning",
+                 "quiet"},
                 1);
     for (const std::string& input : inputs) {
         const char* value = input.c_str();
@@ -170,10 +170,25 @@ TEST_F(ParserFuzzTest, EnvParsersStayInTheirDocumentedRanges)
                 << input;
         }
 
-        const int64_t period_ns = obs::ParseProfilePeriodNs(value);
-        EXPECT_TRUE(period_ns == 0 || (period_ns >= obs::kMinTickNs &&
-                                       period_ns <= obs::kMaxTickNs))
-            << "RUMBA_PROFILE_HZ='" << input << "' -> " << period_ns;
+        // One of the four levels; anything but inform only from a
+        // listed word, in any case.
+        const LogLevel level = ParseLogLevel(value);
+        EXPECT_TRUE(level == LogLevel::kDebug ||
+                    level == LogLevel::kInform ||
+                    level == LogLevel::kWarn || level == LogLevel::kFatal)
+            << "RUMBA_LOG='" << input << "'";
+        if (level != LogLevel::kInform) {
+            std::string word(value);
+            for (char& c : word)
+                c = static_cast<char>(
+                    std::tolower(static_cast<unsigned char>(c)));
+            const LogLevel listed =
+                word == "debug"                      ? LogLevel::kDebug
+                : word == "warn" || word == "warning" ? LogLevel::kWarn
+                : word == "fatal" || word == "quiet"  ? LogLevel::kFatal
+                                                      : LogLevel::kInform;
+            EXPECT_EQ(level, listed) << "RUMBA_LOG='" << input << "'";
+        }
 
         // nullopt keeps the configured rate; a value must come from
         // plain digits that spell exactly it.

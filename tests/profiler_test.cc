@@ -1,21 +1,22 @@
 // Tests for the live cost & efficiency profiler (obs/profiler.h):
 // StageScope thread-CPU attribution summing to the wall thread-CPU
 // bracket, the runtime's passes (one span and one stage-record entry
-// each), CpuProfiler counter/histogram/efficiency semantics against
-// a private registry, the sampling profiler's folded-stack output
-// (shard frames, same-tag dedup, RUMBA_PROFILE_HZ=0 as a true no-op),
-// the RUMBA_PROFILE_HZ parse rules and a slow sampler's prompt stop,
-// the /profilez JSON body, and an engine-level race of the env sampler
-// against ShardedEngine::Shutdown (exercised under TSan in ci.sh).
+// each), CpuProfiler counter/histogram/efficiency semantics and its
+// folded per-shard dump against a private registry, the /profilez
+// JSON body, and an engine-level race of the folded dump and
+// /profilez against ShardedEngine::Shutdown (exercised under TSan in
+// ci.sh).
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
+#include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,10 +108,11 @@ TEST(StageScopeTest, AttributionSumsToThreadCpuBracket)
 TEST(StageScopeTest, UnaccountedScopeLeavesSinkUntouched)
 {
     // Without cpu a scope clocks wall time only; without a record it
-    // only tags the sampling slot.
+    // does nothing.
     obs::StageRecord record;
     {
-        const obs::StageScope tag(obs::ProfileStage::kDevice);
+        const obs::StageScope none(obs::ProfileStage::kDevice, nullptr,
+                                   /*cpu=*/true);
         const obs::StageScope wall(obs::ProfileStage::kRecover, &record,
                                    /*cpu=*/false);
         Burn(50000);
@@ -229,180 +231,59 @@ TEST(CpuProfilerTest, RecordCostsDrivesEfficiencyGauges)
     EXPECT_TRUE(energy_found);
 }
 
-// -------------------------------------------------- sampling profiler
-
-TEST(SamplingProfilerTest, FoldedOutputParsesAndCarriesShardFrames)
+TEST(CpuProfilerTest, FoldedDumpIsThePerShardSplitInMicroseconds)
 {
+    obs::Registry registry;
+    obs::CpuProfiler profiler(&registry);
+    obs::StageRecord first;
+    first.Cpu(obs::ProfileStage::kDevice) = 2'000'000;
+    first.Cpu(obs::ProfileStage::kPredictCheck) = 1'234'567;
+    first.Cpu(obs::ProfileStage::kMerge) = 200;  // 0.4 µs: rounds to 0.
+    profiler.RecordInvocation(/*shard=*/0, first);
+    profiler.RecordInvocation(/*shard=*/0, first);
+    obs::StageRecord second;
+    second.Cpu(obs::ProfileStage::kRecover) = 3'000'700;
+    profiler.RecordInvocation(/*shard=*/2, second);
+    profiler.AddStageCpuNs(obs::ProfileStage::kAudit, /*shard=*/-1,
+                           5'000'000);  // no shard: not in the dump.
+
     const std::string path =
         ::testing::TempDir() + "profiler_test.folded";
     std::remove(path.c_str());
-
-    std::atomic<bool> stop{false};
-    std::atomic<bool> staged{false};
-    // Worker holds a stable shard3 -> device -> predict_check stack,
-    // with a redundant nested device scope the dedup must elide.
-    std::thread worker([&] {
-        obs::BindThreadShard(3);
-        const obs::StageScope device(obs::ProfileStage::kDevice);
-        const obs::StageScope dup(obs::ProfileStage::kDevice);
-        const obs::StageScope check(obs::ProfileStage::kPredictCheck);
-        staged.store(true);
-        while (!stop.load())
-            Burn(20000);
-    });
-    while (!staged.load())
-        std::this_thread::yield();
-
-    obs::SamplingProfiler sampler;
-    sampler.Start(obs::kMinTickNs, path);  // the fastest rate: 1000 Hz.
-    EXPECT_TRUE(sampler.Running());
-    EXPECT_NEAR(sampler.Hz(), 1000.0, 1e-9);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    sampler.Stop();
-    EXPECT_FALSE(sampler.Running());
-    EXPECT_GT(sampler.Samples(), 0u);
-
-    stop.store(true);
-    worker.join();
-
-    // The in-memory fold saw the worker's full stack, deduped.
-    bool tagged = false;
-    for (const obs::FoldedStack& f : sampler.Folded()) {
-        EXPECT_GT(f.count, 0u);
-        EXPECT_EQ(f.stack.find("device;device"), std::string::npos)
-            << f.stack;
-        if (f.stack.find("shard3;device;predict_check") !=
-            std::string::npos)
-            tagged = true;
-    }
-    EXPECT_TRUE(tagged);
-
-    // The dump parses as flamegraph "stack count" lines and matches.
+    ASSERT_TRUE(profiler.WriteFoldedBestEffort(path));
     std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    int lines = 0;
-    bool file_tagged = false;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ++lines;
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::remove(path.c_str());
+    EXPECT_EQ(lines, (std::vector<std::string>{"shard0;device 4000",
+                                               "shard0;predict_check 2469",
+                                               "shard2;recover 3001"}));
+
+    // Each count is its per-shard counter in whole µs.
+    std::map<std::string, double> seconds;
+    for (const obs::DoubleCounterSnapshot& c :
+         registry.Snapshot().dcounters)
+        seconds[c.name] = c.value;
+    for (const std::string& line : lines) {
+        const size_t semi = line.find(';');
         const size_t space = line.rfind(' ');
-        ASSERT_NE(space, std::string::npos) << line;
-        ASSERT_GT(space, 0u) << line;
-        const std::string count = line.substr(space + 1);
-        ASSERT_FALSE(count.empty()) << line;
-        EXPECT_GT(std::strtoull(count.c_str(), nullptr, 10), 0u)
+        const std::string counter = "cpu_stage_seconds." +
+                                    line.substr(0, semi) + "." +
+                                    line.substr(semi + 1, space - semi - 1);
+        ASSERT_EQ(seconds.count(counter), 1u) << counter;
+        EXPECT_EQ(std::stoll(line.substr(space + 1)),
+                  std::llround(seconds[counter] * 1e6))
             << line;
-        if (line.find("shard3;device;predict_check") !=
-            std::string::npos)
-            file_tagged = true;
     }
-    EXPECT_GT(lines, 0);
-    EXPECT_TRUE(file_tagged);
-    std::remove(path.c_str());
-}
 
-TEST(SamplingProfilerTest, ZeroHzIsATrueNoop)
-{
-    const std::string path =
-        ::testing::TempDir() + "profiler_test_zero.folded";
-    std::remove(path.c_str());
-    obs::SamplingProfiler sampler;
-    sampler.Start(/*period_ns=*/0, path);
-    EXPECT_FALSE(sampler.Running());
-    EXPECT_EQ(sampler.Samples(), 0u);
-    sampler.Stop();  // safe when never started; writes no dump.
-    std::ifstream in(path);
-    EXPECT_FALSE(in.good());
-}
-
-TEST(SamplingProfilerTest, EnvZeroHzDisablesTheSharedSampler)
-{
-    setenv("RUMBA_PROFILE_HZ", "0", 1);
-    obs::SamplingProfiler* sampler = obs::SamplingProfiler::AcquireFromEnv();
-    ASSERT_NE(sampler, nullptr);
-    EXPECT_FALSE(sampler->Running());
-    obs::SamplingProfiler::Release();
-    unsetenv("RUMBA_PROFILE_HZ");
-}
-
-TEST(SamplingProfilerTest, EnvUnsetSpawnsNoThread)
-{
-    // Opt-in contract: with neither RUMBA_PROFILE_HZ nor
-    // RUMBA_PROFILE_OUT set, acquiring the shared sampler must not
-    // start one (thread wakeups cost real scheduler CPU).
-    unsetenv("RUMBA_PROFILE_HZ");
-    unsetenv("RUMBA_PROFILE_OUT");
-    obs::SamplingProfiler* sampler = obs::SamplingProfiler::AcquireFromEnv();
-    ASSERT_NE(sampler, nullptr);
-    EXPECT_FALSE(sampler->Running());
-    obs::SamplingProfiler::Release();
-}
-
-TEST(SamplingProfilerTest, ProfileHzParsesLikeTheTsdbPeriod)
-{
-    EXPECT_EQ(obs::ParseProfilePeriodNs(nullptr),
-              obs::kDefaultProfilePeriodNs);
-    for (const char* fallback :
-         {"", "abc", "inf", "-inf", "nan", "100hz", " 100", "+100", "0x10",
-          "1e999"})
-        EXPECT_EQ(obs::ParseProfilePeriodNs(fallback),
-                  obs::kDefaultProfilePeriodNs)
-            << fallback;
-    EXPECT_EQ(obs::ParseProfilePeriodNs("0"), 0);
-    EXPECT_EQ(obs::ParseProfilePeriodNs("-1"), 0);
-    EXPECT_EQ(obs::ParseProfilePeriodNs("499"), 1'000'000'000 / 499);
-    // Clamped in double before narrowing: no int64 overflow.
-    EXPECT_EQ(obs::ParseProfilePeriodNs("1e-300"), obs::kMaxTickNs);
-    EXPECT_EQ(obs::ParseProfilePeriodNs("1e6"), obs::kMinTickNs);
-}
-
-TEST(SamplingProfilerTest, EnvRateFollowsTheParseRules)
-{
-    unsetenv("RUMBA_PROFILE_OUT");
-    const struct {
-        const char* env;
-        double hz;  ///< 0 = off.
-    } cases[] = {
-        {"inf", 101.0},      {"nan", 101.0}, {"abc", 101.0},
-        {"1e-300", 1.0 / 60}, {"1e6", 1000.0}, {"0", 0.0},
-        {"-1", 0.0},
-    };
-    for (const auto& c : cases) {
-        setenv("RUMBA_PROFILE_HZ", c.env, 1);
-        obs::SamplingProfiler* sampler =
-            obs::SamplingProfiler::AcquireFromEnv();
-        EXPECT_EQ(sampler->Running(), c.hz > 0.0) << c.env;
-        if (c.hz > 0.0) {
-            EXPECT_NEAR(sampler->Hz(), c.hz, 1e-4 * c.hz) << c.env;
-        }
-        obs::SamplingProfiler::Release();
-        EXPECT_FALSE(sampler->Running()) << c.env;
-    }
-    unsetenv("RUMBA_PROFILE_HZ");
-}
-
-TEST(SamplingProfilerTest, SlowSamplerStopsWithoutWaitingOutItsPeriod)
-{
-    setenv("RUMBA_PROFILE_HZ", "0.2", 1);  // a 5 s period.
-    unsetenv("RUMBA_PROFILE_OUT");
-    obs::SamplingProfiler* sampler = obs::SamplingProfiler::AcquireFromEnv();
-    ASSERT_TRUE(sampler->Running());
-    // Let the thread settle into its wait, as an engine that serves
-    // for a while does.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const auto start = std::chrono::steady_clock::now();
-    obs::SamplingProfiler::Release();
-    const auto stop_time = std::chrono::steady_clock::now() - start;
-    EXPECT_FALSE(sampler->Running());
-    EXPECT_LT(stop_time, std::chrono::milliseconds(500));
-    unsetenv("RUMBA_PROFILE_HZ");
+    // An unwritable path reports failure.
+    EXPECT_FALSE(profiler.WriteFoldedBestEffort("/dev/full"));
 }
 
 // ----------------------------------------------------- /profilez JSON
 
-TEST(ProfilezJsonTest, CarriesSchemaStagesSamplerAndEfficiency)
+TEST(ProfilezJsonTest, CarriesSchemaStagesAndEfficiency)
 {
     const std::string body = obs::ProfilezJson();
     EXPECT_NE(body.find("\"schema_version\":1"), std::string::npos);
@@ -411,8 +292,8 @@ TEST(ProfilezJsonTest, CarriesSchemaStagesSamplerAndEfficiency)
     EXPECT_NE(body.find("\"predict_check\""), std::string::npos);
     EXPECT_NE(body.find("\"total\""), std::string::npos);
     EXPECT_NE(body.find("\"stage_share\""), std::string::npos);
-    EXPECT_NE(body.find("\"sampler\""), std::string::npos);
-    EXPECT_NE(body.find("\"hz\""), std::string::npos);
+    EXPECT_EQ(body.find("\"sampler\""), std::string::npos);
+    EXPECT_EQ(body.find("\"idle\""), std::string::npos);
     EXPECT_NE(body.find("\"efficiency\""), std::string::npos);
     EXPECT_NE(body.find("\"speedup_estimate\""), std::string::npos);
     EXPECT_NE(body.find("\"energy_ratio\""), std::string::npos);
@@ -572,16 +453,15 @@ TEST(RuntimePassTest, StageRecordClocksEachPassOnlyWhenAsked)
     }
 }
 
-/** The engine races the env sampler against Shutdown (TSan target)
- *  and must leave device/check CPU and an efficiency estimate behind
- *  in the process-wide profiler. */
-TEST(ProfilerEngineTest, EngineFeedsProfilerAndRacesSamplerShutdown)
+/** The engine must leave device/check CPU and an efficiency estimate
+ *  behind in the process-wide profiler, while a reader writes the
+ *  folded dump and /profilez as the workers record and shut down
+ *  (the race TSan checks). */
+TEST(ProfilerEngineTest, EngineFeedsProfilerWhileDumpsRaceShutdown)
 {
     const std::string folded =
         ::testing::TempDir() + "profiler_engine.folded";
     std::remove(folded.c_str());
-    setenv("RUMBA_PROFILE_HZ", "997", 1);  // fast prime: many ticks.
-    setenv("RUMBA_PROFILE_OUT", folded.c_str(), 1);
 
     obs::CpuProfiler& profiler = obs::CpuProfiler::Default();
     const double device_before =
@@ -597,12 +477,22 @@ TEST(ProfilerEngineTest, EngineFeedsProfilerAndRacesSamplerShutdown)
         SharedArtifact(), ServeRuntimeConfig(), config);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        while (!done.load()) {
+            profiler.WriteFoldedBestEffort(folded);
+            EXPECT_EQ(obs::ProfilezJson().find('['), std::string::npos);
+        }
+    });
     std::vector<std::future<serve::InvocationResult>> futures;
     for (int i = 0; i < 8; ++i)
         futures.push_back(
             (*engine)->Submit(MakeRequest(i * 16, 16)));
     for (auto& f : futures)
         EXPECT_TRUE(f.get().status.ok());
+    (*engine)->Shutdown();
+    done.store(true);
+    reader.join();
 
     EXPECT_GT(profiler.StageSeconds(obs::ProfileStage::kDevice),
               device_before);
@@ -614,16 +504,14 @@ TEST(ProfilerEngineTest, EngineFeedsProfilerAndRacesSamplerShutdown)
     EXPECT_GT(estimate.speedup, 0.0);
     EXPECT_GT(estimate.energy_ratio, 0.0);
 
-    // Shutdown while the 997 Hz env sampler is mid-flight: the
-    // worker-thread slots die as the sampler walks them (the race
-    // TSan checks), and the last release writes the folded dump.
-    (*engine)->Shutdown();
-
+    // With the workers gone the dump holds both shards' device rows.
+    ASSERT_TRUE(profiler.WriteFoldedBestEffort(folded));
     std::ifstream in(folded);
-    EXPECT_TRUE(in.good());
+    std::string body((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_NE(body.find("shard0;device "), std::string::npos) << body;
+    EXPECT_NE(body.find("shard1;device "), std::string::npos) << body;
     std::remove(folded.c_str());
-    unsetenv("RUMBA_PROFILE_HZ");
-    unsetenv("RUMBA_PROFILE_OUT");
 }
 
 }  // namespace

@@ -310,6 +310,15 @@ sed 's/"energy_ratio":0.442030872/"energy_ratio":0.55/' \
 "$STAT" profile "$DIR/prof_base.json" \
     --baseline "$DIR/prof_slow.json" > /dev/null ||
     fail "a speedup gain should pass the gate (got $?)"
+# A body with no "sampler" object, as served today, summarizes and
+# gates against itself.
+sed 's/,"sampler":{[^}]*}//' "$DIR/prof_base.json" \
+    > "$DIR/prof_unsampled.json"
+grep -q '"sampler"' "$DIR/prof_unsampled.json" &&
+    fail "the unsampled fixture still carries a sampler object"
+"$STAT" profile "$DIR/prof_unsampled.json" \
+    --baseline "$DIR/prof_unsampled.json" > /dev/null ||
+    fail "a body with no sampler object should self-gate (got $?)"
 
 # 24. profile refuses a schema mismatch and a body missing a required
 #     key (exit 2).

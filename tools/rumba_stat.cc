@@ -475,8 +475,7 @@ const RecordKind kProfilez = {
     "/profilez",
     {"schema_version", "cpu_seconds.device",
      "cpu_seconds.predict_check", "cpu_seconds.recover",
-     "cpu_seconds.total", "sampler.running", "sampler.hz",
-     "sampler.samples", "efficiency.speedup_estimate",
+     "cpu_seconds.total", "efficiency.speedup_estimate",
      "efficiency.energy_ratio", "efficiency.window", "invocations"},
 };
 
@@ -1288,11 +1287,6 @@ CmdProfile(const Args& args)
                     total > 0 ? 100.0 * sec / total : 0.0);
     }
     std::printf("  %-14s %12.6f s\n", "total", total);
-    std::printf("sampler: %s, %.4g Hz, %.0f samples\n",
-                Field(obj, "sampler.running") != 0 ? "running"
-                                                   : "stopped",
-                Field(obj, "sampler.hz"),
-                Field(obj, "sampler.samples"));
     const double speedup = Field(obj, "efficiency.speedup_estimate");
     const double energy = Field(obj, "efficiency.energy_ratio");
     std::printf("efficiency: speedup estimate %.4g, energy ratio "
@@ -1736,8 +1730,8 @@ Usage()
         "0.05 absolute).\n"
         "profile reads the live cost profiler from http://host:port\n"
         "(/profilez by default), host:port, or a saved JSON body:\n"
-        "per-stage CPU seconds and shares, sampler state, and the\n"
-        "rolling speedup/energy estimate; --baseline gates the two\n"
+        "per-stage CPU seconds and shares and the rolling\n"
+        "speedup/energy estimate; --baseline gates the two\n"
         "efficiency figures against a saved /profilez body (exit 1\n"
         "when either worsens by more than --tol, default 0.15\n"
         "relative; 2 on schema mismatch).\n"
