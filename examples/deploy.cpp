@@ -222,8 +222,9 @@ main()
     // Arm a NaN fault plan against a fresh deployed runtime and serve
     // until the circuit breaker trips (degrading to exact-only), then
     // disarm and keep serving until its canary probes close it again:
-    // one full closed -> open -> half-open -> closed episode, recorded
-    // in the trace ring / stream for any capture to see.
+    // one full closed -> open -> half-open -> closed episode, printed
+    // below from each invocation's report as the breaker state moves
+    // (and visible in the breaker.* series of any stream capture).
     core::BreakerConfig drill_breaker;
     drill_breaker.trip_after = 2;
     drill_breaker.open_invocations = 2;

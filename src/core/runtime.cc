@@ -13,7 +13,6 @@
 #include "obs/profiler.h"
 #include "obs/span.h"
 #include "obs/timer.h"
-#include "obs/trace.h"
 #include "obs/tsdb.h"
 
 namespace rumba::core {
@@ -745,6 +744,9 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
             drift_.ReArm();
         }
     }
+    report.fires = fires;
+    report.queue_full_stalls = queue_full_stalls;
+    report.tuner_adjustments = tuner_.Adjustments() - adjustments_before;
     report.queue_drops = queue_drops;
     report.non_finite_outputs = non_finite_seen;
     report.exact_elements = n - approx_n;
@@ -771,23 +773,6 @@ RumbaRuntime::ProcessInvocation(const BatchView& raw_inputs,
     if (!degraded)  // degraded rounds skip verify: no true error.
         obs_output_error_->Set(report.output_error_pct);
 
-    obs::TraceEvent event;
-    event.invocation = invocations_ - 1;
-    event.elements = n;
-    event.threshold = report.threshold_used;
-    event.fires = fires;
-    event.fixes = report.fixes;
-    event.queue_full_stalls = queue_full_stalls;
-    event.queue_drops = queue_drops;
-    event.non_finite = non_finite_seen;
-    event.exact_elements = report.exact_elements;
-    event.tuner_adjustments = tuner_.Adjustments() - adjustments_before;
-    event.output_error_pct = report.output_error_pct;
-    event.estimated_error_pct = report.estimated_error_pct;
-    event.drift = report.drift_detected;
-    event.breaker_state =
-        static_cast<uint32_t>(report.breaker_state);
-    obs::TraceRing::Default().Record(event);
     return report;
 }
 

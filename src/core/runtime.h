@@ -13,6 +13,7 @@
  * detection threshold toward the user's goal.
  */
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -208,7 +209,8 @@ enum class DegradeMode : uint32_t {
  *  "skip-check"). */
 const char* DegradeModeName(DegradeMode mode);
 
-/** What one invocation reported back. */
+/** What one invocation reported back: the runtime's one record of it
+ *  (no other per-invocation copy is kept). */
 struct InvocationReport {
     size_t elements = 0;            ///< elements processed.
     /** Iterations the recovery layer touched (re-executed or
@@ -216,6 +218,10 @@ struct InvocationReport {
      *  compensation off this is exactly the paper's re-execution
      *  count. */
     size_t fixes = 0;
+    uint64_t fires = 0;  ///< quality checks that fired.
+    /** Drains forced by a full recovery queue (backpressure). */
+    uint64_t queue_full_stalls = 0;
+    uint64_t tuner_adjustments = 0;  ///< threshold moves this round.
     double threshold_used = 0.0;    ///< detector threshold this round.
     double output_error_pct = 0.0;  ///< true residual error (verified
                                     ///< against the exact kernel).

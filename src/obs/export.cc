@@ -96,7 +96,6 @@ CollectRunMetadata()
     meta.git_describe = RUMBA_GIT_DESCRIBE;
     meta.build_type = RUMBA_BUILD_TYPE;
     meta.sanitizers = RUMBA_SANITIZE_FLAGS;
-    meta.trace_ring_capacity = TraceRing::Default().Capacity();
     return meta;
 }
 
@@ -111,9 +110,7 @@ MetadataJsonLine()
            ",\"version\":" + JsonQuote(meta.version) +
            ",\"git_describe\":" + JsonQuote(meta.git_describe) +
            ",\"build_type\":" + JsonQuote(meta.build_type) +
-           ",\"sanitizers\":" + JsonQuote(meta.sanitizers) +
-           ",\"trace_ring_capacity\":" +
-           std::to_string(meta.trace_ring_capacity) + "}";
+           ",\"sanitizers\":" + JsonQuote(meta.sanitizers) + "}";
 }
 
 std::string
@@ -179,8 +176,7 @@ JsonStr(const std::string& s)
 }  // namespace
 
 std::string
-ToJsonl(const RegistrySnapshot& snapshot,
-        const std::vector<TraceEvent>& trace)
+ToJsonl(const RegistrySnapshot& snapshot)
 {
     std::string out;
     for (const auto& c : snapshot.counters) {
@@ -204,29 +200,6 @@ ToJsonl(const RegistrySnapshot& snapshot,
                ",\"p50\":" + JsonNum(h.p50) +
                ",\"p90\":" + JsonNum(h.p90) +
                ",\"p99\":" + JsonNum(h.p99) + "}\n";
-    }
-    for (const auto& e : trace) {
-        out += "{\"type\":\"trace\",\"seq\":" +
-               std::to_string(e.sequence) +
-               ",\"invocation\":" + std::to_string(e.invocation) +
-               ",\"elements\":" + std::to_string(e.elements) +
-               ",\"threshold\":" + JsonNum(e.threshold) +
-               ",\"fires\":" + std::to_string(e.fires) +
-               ",\"fixes\":" + std::to_string(e.fixes) +
-               ",\"queue_full_stalls\":" +
-               std::to_string(e.queue_full_stalls) +
-               ",\"queue_drops\":" + std::to_string(e.queue_drops) +
-               ",\"non_finite\":" + std::to_string(e.non_finite) +
-               ",\"exact_elements\":" +
-               std::to_string(e.exact_elements) +
-               ",\"tuner_adjustments\":" +
-               std::to_string(e.tuner_adjustments) +
-               ",\"output_error_pct\":" + JsonNum(e.output_error_pct) +
-               ",\"estimated_error_pct\":" +
-               JsonNum(e.estimated_error_pct) +
-               ",\"drift\":" + (e.drift ? "true" : "false") +
-               ",\"breaker_state\":" + std::to_string(e.breaker_state) +
-               "}\n";
     }
     return out;
 }
@@ -293,8 +266,7 @@ WriteMetricsFile(const std::string& path)
     // "# " comment so the column grid stays rectangular.
     return WriteFile(
         path, csv ? "# " + MetadataJsonLine() + "\n" + ToCsv(snapshot)
-                  : MetadataJsonLine() + "\n" +
-                        ToJsonl(snapshot, TraceRing::Default().Dump()));
+                  : MetadataJsonLine() + "\n" + ToJsonl(snapshot));
 }
 
 std::string
@@ -303,7 +275,7 @@ ExportIfConfigured()
     const char* path = std::getenv("RUMBA_METRICS_OUT");
     if (path == nullptr || path[0] == '\0')
         return "";
-    Debug("RUMBA_METRICS_OUT: exporting registry + trace to %s", path);
+    Debug("RUMBA_METRICS_OUT: exporting the registry to %s", path);
     if (!WriteMetricsFile(path)) {
         Warn("RUMBA_METRICS_OUT: could not write %s", path);
         return "";
@@ -343,9 +315,9 @@ ExportAtExit()
 {
     // Stop the registry sampler first so its final sample (and
     // RUMBA_STREAM_OUT line) lands before the registry is frozen into
-    // the metrics/trace dumps. Runs even if a signal flush already
-    // fired: the hooks are idempotent rewrites, and the at-exit
-    // state is strictly fresher.
+    // the dumps. Runs even if a signal flush already fired: the hooks
+    // are idempotent rewrites, and the at-exit state is strictly
+    // fresher.
     TsdbSampler::Default().Stop();
     FlushFilesBestEffort();
 }
@@ -438,7 +410,6 @@ InstallAtExitExport()
         // Touch the singletons so their destructors are registered
         // before this exit hook (hooks run LIFO: export sees live
         // instruments), and so the trace sinks register theirs.
-        TraceRing::Default();
         SpanCollector::Default();
         RequestTraceCollector::Default();
         std::atexit(ExportAtExit);

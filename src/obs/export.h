@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Metric and trace exporters: JSONL (one JSON object per line), CSV,
+ * Metric exporters: JSONL (one JSON object per line), CSV,
  * and a human-readable table built on common/table, written through
  * common/file's WriteFile; and the flush-hook table, the one list of
  * sinks written at exit and on SIGINT/SIGTERM. Each sink registers its
@@ -15,17 +15,14 @@
  * flushed.
  *
  * Every file export opens with a run-metadata header — schema
- * version, ISO-8601 wall time, hostname, build type, sanitizer flags,
- * trace-ring capacity — so tools/rumba-stat can refuse to diff
- * incompatible dumps.
+ * version, ISO-8601 wall time, hostname, build type, sanitizer flags —
+ * so tools/rumba-stat can refuse to diff incompatible dumps.
  */
 
 #include <string>
-#include <vector>
 
 #include "common/table.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace rumba::obs {
 
@@ -45,7 +42,6 @@ struct RunMetadata {
     std::string git_describe;    ///< `git describe` at compile time.
     std::string build_type;      ///< CMAKE_BUILD_TYPE at compile time.
     std::string sanitizers;      ///< RUMBA_SANITIZE flags ("" = none).
-    size_t trace_ring_capacity = 0;  ///< effective TraceRing capacity.
 };
 
 /** Collect the current process's run metadata. */
@@ -71,16 +67,13 @@ std::string JsonNum(double v);
 
 /**
  * Render a snapshot as JSONL. Each metric becomes one line tagged
- * with "type" (counter / gauge / histogram); each trace event becomes
- * one "trace" line.
+ * with "type" (counter / gauge / histogram).
  */
-std::string ToJsonl(const RegistrySnapshot& snapshot,
-                    const std::vector<TraceEvent>& trace = {});
+std::string ToJsonl(const RegistrySnapshot& snapshot);
 
 /**
  * Render a snapshot as CSV with header
- * type,name,count,value,sum,min,max,p50,p90,p99 (trace events are a
- * JSONL-only concern).
+ * type,name,value,sum,min,max,p50,p90,p99,notes.
  */
 std::string ToCsv(const RegistrySnapshot& snapshot);
 
@@ -88,10 +81,10 @@ std::string ToCsv(const RegistrySnapshot& snapshot);
 Table ToTable(const RegistrySnapshot& snapshot);
 
 /**
- * Snapshot the default registry and trace ring and write them to
- * @p path (format by extension: .csv selects CSV, otherwise JSONL),
- * preceded by the run-metadata header (a "# "-prefixed comment line
- * in CSV). Returns false on I/O error.
+ * Snapshot the default registry and write it to @p path (format by
+ * extension: .csv selects CSV, otherwise JSONL), preceded by the
+ * run-metadata header (a "# "-prefixed comment line in CSV). Returns
+ * false on I/O error.
  */
 bool WriteMetricsFile(const std::string& path);
 

@@ -2,7 +2,6 @@
 
 #include <time.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -23,13 +22,6 @@ constexpr const char* kStageNames[] = {
 static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
                   kProfileStageCount,
               "stage name table out of sync with ProfileStage");
-
-/** Stage-share histograms span [0, 1]; 20 linear buckets of 0.05. */
-std::vector<double>
-ShareBounds()
-{
-    return Histogram::LinearBuckets(0.05, 0.05, 20);
-}
 
 /** Flush hook (obs/export.h) for RUMBA_PROFILE_OUT. */
 void
@@ -63,11 +55,8 @@ ThreadCpuNowNs()
 CpuProfiler::CpuProfiler(Registry* registry) : registry_(registry)
 {
     for (size_t s = 0; s < kProfileStageCount; ++s) {
-        const std::string name(kStageNames[s]);
-        stage_seconds_[s] =
-            registry_->GetDoubleCounter("cpu_stage_seconds." + name);
-        stage_share_[s] = registry_->GetHistogram(
-            "profile.stage_share." + name, ShareBounds());
+        stage_seconds_[s] = registry_->GetDoubleCounter(
+            std::string("cpu_stage_seconds.") + kStageNames[s]);
     }
     invocations_ = registry_->GetCounter("profile.invocations");
     speedup_gauge_ =
@@ -76,22 +65,24 @@ CpuProfiler::CpuProfiler(Registry* registry) : registry_(registry)
     window_gauge_ = registry_->GetGauge("efficiency.window");
 }
 
-DoubleCounter*
-CpuProfiler::ShardStageCounter(int shard, ProfileStage stage)
+CpuProfiler::ShardRow
+CpuProfiler::ShardCounters(int shard)
 {
+    if (shard < 0)
+        return {};
     std::lock_guard<std::mutex> lock(shard_mu_);
     const size_t index = static_cast<size_t>(shard);
     while (shard_seconds_.size() <= index) {
         const std::string prefix = "cpu_stage_seconds.shard" +
                                    std::to_string(shard_seconds_.size());
-        std::array<DoubleCounter*, kProfileStageCount> row{};
+        ShardRow row{};
         for (size_t s = 0; s < kProfileStageCount; ++s) {
             row[s] = registry_->GetDoubleCounter(prefix + "." +
                                                  kStageNames[s]);
         }
         shard_seconds_.push_back(row);
     }
-    return shard_seconds_[index][static_cast<size_t>(stage)];
+    return shard_seconds_[index];
 }
 
 void
@@ -99,25 +90,27 @@ CpuProfiler::AddStageCpuNs(ProfileStage stage, int shard, int64_t ns)
 {
     if (ns <= 0)
         return;
+    const size_t s = static_cast<size_t>(stage);
     const double seconds = static_cast<double>(ns) * 1e-9;
-    stage_seconds_[static_cast<size_t>(stage)]->Add(seconds);
+    stage_seconds_[s]->Add(seconds);
     if (shard >= 0)
-        ShardStageCounter(shard, stage)->Add(seconds);
+        ShardCounters(shard)[s]->Add(seconds);
 }
 
 void
 CpuProfiler::RecordInvocation(int shard, const StageRecord& stages)
 {
-    int64_t total_ns = 0;
-    for (const int64_t ns : stages.cpu_ns)
-        total_ns += std::max<int64_t>(0, ns);
+    // One shard-table lookup per call: the row is copied out, so the
+    // stage adds below take no shared lock.
+    const ShardRow row = ShardCounters(shard);
     for (size_t s = 0; s < kProfileStageCount; ++s) {
         const int64_t ns = stages.cpu_ns[s];
-        AddStageCpuNs(static_cast<ProfileStage>(s), shard, ns);
-        if (total_ns > 0 && ns > 0) {
-            stage_share_[s]->Observe(static_cast<double>(ns) /
-                                     static_cast<double>(total_ns));
-        }
+        if (ns <= 0)
+            continue;
+        const double seconds = static_cast<double>(ns) * 1e-9;
+        stage_seconds_[s]->Add(seconds);
+        if (row[s] != nullptr)
+            row[s]->Add(seconds);
     }
     invocations_->Increment();
 }

@@ -15,9 +15,9 @@
  *    invocation (see RumbaRuntime's cpu_attribution mode), and the
  *    record accumulates into `cpu_stage_seconds.<stage>`
  *    DoubleCounters (exposed as `rumba_cpu_stage_seconds_*_total`)
- *    plus per-shard variants and per-invocation stage-share
- *    histograms — the paper's Figure 18 CPU-activity breakdown as a
- *    live /metrics series. With RUMBA_PROFILE_OUT set, the per-shard
+ *    plus per-shard variants — the paper's Figure 18 CPU-activity
+ *    breakdown as a live /metrics series; /profilez divides them
+ *    into stage shares. With RUMBA_PROFILE_OUT set, the per-shard
  *    split is also written as flamegraph-compatible folded stacks
  *    ("shard0;predict_check 42", in µs of CPU) at exit and on
  *    SIGINT/SIGTERM, through the flush-hook table (obs/export.h).
@@ -91,8 +91,7 @@ int64_t ThreadCpuNowNs();
 /**
  * Per-process stage-attribution sink. Registers its instruments in a
  * Registry and accumulates CPU seconds per stage (total and per
- * shard), per-invocation stage shares, and the rolling efficiency
- * window.
+ * shard) and the rolling efficiency window.
  */
 class CpuProfiler {
   public:
@@ -104,10 +103,9 @@ class CpuProfiler {
      *  an invocation (the audit pool). */
     void AddStageCpuNs(ProfileStage stage, int shard, int64_t ns);
 
-    /** Record one invocation's stage CPU (@p stages' cpu_ns column):
-     *  accumulates the stage counters and observes the
-     *  per-invocation stage-share histograms (share of the
-     *  invocation's total attributed CPU). */
+    /** Record one invocation's stage CPU (@p stages' cpu_ns column)
+     *  into the stage counters, total and @p shard's, and count the
+     *  invocation. Takes the shard table's lock once per call. */
     void RecordInvocation(int shard, const StageRecord& stages);
 
     /** Feed one invocation's modeled costs into the rolling
@@ -146,16 +144,18 @@ class CpuProfiler {
     Registry* registry_;
     /** cpu_stage_seconds.<stage> totals, indexed by stage. */
     DoubleCounter* stage_seconds_[kProfileStageCount] = {};
-    /** stage-share-of-invocation histograms, indexed by stage. */
-    Histogram* stage_share_[kProfileStageCount] = {};
     Counter* invocations_;
+
+    /** One shard's cpu_stage_seconds.shard<k>.<stage>, by stage. */
+    using ShardRow = std::array<DoubleCounter*, kProfileStageCount>;
 
     /** Per-shard counters register lazily (shard count is dynamic). */
     std::mutex shard_mu_;
-    std::vector<std::array<DoubleCounter*, kProfileStageCount>>
-        shard_seconds_;
+    std::vector<ShardRow> shard_seconds_;
 
-    DoubleCounter* ShardStageCounter(int shard, ProfileStage stage);
+    /** A copy of @p shard's row, registering it (and any lower shard's)
+     *  on first use; all null when @p shard < 0. */
+    ShardRow ShardCounters(int shard);
 
     mutable std::mutex window_mu_;
     sim::EfficiencyWindow window_;

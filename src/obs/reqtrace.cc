@@ -229,8 +229,6 @@ FlightRecordJson(const RequestTrace& r)
                       std::to_string(r.queue_wait_ns) +
                       ",\"device_ns\":" + std::to_string(r.device_ns) +
                       ",\"elements\":" + std::to_string(r.elements) +
-                      ",\"inputs_digest\":" +
-                      std::to_string(r.inputs_digest) +
                       ",\"threshold\":" + JsonNum(r.threshold) +
                       ",\"predicted_error_pct\":" +
                       JsonNum(r.predicted_error_pct) +

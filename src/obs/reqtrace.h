@@ -4,15 +4,15 @@
 /**
  * @file
  * The serving engine's one record of a client request. Where
- * obs/span.h records an anonymous per-thread timeline and obs/trace.h
- * one ring entry per accelerator invocation, a RequestTrace follows
- * one *client request* end to end: the engine assigns every submitted
- * InvocationRequest a process-unique trace id, carries it through the
- * shard queue, the worker, any coalesced batch, the breaker-degraded
- * and recovery paths, and builds one RequestTrace when the request's
- * future resolves — outcome, the engine's five stages (queue-wait,
- * device, check, recover, merge), inputs digest, threshold and
- * predicted vs. verified error.
+ * obs/span.h records an anonymous per-thread timeline and the
+ * runtime's InvocationReport one accelerator invocation, a
+ * RequestTrace follows one *client request* end to end: the engine
+ * assigns every submitted InvocationRequest a process-unique trace
+ * id, carries it through the shard queue, the worker, any coalesced
+ * batch, the breaker-degraded and recovery paths, and builds one
+ * RequestTrace when the request's future resolves — outcome, the
+ * engine's five stages (queue-wait, device, check, recover, merge),
+ * threshold and predicted vs. verified error.
  *
  * Two retention views keep that record. Each shard keeps *every*
  * recent request in its flight ring (a collector with sample_every =
@@ -72,9 +72,6 @@ struct RequestTrace {
      *  re-execution (obs/audit.h); audit verdicts join back to the
      *  record through this flag + trace_id. */
     bool audited = false;
-    /** FNV-1a 64 over the raw input bytes (computed only while the
-     *  shard's flight ring is on; 0 otherwise). */
-    uint64_t inputs_digest = 0;
     double threshold = 0.0;            ///< detector threshold used.
     double predicted_error_pct = 0.0;  ///< checker's estimate.
     double actual_error_pct = 0.0;     ///< verified residual error.

@@ -13,7 +13,6 @@
 #include "obs/http_exporter.h"
 #include "obs/incident.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace rumba::obs {
 
@@ -308,22 +307,93 @@ TimeSeriesStore::Default()
 bool
 TsdbSampler::Start(int period_ms, const std::string& stream_path)
 {
-    return ticker_.Start(int64_t{period_ms} * 1'000'000, [&] {
-        if (!stream_path.empty()) {
-            stream_ = std::fopen(stream_path.c_str(), "w");
-            if (stream_ == nullptr) {
-                Warn("tsdb: could not open stream %s; sampling "
-                     "without it",
-                     stream_path.c_str());
-            } else {
-                const std::string meta = MetadataJsonLine() + "\n";
-                std::fwrite(meta.data(), 1, meta.size(), stream_);
-                std::fflush(stream_);
-            }
+    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+    return StartLocked(period_ms, stream_path);
+}
+
+bool
+TsdbSampler::StartLocked(int period_ms, const std::string& stream_path)
+{
+    if (period_ms <= 0 || Running())
+        return false;
+    // The sink is set up before the thread exists: no concurrent tick.
+    if (!stream_path.empty()) {
+        stream_ = std::fopen(stream_path.c_str(), "w");
+        if (stream_ == nullptr) {
+            Warn("tsdb: could not open stream %s; sampling without it",
+                 stream_path.c_str());
+        } else {
+            const std::string meta = MetadataJsonLine() + "\n";
+            std::fwrite(meta.data(), 1, meta.size(), stream_);
+            std::fflush(stream_);
         }
-        prev_counters_.clear();
-        prev_dcounters_.clear();
-    });
+    }
+    prev_counters_.clear();
+    prev_dcounters_.clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    period_ = std::chrono::milliseconds(
+        std::clamp(period_ms, kMinTsdbPeriodMs, kMaxTsdbPeriodMs));
+    samples_ = 0;
+    stop_requested_ = false;
+    running_ = true;
+    thread_ = std::thread(&TsdbSampler::Loop, this);
+    return true;
+}
+
+void
+TsdbSampler::Stop()
+{
+    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+    StopLocked();
+}
+
+void
+TsdbSampler::StopLocked()
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!running_)
+            return;
+        stop_requested_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+    std::lock_guard<std::mutex> lock(mu_);
+    running_ = false;
+}
+
+bool
+TsdbSampler::Running() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return running_;
+}
+
+uint64_t
+TsdbSampler::Samples() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return samples_;
+}
+
+void
+TsdbSampler::Loop()
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+        // Wait first: a short-lived acquire (an engine created and
+        // shut down inside one period, as the overhead bench does per
+        // round) costs exactly one tick — the final one — instead of
+        // a startup + shutdown pair.
+        cv_.wait_for(lock, period_, [this] { return stop_requested_; });
+        const bool final = stop_requested_;
+        lock.unlock();
+        Tick(final);
+        lock.lock();
+        ++samples_;
+        if (final)
+            return;
+    }
 }
 
 void
@@ -387,33 +457,7 @@ TsdbSampler::WriteStreamSample(const RegistrySnapshot& snapshot,
         first = false;
         line += JsonQuote(g.name) + ":" + JsonNum(g.value);
     }
-    line += "}";
-
-    TraceEvent latest;
-    if (TraceRing::Default().Latest(&latest)) {
-        const double fire_rate =
-            latest.elements == 0
-                ? 0.0
-                : static_cast<double>(latest.fires) /
-                      static_cast<double>(latest.elements);
-        line += ",\"trace\":{\"invocation\":" +
-                std::to_string(latest.invocation) +
-                ",\"threshold\":" + JsonNum(latest.threshold) +
-                ",\"fire_rate\":" + JsonNum(fire_rate) +
-                ",\"queue_full_stalls\":" +
-                std::to_string(latest.queue_full_stalls) +
-                ",\"queue_drops\":" +
-                std::to_string(latest.queue_drops) +
-                ",\"non_finite\":" + std::to_string(latest.non_finite) +
-                ",\"output_error_pct\":" +
-                JsonNum(latest.output_error_pct) +
-                ",\"estimated_error_pct\":" +
-                JsonNum(latest.estimated_error_pct) +
-                ",\"drift\":" + (latest.drift ? "true" : "false") +
-                ",\"breaker_state\":" +
-                std::to_string(latest.breaker_state) + "}";
-    }
-    line += "}\n";
+    line += "}}\n";
     // One whole line per fwrite + flush: a reader (or a crash) never
     // sees a torn record.
     std::fwrite(line.data(), 1, line.size(), stream_);
@@ -449,21 +493,21 @@ void
 TsdbSampler::Acquire()
 {
     TsdbSampler& sampler = Default();
-    sampler.ticker_.Acquire([&sampler] {
-        const int period =
-            ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
-        if (period <= 0)
-            return;  // explicitly disabled; the refcount still tracks.
-        if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
-            dir != nullptr && dir[0] != '\0')
-            RegisterFlushHook(&ForensicsFlushHook);
-        const char* stream = std::getenv("RUMBA_STREAM_OUT");
-        const std::string stream_path = stream == nullptr ? "" : stream;
-        if (sampler.Start(period, stream_path))
-            Debug("tsdb: sampling the registry every %d ms (stream: %s)",
-                  period,
-                  stream_path.empty() ? "off" : stream_path.c_str());
-    });
+    std::lock_guard<std::mutex> lifecycle(sampler.lifecycle_mu_);
+    if (sampler.refs_++ > 0)
+        return;
+    const int period =
+        ParseTsdbPeriodMs(std::getenv("RUMBA_TSDB_PERIOD_MS"));
+    if (period <= 0)
+        return;  // explicitly disabled; the refcount still tracks.
+    if (const char* dir = std::getenv("RUMBA_INCIDENT_DIR");
+        dir != nullptr && dir[0] != '\0')
+        RegisterFlushHook(&ForensicsFlushHook);
+    const char* stream = std::getenv("RUMBA_STREAM_OUT");
+    const std::string stream_path = stream == nullptr ? "" : stream;
+    if (sampler.StartLocked(period, stream_path))
+        Debug("tsdb: sampling the registry every %d ms (stream: %s)",
+              period, stream_path.empty() ? "off" : stream_path.c_str());
 }
 
 bool
@@ -479,7 +523,10 @@ TsdbSampler::AcquireForStream()
 void
 TsdbSampler::Release()
 {
-    Default().ticker_.Release();
+    TsdbSampler& sampler = Default();
+    std::lock_guard<std::mutex> lifecycle(sampler.lifecycle_mu_);
+    if (sampler.refs_ > 0 && --sampler.refs_ == 0)
+        sampler.StopLocked();
 }
 
 // ---------------------------------------------------------------------------

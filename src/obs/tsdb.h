@@ -15,9 +15,9 @@
  *
  * The same tick is the live metric stream: when RUMBA_STREAM_OUT
  * names a file, each sample is also appended there as one JSONL line
- * (counter deltas, gauges, the latest invocation TraceEvent), so a
- * run's tuner-convergence curve (paper Fig. 16's TOQ trajectory)
- * falls out of any binary:
+ * (counter deltas and gauges), so a run's tuner-convergence curve
+ * (paper Fig. 16's TOQ trajectory, the `tuner.threshold` gauge) falls
+ * out of any binary:
  *
  *   RUMBA_STREAM_OUT=stream.jsonl RUMBA_TSDB_PERIOD_MS=25 ./deploy
  *
@@ -26,18 +26,19 @@
  */
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ring.h"
 #include "obs/metrics.h"
-#include "obs/ticker.h"
 
 namespace rumba::obs {
 
@@ -45,10 +46,10 @@ namespace rumba::obs {
  *  100 ms keeps the whole-registry snapshot + ingest tick inside the
  *  bench/serve_throughput <5% instrumentation-overhead budget; drills
  *  that want finer resolution (ci.sh live stage) lower it via the
- *  environment variable. The clamp range is the Ticker's. */
+ *  environment variable, within [kMinTsdbPeriodMs, kMaxTsdbPeriodMs]. */
 inline constexpr int kDefaultTsdbPeriodMs = 100;
-inline constexpr int kMinTsdbPeriodMs = kMinTickNs / 1'000'000;
-inline constexpr int kMaxTsdbPeriodMs = kMaxTickNs / 1'000'000;
+inline constexpr int kMinTsdbPeriodMs = 1;       ///< 1 ms.
+inline constexpr int kMaxTsdbPeriodMs = 60'000;  ///< 60 s.
 
 /** Per-series ring capacity (points retained per series). */
 inline constexpr size_t kDefaultTsdbRingCapacity = 256;
@@ -196,39 +197,44 @@ class TimeSeriesStore {
 };
 
 /**
- * Background registry sampler feeding TimeSeriesStore::Default(), on
- * the process's one Ticker lifecycle (obs/ticker.h): the engine (and
- * a runtime while RUMBA_STREAM_OUT is set) calls Acquire()/Release();
- * the first acquirer starts the thread and the last release stops it.
- * Each tick takes one registry snapshot and hands it to every
- * consumer: the store, the incident manager's fault-delta scan + poll
- * (obs/incident.h), and the JSONL stream sink when one is open.
+ * Background registry sampler feeding TimeSeriesStore::Default(), the
+ * process's one periodic thread: the engine (and a runtime while
+ * RUMBA_STREAM_OUT is set) calls Acquire()/Release(); the first
+ * acquirer starts the thread and the last release stops it. The
+ * thread waits one period before each tick (so an acquire shorter
+ * than a period costs exactly one tick, the final one) and ticks a
+ * final time on stop. Each tick takes one registry snapshot and hands
+ * it to every consumer: the store, the incident manager's fault-delta
+ * scan + poll (obs/incident.h), and the JSONL stream sink when one is
+ * open.
  */
 class TsdbSampler {
   public:
     TsdbSampler() = default;
+    ~TsdbSampler() { Stop(); }
 
     TsdbSampler(const TsdbSampler&) = delete;
     TsdbSampler& operator=(const TsdbSampler&) = delete;
 
     /**
-     * Start sampling every @p period_ms (clamped to the Ticker's
-     * range); false if already running or @p period_ms <= 0. An empty
-     * @p stream_path streams nothing; otherwise the file is truncated
-     * and gets the run-metadata header of obs/export.h, then one
-     * {"type":"sample",...} line per tick (final tick included). A
-     * path that cannot be opened warns and the sampler ticks without
-     * a stream.
+     * Start sampling every @p period_ms (clamped to [kMinTsdbPeriodMs,
+     * kMaxTsdbPeriodMs]); false if already running or @p period_ms
+     * <= 0. An empty @p stream_path streams nothing; otherwise the
+     * file is truncated and gets the run-metadata header of
+     * obs/export.h, then one {"type":"sample",...} line per tick
+     * (final tick included). A path that cannot be opened warns and
+     * the sampler ticks without a stream.
      */
     bool Start(int period_ms, const std::string& stream_path);
 
-    /** Final sample, join, close the stream. Idempotent. */
-    void Stop() { ticker_.Stop(); }
+    /** Wake the thread out of its wait, let it take the final sample
+     *  (which closes the stream), and join it. Idempotent. */
+    void Stop();
 
-    bool Running() const { return ticker_.Running(); }
+    bool Running() const;
 
-    /** Samples taken since Start(). */
-    uint64_t Samples() const { return ticker_.Ticks(); }
+    /** Samples taken since Start(), the final one included. */
+    uint64_t Samples() const;
 
     /**
      * Refcounted start: the first acquirer starts Default() every
@@ -252,6 +258,13 @@ class TsdbSampler {
     static TsdbSampler& Default();
 
   private:
+    /** Start() and Stop() with lifecycle_mu_ already held. */
+    bool StartLocked(int period_ms, const std::string& stream_path);
+    void StopLocked();
+
+    /** The sampler thread: wait a period (or for Stop()), tick. */
+    void Loop();
+
     /** Snapshot the registry once and feed every consumer; the
      *  final tick also closes the stream. */
     void Tick(bool final);
@@ -267,8 +280,18 @@ class TsdbSampler {
     std::FILE* stream_ = nullptr;
     std::map<std::string, uint64_t> prev_counters_;
     std::map<std::string, double> prev_dcounters_;
-    /** Last: destroyed (stopped and joined) before what Tick reads. */
-    Ticker ticker_{[this](bool final) { Tick(final); }};
+
+    /** Serializes Start/Stop/Acquire/Release; held across the join. */
+    std::mutex lifecycle_mu_;
+    int refs_ = 0;  ///< Acquire() refs not yet released.
+    /** Guards the loop state below; never held while ticking. */
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    bool running_ = false;
+    bool stop_requested_ = false;
+    std::chrono::milliseconds period_{kDefaultTsdbPeriodMs};
+    uint64_t samples_ = 0;
+    std::thread thread_;  ///< joined by Stop(); the destructor stops.
 };
 
 /**

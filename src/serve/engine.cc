@@ -8,7 +8,6 @@
 #include <span>
 #include <string_view>
 
-#include "common/fnv.h"
 #include "common/logging.h"
 #include "core/batch_view.h"
 #include "obs/audit.h"
@@ -593,7 +592,6 @@ ShardedEngine::RecordRequest(size_t shard_index, bool to_flight,
         trace.breaker_state =
             static_cast<uint32_t>(report.breaker_state);
         trace.audited = served->audited;
-        trace.inputs_digest = served->inputs_digest;
         trace.threshold = report.threshold_used;
         trace.predicted_error_pct = report.estimated_error_pct;
         trace.actual_error_pct = report.output_error_pct;
@@ -966,11 +964,6 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         }
         served.merge_end_ns = obs::NowNs();
 
-        served.inputs_digest =
-            shard.flight == nullptr
-                ? 0
-                : Fnv1a64(pending.request.inputs.data(),
-                          pending.request.inputs.size() * sizeof(double));
         served.audited = false;
         if (auditor_ != nullptr) {
             // The auditor's sampling decision and its copy of the

@@ -121,9 +121,9 @@ struct ServeConfig {
     /** Live cost & efficiency profiling (obs/profiler.h). */
     struct ProfileOptions {
         /** Per-stage thread-CPU attribution on every shard (feeds the
-         *  rumba_cpu_stage_seconds_* counters, stage-share histograms
-         *  and the RUMBA_PROFILE_OUT folded dump) and the rolling
-         *  speedup/energy estimator. Rides the <5%
+         *  rumba_cpu_stage_seconds_* counters, the /profilez stage
+         *  shares and the RUMBA_PROFILE_OUT folded dump) and the
+         *  rolling speedup/energy estimator. Rides the <5%
          *  instrumentation-overhead gate in bench/serve_throughput. */
         bool enabled = true;
     };
@@ -397,7 +397,6 @@ class ShardedEngine {
         uint64_t device_ns = 0;       ///< streaming, check excluded.
         uint64_t merge_start_ns = 0;
         uint64_t merge_end_ns = 0;
-        uint64_t inputs_digest = 0;
         bool audited = false;
     };
 

@@ -11,7 +11,6 @@
 #include "core/experiment.h"
 #include "core/runtime.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace rumba::core {
 namespace {
@@ -412,7 +411,6 @@ TEST(RuntimeTest, PopulatesTelemetry)
     cfg.pipeline.max_train_elements = 300;
     RumbaRuntime runtime(apps::MakeBenchmark("inversek2j"), cfg);
     obs::Registry::Default().Reset();
-    obs::TraceRing::Default().Clear();
 
     const auto inputs = runtime.Bench().TestInputs();
     std::vector<double> outputs;
@@ -456,34 +454,32 @@ TEST(RuntimeTest, PopulatesTelemetry)
     EXPECT_EQ(histograms.at("runtime.invocation_ns").count, 1u);
     EXPECT_EQ(histograms.at("runtime.verify_ns").count, 1u);
 
-    // The trace ring recorded exactly this invocation, with fields
-    // matching the returned report.
-    const auto events = obs::TraceRing::Default().Dump();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].elements, 250u);
-    EXPECT_DOUBLE_EQ(events[0].threshold, report.threshold_used);
-    EXPECT_EQ(events[0].fires, report.fixes);
-    EXPECT_EQ(events[0].fixes, report.fixes);
-    EXPECT_DOUBLE_EQ(events[0].output_error_pct,
-                     report.output_error_pct);
-    EXPECT_EQ(events[0].drift, report.drift_detected);
+    // The report carries what the counters saw of this invocation.
+    EXPECT_EQ(report.elements, 250u);
+    EXPECT_EQ(report.fires, counters.at("detector.fires"));
+    EXPECT_EQ(report.queue_full_stalls,
+              counters.at("recovery.queue_full_stalls"));
+    EXPECT_EQ(report.tuner_adjustments,
+              counters.at("tuner.adjustments"));
 
-    // A second invocation appends a second event and doubles the
-    // element counters.
-    Invoke(runtime, inputs, 0, 250, &outputs);
-    EXPECT_EQ(obs::TraceRing::Default().Dump().size(), 2u);
-    EXPECT_EQ(obs::Registry::Default()
-                  .GetCounter("runtime.elements")
-                  ->Value(),
-              500u);
-
-    // Stopping the ring suppresses runtime events; restarting resumes.
-    obs::TraceRing::Default().Stop();
-    Invoke(runtime, inputs, 0, 250, &outputs);
-    EXPECT_EQ(obs::TraceRing::Default().Dump().size(), 2u);
-    obs::TraceRing::Default().Start();
-    Invoke(runtime, inputs, 0, 250, &outputs);
-    EXPECT_EQ(obs::TraceRing::Default().Dump().size(), 3u);
+    // A second invocation's report covers only its own counter deltas.
+    const uint64_t fires_before = counters.at("detector.fires");
+    const uint64_t stalls_before =
+        counters.at("recovery.queue_full_stalls");
+    const uint64_t adjustments_before = counters.at("tuner.adjustments");
+    const InvocationReport second =
+        Invoke(runtime, inputs, 0, 250, &outputs);
+    auto& registry = obs::Registry::Default();
+    EXPECT_EQ(registry.GetCounter("runtime.elements")->Value(), 500u);
+    EXPECT_EQ(second.fires,
+              registry.GetCounter("detector.fires")->Value() -
+                  fires_before);
+    EXPECT_EQ(second.queue_full_stalls,
+              registry.GetCounter("recovery.queue_full_stalls")->Value() -
+                  stalls_before);
+    EXPECT_EQ(second.tuner_adjustments,
+              registry.GetCounter("tuner.adjustments")->Value() -
+                  adjustments_before);
 }
 
 }  // namespace

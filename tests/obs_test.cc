@@ -29,7 +29,6 @@
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "obs/timer.h"
-#include "obs/trace.h"
 #include "obs/tsdb.h"
 
 namespace rumba::obs {
@@ -217,58 +216,6 @@ TEST(ScopedTimerTest, NullHistogramIsNoop)
     ScopedTimer timer(nullptr);  // must not crash on destruction.
 }
 
-// ----------------------------------------------------------- TraceRing
-
-TraceEvent
-EventWithFixes(uint64_t fixes)
-{
-    TraceEvent e;
-    e.fixes = fixes;
-    return e;
-}
-
-TEST(TraceRingTest, KeepsMostRecentOnWraparound)
-{
-    TraceRing ring(4);
-    for (uint64_t i = 0; i < 10; ++i)
-        ring.Record(EventWithFixes(i));
-    EXPECT_EQ(ring.TotalRecorded(), 10u);
-    EXPECT_EQ(ring.Dropped(), 6u);
-    const auto events = ring.Dump();
-    ASSERT_EQ(events.size(), 4u);
-    for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].sequence, 6 + i);  // oldest first.
-        EXPECT_EQ(events[i].fixes, 6 + i);
-    }
-}
-
-TEST(TraceRingTest, StartStopGatesRecording)
-{
-    TraceRing ring(8);
-    EXPECT_TRUE(ring.Enabled());
-    ring.Record(EventWithFixes(1));
-    ring.Stop();
-    EXPECT_FALSE(ring.Enabled());
-    ring.Record(EventWithFixes(2));  // dropped.
-    ring.Start();
-    ring.Record(EventWithFixes(3));
-    const auto events = ring.Dump();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].fixes, 1u);
-    EXPECT_EQ(events[1].fixes, 3u);
-}
-
-TEST(TraceRingTest, ClearResetsSequence)
-{
-    TraceRing ring(2);
-    ring.Record(EventWithFixes(1));
-    ring.Clear();
-    EXPECT_EQ(ring.Size(), 0u);
-    EXPECT_EQ(ring.TotalRecorded(), 0u);
-    ring.Record(EventWithFixes(9));
-    EXPECT_EQ(ring.Dump().front().sequence, 0u);
-}
-
 // ----------------------------------------------------------- Exporters
 
 RegistrySnapshot
@@ -286,13 +233,7 @@ KnownSnapshot()
 
 TEST(ExportTest, JsonlRoundTrip)
 {
-    TraceEvent event;
-    event.invocation = 7;
-    event.elements = 100;
-    event.threshold = 0.5;
-    event.fires = 9;
-    event.fixes = 9;
-    const std::string jsonl = ToJsonl(KnownSnapshot(), {event});
+    const std::string jsonl = ToJsonl(KnownSnapshot());
 
     // Every line is a braced object.
     std::istringstream lines(jsonl);
@@ -304,7 +245,7 @@ TEST(ExportTest, JsonlRoundTrip)
         EXPECT_EQ(line.back(), '}');
         ++count;
     }
-    EXPECT_EQ(count, 4u);  // counter + gauge + histogram + trace.
+    EXPECT_EQ(count, 3u);  // counter + gauge + histogram.
 
     // The values survive the trip.
     EXPECT_NE(jsonl.find("{\"type\":\"counter\",\"name\":"
@@ -314,10 +255,6 @@ TEST(ExportTest, JsonlRoundTrip)
               std::string::npos);
     EXPECT_NE(jsonl.find("\"name\":\"npu.invoke_ns\",\"count\":3"),
               std::string::npos);
-    EXPECT_NE(jsonl.find("\"type\":\"trace\",\"seq\":0,"
-                         "\"invocation\":7,\"elements\":100"),
-              std::string::npos);
-    EXPECT_NE(jsonl.find("\"fires\":9,\"fixes\":9"), std::string::npos);
 }
 
 TEST(ExportTest, CsvRoundTrip)
@@ -399,7 +336,7 @@ TEST(EscapeJsonTest, HostileMetricNameSurvivesJsonlExport)
 {
     Registry registry;
     registry.GetCounter("evil\"name\nwith\\stuff")->Increment();
-    const std::string jsonl = ToJsonl(registry.Snapshot(), {});
+    const std::string jsonl = ToJsonl(registry.Snapshot());
     EXPECT_NE(jsonl.find("\"evil\\\"name\\nwith\\\\stuff\""),
               std::string::npos);
 }
@@ -419,9 +356,9 @@ TEST(RunMetadataTest, LineCarriesVersionedIdentity)
     EXPECT_NE(line.find("\"hostname\":"), std::string::npos);
     EXPECT_NE(line.find("\"build_type\":"), std::string::npos);
     EXPECT_NE(line.find("\"sanitizers\":"), std::string::npos);
-    EXPECT_NE(line.find("\"trace_ring_capacity\":" +
-                        std::to_string(TraceRing::kDefaultRingCapacity)),
-              std::string::npos);
+    // No ring-capacity key: InvocationReport is the per-invocation
+    // record, and no process-wide ring holds copies of it.
+    EXPECT_EQ(line.find("\"trace_ring"), std::string::npos);
 
     const RunMetadata meta = CollectRunMetadata();
     EXPECT_EQ(meta.schema_version, kMetricsSchemaVersion);

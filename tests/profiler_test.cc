@@ -1,8 +1,9 @@
 // Tests for the live cost & efficiency profiler (obs/profiler.h):
 // StageScope thread-CPU attribution summing to the wall thread-CPU
 // bracket, the runtime's passes (one span and one stage-record entry
-// each), CpuProfiler counter/histogram/efficiency semantics and its
-// folded per-shard dump against a private registry, the /profilez
+// each), CpuProfiler counter/efficiency semantics (four shards
+// recording at once included) and its folded per-shard dump against a
+// private registry, the /profilez
 // JSON body, and an engine-level race of the folded dump and
 // /profilez against ShardedEngine::Shutdown (exercised under TSan in
 // ci.sh).
@@ -164,17 +165,57 @@ TEST(CpuProfilerTest, RecordInvocationAccumulatesStageCounters)
     }
     EXPECT_TRUE(total_found);
     EXPECT_TRUE(shard_found);
+}
 
-    // Stage shares: device was 2 of 4 attributed ms -> share 0.5.
-    bool share_found = false;
-    for (const obs::HistogramSnapshot& h : snapshot.histograms) {
-        if (h.name != "profile.stage_share.device")
-            continue;
-        share_found = true;
-        EXPECT_EQ(h.count, 1u);
-        EXPECT_NEAR(h.sum, 0.5, 1e-9);
+TEST(CpuProfilerTest, ConcurrentShardsEachKeepTheirOwnSplit)
+{
+    // Four workers record their own shards at once, as the sharded
+    // engine's do. Each shard's counters hold exactly its own
+    // invocations, and the split lives only in those counters: the
+    // profiler registers no histogram (no per-invocation stage
+    // shares).
+    obs::Registry registry;
+    obs::CpuProfiler profiler(&registry);
+    constexpr int kShards = 4;
+    constexpr uint64_t kPerShard = 2000;
+    obs::StageRecord stages;
+    for (size_t s = 0; s < obs::kProfileStageCount; ++s)
+        stages.cpu_ns[s] = static_cast<int64_t>(1000 * (s + 1));
+
+    std::vector<std::thread> workers;
+    for (int shard = 0; shard < kShards; ++shard) {
+        workers.emplace_back([&profiler, &stages, shard] {
+            for (uint64_t i = 0; i < kPerShard; ++i)
+                profiler.RecordInvocation(shard, stages);
+        });
     }
-    EXPECT_TRUE(share_found);
+    for (std::thread& worker : workers)
+        worker.join();
+
+    const obs::RegistrySnapshot snapshot = registry.Snapshot();
+    std::map<std::string, double> seconds;
+    for (const obs::DoubleCounterSnapshot& c : snapshot.dcounters)
+        seconds[c.name] = c.value;
+    for (int shard = 0; shard < kShards; ++shard) {
+        for (size_t s = 0; s < obs::kProfileStageCount; ++s) {
+            const std::string name =
+                "cpu_stage_seconds.shard" + std::to_string(shard) + "." +
+                obs::ProfileStageName(static_cast<obs::ProfileStage>(s));
+            ASSERT_EQ(seconds.count(name), 1u) << name;
+            EXPECT_NEAR(seconds[name],
+                        static_cast<double>(kPerShard) *
+                            static_cast<double>(stages.cpu_ns[s]) * 1e-9,
+                        1e-12)
+                << name;
+        }
+    }
+    uint64_t invocations = 0;
+    for (const obs::CounterSnapshot& c : snapshot.counters)
+        if (c.name == "profile.invocations")
+            invocations = c.value;
+    EXPECT_EQ(invocations, kShards * kPerShard);
+    for (const obs::HistogramSnapshot& h : snapshot.histograms)
+        ADD_FAILURE() << "unexpected histogram " << h.name;
 }
 
 TEST(CpuProfilerTest, AddStageCpuNsFeedsTotals)

@@ -58,9 +58,11 @@ sed 's/"schema_version":2/"schema_version":1/' "$DIR/base.jsonl" \
 "$STAT" diff "$DIR/base.jsonl" "$DIR/old.jsonl" > /dev/null 2>&1
 [[ $? -eq 2 ]] || fail "schema mismatch should be refused with exit 2"
 
-# 7. summary renders both metric dumps and stream dumps.
-"$STAT" summary "$DIR/base.jsonl" | grep -q "threshold trajectory" ||
-    fail "summary should report the threshold trajectory"
+# 7. summary renders both metric dumps and stream dumps. A metrics
+#    dump records no trajectory: its "trace" line is ignored.
+"$STAT" summary "$DIR/base.jsonl" |
+    grep -qF "threshold trajectory: (none recorded)" ||
+    fail "metrics-dump summary should record no threshold trajectory"
 cat > "$DIR/stream.jsonl" <<'EOF'
 {"type":"meta","schema_version":2,"wall_time":"2026-01-01T00:00:00Z","hostname":"ci","build_type":"Release","sanitizers":""}
 {"type":"sample","t_ms":1.5,"counters":{"runtime.fixes":10},"gauges":{"tuner.threshold":0.5}}
@@ -71,6 +73,21 @@ EOF
 # Stream counter deltas accumulate into run totals.
 "$STAT" summary "$DIR/stream.jsonl" | grep -q "runtime.fixes.*17" ||
     fail "stream summary should total the counter deltas"
+
+# 7b. Dumps from before the per-invocation trace lines went (the
+#     checked-in baselines carry one "trace" line per invocation) diff
+#     clean against the same dump without them, in both directions.
+cp "$DIR/base.jsonl" "$DIR/old_style.jsonl"
+echo '{"type":"trace","seq":1,"invocation":2,"elements":100,"threshold":0.3,"fires":11,"fixes":11,"queue_full_stalls":1,"queue_drops":0,"non_finite":0,"exact_elements":0,"tuner_adjustments":1,"output_error_pct":8.5,"estimated_error_pct":8.0,"drift":false,"breaker_state":0}' \
+    >> "$DIR/old_style.jsonl"
+grep -v '"type":"trace"' "$DIR/base.jsonl" > "$DIR/no_trace.jsonl"
+"$STAT" diff "$DIR/old_style.jsonl" "$DIR/no_trace.jsonl" > /dev/null ||
+    fail "old-style baseline should diff clean against a trace-free dump (got $?)"
+"$STAT" diff "$DIR/no_trace.jsonl" "$DIR/old_style.jsonl" > /dev/null ||
+    fail "trace-free baseline should diff clean against an old-style dump (got $?)"
+"$STAT" summary "$DIR/old_style.jsonl" |
+    grep -qF "threshold trajectory: (none recorded)" ||
+    fail "old-style dump summary should record no threshold trajectory"
 
 # 8. scrape --check validates a saved Prometheus text exposition.
 cat > "$DIR/expo.prom" <<'EOF'

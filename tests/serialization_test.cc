@@ -20,7 +20,6 @@
 #include "fault/plan.h"
 #include "nn/mlp.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "predict/ema.h"
 #include "predict/evp.h"
 #include "predict/hybrid.h"
@@ -574,8 +573,8 @@ TEST(RuntimePinTest, InvocationsMatchRecordedDigests)
 {
     // Digests of everything an invocation decides — merged outputs,
     // every report field except wall-clock timings, the audit
-    // capture, the invocation trace event, and the recovery, fault
-    // and checker counters — recorded from a known-good build. How
+    // capture, and the recovery, fault and checker counters —
+    // recorded from a known-good build. How
     // ProcessInvocation orders its passes and clocks must not move
     // one of them.
     if (fault::FaultInjector::Default().Armed())
@@ -616,7 +615,6 @@ TEST(RuntimePinTest, InvocationsMatchRecordedDigests)
     constexpr size_t kBatch = 200;
     constexpr size_t kInvocations = 6;
     ASSERT_GE(pool_n, kBatch * kInvocations);
-    obs::TraceRing::Default().Start();
 
     for (const PinCase& c : cases) {
         SCOPED_TRACE(c.name);
@@ -693,11 +691,9 @@ TEST(RuntimePinTest, InvocationsMatchRecordedDigests)
             AppendVector(&bytes, capture.fixed);
             AppendVector(&bytes, capture.exact_path);
 
-            const obs::TraceEvent event =
-                obs::TraceRing::Default().Dump().back();
-            AppendBytes(&bytes, event.fires);
-            AppendBytes(&bytes, event.queue_full_stalls);
-            AppendBytes(&bytes, event.tuner_adjustments);
+            AppendBytes(&bytes, r.fires);
+            AppendBytes(&bytes, r.queue_full_stalls);
+            AppendBytes(&bytes, r.tuner_adjustments);
 
             for (const char* name : kPinnedCounters)
                 AppendBytes(&bytes, moved(name));

@@ -698,10 +698,6 @@ TEST(ShardedEngineTest, FlightRecorderCapturesServedRequests)
     for (size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].trace_id, ids[i]);
         EXPECT_EQ(records[i].elements, 30u);
-        const serve::InvocationRequest sent = MakeRequest(i * 30, 30);
-        EXPECT_EQ(records[i].inputs_digest,
-                  Fnv1a64(sent.inputs.data(),
-                          sent.inputs.size() * sizeof(double)));
         EXPECT_GE(records[i].threshold, 0.0);
         EXPECT_GT(records[i].total_ns, 0u);
         EXPECT_EQ(records[i].status_code, 0u);
@@ -879,7 +875,7 @@ constexpr char kGoldenServedFlight[] =
     "{\"type\":\"flight\",\"trace_id\":4242,\"shard\":1,"
     "\"enqueue_ns\":1000000,\"complete_ns\":1093000,"
     "\"queue_wait_ns\":12000,\"device_ns\":50000,\"elements\":1024,"
-    "\"inputs_digest\":11400714819323198485,\"threshold\":0.6875,"
+    "\"threshold\":0.6875,"
     "\"predicted_error_pct\":33.3333333,\"actual_error_pct\":9.125,"
     "\"fixes\":312,\"breaker_state\":2,\"status_code\":0,"
     "\"audited\":true}";
@@ -887,7 +883,7 @@ constexpr char kGoldenRefusedFlight[] =
     "{\"type\":\"flight\",\"trace_id\":4243,\"shard\":1,"
     "\"enqueue_ns\":2000000,\"complete_ns\":2001500,"
     "\"queue_wait_ns\":0,\"device_ns\":0,\"elements\":64,"
-    "\"inputs_digest\":0,\"threshold\":0,\"predicted_error_pct\":0,"
+    "\"threshold\":0,\"predicted_error_pct\":0,"
     "\"actual_error_pct\":0,\"fixes\":0,\"breaker_state\":0,"
     "\"status_code\":5,\"audited\":false}";
 constexpr char kGoldenServedTrace[] =
@@ -924,7 +920,6 @@ GoldenServed()
     r.fixes = 312;
     r.breaker_state = 2;
     r.audited = true;
-    r.inputs_digest = 11400714819323198485ull;
     r.threshold = 0.6875;
     r.predicted_error_pct = 100.0 / 3.0;
     r.actual_error_pct = 9.125;

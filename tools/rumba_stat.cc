@@ -765,11 +765,10 @@ struct Dump {
     std::map<std::string, double> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistogramStats> histograms;
-    /** Threshold trajectory: per-invocation from trace lines, or
-     *  per-sample from stream lines — whichever the file carries. */
+    /** Threshold trajectory: the tuner.threshold gauge of each
+     *  stream sample (a metrics dump has none). */
     std::vector<double> thresholds;
-    size_t samples = 0;      ///< stream "sample" lines seen.
-    size_t trace_lines = 0;  ///< metrics "trace" lines seen.
+    size_t samples = 0;  ///< stream "sample" lines seen.
 };
 
 /** Read a metrics dump or sample stream (JSONL, or a ".csv" metrics
@@ -788,9 +787,6 @@ ReadDump(const std::string& path, Dump* dump)
         } else if (type == "histogram") {
             dump->histograms[name] = {Field(obj, "count"),
                                       Field(obj, "p50"), Field(obj, "p99")};
-        } else if (type == "trace") {
-            ++dump->trace_lines;
-            dump->thresholds.push_back(Field(obj, "threshold"));
         } else if (type == "sample") {
             ++dump->samples;
             // Stream samples carry counter *deltas*; accumulate them
@@ -804,11 +800,9 @@ ReadDump(const std::string& path, Dump* dump)
             const auto t = obj.find("gauges.tuner.threshold");
             if (t != obj.end())
                 dump->thresholds.push_back(t->second.number);
-            else if (obj.count("trace.threshold"))
-                dump->thresholds.push_back(
-                    Field(obj, "trace.threshold"));
         }
-        // Unknown types are forward-compatible: ignored.
+        // Unknown types are forward-compatible: ignored (so are the
+        // "trace" lines older metrics dumps carry).
     });
 }
 
@@ -858,11 +852,10 @@ PrintSummary(const Dump& dump)
     } else {
         std::printf("meta: (no header — pre-v2 dump)\n");
     }
-    std::printf("%zu counters, %zu gauges, %zu histograms, %zu trace "
-                "lines, %zu stream samples\n\n",
+    std::printf("%zu counters, %zu gauges, %zu histograms, %zu stream "
+                "samples\n\n",
                 dump.counters.size(), dump.gauges.size(),
-                dump.histograms.size(), dump.trace_lines,
-                dump.samples);
+                dump.histograms.size(), dump.samples);
     for (const auto& [name, value] : dump.counters)
         std::printf("  counter    %-32s %.0f\n", name.c_str(), value);
     for (const auto& [name, value] : dump.gauges)
@@ -1715,7 +1708,10 @@ Usage()
         "      [--baseline <scenarios.jsonl>]\n"
         "\n"
         "Dumps are RUMBA_METRICS_OUT metric files or RUMBA_STREAM_OUT\n"
-        "sample streams (JSONL; '.csv' metric dumps load too).\n"
+        "sample streams (JSONL; '.csv' metric dumps load too); other\n"
+        "record types, such as older dumps' \"trace\" lines, are\n"
+        "ignored. summary's threshold trajectory is a stream's\n"
+        "tuner.threshold samples (none for a metric dump).\n"
         "diff exits 1 when any metric moves outside its relative\n"
         "tolerance (default: exact), 2 on load/schema errors.\n"
         "scrape reads Prometheus text from http://host:port[/path],\n"
