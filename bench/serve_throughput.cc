@@ -203,7 +203,6 @@ RunSmoke(const core::Artifact& artifact,
     serve::ServeConfig config;
     config.shards = 2;
     config.queue_capacity = 8;
-    config.max_coalesce_elements = 2 * kBatch;
     auto engine = serve::ShardedEngine::Create(artifact, DeployConfig(),
                                                config);
     if (!engine.ok()) {

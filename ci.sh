@@ -242,12 +242,16 @@ if [[ "${1:-}" != "--skip-sanitize" ]]; then
 
     # TSan: the threaded paths — span collector, the two-thread
     # recovery replay, the queue/breaker paths the fault suite drives,
-    # the sharded serving engine, the background ground-truth audit
-    # pool, four shards recording their stage counters at once, the
-    # profiler's folded dump and /profilez racing the workers' stage
-    # records and engine shutdown, the one registry sampler (its own
-    # refcounted thread feeding tsdb, forensics and the stream sink)
-    # racing the same and shared with a streaming runtime, and the
+    # the sharded serving engine (serve_test's two properties: seeded
+    # serving configs replayed against per-shard sequential replicas,
+    # and seeded fault plans that must deliver nothing non-finite and
+    # account for every submission), the background ground-truth audit
+    # pool, four shards recording through their own counter rows at
+    # once with no lock, the profiler's folded dump and /profilez
+    # racing the workers' stage records and engine shutdown, the one
+    # registry sampler (its own refcounted thread feeding tsdb,
+    # forensics and the stream sink) racing the same and shared with a
+    # streaming runtime, and the
     # offline flow's trainer threads (the training constructor in
     # serialization_test and fault_test; core_test's kmeans Pipeline
     # tests read the unchecked-NPU network right after construction)

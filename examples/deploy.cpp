@@ -629,7 +629,7 @@ main()
     obs_engine.Drain();
 
     // Forensics: the NaN storm must yield at least one correlated
-    // incident — breaker-open edges (synchronous, from ProcessBatch)
+    // incident — breaker-open edges (synchronous, from ProcessRequest)
     // joining the fault.injected.* deltas the tsdb sampler scans on
     // its next tick. The fault side rides the sampler, so give it a
     // few periods to land before forcing the open incident closed;

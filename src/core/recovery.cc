@@ -90,42 +90,6 @@ RecoveryModule::Drain(const BatchView& inputs, double* outputs,
     return drained;
 }
 
-std::unique_ptr<ExactReexecutor>
-ExactReexecutor::Create(const std::string& benchmark)
-{
-    std::unique_ptr<apps::Benchmark> bench =
-        apps::TryMakeBenchmark(benchmark);
-    if (bench == nullptr)
-        return nullptr;
-    return std::unique_ptr<ExactReexecutor>(
-        new ExactReexecutor(std::move(bench)));
-}
-
-ExactReexecutor::ExactReexecutor(std::unique_ptr<apps::Benchmark> bench)
-    : bench_(std::move(bench))
-{
-}
-
-void
-ExactReexecutor::RunElement(const double* in, double* out) const
-{
-    bench_->RunExact(in, out);
-}
-
-double
-ExactReexecutor::ElementError(const std::vector<double>& exact,
-                              const std::vector<double>& approx) const
-{
-    return bench_->ElementError(exact, approx);
-}
-
-double
-ExactReexecutor::AggregateError(
-    const std::vector<double>& element_errors) const
-{
-    return bench_->AggregateError(element_errors);
-}
-
 void
 RecoveryModule::RecordQueueFullStall()
 {

@@ -18,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "apps/benchmark.h"
@@ -157,42 +155,6 @@ class RecoveryModule {
     obs::Counter* obs_queue_full_stalls_;
     obs::Counter* obs_queue_drops_;
     obs::Histogram* obs_drain_ns_;
-};
-
-/**
- * Standalone exact CPU re-execution of one application's kernel,
- * reusable outside the recovery path (the quality auditor's shadow
- * re-execution, offline label generation). Owns its Benchmark
- * instance, so callers holding a reference can re-execute elements
- * without touching the serving runtime's RecoveryModule or its
- * telemetry. All methods are const and thread-safe: the Table 1
- * kernels are pure.
- */
-class ExactReexecutor {
-  public:
-    /** @return nullptr when @p benchmark is not a known application. */
-    static std::unique_ptr<ExactReexecutor> Create(
-        const std::string& benchmark);
-
-    size_t InputWidth() const { return bench_->NumInputs(); }
-    size_t OutputWidth() const { return bench_->NumOutputs(); }
-
-    /** Exact kernel for one element (@p in InputWidth() doubles,
-     *  @p out OutputWidth() doubles). */
-    void RunElement(const double* in, double* out) const;
-
-    /** Benchmark-defined scalar error of one element. */
-    double ElementError(const std::vector<double>& exact,
-                        const std::vector<double>& approx) const;
-
-    /** Benchmark-defined whole-run output error (percent). */
-    double AggregateError(
-        const std::vector<double>& element_errors) const;
-
-  private:
-    explicit ExactReexecutor(std::unique_ptr<apps::Benchmark> bench);
-
-    std::unique_ptr<apps::Benchmark> bench_;
 };
 
 }  // namespace rumba::core

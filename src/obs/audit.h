@@ -36,8 +36,8 @@
  *
  * Layering: obs cannot see apps::Benchmark, so exact re-execution and
  * the application's error metric arrive as AuditHooks std::functions;
- * the serving engine wires them from core::ExactReexecutor. The hooks
- * must be thread-safe (the Table 1 kernels are pure).
+ * the serving engine wires them from its own apps::Benchmark instance.
+ * The hooks must be thread-safe (the Table 1 kernels are pure).
  */
 
 #include <atomic>
@@ -136,7 +136,7 @@ struct AuditResult {
     double threshold_used = 0.0;
     double estimated_error_pct = 0.0;
     double reported_error_pct = 0.0;
-    /** Independently re-measured output error of the served batch. */
+    /** Independently re-measured output error of the served request. */
     double true_error_pct = 0.0;
     bool toq_violation = false;
     double toq_bound_pct = 0.0;

@@ -98,11 +98,9 @@ CpuProfiler::AddStageCpuNs(ProfileStage stage, int shard, int64_t ns)
 }
 
 void
-CpuProfiler::RecordInvocation(int shard, const StageRecord& stages)
+CpuProfiler::RecordInvocation(const ShardRow& row,
+                              const StageRecord& stages)
 {
-    // One shard-table lookup per call: the row is copied out, so the
-    // stage adds below take no shared lock.
-    const ShardRow row = ShardCounters(shard);
     for (size_t s = 0; s < kProfileStageCount; ++s) {
         const int64_t ns = stages.cpu_ns[s];
         if (ns <= 0)

@@ -29,8 +29,10 @@
  *    series.
  *
  * Cost: CPU accounting adds two clock_gettime syscalls per scope, so
- * scopes are stage-granular, never per-element. The estimator
- * serializes behind a mutex (one push per invocation).
+ * scopes are stage-granular, never per-element. Recording an
+ * invocation's stages takes no lock (each shard records through the
+ * counter row it fetched once); the estimator serializes behind a
+ * mutex (one push per invocation).
  */
 
 #include <array>
@@ -95,18 +97,28 @@ int64_t ThreadCpuNowNs();
  */
 class CpuProfiler {
   public:
+    /** One shard's cpu_stage_seconds.shard<k>.<stage>, by stage. */
+    using ShardRow = std::array<DoubleCounter*, kProfileStageCount>;
+
     /** @param registry instrument sink (tests pass their own). */
     explicit CpuProfiler(Registry* registry);
 
+    /** @p shard's counter row, registering it (and any lower shard's)
+     *  on first use; all null when @p shard < 0. Takes the shard
+     *  table's lock, so a recorder fetches its row once (the serving
+     *  engine at shard creation) and records through it. */
+    ShardRow ShardCounters(int shard);
+
     /** Add @p ns of CPU time to @p stage for @p shard (shard < 0
      *  skips the per-shard series). Used for stages recorded outside
-     *  an invocation (the audit pool). */
+     *  an invocation (the audit pool); takes the shard table's lock. */
     void AddStageCpuNs(ProfileStage stage, int shard, int64_t ns);
 
     /** Record one invocation's stage CPU (@p stages' cpu_ns column)
-     *  into the stage counters, total and @p shard's, and count the
-     *  invocation. Takes the shard table's lock once per call. */
-    void RecordInvocation(int shard, const StageRecord& stages);
+     *  into the stage counters, total and @p row's (a null row entry
+     *  skips that shard series), and count the invocation. Takes no
+     *  lock. */
+    void RecordInvocation(const ShardRow& row, const StageRecord& stages);
 
     /** Feed one invocation's modeled costs into the rolling
      *  efficiency window and refresh the estimate gauges. */
@@ -146,16 +158,11 @@ class CpuProfiler {
     DoubleCounter* stage_seconds_[kProfileStageCount] = {};
     Counter* invocations_;
 
-    /** One shard's cpu_stage_seconds.shard<k>.<stage>, by stage. */
-    using ShardRow = std::array<DoubleCounter*, kProfileStageCount>;
-
-    /** Per-shard counters register lazily (shard count is dynamic). */
+    /** Per-shard counters register lazily (shard count is dynamic).
+     *  The lock guards the table: registration, AddStageCpuNs and
+     *  the folded dump's try-lock. */
     std::mutex shard_mu_;
     std::vector<ShardRow> shard_seconds_;
-
-    /** A copy of @p shard's row, registering it (and any lower shard's)
-     *  on first use; all null when @p shard < 0. */
-    ShardRow ShardCounters(int shard);
 
     mutable std::mutex window_mu_;
     sim::EfficiencyWindow window_;

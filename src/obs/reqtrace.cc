@@ -188,8 +188,6 @@ RequestTraceJson(const RequestTrace& trace)
                       ",\"total_ns\":" + std::to_string(trace.total_ns) +
                       ",\"elements\":" +
                       std::to_string(trace.elements) +
-                      ",\"batch_requests\":" +
-                      std::to_string(trace.batch_requests) +
                       ",\"fixes\":" + std::to_string(trace.fixes) +
                       ",\"breaker_state\":" +
                       std::to_string(trace.breaker_state) +

@@ -8,11 +8,11 @@
  * runtime's InvocationReport one accelerator invocation, a
  * RequestTrace follows one *client request* end to end: the engine
  * assigns every submitted InvocationRequest a process-unique trace
- * id, carries it through the shard queue, the worker, any coalesced
- * batch, the breaker-degraded and recovery paths, and builds one
- * RequestTrace when the request's future resolves — outcome, the
- * engine's five stages (queue-wait, device, check, recover, merge),
- * threshold and predicted vs. verified error.
+ * id, carries it through the shard queue, the worker, the one
+ * invocation that serves it, the breaker-degraded and recovery paths,
+ * and builds one RequestTrace when the request's future resolves —
+ * outcome, the engine's five stages (queue-wait, device, check,
+ * recover, merge), threshold and predicted vs. verified error.
  *
  * Two retention views keep that record. Each shard keeps *every*
  * recent request in its flight ring (a collector with sample_every =
@@ -61,10 +61,7 @@ struct RequestTrace {
     uint64_t submit_ns = 0;   ///< steady-clock Submit() time.
     uint64_t total_ns = 0;    ///< submit -> future resolution.
     uint64_t elements = 0;    ///< elements in the request.
-    /** Requests coalesced into the invocation that served this one
-     *  (1 = served alone). */
-    uint32_t batch_requests = 1;
-    uint64_t fixes = 0;       ///< recovered iterations in that invocation.
+    uint64_t fixes = 0;       ///< recovered iterations in its invocation.
     /** Breaker position after that invocation (0 closed, 1 open,
      *  2 half-open). */
     uint32_t breaker_state = 0;
@@ -77,8 +74,7 @@ struct RequestTrace {
     double actual_error_pct = 0.0;     ///< verified residual error.
     /** The engine's five stages, set for served requests only. The
      *  first four run back to back from submit_ns (queue_wait ends at
-     *  worker pickup); merge starts at merge_start_ns, after the
-     *  invocation's earlier requests have merged. @{ */
+     *  worker pickup); merge starts at merge_start_ns. @{ */
     uint64_t queue_wait_ns = 0;
     uint64_t device_ns = 0;   ///< device streaming, check excluded.
     uint64_t check_ns = 0;

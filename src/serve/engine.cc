@@ -5,9 +5,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <span>
 #include <string_view>
 
+#include "apps/benchmark.h"
 #include "common/logging.h"
 #include "core/batch_view.h"
 #include "obs/audit.h"
@@ -82,8 +82,6 @@ ShardedEngine::ShardedEngine(const ServeConfig& config,
     obs_rejected_ = registry.GetCounter("serve.rejected");
     obs_completed_ = registry.GetCounter("serve.completed");
     obs_cancelled_ = registry.GetCounter("serve.cancelled");
-    obs_coalesced_batches_ =
-        registry.GetCounter("serve.coalesced_batches");
     obs_enqueue_to_complete_ns_ =
         registry.GetHistogram("serve.enqueue_to_complete_ns");
     obs_batch_elements_ = registry.GetHistogram("serve.batch_elements");
@@ -202,61 +200,52 @@ ShardedEngine::Create(const core::Artifact& artifact,
             audit_opts.enabled = false;
     }
     if (audit_opts.enabled) {
-        auto exact =
-            core::ExactReexecutor::Create(artifact.benchmark);
-        if (exact == nullptr) {
-            // FromArtifact() validated the name above; stay defensive
-            // anyway — serving works without auditing.
-            Warn("audit: no exact kernel for '%s'; auditing disabled",
-                 artifact.benchmark.c_str());
-        } else {
-            obs::AuditConfig audit_config;
-            audit_config.sample_every = audit_opts.sample_every;
-            audit_config.queue_capacity = audit_opts.queue_capacity;
-            audit_config.threads = audit_opts.threads;
-            const double margin = audit_opts.margin_pct >= 0.0
-                                      ? audit_opts.margin_pct
-                                      : serve_config.slo.quality_margin_pct;
-            audit_config.toq_bound_pct =
-                runtime_config.tuner.target_error_pct + margin;
-            audit_config.result_capacity = audit_opts.result_capacity;
-            audit_config.shards =
-                static_cast<uint32_t>(serve_config.shards);
-            audit_config.slo_objective = audit_opts.objective;
-            obs::AuditHooks hooks;
-            std::shared_ptr<core::ExactReexecutor> shared(
-                std::move(exact));
-            hooks.run_exact = [shared](const double* in, double* out) {
-                shared->RunElement(in, out);
+        obs::AuditConfig audit_config;
+        audit_config.sample_every = audit_opts.sample_every;
+        audit_config.queue_capacity = audit_opts.queue_capacity;
+        audit_config.threads = audit_opts.threads;
+        const double margin = audit_opts.margin_pct >= 0.0
+                                  ? audit_opts.margin_pct
+                                  : serve_config.slo.quality_margin_pct;
+        audit_config.toq_bound_pct =
+            runtime_config.tuner.target_error_pct + margin;
+        audit_config.result_capacity = audit_opts.result_capacity;
+        audit_config.shards = static_cast<uint32_t>(serve_config.shards);
+        audit_config.slo_objective = audit_opts.objective;
+        // The auditor's own kernel instance (FromArtifact() validated
+        // the name above): its methods are const and the Table 1
+        // kernels pure, so the pool threads share it.
+        const std::shared_ptr<const apps::Benchmark> bench =
+            apps::MakeBenchmark(artifact.benchmark);
+        obs::AuditHooks hooks;
+        hooks.run_exact = [bench](const double* in, double* out) {
+            bench->RunExact(in, out);
+        };
+        hooks.element_error =
+            [bench](const std::vector<double>& exact_out,
+                    const std::vector<double>& approx_out) {
+                return bench->ElementError(exact_out, approx_out);
             };
-            hooks.element_error =
-                [shared](const std::vector<double>& exact_out,
-                         const std::vector<double>& approx_out) {
-                    return shared->ElementError(exact_out, approx_out);
-                };
-            hooks.aggregate_error =
-                [shared](const std::vector<double>& element_errors) {
-                    return shared->AggregateError(element_errors);
-                };
-            // Close the tiered-recovery feedback loop: measured
-            // compensator residuals flow back into the serving
-            // shard's RecoveryPolicy, which tunes the compensate/
-            // re-execute boundary on audited truth. Safe across
-            // shutdown: auditor_ is declared after shards_, so its
-            // pool joins before any shard runtime dies.
-            hooks.on_compensated =
-                [raw = engine.get()](uint32_t shard,
-                                     double mean_residual_pct,
-                                     size_t elements) {
-                    if (shard < raw->shards_.size()) {
-                        raw->shards_[shard]
-                            ->runtime->OnAuditedCompensation(
-                                mean_residual_pct, elements);
-                    }
-                };
-            engine->auditor_ = std::make_unique<obs::QualityAuditor>(
-                audit_config, std::move(hooks));
-        }
+        hooks.aggregate_error =
+            [bench](const std::vector<double>& element_errors) {
+                return bench->AggregateError(element_errors);
+            };
+        // Close the tiered-recovery feedback loop: measured
+        // compensator residuals flow back into the serving shard's
+        // RecoveryPolicy, which tunes the compensate/re-execute
+        // boundary on audited truth. Safe across shutdown: auditor_
+        // is declared after shards_, so its pool joins before any
+        // shard runtime dies.
+        hooks.on_compensated =
+            [raw = engine.get()](uint32_t shard, double mean_residual_pct,
+                                 size_t elements) {
+                if (shard < raw->shards_.size()) {
+                    raw->shards_[shard]->runtime->OnAuditedCompensation(
+                        mean_residual_pct, elements);
+                }
+            };
+        engine->auditor_ = std::make_unique<obs::QualityAuditor>(
+            audit_config, std::move(hooks));
     }
 
     // Live observability surface: honor RUMBA_METRICS_PORT and serve
@@ -274,10 +263,16 @@ ShardedEngine::Create(const core::Artifact& artifact,
 
     // Cost profiling: this engine's shards feed the process-wide
     // CpuProfiler, whose first use registers the RUMBA_PROFILE_OUT
-    // flush hook.
+    // flush hook. Each shard fetches its counter row once here, so
+    // the per-invocation record takes no lock.
     engine->profiling_ = serve_config.profile.enabled;
-    if (engine->profiling_)
-        obs::CpuProfiler::Default();
+    if (engine->profiling_) {
+        obs::CpuProfiler& profiler = obs::CpuProfiler::Default();
+        for (size_t i = 0; i < serve_config.shards; ++i) {
+            engine->shards_[i]->profile_row =
+                profiler.ShardCounters(static_cast<int>(i));
+        }
+    }
 
     // Incident forensics: hand the incident manager this engine's
     // flight records (engine pointer as owner token, cleared in
@@ -415,21 +410,23 @@ ShardedEngine::Submit(InvocationRequest request)
     pending.request = std::move(request);
     pending.enqueue_ns = submit_ns;
     pending.trace_id = trace_id;
+    // The rung's counter moves only once the request is queued: a
+    // backpressure refusal lands in serve.admission.rejected alone.
+    obs::Counter* rung_counter = obs_adm_admitted_;
     switch (action) {
       case AdmissionAction::kAdmit:
-        obs_adm_admitted_->Increment();
         break;
       case AdmissionAction::kCompensateOnly:
         pending.degrade = core::DegradeMode::kCompensateOnly;
-        obs_adm_compensated_->Increment();
+        rung_counter = obs_adm_compensated_;
         break;
       case AdmissionAction::kDegrade:
         pending.degrade = core::DegradeMode::kSkipRecovery;
-        obs_adm_degraded_->Increment();
+        rung_counter = obs_adm_degraded_;
         break;
       case AdmissionAction::kBypassCheck:
         pending.degrade = core::DegradeMode::kSkipCheck;
-        obs_adm_bypassed_->Increment();
+        rung_counter = obs_adm_bypassed_;
         break;
       case AdmissionAction::kShed:
         break;  // handled above.
@@ -467,6 +464,7 @@ ShardedEngine::Submit(InvocationRequest request)
         // resolved future below instead.
         return Resolved(std::move(reject));
     }
+    rung_counter->Increment();
     shard.obs_queue_depth->Set(
         static_cast<double>(shard.queue.Size()));
     return future;
@@ -497,7 +495,7 @@ ShardedEngine::Shutdown()
     }
 
     // Cancel everything still queued; workers finish their in-flight
-    // batch (its futures resolve kOk), then see the closed queue and
+    // request (its future resolves kOk), then see the closed queue and
     // exit.
     size_t shard_index = 0;
     for (auto& shard : shards_) {
@@ -587,7 +585,6 @@ ShardedEngine::RecordRequest(size_t shard_index, bool to_flight,
     } else {
         const core::InvocationReport& report = *served->report;
         trace.total_ns = served->merge_end_ns - submit_ns;
-        trace.batch_requests = served->batch_requests;
         trace.fixes = report.fixes;
         trace.breaker_state =
             static_cast<uint32_t>(report.breaker_state);
@@ -771,8 +768,8 @@ void
 ShardedEngine::WorkerLoop(size_t shard_index)
 {
     Shard& shard = *shards_[shard_index];
-    Pending first;
     for (;;) {
+        Pending pending;
         bool popped;
         {
             // Blocked-on-queue time is a stage of its own: its (tiny)
@@ -780,106 +777,57 @@ ShardedEngine::WorkerLoop(size_t shard_index)
             const obs::StageScope wait_scope(
                 obs::ProfileStage::kQueueWait,
                 profiling_ ? &shard.queue_wait : nullptr, /*cpu=*/true);
-            popped = shard.queue.Pop(&first);
+            popped = shard.queue.Pop(&pending);
         }
         if (!popped)
             break;
-        std::vector<Pending> batch;
-        size_t total = first.request.count;
-        batch.push_back(std::move(first));
-        if (config_.max_coalesce_elements > 0) {
-            Pending extra;
-            while (total < config_.max_coalesce_elements &&
-                   shard.queue.TryPop(&extra)) {
-                total += extra.request.count;
-                batch.push_back(std::move(extra));
-            }
-        }
         shard.obs_queue_depth->Set(
             static_cast<double>(shard.queue.Size()));
-        ProcessBatch(shard, shard_index, &batch);
+        ProcessRequest(shard, shard_index, &pending);
     }
 }
 
 void
-ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
-                            std::vector<Pending>* batch)
+ShardedEngine::ProcessRequest(Shard& shard, size_t shard_index,
+                              Pending* pending)
 {
-    const obs::Span batch_span("serve.batch");
+    const obs::Span request_span("serve.request");
     const uint64_t pickup_ns = obs::NowNs();
 
     // Deadline-expired queued work never reaches the device: resolve
-    // it kDeadlineExceeded here, before the invocation is built, and
-    // leave the same counter/flight/trace trail a Submit-side expiry
-    // would.
-    size_t kept = 0;
-    for (Pending& pending : *batch) {
-        const uint64_t deadline = pending.request.deadline_ns;
-        if (deadline == 0 || pickup_ns <= deadline) {
-            if (kept != static_cast<size_t>(&pending - batch->data()))
-                (*batch)[kept] = std::move(pending);
-            ++kept;
-            continue;
-        }
+    // it kDeadlineExceeded here, before the invocation runs, and leave
+    // the same counter/flight/trace trail a Submit-side expiry would.
+    const uint64_t deadline = pending->request.deadline_ns;
+    if (deadline != 0 && pickup_ns > deadline) {
         InvocationResult expired;
         expired.status = core::Status(
             core::StatusCode::kDeadlineExceeded,
             "deadline expired while queued (shard " +
                 std::to_string(shard_index) + ")");
-        expired.trace_id = pending.trace_id;
+        expired.trace_id = pending->trace_id;
         expired.shard = shard_index;
         obs_adm_expired_->Increment();
-        RecordRequest(shard_index, true, pending.trace_id,
-                      pending.enqueue_ns, pending.request.count,
+        RecordRequest(shard_index, true, pending->trace_id,
+                      pending->enqueue_ns, pending->request.count,
                       obs::RequestOutcome::kExpired,
                       expired.status.code());
-        FinishOne(&pending, std::move(expired));
-    }
-    batch->resize(kept);
-    if (batch->empty())
+        FinishOne(pending, std::move(expired));
         return;
-
-    // A coalesced batch runs at the *least* degraded rung any of its
-    // members was admitted at: requests share one invocation, and an
-    // admitted (or gold) member must not lose its checker because a
-    // best-effort neighbor rode along.
-    core::DegradeMode degrade = core::DegradeMode::kSkipCheck;
-    for (const Pending& pending : *batch) {
-        if (pending.degrade < degrade)
-            degrade = pending.degrade;
     }
 
-    size_t total = 0;
-    for (const Pending& pending : *batch)
-        total += pending.request.count;
-    obs_batch_elements_->Observe(static_cast<double>(total));
-    if (batch->size() > 1)
-        obs_coalesced_batches_->Increment();
+    const size_t count = pending->request.count;
+    obs_batch_elements_->Observe(static_cast<double>(count));
+    shard.scratch_out.resize(count * output_width_);
 
-    // One contiguous invocation over the whole batch. A lone request
-    // is served straight out of its own buffer (zero copy); a
-    // coalesced batch concatenates into shard-local scratch.
-    const double* in_data;
-    if (batch->size() == 1) {
-        in_data = (*batch)[0].request.inputs.data();
-    } else {
-        shard.scratch_in.clear();
-        shard.scratch_in.reserve(total * input_width_);
-        for (const Pending& pending : *batch) {
-            shard.scratch_in.insert(shard.scratch_in.end(),
-                                    pending.request.inputs.begin(),
-                                    pending.request.inputs.end());
-        }
-        in_data = shard.scratch_in.data();
-    }
-    shard.scratch_out.resize(total * output_width_);
-
-    const core::BatchView view(in_data, total, input_width_);
+    // The request is the invocation: served straight out of its own
+    // buffer, at the rung admission assigned it.
+    const core::BatchView view(pending->request.inputs.data(), count,
+                               input_width_);
     core::AuditCapture* capture =
         auditor_ != nullptr ? &shard.audit_capture : nullptr;
     const core::InvocationReport report =
         shard.runtime->ProcessInvocation(view, shard.scratch_out.data(),
-                                         capture, degrade);
+                                         capture, pending->degrade);
 
     // Modeled accelerator occupancy (see ServeConfig): the shard's
     // virtual device stays busy for the invocation's element count;
@@ -887,19 +835,19 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
     // overlap a multi-accelerator deployment gets.
     if (config_.emulated_device_ns > 0) {
         std::this_thread::sleep_for(std::chrono::nanoseconds(
-            config_.emulated_device_ns * total));
+            config_.emulated_device_ns * count));
     }
 
     shard.obs_breaker_state->Set(
         static_cast<double>(static_cast<int>(report.breaker_state)));
     shard.obs_threshold->Set(report.threshold_used);
-    shard.obs_served->Increment(total);
+    shard.obs_served->Increment(count);
 
     const uint32_t breaker_state =
         static_cast<uint32_t>(report.breaker_state);
     const bool fault =
         report.non_finite_outputs > 0 || report.queue_drops > 0;
-    // Per-invocation quality SLO event: one verified error per batch.
+    // Per-invocation quality SLO event: one verified error per request.
     // Degraded invocations skip the verify pass, so they have no
     // proxy error to judge — their quality is protected by the
     // audited SLO instead (every degraded request is force-sampled).
@@ -909,106 +857,81 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
                              quality_bound_pct_);
     }
 
-    // What every request of the batch shares in its record; each
-    // fills in its own merge, digest and audit verdict below.
     Served served;
     served.report = &report;
-    served.batch_requests = static_cast<uint32_t>(batch->size());
     served.pickup_ns = pickup_ns;
     served.device_ns =
         static_cast<uint64_t>(report.stages.Wall(obs::ProfileStage::kDevice)) +
-        config_.emulated_device_ns * total;
+        config_.emulated_device_ns * count;
 
     // The invocation's stage record; the engine adds its own stages:
-    // the queue wait since the last batch, and merge and audit per
-    // request.
+    // the queue wait since the last request, and merge and audit.
     obs::StageRecord stages = report.stages;
     stages.Cpu(obs::ProfileStage::kQueueWait) =
         shard.queue_wait.Cpu(obs::ProfileStage::kQueueWait);
     shard.queue_wait = {};
     obs::StageRecord* const engine_stages = profiling_ ? &stages : nullptr;
 
-    // What every request of the batch shares in its audit offer; each
-    // fills in its own views of the batch buffers below.
-    obs::AuditOffer offer;
-    offer.shard = static_cast<uint32_t>(shard_index);
-    offer.in_width = input_width_;
-    offer.out_width = output_width_;
-    offer.threshold_used = report.threshold_used;
-    offer.reported_error_pct = report.output_error_pct;
-    offer.estimated_error_pct = report.estimated_error_pct;
-    offer.breaker_state = breaker_state;
-    offer.degrade = static_cast<uint32_t>(report.degrade);
-    offer.fault = fault;
-
     const uint64_t done_ns = obs::NowNs();
-    size_t offset = 0;
-    for (Pending& pending : *batch) {
-        const size_t count = pending.request.count;
-        InvocationResult result;
-        result.status = core::Status::Ok();
-        result.trace_id = pending.trace_id;
-        result.shard = shard_index;
-        result.report = report;
-        result.report.elements = count;
-        served.merge_start_ns = obs::NowNs();
-        {
-            const obs::StageScope merge_scope(
-                obs::ProfileStage::kMerge, engine_stages, /*cpu=*/true);
-            result.outputs.assign(
-                shard.scratch_out.begin() +
-                    static_cast<ptrdiff_t>(offset * output_width_),
-                shard.scratch_out.begin() + static_cast<ptrdiff_t>(
-                                                (offset + count) *
-                                                output_width_));
-        }
-        served.merge_end_ns = obs::NowNs();
-
-        served.audited = false;
-        if (auditor_ != nullptr) {
-            // The auditor's sampling decision and its copy of the
-            // audited elements land on "audit" (the shadow
-            // re-execution itself is tagged in the audit pool).
-            const obs::StageScope audit_scope(
-                obs::ProfileStage::kAudit, engine_stages, /*cpu=*/true);
-            const auto request_part = [offset, count](const auto& whole,
-                                                      size_t width = 1) {
-                return std::span(whole).subspan(offset * width,
-                                                count * width);
-            };
-            offer.trace_id = pending.trace_id;
-            offer.count = count;
-            offer.inputs = pending.request.inputs;
-            offer.served_outputs = result.outputs;
-            offer.approx_outputs =
-                request_part(capture->approx_outputs, output_width_);
-            offer.predicted_error = request_part(capture->predicted_error);
-            offer.fired = request_part(capture->fired);
-            offer.fixed = request_part(capture->fixed);
-            offer.exact_path = request_part(capture->exact_path);
-            served.audited = auditor_->Offer(offer);
-        }
-        offset += count;
-        const uint64_t latency_ns = done_ns - pending.enqueue_ns;
-        obs_enqueue_to_complete_ns_->Observe(
-            static_cast<double>(latency_ns));
-        obs_completed_->Increment();
-        if (latency_slo_ != nullptr) {
-            latency_slo_->Record(latency_ns <=
-                                 ServeConfig::SloOptions::kLatencyBoundNs);
-        }
-        RecordRequest(shard_index, true, pending.trace_id,
-                      pending.enqueue_ns, count,
-                      obs::RequestOutcome::kCompleted,
-                      core::StatusCode::kOk, &served);
-        FinishOne(&pending, std::move(result));
+    InvocationResult result;
+    result.status = core::Status::Ok();
+    result.trace_id = pending->trace_id;
+    result.shard = shard_index;
+    result.report = report;
+    served.merge_start_ns = obs::NowNs();
+    {
+        const obs::StageScope merge_scope(obs::ProfileStage::kMerge,
+                                          engine_stages, /*cpu=*/true);
+        result.outputs.assign(shard.scratch_out.begin(),
+                              shard.scratch_out.end());
     }
+    served.merge_end_ns = obs::NowNs();
+
+    if (auditor_ != nullptr) {
+        // The auditor's sampling decision and its copy of the audited
+        // elements land on "audit" (the shadow re-execution itself is
+        // tagged in the audit pool).
+        const obs::StageScope audit_scope(obs::ProfileStage::kAudit,
+                                          engine_stages, /*cpu=*/true);
+        obs::AuditOffer offer;
+        offer.trace_id = pending->trace_id;
+        offer.shard = static_cast<uint32_t>(shard_index);
+        offer.count = count;
+        offer.in_width = input_width_;
+        offer.out_width = output_width_;
+        offer.inputs = pending->request.inputs;
+        offer.served_outputs = result.outputs;
+        offer.approx_outputs = capture->approx_outputs;
+        offer.predicted_error = capture->predicted_error;
+        offer.fired = capture->fired;
+        offer.fixed = capture->fixed;
+        offer.exact_path = capture->exact_path;
+        offer.threshold_used = report.threshold_used;
+        offer.reported_error_pct = report.output_error_pct;
+        offer.estimated_error_pct = report.estimated_error_pct;
+        offer.breaker_state = breaker_state;
+        offer.degrade = static_cast<uint32_t>(report.degrade);
+        offer.fault = fault;
+        served.audited = auditor_->Offer(offer);
+    }
+    const uint64_t latency_ns = done_ns - pending->enqueue_ns;
+    obs_enqueue_to_complete_ns_->Observe(static_cast<double>(latency_ns));
+    obs_completed_->Increment();
+    if (latency_slo_ != nullptr) {
+        latency_slo_->Record(latency_ns <=
+                             ServeConfig::SloOptions::kLatencyBoundNs);
+    }
+    RecordRequest(shard_index, true, pending->trace_id,
+                  pending->enqueue_ns, count,
+                  obs::RequestOutcome::kCompleted, core::StatusCode::kOk,
+                  &served);
+    FinishOne(pending, std::move(result));
 
     // Fold this invocation's stage CPU into the live profiler and
     // feed the modeled costs to the rolling efficiency estimator.
     if (profiling_) {
-        obs::CpuProfiler::Default().RecordInvocation(
-            static_cast<int>(shard_index), stages);
+        obs::CpuProfiler::Default().RecordInvocation(shard.profile_row,
+                                                     stages);
         obs::CpuProfiler::Default().RecordCosts(report.costs);
     }
 
@@ -1033,15 +956,14 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
     }
     if (opened && forensics_) {
         // A breaker-open transition is a first-class incident signal;
-        // the last request in the batch ties it to a trace.
+        // the request that tripped it ties it to a trace.
         obs::IncidentSignal signal;
         signal.source = "breaker";
         signal.name = "serve.shard" + std::to_string(shard_index);
         signal.detail = "open";
         signal.series = "serve.shard" + std::to_string(shard_index) +
                         ".breaker_state";
-        if (!batch->empty())
-            signal.trace_id = batch->back().trace_id;
+        signal.trace_id = pending->trace_id;
         obs::IncidentManager::Default().OnSignal(std::move(signal));
     }
     shard.last_breaker_state = breaker_state;

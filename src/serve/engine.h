@@ -15,16 +15,14 @@
  * per-shard queue with reject-on-full backpressure (the same
  * drop-visible policy as the recovery queue: overload is reported,
  * never silently absorbed as latency). Each shard worker drains its
- * queue in FIFO order, optionally coalescing adjacent small requests
- * into one accelerator invocation, and completes the futures.
+ * queue in FIFO order, serves each request as exactly one accelerator
+ * invocation, and completes the futures.
  *
- * Determinism: with explicit or round-robin shard assignment and
- * coalescing disabled, shard k's runtime sees exactly the same
- * request stream a dedicated single-runtime deployment would, so the
- * merged outputs are element-wise identical to N sequential streams
- * (tested). Coalescing trades that replayability for throughput:
- * batch boundaries then depend on arrival timing, which perturbs the
- * per-invocation tuner walk (never output correctness).
+ * Determinism: invocation boundaries are request boundaries, so with
+ * explicit or round-robin shard assignment shard k's runtime sees
+ * exactly the same invocation stream a dedicated single-runtime
+ * deployment would, and the outputs are bit-identical to N
+ * sequential streams under every serving config (property-tested).
  */
 
 #include <atomic>
@@ -63,14 +61,6 @@ struct ServeConfig {
     /** Pending requests each shard's queue admits before rejecting
      *  with kResourceExhausted (reject-on-full backpressure). */
     size_t queue_capacity = 64;
-    /**
-     * Coalescing budget, in elements: a worker that pops a request
-     * keeps greedily popping until the combined element count would
-     * exceed this, then runs the whole batch as one accelerator
-     * invocation. 0 disables coalescing (deterministic replay — see
-     * file comment).
-     */
-    size_t max_coalesce_elements = 0;
     /**
      * Modeled accelerator occupancy per element, in nanoseconds: the
      * worker holds its (virtual) device busy for count x this after
@@ -212,8 +202,8 @@ struct InvocationResult {
     uint64_t trace_id = 0;
     /** Merged element outputs, count x NumOutputs() doubles. */
     std::vector<double> outputs;
-    /** The runtime's quality report for the invocation that served
-     *  this request (elements reflects this request's count). */
+    /** The runtime's quality report for the one invocation that
+     *  served this request. */
     core::InvocationReport report;
     size_t shard = 0;  ///< shard that served (or rejected) it.
 };
@@ -356,9 +346,11 @@ class ShardedEngine {
         std::unique_ptr<core::RumbaRuntime> runtime;
         BoundedQueue<Pending> queue;
         std::thread worker;
-        /** Coalescing scratch, reused across batches. */
-        std::vector<double> scratch_in;
+        /** Invocation output scratch, reused across requests. */
         std::vector<double> scratch_out;
+        /** This shard's cpu_stage_seconds.shard<k>.* row, fetched
+         *  once at Create (all null when profiling is off). */
+        obs::CpuProfiler::ShardRow profile_row{};
         /** Per-shard telemetry. */
         obs::Gauge* obs_queue_depth = nullptr;
         obs::Gauge* obs_breaker_state = nullptr;
@@ -385,15 +377,14 @@ class ShardedEngine {
                   size_t output_width);
 
     void WorkerLoop(size_t shard_index);
-    void ProcessBatch(Shard& shard, size_t shard_index,
-                      std::vector<Pending>* batch);
+    void ProcessRequest(Shard& shard, size_t shard_index,
+                        Pending* pending);
     void FinishOne(Pending* pending, InvocationResult result);
 
     /** What a served request adds to its record. */
     struct Served {
         const core::InvocationReport* report = nullptr;
-        uint32_t batch_requests = 1;
-        uint64_t pickup_ns = 0;       ///< worker picked the batch up.
+        uint64_t pickup_ns = 0;       ///< worker picked the request up.
         uint64_t device_ns = 0;       ///< streaming, check excluded.
         uint64_t merge_start_ns = 0;
         uint64_t merge_end_ns = 0;
@@ -438,12 +429,14 @@ class ShardedEngine {
     obs::Counter* obs_rejected_;
     obs::Counter* obs_completed_;
     obs::Counter* obs_cancelled_;
-    obs::Counter* obs_coalesced_batches_;
     obs::Histogram* obs_enqueue_to_complete_ns_;
     obs::Histogram* obs_batch_elements_;
-    /** Admission outcomes (serve.admission.*): every Submit lands in
-     *  exactly one of admitted/compensated/degraded/bypassed/shed/
-     *  expired/rejected, so the sum reconciles with serve.submitted. */
+    /** Admission outcomes (serve.admission.*): every well-formed
+     *  Submit to a running engine lands in exactly one of admitted/
+     *  compensated/degraded/bypassed/shed/expired/rejected (a rung
+     *  counts once the request is queued), so the sum reconciles with
+     *  serve.submitted. A queued request that expires at pickup is
+     *  counted again, as expired. */
     obs::Counter* obs_adm_admitted_;
     obs::Counter* obs_adm_compensated_;
     obs::Counter* obs_adm_degraded_;

@@ -67,18 +67,6 @@ class BoundedQueue {
         return true;
     }
 
-    /** Non-blocking pop (batch coalescing). Honors the pause flag. */
-    bool
-    TryPop(T* out)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (paused_ || items_.empty())
-            return false;
-        *out = std::move(items_.front());
-        items_.pop_front();
-        return true;
-    }
-
     /**
      * Close the queue and move every undelivered item into @p
      * leftovers (may be nullptr to discard). Pushes fail from here

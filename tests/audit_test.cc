@@ -736,27 +736,6 @@ AuditRequest(size_t start_element, size_t count)
     return request;
 }
 
-TEST(EngineAuditTest, ExactReexecutorMatchesBenchmark)
-{
-    auto exact = core::ExactReexecutor::Create("inversek2j");
-    ASSERT_NE(exact, nullptr);
-    EXPECT_EQ(exact->InputWidth(), 2u);
-    const auto bench = apps::MakeBenchmark("inversek2j");
-    const std::vector<double> in =
-        core::FlattenBatch(bench->TestInputs());
-    std::vector<double> out(exact->OutputWidth(), 0.0);
-    exact->RunElement(in.data(), out.data());
-    std::vector<double> expected(bench->NumOutputs(), 0.0);
-    bench->RunExact(in.data(), expected.data());
-    ASSERT_EQ(out.size(), expected.size());
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_DOUBLE_EQ(out[i], expected[i]);
-    // Self-comparison is a zero-error audit.
-    EXPECT_DOUBLE_EQ(exact->ElementError(out, out), 0.0);
-    EXPECT_EQ(core::ExactReexecutor::Create("no-such-kernel"),
-              nullptr);
-}
-
 TEST(EngineAuditTest, AuditsEveryRequestAndJoinsTraces)
 {
     unsetenv("RUMBA_AUDIT_SAMPLE_N");
@@ -1265,7 +1244,8 @@ RecordOneOfEach()
     auditor->Flush();
     obs::StageRecord stages;
     stages.Cpu(obs::ProfileStage::kDevice) = 2'000'000;
-    obs::CpuProfiler::Default().RecordInvocation(/*shard=*/0, stages);
+    obs::CpuProfiler& profiler = obs::CpuProfiler::Default();
+    profiler.RecordInvocation(profiler.ShardCounters(0), stages);
 }
 
 /** First line of @p path ("" when the file is missing or empty). */

@@ -1264,7 +1264,6 @@ TEST(RequestTraceJsonTest, RendersOutcomeAndSpans)
 {
     RequestTrace trace = HealthyTrace(77);
     trace.shard = 2;
-    trace.batch_requests = 3;
     trace.submit_ns = 5;
     trace.queue_wait_ns = 7;
     const std::string json = RequestTraceJson(trace);
@@ -1272,7 +1271,7 @@ TEST(RequestTraceJsonTest, RendersOutcomeAndSpans)
     EXPECT_NE(json.find("\"trace_id\":77"), std::string::npos);
     EXPECT_NE(json.find("\"outcome\":\"completed\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"batch_requests\":3"), std::string::npos);
+    EXPECT_NE(json.find("\"shard\":2"), std::string::npos);
     // The device stage starts where queue_wait ends.
     EXPECT_NE(json.find("{\"name\":\"queue_wait\",\"start_ns\":5,"
                         "\"duration_ns\":7}"),

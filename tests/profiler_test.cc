@@ -136,7 +136,7 @@ TEST(CpuProfilerTest, RecordInvocationAccumulatesStageCounters)
     stages.Cpu(obs::ProfileStage::kPredictCheck) = 1000000;  // 1 ms
     stages.Cpu(obs::ProfileStage::kRecover) = 1000000;       // 1 ms
     stages.Wall(obs::ProfileStage::kDevice) = 9000000;  // not CPU.
-    profiler.RecordInvocation(/*shard=*/1, stages);
+    profiler.RecordInvocation(profiler.ShardCounters(1), stages);
 
     EXPECT_NEAR(profiler.StageSeconds(obs::ProfileStage::kDevice),
                 0.002, 1e-12);
@@ -170,10 +170,11 @@ TEST(CpuProfilerTest, RecordInvocationAccumulatesStageCounters)
 TEST(CpuProfilerTest, ConcurrentShardsEachKeepTheirOwnSplit)
 {
     // Four workers record their own shards at once, as the sharded
-    // engine's do. Each shard's counters hold exactly its own
-    // invocations, and the split lives only in those counters: the
-    // profiler registers no histogram (no per-invocation stage
-    // shares).
+    // engine's do: each registers its row once, concurrently with the
+    // others, and records through it with no lock. Each shard's
+    // counters hold exactly its own invocations, and the split lives
+    // only in those counters: the profiler registers no histogram (no
+    // per-invocation stage shares).
     obs::Registry registry;
     obs::CpuProfiler profiler(&registry);
     constexpr int kShards = 4;
@@ -185,8 +186,10 @@ TEST(CpuProfilerTest, ConcurrentShardsEachKeepTheirOwnSplit)
     std::vector<std::thread> workers;
     for (int shard = 0; shard < kShards; ++shard) {
         workers.emplace_back([&profiler, &stages, shard] {
+            const obs::CpuProfiler::ShardRow row =
+                profiler.ShardCounters(shard);
             for (uint64_t i = 0; i < kPerShard; ++i)
-                profiler.RecordInvocation(shard, stages);
+                profiler.RecordInvocation(row, stages);
         });
     }
     for (std::thread& worker : workers)
@@ -280,11 +283,12 @@ TEST(CpuProfilerTest, FoldedDumpIsThePerShardSplitInMicroseconds)
     first.Cpu(obs::ProfileStage::kDevice) = 2'000'000;
     first.Cpu(obs::ProfileStage::kPredictCheck) = 1'234'567;
     first.Cpu(obs::ProfileStage::kMerge) = 200;  // 0.4 µs: rounds to 0.
-    profiler.RecordInvocation(/*shard=*/0, first);
-    profiler.RecordInvocation(/*shard=*/0, first);
+    const obs::CpuProfiler::ShardRow shard0 = profiler.ShardCounters(0);
+    profiler.RecordInvocation(shard0, first);
+    profiler.RecordInvocation(shard0, first);
     obs::StageRecord second;
     second.Cpu(obs::ProfileStage::kRecover) = 3'000'700;
-    profiler.RecordInvocation(/*shard=*/2, second);
+    profiler.RecordInvocation(profiler.ShardCounters(2), second);
     profiler.AddStageCpuNs(obs::ProfileStage::kAudit, /*shard=*/-1,
                            5'000'000);  // no shard: not in the dump.
 

@@ -9,7 +9,9 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <iterator>
@@ -20,12 +22,14 @@
 #include <vector>
 
 #include "common/fnv.h"
+#include "common/random.h"
 #include "core/artifact.h"
 #include "core/batch_view.h"
 #include "core/runtime.h"
 #include "core/status.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "obs/timer.h"
 #include "serve/admission.h"
@@ -327,7 +331,6 @@ TEST(ShardedEngineTest, FourShardsMatchFourSequentialStreams)
     serve::ServeConfig config;
     config.shards = kShards;
     config.queue_capacity = kRequests;
-    config.max_coalesce_elements = 0;  // deterministic replay mode.
     auto engine = MakeEngine(config);
 
     // Round-robin submission from one thread: request r lands on
@@ -363,41 +366,6 @@ TEST(ShardedEngineTest, FourShardsMatchFourSequentialStreams)
                 << "request " << r << " element " << i;
     }
     engine->Shutdown();
-}
-
-TEST(ShardedEngineTest, CoalescedBatchMatchesOneBigInvocation)
-{
-    serve::ServeConfig config;
-    config.shards = 1;
-    config.max_coalesce_elements = 4096;
-    auto engine = MakeEngine(config);
-
-    constexpr size_t kCount = 50;
-    constexpr size_t kRequests = 4;
-    engine->Pause();  // queue all four, then serve them as one batch.
-    std::vector<std::future<serve::InvocationResult>> futures;
-    for (size_t r = 0; r < kRequests; ++r)
-        futures.push_back(engine->Submit(MakeRequest(r * kCount,
-                                                     kCount)));
-    engine->Resume();
-
-    auto reference = core::RumbaRuntime::FromArtifact(
-        SharedArtifact(), ServeRuntimeConfig());
-    ASSERT_TRUE(reference.ok());
-    std::vector<double> expected(kRequests * kCount * 2);
-    (*reference)->ProcessInvocation(
-        core::BatchView(SharedInputs().data(), kRequests * kCount, 2),
-        expected.data());
-
-    for (size_t r = 0; r < kRequests; ++r) {
-        const serve::InvocationResult result = futures[r].get();
-        ASSERT_TRUE(result.status.ok());
-        EXPECT_EQ(result.report.elements, kCount);
-        for (size_t i = 0; i < result.outputs.size(); ++i)
-            EXPECT_DOUBLE_EQ(result.outputs[i],
-                             expected[r * kCount * 2 + i])
-                << "request " << r << " element " << i;
-    }
 }
 
 TEST(ShardedEngineTest, FullQueueRejectsWithResourceExhausted)
@@ -511,12 +479,11 @@ TEST(ShardedEngineTest, TraceIdsAppearExactlyOnceInExportedTraces)
     serve::ServeConfig config;
     config.shards = 2;
     config.queue_capacity = 64;
-    config.max_coalesce_elements = 4096;  // force coalesced batches.
-    config.trace.sample_every = 1;        // tail policy keeps all.
+    config.trace.sample_every = 1;  // tail policy keeps all.
     auto engine = MakeEngine(config);
 
-    // Completed (and coalesced): queue twelve requests while paused so
-    // each shard serves its whole backlog as one multi-request batch.
+    // Completed: queue twelve requests while paused, then let each
+    // shard serve its backlog.
     engine->Pause();
     std::vector<std::future<serve::InvocationResult>> futures;
     for (size_t r = 0; r < 12; ++r)
@@ -563,7 +530,6 @@ TEST(ShardedEngineTest, TraceIdsAppearExactlyOnceInExportedTraces)
     const auto traces = collector.Dump();
     EXPECT_EQ(traces.size(), expected.size());
     std::map<uint64_t, size_t> seen;
-    bool saw_coalesced = false;
     for (const auto& trace : traces) {
         ++seen[trace.trace_id];
         const auto it = expected.find(trace.trace_id);
@@ -571,7 +537,6 @@ TEST(ShardedEngineTest, TraceIdsAppearExactlyOnceInExportedTraces)
             << "unexpected trace " << trace.trace_id;
         EXPECT_EQ(trace.outcome, it->second);
         if (trace.outcome == obs::RequestOutcome::kCompleted) {
-            saw_coalesced |= trace.batch_requests > 1;
             // Served traces carry the span tree.
             const std::string json = obs::RequestTraceJson(trace);
             EXPECT_NE(json.find("{\"name\":\"queue_wait\""),
@@ -588,7 +553,6 @@ TEST(ShardedEngineTest, TraceIdsAppearExactlyOnceInExportedTraces)
     }
     for (const auto& [id, outcome] : expected)
         EXPECT_EQ(seen[id], 1u) << "trace " << id;
-    EXPECT_TRUE(saw_coalesced);
     collector.Clear();
 }
 
@@ -889,7 +853,7 @@ constexpr char kGoldenRefusedFlight[] =
 constexpr char kGoldenServedTrace[] =
     "{\"type\":\"reqtrace\",\"trace_id\":4242,\"shard\":1,"
     "\"outcome\":\"completed\",\"submit_ns\":1000000,"
-    "\"total_ns\":93000,\"elements\":1024,\"batch_requests\":3,"
+    "\"total_ns\":93000,\"elements\":1024,"
     "\"fixes\":312,\"breaker_state\":2,\"audited\":true,\"spans\":["
     "{\"name\":\"queue_wait\",\"start_ns\":1000000,"
     "\"duration_ns\":12000},"
@@ -901,11 +865,10 @@ constexpr char kGoldenServedTrace[] =
 constexpr char kGoldenRefusedTrace[] =
     "{\"type\":\"reqtrace\",\"trace_id\":4243,\"shard\":1,"
     "\"outcome\":\"rejected\",\"submit_ns\":2000000,\"total_ns\":1500,"
-    "\"elements\":64,\"batch_requests\":1,\"fixes\":0,"
+    "\"elements\":64,\"fixes\":0,"
     "\"breaker_state\":0,\"audited\":false,\"spans\":[]}";
 
-/** A served request: three coalesced, recovered, half-open breaker,
- *  audited. */
+/** A served request: recovered, half-open breaker, audited. */
 obs::RequestTrace
 GoldenServed()
 {
@@ -916,7 +879,6 @@ GoldenServed()
     r.submit_ns = 1000000;
     r.total_ns = 93000;
     r.elements = 1024;
-    r.batch_requests = 3;
     r.fixes = 312;
     r.breaker_state = 2;
     r.audited = true;
@@ -1173,6 +1135,219 @@ TEST(ShardedEngineTest, DeadArrivalExpiresWithoutQueueSlot)
               core::StatusCode::kDeadlineExceeded);
     EXPECT_TRUE(result.outputs.empty());
     engine->Shutdown();
+}
+
+// ------------------------------------------------- Serving properties
+//
+// Seeded random serving configs and fault plans. Every request is one
+// invocation, so whatever the config a shard replays bit for bit
+// against a sequential replica; under faults nothing non-finite is
+// delivered and every submission is accounted for exactly once.
+
+uint64_t
+CounterValue(const std::string& name)
+{
+    return obs::Registry::Default().GetCounter(name)->Value();
+}
+
+/** 1-64 consecutive elements of the shared inputs, from a random
+ *  start. */
+serve::InvocationRequest
+RandomRequest(Rng& rng)
+{
+    const size_t count = static_cast<size_t>(rng.Range(1, 64));
+    const size_t pool = SharedInputs().size() / 2;
+    return MakeRequest(rng.Below(pool - count + 1), count);
+}
+
+TEST(ServingPropertyTest, EveryConfigReplaysAsSequentialShards)
+{
+    constexpr uint64_t kConfigs = 12;
+    obs::Histogram* const batch_elements =
+        obs::Registry::Default().GetHistogram("serve.batch_elements");
+    const std::string dir = ::testing::TempDir() + "flight_props";
+    ::mkdir(dir.c_str(), 0755);
+    for (uint64_t seed = 1; seed <= kConfigs; ++seed) {
+        SCOPED_TRACE("config seed " + std::to_string(seed));
+        Rng rng = Rng::ForStream(seed, /*stream=*/0);
+        serve::ServeConfig config;
+        config.shards = static_cast<size_t>(rng.Range(1, 4));
+        const size_t per_shard = static_cast<size_t>(rng.Range(1, 6));
+        // At least twice the per-shard backlog: the fill admission
+        // sees stays under 1/2, where gold always gets full service.
+        config.queue_capacity = 2 * per_shard + rng.Below(per_shard + 1);
+        config.trace.enabled = rng.Chance(0.5);
+        config.slo.enabled = rng.Chance(0.5);
+        config.profile.enabled = rng.Chance(0.5);
+        config.audit.enabled = rng.Chance(0.5);
+        config.forensics.enabled = rng.Chance(0.5);
+        config.admission.enabled = rng.Chance(0.5);
+        config.flight.capacity = rng.Chance(0.5) ? 8 : 0;
+        config.flight.dump_dir = dir;
+        const size_t requests = config.shards * per_shard;
+        std::vector<serve::InvocationRequest> drawn;
+        for (size_t r = 0; r < requests; ++r)
+            drawn.push_back(RandomRequest(rng));
+
+        const uint64_t invocations = CounterValue("runtime.invocations");
+        const uint64_t batches = batch_elements->Count();
+        const uint64_t submitted = CounterValue("serve.submitted");
+        const uint64_t completed = CounterValue("serve.completed");
+        std::vector<serve::InvocationResult> results;
+        {
+            auto engine = MakeEngine(config);
+            ASSERT_NE(engine, nullptr);
+            // Round-robin from one thread: request r is shard
+            // (r % shards)'s (r / shards)-th request.
+            std::vector<std::future<serve::InvocationResult>> futures;
+            for (const serve::InvocationRequest& request : drawn)
+                futures.push_back(engine->Submit(request));
+            for (auto& future : futures)
+                results.push_back(future.get());
+            engine->Shutdown();
+        }
+        // Read before the replicas below add their own invocations.
+        EXPECT_EQ(CounterValue("runtime.invocations") - invocations,
+                  requests);
+        EXPECT_EQ(batch_elements->Count() - batches, requests);
+        EXPECT_EQ(CounterValue("serve.submitted") - submitted, requests);
+        EXPECT_EQ(CounterValue("serve.completed") - completed, requests);
+
+        for (size_t k = 0; k < config.shards; ++k) {
+            auto replica = core::RumbaRuntime::FromArtifact(
+                SharedArtifact(), ServeRuntimeConfig());
+            ASSERT_TRUE(replica.ok());
+            const size_t out_w = (*replica)->Bench().NumOutputs();
+            for (size_t r = k; r < requests; r += config.shards) {
+                const serve::InvocationRequest& request = drawn[r];
+                const serve::InvocationResult& result = results[r];
+                ASSERT_TRUE(result.status.ok())
+                    << "request " << r << ": " << result.status.ToString();
+                EXPECT_EQ(result.shard, k);
+                EXPECT_EQ(result.report.elements, request.count);
+                std::vector<double> expected(request.count * out_w);
+                (*replica)->ProcessInvocation(
+                    core::BatchView(request.inputs.data(), request.count,
+                                    request.width),
+                    expected.data());
+                ASSERT_EQ(result.outputs.size(), expected.size());
+                EXPECT_EQ(std::memcmp(result.outputs.data(),
+                                      expected.data(),
+                                      expected.size() * sizeof(double)),
+                          0)
+                    << "request " << r << " differs from shard " << k
+                    << "'s sequential replay";
+                for (const double v : result.outputs)
+                    ASSERT_TRUE(std::isfinite(v)) << "request " << r;
+            }
+        }
+    }
+    RemoveFlightDumps(dir);
+}
+
+TEST(ServingPropertyTest, FaultPlansNeverDeliverNonFiniteAndAccountExactly)
+{
+    struct DisarmGuard {
+        ~DisarmGuard() { fault::FaultInjector::Default().Disarm(); }
+    } guard;
+    constexpr const char* kClasses[] = {
+        "npu.output_nan", "npu.output_inf",     "npu.bitflip",
+        "npu.output_stuck", "checker.mispredict", "queue.stall",
+    };
+    constexpr size_t kNumClasses = sizeof(kClasses) / sizeof(kClasses[0]);
+    constexpr const char* kAdmissionCounters[] = {
+        "serve.admission.admitted", "serve.admission.compensated",
+        "serve.admission.degraded", "serve.admission.bypassed",
+        "serve.admission.shed",     "serve.admission.expired",
+        "serve.admission.rejected",
+    };
+    const auto admission_total = [&kAdmissionCounters] {
+        uint64_t total = 0;
+        for (const char* name : kAdmissionCounters)
+            total += CounterValue(name);
+        return total;
+    };
+    const std::string dir = ::testing::TempDir() + "flight_props";
+    ::mkdir(dir.c_str(), 0755);
+
+    constexpr uint64_t kPlans = 8;
+    for (uint64_t seed = 1; seed <= kPlans; ++seed) {
+        Rng rng = Rng::ForStream(seed, /*stream=*/1);
+        // Each class joins the plan on a coin flip (one at least), at
+        // a rate of at most 0.1.
+        std::string spec = "seed=" + std::to_string(seed);
+        size_t armed = 0;
+        for (size_t c = 0; c < kNumClasses; ++c) {
+            const bool last_chance = c + 1 == kNumClasses && armed == 0;
+            if (!last_chance && !rng.Chance(0.5))
+                continue;
+            spec += ";" + std::string(kClasses[c]) + "=" +
+                    std::to_string(rng.Uniform(0.001, 0.1));
+            if (std::string(kClasses[c]) == "npu.output_stuck")
+                spec += ":" + std::to_string(rng.Uniform(-2.0, 2.0));
+            ++armed;
+        }
+        SCOPED_TRACE("plan " + spec);
+        fault::FaultPlan plan;
+        std::string error;
+        ASSERT_TRUE(fault::FaultPlan::Parse(spec, &plan, &error)) << error;
+
+        serve::ServeConfig config;
+        config.shards = static_cast<size_t>(rng.Range(1, 4));
+        config.queue_capacity = static_cast<size_t>(rng.Range(1, 16));
+        config.admission.enabled = rng.Chance(0.5);
+        config.flight.dump_dir = dir;
+        const size_t requests = static_cast<size_t>(rng.Range(8, 24));
+        std::vector<serve::InvocationRequest> drawn;
+        for (size_t r = 0; r < requests; ++r) {
+            drawn.push_back(RandomRequest(rng));
+            drawn.back().quality = static_cast<serve::QualityClass>(
+                rng.Below(serve::kNumQualityClasses));
+        }
+
+        const uint64_t submitted = CounterValue("serve.submitted");
+        const uint64_t completed = CounterValue("serve.completed");
+        const uint64_t admission = admission_total();
+        std::vector<std::future<serve::InvocationResult>> futures;
+        {
+            auto engine = MakeEngine(config);
+            ASSERT_NE(engine, nullptr);
+            fault::FaultInjector::Default().Arm(plan);
+            for (const serve::InvocationRequest& request : drawn)
+                futures.push_back(engine->Submit(request));
+            engine->Drain();
+            engine->Shutdown();
+            fault::FaultInjector::Default().Disarm();
+        }
+
+        size_t ok = 0;
+        for (size_t r = 0; r < requests; ++r) {
+            // Drain then Shutdown: every future has resolved.
+            ASSERT_EQ(futures[r].wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready)
+                << "request " << r;
+            const serve::InvocationResult result = futures[r].get();
+            if (!result.status.ok()) {
+                // Backpressure and admission are the only refusals.
+                const core::StatusCode code = result.status.code();
+                EXPECT_TRUE(code == core::StatusCode::kResourceExhausted ||
+                            code == core::StatusCode::kUnavailable)
+                    << "request " << r << ": " << result.status.ToString();
+                EXPECT_TRUE(result.outputs.empty());
+                continue;
+            }
+            ++ok;
+            ASSERT_EQ(result.outputs.size(), drawn[r].count * 2);
+            for (const double v : result.outputs)
+                ASSERT_TRUE(std::isfinite(v)) << "request " << r;
+        }
+        const uint64_t submitted_delta =
+            CounterValue("serve.submitted") - submitted;
+        EXPECT_EQ(submitted_delta, requests);
+        EXPECT_EQ(admission_total() - admission, submitted_delta);
+        EXPECT_EQ(CounterValue("serve.completed") - completed, ok);
+    }
+    RemoveFlightDumps(dir);
 }
 
 // ------------------------------------------------------ Loadgen smoke
